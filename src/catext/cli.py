@@ -5,8 +5,7 @@
 
 Commands: validate, build-algebra, check-theorem-a, check-extension,
 cohomology, ext, lhs-report.  Exit status: 0 clean, 1 mathematical violation,
-2 input error.  CATEXT_WORKERS sets the worker count for the exhaustive
-extension checks.
+2 input error.
 """
 from __future__ import annotations
 

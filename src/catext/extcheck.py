@@ -3,13 +3,14 @@
 An extension is a pair of functors iota: K -> E and pi: E -> B, all three
 categories sharing one object set, with iota injective and pi surjective on
 morphisms, both the identity on objects, and: pi(f) = pi(g) iff there is a
-unique h in Mor K with (f then iota(h)) = g.  The checker is exhaustive over
-all morphism pairs and verifies the iff in both directions.
+unique h in Mor K with (f then iota(h)) = g.  The checker verifies the iff
+in both directions for every morphism pair: per f it counts the hits of
+h -> f then iota(h) over the kernel endomorphisms at cod f, and compares
+them with every g parallel to f or in the fiber pi^-1(pi f).
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafRightModule, disjoint_fiber_category
@@ -27,13 +28,6 @@ class CatExtension:
     pi: CatFunctor
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CATEXT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def connecting_morphisms(e: CatExtension, f, g) -> list:
     """All h in Mor K with (f then iota(h)) = g in the total category."""
     total = e.total
@@ -45,7 +39,7 @@ def connecting_morphisms(e: CatExtension, f, g) -> list:
     return out
 
 
-def check_extension(e: CatExtension, workers: int | None = None) -> Report:
+def check_extension(e: CatExtension) -> Report:
     rep = Report()
     if not (set(e.kernel.objects) == set(e.total.objects) == set(e.base.objects)):
         raise ValueError("extension categories must share one object set")
@@ -72,35 +66,33 @@ def check_extension(e: CatExtension, workers: int | None = None) -> Report:
     if not rep.ok:
         return rep
 
-    mors = list(e.total.mor)
-    pi_of = {f: e.pi.on_mor(f) for f in mors}
-    # group by (dom, cod): pairs elsewhere can satisfy neither side of the iff
-    def check_block(block: list) -> list:
-        found = []
-        for f in block:
-            for g in mors:
-                if e.total.mor[f] != e.total.mor[g]:
-                    # f then iota(h) never equals g; require pi(f) != pi(g)
-                    if pi_of[f] == pi_of[g]:
-                        found.append(("exists", f, g, 0))
-                    continue
-                hs = connecting_morphisms(e, f, g)
-                same_image = pi_of[f] == pi_of[g]
-                if same_image and len(hs) != 1:
-                    found.append(("exists" if not hs else "unique", f, g, len(hs)))
-                if not same_image and len(hs) == 1:
-                    found.append(("converse", f, g, 1))
-        return found
-
-    nworkers = workers if workers is not None else default_workers()
-    if nworkers > 1 and len(mors) > 1:
-        chunks = [mors[i::nworkers] for i in range(nworkers)]
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(check_block, chunks))
-        failures = [item for sub in results for item in sub]
-    else:
-        failures = check_block(mors)
-    for code, f, g, count in failures:
+    ix = e.total.index
+    base_pos = e.base.index.pos
+    pi_of = [base_pos[e.pi.on_mor(f)] for f in ix.labels]
+    fiber: dict = {}  # pi image -> positions of its preimages
+    for j, b in enumerate(pi_of):
+        fiber.setdefault(b, []).append(j)
+    kernel_at = {x: [ix.pos[e.iota.on_mor(h)] for h in e.kernel.endos(x)]
+                 for x in e.total.objects}
+    ends_of = list(e.total.mor.values())
+    # f then iota(h) is parallel to f, so only g parallel to f can connect to
+    # it, and only g with pi(g) = pi(f) must; other pairs satisfy neither side
+    failures = []
+    for i, ends in enumerate(ends_of):
+        row = ix.table[i]
+        hits = Counter(row[h] for h in kernel_at[ends[1]])
+        for j in sorted(set(ix.hom[ends]).union(fiber[pi_of[i]])):
+            if ends_of[j] != ends:
+                failures.append(("exists", i, j, 0))
+                continue
+            count = hits[j]
+            same_image = pi_of[i] == pi_of[j]
+            if same_image and count != 1:
+                failures.append(("exists" if not count else "unique", i, j, count))
+            if not same_image and count == 1:
+                failures.append(("converse", i, j, 1))
+    for code, i, j, count in failures:
+        f, g = ix.labels[i], ix.labels[j]
         if code == "exists":
             rep.add("torsor-existence", "pi(f)=pi(g) but no connecting kernel morphism",
                     f=f, g=g)

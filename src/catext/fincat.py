@@ -7,6 +7,7 @@ hashables (strings in hand-built fixtures, tuples in generated categories).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from typing import Hashable
 
 from .exactlin import FieldSpec
@@ -16,13 +17,60 @@ ObjId = Hashable
 MorId = Hashable
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class CatIndex:
+    """Integer view of a category's tables, built once per category.
+
+    Morphisms are numbered in the order of `mor`.  `table[i][j]` is the
+    position of "i then j", or None where no entry names three morphisms;
+    `follow[i]` lists, in position order, the morphisms that can follow i
+    (those whose domain is cod i); `hom[(x, y)]` lists the morphisms x -> y.
+    Entries of a damaged table that name unknown morphisms are left out:
+    `validate_category` reports them.
+    """
+    labels: tuple
+    pos: dict
+    follow: tuple
+    hom: dict
+    table: list
+
+    @classmethod
+    def of(cls, c: "FinCategory") -> "CatIndex":
+        labels = tuple(c.mor)
+        pos = {f: i for i, f in enumerate(labels)}
+        out: dict = {}
+        hom: dict = {}
+        for i, ends in enumerate(c.mor.values()):
+            out.setdefault(ends[0], []).append(i)
+            hom.setdefault(ends, []).append(i)
+        follow = tuple(tuple(out.get(cod_, ())) for _, cod_ in c.mor.values())
+        table = [[None] * len(labels) for _ in labels]
+        for (f, g), h in c.compose.items():
+            i, j, k = pos.get(f), pos.get(g), pos.get(h)
+            if i is not None and j is not None and k is not None:
+                table[i][j] = k
+        return cls(labels, pos, follow, {e: tuple(v) for e, v in hom.items()}, table)
+
+
+@dataclass(frozen=True, eq=False)
 class FinCategory:
+    """A finite category given by its tables.
+
+    `index` and the verdict of `validate_category` are computed on first use
+    and kept, so the tables must not be changed after construction."""
     objects: tuple
     mor: dict  # MorId -> (dom, cod)
     identity: dict  # ObjId -> MorId
     compose: dict  # (MorId f, MorId g) -> MorId, defined iff cod f == dom g
     name: str = ""
+
+    @cached_property
+    def index(self) -> CatIndex:
+        return CatIndex.of(self)
+
+    @cached_property
+    def _verdict(self) -> Report:
+        return _check_category(self)
 
     @property
     def morphisms(self) -> list:
@@ -42,14 +90,22 @@ class FinCategory:
         return self.cod(f) == self.dom(g)
 
     def hom(self, x: ObjId, y: ObjId) -> list:
-        return [f for f, (d, c) in self.mor.items() if d == x and c == y]
+        ix = self.index
+        return [ix.labels[i] for i in ix.hom.get((x, y), ())]
 
     def endos(self, x: ObjId) -> list:
         return self.hom(x, x)
 
 
 def validate_category(c: FinCategory) -> Report:
-    """Check every category axiom; violations are reported with witnesses."""
+    """Check every category axiom; violations are reported with witnesses.
+
+    The verdict is computed once per category object; each call returns its
+    own copy of it."""
+    return Report(list(c._verdict.violations))
+
+
+def _check_category(c: FinCategory) -> Report:
     rep = Report()
     for f, (d, cod_) in c.mor.items():
         if d not in c.objects or cod_ not in c.objects:
@@ -62,36 +118,43 @@ def validate_category(c: FinCategory) -> Report:
         if c.mor[i] != (x, x):
             rep.add("identity", "identity is not an endomorphism", object=x, id=i)
     # the composition table must be total on composable pairs and empty elsewhere
-    for f in c.mor:
-        for g in c.mor:
-            defined = (f, g) in c.compose
-            if c.composable(f, g) and not defined:
-                rep.add("composition", "missing composite", f=f, g=g)
-            if not c.composable(f, g) and defined:
-                rep.add("composition", "composite defined for non-composable pair", f=f, g=g)
+    ix = c.index
+    labels, pos, follow = ix.labels, ix.pos, ix.follow
+    misplaced = []  # (pos f, pos g, message)
+    for i, f in enumerate(labels):
+        for j in follow[i]:
+            if (f, labels[j]) not in c.compose:
+                misplaced.append((i, j, "missing composite"))
+    entries = []  # (code, message, f, g, h), in table order
     for (f, g), h in c.compose.items():
-        if h not in c.mor:
-            rep.add("composition", "composite not a morphism", f=f, g=g, h=h)
-            continue
-        if c.composable(f, g) and c.mor[h] != (c.dom(f), c.cod(g)):
-            rep.add("dom-cod", "composite has wrong endpoints", f=f, g=g, h=h)
+        known = f in pos and g in pos
+        if known and not c.composable(f, g):
+            misplaced.append((pos[f], pos[g], "composite defined for non-composable pair"))
+        if h not in pos:
+            entries.append(("composition", "composite not a morphism", f, g, h))
+        elif not known:
+            entries.append(("composition", "composite of unknown morphisms", f, g, h))
+        elif c.composable(f, g) and c.mor[h] != (c.dom(f), c.cod(g)):
+            entries.append(("dom-cod", "composite has wrong endpoints", f, g, h))
+    for i, j, message in sorted(misplaced):
+        rep.add("composition", message, f=labels[i], g=labels[j])
+    for code, message, f, g, h in entries:
+        rep.add(code, message, f=f, g=g, h=h)
     if not rep.ok:
         return rep  # structural damage; law checks below assume a total table
-    for f, (d, cod_) in c.mor.items():
-        if c.then(c.identity[d], f) != f:
+    table = ix.table
+    for i, (f, (d, cod_)) in enumerate(c.mor.items()):
+        if table[pos[c.identity[d]]][i] != i:
             rep.add("identity-law", "left identity fails", f=f)
-        if c.then(f, c.identity[cod_]) != f:
+        if table[i][pos[c.identity[cod_]]] != i:
             rep.add("identity-law", "right identity fails", f=f)
-    for f in c.mor:
-        for g in c.mor:
-            if not c.composable(f, g):
-                continue
-            fg = c.then(f, g)
-            for h in c.mor:
-                if not c.composable(g, h):
-                    continue
-                if c.then(fg, h) != c.then(f, c.then(g, h)):
-                    rep.add("associativity", "(fg)h != f(gh)", f=f, g=g, h=h)
+    # exactly the composable triples f -> g -> h, in position order
+    for i, row_f in enumerate(table):
+        for j in follow[i]:
+            row_fg, row_g = table[row_f[j]], table[j]
+            for k in [k for k in follow[j] if row_fg[k] != row_f[row_g[k]]]:
+                rep.add("associativity", "(fg)h != f(gh)",
+                        f=labels[i], g=labels[j], h=labels[k])
     return rep
 
 
@@ -145,8 +208,7 @@ def linearize(c: FinCategory, k: FieldSpec):
     rep = validate_category(c)
     if not rep.ok:
         raise ValueError(f"cannot linearize invalid category: {rep.summary()}")
-    labels = list(c.mor)
-    index = {f: i for i, f in enumerate(labels)}
+    labels, index = c.index.labels, c.index.pos
     d = len(labels)
     structure = k.zeros(d, d, d)
     for (g, f), h in c.compose.items():  # table entry: g then f

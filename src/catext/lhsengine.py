@@ -66,11 +66,12 @@ class _LhsContext:
     """Caches the extension, per-object fiber complexes and subquotients."""
 
     def __init__(self, c: FinCategory, a: AlgebraPrecosheaf,
-                 n: PrecosheafRightModule, f: CatModule, qmax: int):
+                 n: PrecosheafRightModule, f: CatModule, qmax: int,
+                 _ext: CatExtension | None = None):
         self.c, self.a, self.n = c, a, n
         self.f = f
         self.qmax = qmax
-        self.ext: CatExtension = fiber_extension(c, a, n)
+        self.ext: CatExtension = _ext if _ext is not None else fiber_extension(c, a, n)
         if set(f.cat.mor) != set(self.ext.total.mor):
             raise ValueError("coefficient module is not over Gr(A, N)")
         self.k = f.field
@@ -171,9 +172,10 @@ def h_local_system(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModul
 
 
 def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
-            g: CatModule, f: CatModule, cap_p: int, cap_q: int) -> dict:
+            g: CatModule, f: CatModule, cap_p: int, cap_q: int,
+            _ext: CatExtension | None = None) -> dict:
     """E2[(p, q)] = dim Ext^p over Gr(A) of g against the fiber H^q system."""
-    ctx = _LhsContext(c, a, n, f, qmax=cap_q)
+    ctx = _LhsContext(c, a, n, f, qmax=cap_q, _ext=_ext)
     gr_a = ctx.ext.base
     if set(g.cat.mor) != set(gr_a.mor):
         raise ValueError("weight module is not over Gr(A)")
@@ -189,9 +191,10 @@ def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
 
 
 def abutment(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
-             g: CatModule, f: CatModule, cap_n: int) -> list:
+             g: CatModule, f: CatModule, cap_n: int,
+             _ext: CatExtension | None = None) -> list:
     """dim Ext^m over Gr(A, N) of the pullback of g against f, m <= cap_n."""
-    ext = fiber_extension(c, a, n)
+    ext = _ext if _ext is not None else fiber_extension(c, a, n)
     res_g = restrict(g, ext.pi)
     return [int(v) for v in cat_ext_dims(ext.total, res_g, f, cap_n)]
 
@@ -208,8 +211,9 @@ def lhs_report(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
     cap_p, cap_q, cap_n = caps
     cap_p = max(cap_p, cap_n)
     cap_q = max(cap_q, cap_n)
-    table = e2_page(c, a, n, g, f, cap_p, cap_q)
-    abut = abutment(c, a, n, g, f, cap_n)
+    ext = fiber_extension(c, a, n)
+    table = e2_page(c, a, n, g, f, cap_p, cap_q, _ext=ext)
+    abut = abutment(c, a, n, g, f, cap_n, _ext=ext)
     rows = {q for (p, q), d in table.items() if d}
     cols = {p for (p, q), d in table.items() if d}
     if not rows:

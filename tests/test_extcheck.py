@@ -6,9 +6,9 @@ from catext.extcheck import (CatExtension, check_extension, connecting_morphisms
                              fiber_extension)
 from catext.fdalgebra import field_algebra, group_algebra
 from catext.fincat import CatFunctor, FinCategory
-from catext.presets import (F2, F3, constant_precosheaf, poset_a2, regular_bimodule_system,
-                            regular_right_module_system, trivial_category,
-                            zero_right_module_system)
+from catext.presets import (F2, F3, constant_precosheaf, one_object_group, poset_a2,
+                            regular_bimodule_system, regular_right_module_system,
+                            trivial_category, zero_right_module_system)
 
 
 def identity_kernel_extension(cat):
@@ -55,7 +55,6 @@ def test_two_object_fixture_extension():
     n = regular_right_module_system(a)
     ext = fiber_extension(c, a, n)
     assert check_extension(ext).ok
-    assert check_extension(ext, workers=3).ok
 
 
 def test_bigger_fiber_extension():
@@ -106,6 +105,9 @@ def test_existence_failure_reported():
     assert not rep.ok
     assert any(v.code == "torsor-existence" for v in rep.violations)
     assert all("f" in v.witness for v in rep.violations)
+    assert [(v.code, v.witness) for v in rep.violations] == [
+        ("torsor-existence", {"f": "t1", "g": "t2"}),
+        ("torsor-existence", {"f": "t2", "g": "t1"})]
 
 
 def test_object_set_mismatch_is_structural_error():
@@ -134,3 +136,50 @@ def test_bimodule_composition_law_breaks_torsor_condition():
     assert not rep.ok
     codes = {v.code for v in rep.violations}
     assert codes & {"torsor-existence", "torsor-uniqueness"}
+    m0, m1 = ((0,), (0,), "id"), ((0,), (1,), "id")
+    assert [(v.code, v.witness) for v in rep.violations] == [
+        ("torsor-uniqueness", {"f": m0, "g": m0, "count": 2}),
+        ("torsor-existence", {"f": m0, "g": m1}),
+        ("torsor-existence", {"f": m1, "g": m0}),
+        ("torsor-uniqueness", {"f": m1, "g": m1, "count": 2})]
+
+
+def reference_torsor_violations(e: CatExtension) -> list:
+    """All-pairs torsor check: the oracle for the per-morphism one in
+    `check_extension`, on an extension that passes the structural checks."""
+    found = []
+    for f in e.total.mor:
+        for g in e.total.mor:
+            same_image = e.pi.on_mor(f) == e.pi.on_mor(g)
+            if e.total.mor[f] != e.total.mor[g]:
+                if same_image:
+                    found.append(("torsor-existence", {"f": f, "g": g}))
+                continue
+            count = len(connecting_morphisms(e, f, g))
+            if same_image and count == 0:
+                found.append(("torsor-existence", {"f": f, "g": g}))
+            elif same_image and count > 1:
+                found.append(("torsor-uniqueness", {"f": f, "g": g, "count": count}))
+            elif not same_image and count == 1:
+                found.append(("torsor-converse", {"f": f, "g": g}))
+    return found
+
+
+def cyclic_extension(n: int, k: int, m: int, a: int) -> CatExtension:
+    """B(Z/k) -> B(Z/n) -> B(Z/m): iota(h) = h n/k, pi(x) = a x mod m."""
+    kernel, total, base = one_object_group(k), one_object_group(n), one_object_group(m)
+    iota = CatFunctor(kernel, total, {"*": "*"},
+                      {f"t{h}": f"t{h * n // k}" for h in range(k)})
+    pi = CatFunctor(total, base, {"*": "*"}, {f"t{x}": f"t{a * x % m}" for x in range(n)})
+    return CatExtension(kernel, total, base, iota, pi)
+
+
+@pytest.mark.parametrize("n,k,m,a", [(n, k, m, a) for n in (4, 6)
+                                     for k in range(1, n + 1) if n % k == 0
+                                     for m in range(1, n + 1) if n % m == 0
+                                     for a in (1, 5) if a < m or a == 1])
+def test_torsor_check_matches_all_pairs_reference(n, k, m, a):
+    e = cyclic_extension(n, k, m, a)
+    rep = check_extension(e)
+    assert [(v.code, v.witness) for v in rep.violations] == reference_torsor_violations(e)
+    assert rep.ok == (k * m == n)

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catext.exactlin import FieldSpec
 from catext.fdalgebra import AlgHom, upper_triangular_algebra, validate_algebra, validate_hom
-from catext.fincat import (CatFunctor, is_isomorphism, linearize, nerve_chains, opposite,
-                           validate_category, validate_functor)
+from catext.fincat import (CatFunctor, FinCategory, is_isomorphism, linearize, nerve_chains,
+                           opposite, validate_category, validate_functor)
 from catext.presets import (broken_category, cyclic_monoid, discrete_category, F2, F3,
                             one_object_group, poset_a2, trivial_category)
+from catext.validation import Report
 
 FIXTURES = [trivial_category(), poset_a2(), cyclic_monoid(3, 1),
             one_object_group(2), discrete_category(2), cyclic_monoid(2, 1)]
@@ -26,6 +28,103 @@ def test_broken_fixture_reports_violation():
     codes = {v.code for v in rep.violations}
     assert codes & {"identity-law", "associativity", "dom-cod"}
     assert all(v.witness for v in rep.violations)
+
+
+def test_unknown_morphism_in_compose_key_is_reported():
+    c = poset_a2()
+    compose = dict(c.compose)
+    compose[("zz", "i0")] = "i0"
+    rep = validate_category(FinCategory(c.objects, dict(c.mor), dict(c.identity), compose))
+    assert [(v.code, v.witness) for v in rep.violations] == [
+        ("composition", {"f": "zz", "g": "i0", "h": "i0"})]
+
+
+def reference_validate(c: FinCategory) -> Report:
+    """All-pairs, all-triples check of the category axioms: the oracle for
+    `validate_category`.  Every compose key must name morphisms."""
+    rep = Report()
+    for f, (d, cod_) in c.mor.items():
+        if d not in c.objects or cod_ not in c.objects:
+            rep.add("dom-cod", "morphism endpoints not objects", f=f, dom=d, cod=cod_)
+    for x in c.objects:
+        i = c.identity.get(x)
+        if i is None or i not in c.mor:
+            rep.add("identity", "missing identity morphism", object=x)
+            continue
+        if c.mor[i] != (x, x):
+            rep.add("identity", "identity is not an endomorphism", object=x, id=i)
+    for f in c.mor:
+        for g in c.mor:
+            defined = (f, g) in c.compose
+            if c.composable(f, g) and not defined:
+                rep.add("composition", "missing composite", f=f, g=g)
+            if not c.composable(f, g) and defined:
+                rep.add("composition", "composite defined for non-composable pair", f=f, g=g)
+    for (f, g), h in c.compose.items():
+        if h not in c.mor:
+            rep.add("composition", "composite not a morphism", f=f, g=g, h=h)
+            continue
+        if c.composable(f, g) and c.mor[h] != (c.dom(f), c.cod(g)):
+            rep.add("dom-cod", "composite has wrong endpoints", f=f, g=g, h=h)
+    if not rep.ok:
+        return rep
+    for f, (d, cod_) in c.mor.items():
+        if c.then(c.identity[d], f) != f:
+            rep.add("identity-law", "left identity fails", f=f)
+        if c.then(f, c.identity[cod_]) != f:
+            rep.add("identity-law", "right identity fails", f=f)
+    for f in c.mor:
+        for g in c.mor:
+            if not c.composable(f, g):
+                continue
+            fg = c.then(f, g)
+            for h in c.mor:
+                if not c.composable(g, h):
+                    continue
+                if c.then(fg, h) != c.then(f, c.then(g, h)):
+                    rep.add("associativity", "(fg)h != f(gh)", f=f, g=g, h=h)
+    return rep
+
+
+@st.composite
+def mutated_categories(draw):
+    """A fixture with compose entries reassigned (half the time to a parallel
+    morphism, which breaks only the laws), deleted or added and codomains
+    moved; compose keys always name morphisms."""
+    c = draw(st.sampled_from(FIXTURES + [broken_category()]))
+    mor, compose = dict(c.mor), dict(c.compose)
+    labels = list(c.mor)
+    targets = labels + ["zz"]
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["parallel", "parallel", "parallel",
+                                   "reassign", "delete", "add", "move"]))
+        if op == "move":
+            f = draw(st.sampled_from(labels))
+            mor[f] = (mor[f][0], draw(st.sampled_from(list(c.objects) + ["nowhere"])))
+        elif op == "add":
+            key = (draw(st.sampled_from(labels)), draw(st.sampled_from(labels)))
+            compose[key] = draw(st.sampled_from(targets))
+        elif compose:
+            key = draw(st.sampled_from(list(compose)))
+            if op == "delete":
+                del compose[key]
+            elif op == "parallel" and compose[key] in mor:
+                ends = mor[compose[key]]
+                compose[key] = draw(st.sampled_from([f for f in labels if mor[f] == ends]))
+            else:
+                compose[key] = draw(st.sampled_from(targets))
+    return FinCategory(c.objects, mor, dict(c.identity), compose, name=c.name)
+
+
+@settings(max_examples=300)
+@given(mutated_categories())
+def test_validate_category_matches_reference(cat):
+    expected = reference_validate(cat).as_dict()
+    rep = validate_category(cat)
+    assert rep.as_dict() == expected
+    rep.add("extra", "added by the caller")
+    rep.extend(reference_validate(broken_category()))
+    assert validate_category(cat).as_dict() == expected
 
 
 def test_opposite_commutative_monoid_unchanged():
