@@ -7,7 +7,7 @@ in the test suite:
     the category algebra, resolve by free covers on generators, take Ext as
     cohomology of the Hom complex;
   * nerve route: the simplicial cochain complex on composable chains;
-  * bar route: unnormalized group cochains, for one-object groupoids.
+  * bar route: normalized group cochains, for one-object groupoids.
 
 Degree caps are explicit everywhere; nothing is computed to unbounded degree.
 """
@@ -524,24 +524,35 @@ def trivial_group_module(group: FiniteAbelianGroup, k: FieldSpec, dim: int = 1) 
     return GroupModule(k, dim, {g: k.eye(dim) for g in group.elements})
 
 
+def bar_index(group: FiniteAbelianGroup, q: int) -> tuple:
+    """The q-tuples of non-zero elements that index normalized bar q-cochains,
+    and the position of each tuple in that list."""
+    nonzero = [g for g in group.elements if g != group.zero]
+    tuples = list(iproduct(nonzero, repeat=q))
+    return tuples, {t: i for i, t in enumerate(tuples)}
+
+
 def bar_cochain_complex(group: FiniteAbelianGroup, module: GroupModule,
                         max_q: int) -> CochainComplex:
-    """Unnormalized bar cochains: C^q = maps(G^q, V)."""
+    """Normalized bar cochains: C^q = maps((G - 0)^q, V), i.e. the cochains
+    on G^q that vanish on every tuple with a zero entry.  They form a
+    subcomplex with the same cohomology as all of maps(G^q, V), on
+    (|G| - 1)^q dim V coordinates in degree q instead of |G|^q dim V."""
     k = module.field
     nv = module.dim
-    tuples = [list(iproduct(group.elements, repeat=q)) for q in range(max_q + 2)]
-    index = [{t: i for i, t in enumerate(ts)} for ts in tuples]
-    dims = [len(ts) * nv for ts in tuples]
+    indices = [bar_index(group, q) for q in range(max_q + 2)]
+    dims = [len(ts) * nv for ts, _ in indices]
     diffs = []
     minus = k.coerce(-1)
     for q in range(max_q + 1):
         mat = k.zeros(dims[q + 1], dims[q])
+        index = indices[q][1]
         if nv:
-            for t_new in tuples[q + 1]:
-                r0 = index[q + 1][t_new] * nv
+            for r, t_new in enumerate(indices[q + 1][0]):
+                r0 = r * nv
 
                 def accumulate(t_old, block):
-                    c0 = index[q][t_old] * nv
+                    c0 = index[t_old] * nv
                     mat[r0:r0 + nv, c0:c0 + nv] = k.reduce(
                         mat[r0:r0 + nv, c0:c0 + nv] + block)
 
@@ -549,8 +560,9 @@ def bar_cochain_complex(group: FiniteAbelianGroup, module: GroupModule,
                 sign = k.one
                 for i in range(1, q + 1):
                     sign = k.coerce(sign * minus)
-                    merged = t_new[:i - 1] + (group.add(t_new[i - 1], t_new[i]),) + t_new[i + 1:]
-                    accumulate(merged, sign * k.eye(nv))
+                    g = group.add(t_new[i - 1], t_new[i])
+                    if g != group.zero:  # a normalized cochain vanishes there
+                        accumulate(t_new[:i - 1] + (g,) + t_new[i + 1:], sign * k.eye(nv))
                 sign = k.coerce(sign * minus)
                 accumulate(t_new[:q], sign * k.eye(nv))
         diffs.append(mat)

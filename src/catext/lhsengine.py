@@ -26,7 +26,7 @@ from .coeffsys import AlgebraPrecosheaf, PrecosheafRightModule
 from .extcheck import CatExtension, fiber_extension
 from .fincat import FinCategory, linearize
 from .homengine import (CatModule, FiniteAbelianGroup, GroupModule, Subquotient,
-                        bar_cochain_complex, cat_ext_dims, ext_dims_from_resolution,
+                        bar_cochain_complex, bar_index, cat_ext_dims, ext_dims_from_resolution,
                         free_resolution, restrict, subquotient, to_algebra_module)
 
 
@@ -104,24 +104,24 @@ class _LhsContext:
         return apply
 
     def pullback_matrix(self, lift, q: int) -> np.ndarray:
-        """Cochain-level map C^q(N(y); F(y)) -> C^q(N(x); F(x)) for a lift
-        (r, m, f) of the Gr(A)-morphism (r, f)."""
+        """Cochain-level map C^q(N(y); F(y)) -> C^q(N(x); F(x)) on normalized
+        bar cochains for a lift (r, m, f) of the Gr(A)-morphism (r, f).  The
+        row of a tuple t stays zero when alpha(t) has a zero entry: a
+        normalized cochain vanishes there."""
         r, _, fbase = lift
         x, y = self.c.mor[fbase]
         k = self.k
         phi = self.f.on(lift)
-        gx, gy = self.groups[x], self.groups[y]
         al = self.alpha(x, y, fbase, r)
         nvx, nvy = self.f.dims[x], self.f.dims[y]
-        from itertools import product as iproduct
-        tx = list(iproduct(gx.elements, repeat=q))
-        ty = list(iproduct(gy.elements, repeat=q))
-        iy = {t: i for i, t in enumerate(ty)}
+        tx, _ = bar_index(self.groups[x], q)
+        ty, iy = bar_index(self.groups[y], q)
         mat = k.zeros(len(tx) * nvx, len(ty) * nvy)
         if nvx and nvy:
             for i, t in enumerate(tx):
-                j = iy[tuple(al(m) for m in t)]
-                mat[i * nvx:(i + 1) * nvx, j * nvy:(j + 1) * nvy] = phi
+                j = iy.get(tuple(al(m) for m in t))
+                if j is not None:
+                    mat[i * nvx:(i + 1) * nvx, j * nvy:(j + 1) * nvy] = phi
         return mat
 
     def induced_class_map(self, lift, q: int) -> np.ndarray:

@@ -1,11 +1,14 @@
-import pytest
-from hypothesis import given, strategies as st
+from itertools import product as iproduct
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from catext.exactlin import FieldSpec
 from catext.extcheck import fiber_extension
 from catext.fdalgebra import (AlgModule, dual_numbers, field_algebra, free_module,
                               group_algebra, validate_module)
 from catext.fincat import CatFunctor, linearize
-from catext.homengine import (CatModule, FiniteAbelianGroup, GroupModule,
+from catext.homengine import (CatModule, CochainComplex, FiniteAbelianGroup, GroupModule,
                               bar_cochain_complex, cat_ext_dims, cohomology_dims,
                               constant_module, ext_dims, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
@@ -19,6 +22,7 @@ from catext.presets import (F2, F3, QQ, constant_precosheaf, discrete_category,
                             trivial_category)
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), discrete_category(2)]
+F5 = FieldSpec.prime(5)
 
 
 # -- cat modules -------------------------------------------------------------------
@@ -289,6 +293,86 @@ def test_bar_complex_is_complex():
     assert cc.validate().ok
 
 
+def test_bar_complex_is_normalized():
+    # C^q = maps((G - 0)^q, V): (|G| - 1)^q dim V coordinates, not |G|^q dim V
+    z5 = FiniteAbelianGroup((5,))
+    assert bar_cochain_complex(z5, trivial_group_module(z5, F5), 4).dims == \
+        [1, 4, 16, 64, 256, 1024]
+    klein3 = FiniteAbelianGroup((2, 2, 2))
+    assert bar_cochain_complex(klein3, trivial_group_module(klein3, F2), 3).dims[:4] == \
+        [1, 7, 49, 343]
+    one = FiniteAbelianGroup((1,))
+    for nv in (0, 1, 3):
+        assert bar_cochain_complex(one, trivial_group_module(one, F3, nv), 3).dims == \
+            [nv, 0, 0, 0, 0]
+
+
+def reference_bar_cochain_complex(group: FiniteAbelianGroup, module: GroupModule,
+                                  max_q: int) -> CochainComplex:
+    """Unnormalized bar cochains C^q = maps(G^q, V): the oracle the normalized
+    complex is compared against."""
+    k = module.field
+    nv = module.dim
+    tuples = [list(iproduct(group.elements, repeat=q)) for q in range(max_q + 2)]
+    index = [{t: i for i, t in enumerate(ts)} for ts in tuples]
+    dims = [len(ts) * nv for ts in tuples]
+    diffs = []
+    minus = k.coerce(-1)
+    for q in range(max_q + 1):
+        mat = k.zeros(dims[q + 1], dims[q])
+        if nv:
+            for t_new in tuples[q + 1]:
+                r0 = index[q + 1][t_new] * nv
+
+                def accumulate(t_old, block):
+                    c0 = index[q][t_old] * nv
+                    mat[r0:r0 + nv, c0:c0 + nv] = k.reduce(
+                        mat[r0:r0 + nv, c0:c0 + nv] + block)
+
+                accumulate(t_new[1:], module.on(t_new[0]))
+                sign = k.one
+                for i in range(1, q + 1):
+                    sign = k.coerce(sign * minus)
+                    merged = t_new[:i - 1] + (group.add(t_new[i - 1], t_new[i]),) + t_new[i + 1:]
+                    accumulate(merged, sign * k.eye(nv))
+                sign = k.coerce(sign * minus)
+                accumulate(t_new[:q], sign * k.eye(nv))
+        diffs.append(mat)
+    return CochainComplex(k, dims, diffs)
+
+
+@st.composite
+def groups_with_modules(draw):
+    """One or two cyclic factors of order 1-4, over F2, F3 or F5, with a
+    trivial module of dimension 0-2 or the sign module of an even factor."""
+    orders = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    field = draw(st.sampled_from([F2, F3, F5]))
+    group = FiniteAbelianGroup(orders)
+    even = [i for i, n in enumerate(orders) if n % 2 == 0]
+    if even and draw(st.booleans()):
+        i = draw(st.sampled_from(even))
+        p = field.characteristic
+        return group, GroupModule(field, 1, {g: field.array([[(-1) ** g[i] % p]])
+                                             for g in group.elements})
+    return group, trivial_group_module(group, field, draw(st.integers(0, 2)))
+
+
+@settings(deadline=None)
+@given(groups_with_modules())
+def test_normalized_bar_complex_matches_unnormalized(case):
+    group, module = case
+    assert validate_group_module(group, module).ok
+    # up to degree 3, lowered for the larger groups so that the reference's
+    # top cochain space keeps at most 2000 coordinates (|G| = 16 would need
+    # a dense 65536 x 4096 differential at degree 3)
+    max_q = max([1] + [q for q in (2, 3)
+                       if group.order ** (q + 1) * max(module.dim, 1) <= 2000])
+    normalized = bar_cochain_complex(group, module, max_q)
+    assert normalized.validate().ok
+    reference = reference_bar_cochain_complex(group, module, max_q)
+    assert normalized.cohomology_dims() == reference.cohomology_dims()
+
+
 @given(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=2),
        st.integers(0, 2), st.sampled_from([F2, F3]))
 def test_h0_of_trivial_module_is_the_module(orders, dim, field):
@@ -322,16 +406,15 @@ def test_ext0_equals_nat_transform_dimension(cat):
 # -- subquotients ---------------------------------------------------------------------
 
 def test_subquotient_projection_roundtrip():
-    g = FiniteAbelianGroup((2,))
-    cc = bar_cochain_complex(g, trivial_group_module(g, F2), 2)
-    sq = subquotient(F2, cc.d[1], cc.d[0])
+    g = FiniteAbelianGroup((3,))
+    cc = bar_cochain_complex(g, trivial_group_module(g, F3), 2)
+    sq = subquotient(F3, cc.d[1], cc.d[0])
     assert sq.dim == 1
     coords = sq.project(sq.reps)
-    assert F2.equal(coords, F2.eye(1))
+    assert F3.equal(coords, F3.eye(1))
+    # c = delta_1 is no cocycle: (dc)(1, 1) = c(1) - c(2) + c(1) = 2
+    bad = F3.zeros(cc.dims[1])
+    bad[0] = 1
+    assert not F3.is_zero(F3.matmul(cc.d[1], bad)), "fixture accidentally a cocycle"
     with pytest.raises(ValueError):
-        # a non-cocycle cannot be projected
-        bad = F2.zeros(cc.dims[1])
-        bad[0] = 1
-        if F2.is_zero(F2.matmul(cc.d[1], bad)):
-            raise ValueError("fixture accidentally a cocycle")
         sq.project(bad)

@@ -106,6 +106,19 @@ def test_local_system_positive_degree_zero_component_acts_by_zero():
         assert F2.equal(hq.module.on(((1,), "id")), F2.eye(1))
 
 
+def test_pullback_along_zero_homomorphism_is_zero():
+    # alpha = 0 sends every tuple of non-zero elements to a tuple of zeros,
+    # where normalized cochains vanish
+    c, a, n, ext, g, f = point_fixture()
+    ctx = _LhsContext(c, a, n, f, qmax=2)
+    for q in (1, 2):
+        mat = ctx.pullback_matrix(ctx.canonical_lift(((0,), "id")), q)
+        assert mat.shape == (1, 1)
+        assert F2.is_zero(mat)
+        ident = ctx.pullback_matrix(ctx.canonical_lift(((1,), "id")), q)
+        assert F2.equal(ident, F2.eye(1))
+
+
 @pytest.mark.parametrize("make", [point_fixture, a2_fixture], ids=["pt", "a2"])
 def test_local_system_functorial(make):
     c, a, n, ext, g, f = make()
