@@ -30,9 +30,24 @@ from .validation import Report
 COMMANDS = ("validate", "build-algebra", "check-theorem-a", "check-extension",
             "cohomology", "ext", "lhs-report")
 
-CATEGORY_PRESETS = ("trivial", "poset-a2", "discrete", "cyclic-monoid", "one-object-group")
-ALGEBRA_PRESETS = ("field", "dual-numbers", "group-algebra", "upper-triangular",
-                   "field-product", "explicit")
+_CATEGORY_BUILDERS = {
+    "trivial": lambda b: presets.trivial_category(),
+    "poset-a2": lambda b: presets.poset_a2(),
+    "discrete": lambda b: presets.discrete_category(b["count"]),
+    "cyclic-monoid": lambda b: presets.cyclic_monoid(b["size"], b["loop"]),
+    "one-object-group": lambda b: presets.one_object_group(b["order"]),
+}
+CATEGORY_PRESETS = tuple(_CATEGORY_BUILDERS)
+_ALGEBRA_BUILDERS = {
+    "field": lambda b, k: field_algebra(k),
+    "dual-numbers": lambda b, k: dual_numbers(k),
+    "group-algebra": lambda b, k: group_algebra(b["orders"], k),
+    "upper-triangular": lambda b, k: upper_triangular_algebra(b["size"], k),
+    "field-product": lambda b, k: presets.field_product(k, b["count"]),
+    "explicit": lambda b, k: FDAlgebra(field=k, dim=b["dim"], structure=k.array(b["tensor"]),
+                                       unit=k.array(b["unit"]), name="explicit"),
+}
+ALGEBRA_PRESETS = tuple(_ALGEBRA_BUILDERS)
 
 
 class InputError(Exception):
@@ -73,11 +88,32 @@ def _check_matrix(errors, path, m, rows=None, cols=None):
                 return
 
 
+def _int(errors, path, value, least=0):
+    """value as an integer >= least, or None after recording an error."""
+    try:
+        if int(value) >= least:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    _err(errors, path, f"need an integer >= {least}, got {value!r}")
+    return None
+
+
+def _mapping(errors, path, value) -> dict:
+    """value as a mapping: missing or empty is {}, anything else an error."""
+    if value and not isinstance(value, dict):
+        _err(errors, path, "expected a mapping")
+    return value if isinstance(value, dict) else {}
+
+
 def _norm_field(errors, path, block, default=None):
     if block is None:
         if default is not None:
             return dict(default)
         _err(errors, path, "missing field block")
+        return None
+    if not isinstance(block, dict):
+        _err(errors, path, "expected a mapping")
         return None
     kind = block.get("kind")
     if kind in ("prime", "prime-field"):
@@ -96,6 +132,9 @@ def _norm_category(errors, path, block):
     if block is None:
         _err(errors, path, "missing category block")
         return None
+    if not isinstance(block, dict):
+        _err(errors, path, "expected a mapping")
+        return None
     if "preset" in block:
         preset = block["preset"]
         if preset not in CATEGORY_PRESETS:
@@ -103,12 +142,15 @@ def _norm_category(errors, path, block):
             return None
         out = {"preset": preset}
         if preset == "discrete":
-            out["count"] = int(block.get("count", 2))
+            out["count"] = _int(errors, path + ".count", block.get("count", 2), 1)
         if preset == "cyclic-monoid":
-            out["size"] = int(block.get("size", 3))
-            out["loop"] = int(block.get("loop", 1))
+            out["size"] = _int(errors, path + ".size", block.get("size", 3), 1)
+            out["loop"] = _int(errors, path + ".loop", block.get("loop", 1))
+            if out["size"] is not None and out["loop"] is not None \
+                    and out["loop"] >= out["size"]:
+                _err(errors, path + ".loop", "need loop < size")
         if preset == "one-object-group":
-            out["order"] = int(block.get("order", 2))
+            out["order"] = _int(errors, path + ".order", block.get("order", 2), 1)
         return out
     objs = block.get("objects")
     mors = block.get("morphisms")
@@ -172,9 +214,9 @@ def _norm_algebra(errors, path, block):
             _err(errors, path + ".orders", "need positive integer orders")
         out["orders"] = list(orders)
     if preset == "upper-triangular":
-        out["size"] = int(block.get("size", 2))
+        out["size"] = _int(errors, path + ".size", block.get("size", 2), 1)
     if preset == "field-product":
-        out["count"] = int(block.get("count", 2))
+        out["count"] = _int(errors, path + ".count", block.get("count", 2), 1)
     if preset == "explicit":
         dim = block.get("dim")
         if not isinstance(dim, int) or dim < 0:
@@ -223,9 +265,9 @@ def parse(text: str) -> ProblemSpec:
                                                         alg["constant"])}
         elif "at" in alg:
             entry = {"at": {}, "maps": {}}
-            for x, blk in alg["at"].items():
+            for x, blk in _mapping(errors, "algebra.at", alg["at"]).items():
                 entry["at"][x] = _norm_algebra(errors, f"algebra.at.{x}", blk)
-            for f, mat in (alg.get("maps") or {}).items():
+            for f, mat in _mapping(errors, "algebra.maps", alg.get("maps")).items():
                 _check_matrix(errors, f"algebra.maps.{f}", mat)
                 entry["maps"][f] = mat
             out["algebra"] = entry
@@ -250,12 +292,14 @@ def parse(text: str) -> ProblemSpec:
             continue
         entry = {"at": {}, "maps": {}}
         sides = ("left", "right") if key == "bimodule" else ("right",)
-        for x, data in blk["at"].items():
+        for x, data in _mapping(errors, key + ".at", blk["at"]).items():
             path = f"{key}.at.{x}"
             if not isinstance(data, dict) or "dim" not in data:
                 _err(errors, path, "need dim plus per-basis action matrices")
                 continue
-            dim = int(data["dim"])
+            dim = _int(errors, path + ".dim", data["dim"])
+            if dim is None:
+                continue
             entry["at"][x] = {"dim": dim}
             for side in sides:
                 mats = data.get(side)
@@ -265,7 +309,7 @@ def parse(text: str) -> ProblemSpec:
                 for i, mat in enumerate(mats):
                     _check_matrix(errors, path + f".{side}[{i}]", mat, dim, dim)
                 entry["at"][x][side] = mats
-        for f, mat in (blk.get("maps") or {}).items():
+        for f, mat in _mapping(errors, key + ".maps", blk.get("maps")).items():
             _check_matrix(errors, f"{key}.maps.{f}", mat)
             entry["maps"][f] = mat
         out[key] = entry
@@ -294,9 +338,10 @@ def parse(text: str) -> ProblemSpec:
                 if preset == "explicit":
                     if over != "base":
                         _err(errors, path, "explicit modules are supported over 'base' only")
-                    entry["dims"] = dict(blk.get("dims") or {})
+                    entry["dims"] = {x: _int(errors, f"{path}.dims.{x}", d) for x, d
+                                     in _mapping(errors, path + ".dims", blk.get("dims")).items()}
                     entry["mats"] = {}
-                    for f, mat in (blk.get("mats") or {}).items():
+                    for f, mat in _mapping(errors, path + ".mats", blk.get("mats")).items():
                         _check_matrix(errors, path + f".mats.{f}", mat)
                         entry["mats"][f] = mat
                 out["modules"][name] = entry
@@ -308,10 +353,10 @@ def parse(text: str) -> ProblemSpec:
     command = task.get("command", "validate")
     if command not in COMMANDS:
         _err(errors, "task.command", f"unknown command {command!r}")
-    caps = task.get("caps") or {}
+    caps = _mapping(errors, "task.caps", task.get("caps"))
     norm_task = {"command": command,
-                 "caps": {"p": int(caps.get("p", 2)), "q": int(caps.get("q", 2)),
-                          "n": int(caps.get("n", 2))}}
+                 "caps": {c: _int(errors, f"task.caps.{c}", caps.get(c, 2))
+                          for c in ("p", "q", "n")}}
     for key in ("module", "modules", "category", "weight", "coefficients", "kind"):
         if key in task:
             norm_task[key] = task[key]
@@ -330,14 +375,81 @@ def emit(spec: ProblemSpec) -> str:
 
 @dataclass(eq=False)
 class Built:
+    """One problem's context.  The Grothendieck categories, the named modules
+    and the fiber extension are built on first use and kept, so every command
+    reads the same objects: the extension's total and base categories are
+    `category_for("gr-an")` and `category_for("gr-a")`."""
     field: FieldSpec
     coeff_field: FieldSpec
     category: FinCategory
     precosheaf: object = None
     bimodule: PrecosheafBimodule | None = None
     right_module: PrecosheafRightModule | None = None
-    modules: dict = dfield(default_factory=dict)  # name -> (over, builder)
+    modules: dict = dfield(default_factory=dict)  # name -> normalized module block
     task: dict = dfield(default_factory=dict)
+    _cats: dict = dfield(default_factory=dict, init=False, repr=False)
+    _mods: dict = dfield(default_factory=dict, init=False, repr=False)
+    _ext: extcheck.CatExtension | None = dfield(default=None, init=False, repr=False)
+
+    def category_for(self, over: str) -> FinCategory:
+        """The category a module lives over: "base", "gr-a" or "gr-an"."""
+        if over == "base":
+            return self.category
+        if over not in self._cats:
+            if self.precosheaf is None:
+                raise InputError([f"task: category '{over}' needs an algebra block"])
+            if over == "gr-a":
+                cat = constructions.gr_algebra(self.category, self.precosheaf)
+            elif over == "gr-an" and self.right_module is not None:
+                cat = constructions.gr_right_module(self.category, self.precosheaf,
+                                                    self.right_module)
+            elif over == "gr-an":
+                raise InputError(["task: category 'gr-an' needs a right_module block"])
+            else:
+                raise InputError([f"task: unknown category {over!r}"])
+            self._cats[over] = cat
+        return self._cats[over]
+
+    def module(self, name: str) -> CatModule:
+        """The named coefficient module, over the category it names."""
+        if name not in self._mods:
+            if name not in self.modules:
+                raise InputError([f"task: dangling module reference {name!r}"])
+            blk = self.modules[name]
+            cat = self.category_for(blk["over"])
+            kc = self.coeff_field
+            if blk["preset"] == "constant":
+                mod = constant_module(cat, kc)
+            elif blk["preset"] == "representable":
+                at = blk.get("at")
+                if blk["over"] != "base":
+                    raise InputError([f"modules.{name}: representable modules are supported "
+                                      "over 'base' only"])
+                if at not in cat.objects:
+                    raise InputError([f"modules.{name}.at: dangling object reference {at!r}"])
+                mod = representable_module(cat, kc, at)
+            else:
+                missing = [x for x in cat.objects if x not in blk["dims"]]
+                if missing:
+                    raise InputError([f"modules.{name}.dims: no dimension at object "
+                                      f"{missing[0]!r}"])
+                mats = {}
+                for f in cat.mor:
+                    if f not in blk["mats"]:
+                        raise InputError([f"modules.{name}.mats: no matrix at morphism {f!r}"])
+                    mats[f] = kc.array(blk["mats"][f])
+                mod = CatModule(cat, kc, {x: blk["dims"][x] for x in cat.objects}, mats,
+                                name=name)
+            self._mods[name] = mod
+        return self._mods[name]
+
+    def extension(self) -> extcheck.CatExtension:
+        """N_fibers -> Gr(A, N) -> Gr(A); needs the algebra and right_module blocks."""
+        if self._ext is None:
+            self._ext = extcheck.fiber_extension(
+                self.category, self.precosheaf, self.right_module,
+                _total=self.category_for("gr-an"), _base=self.category_for("gr-a"))
+        return self._ext
 
 
 def _build_field(block) -> FieldSpec:
@@ -348,18 +460,7 @@ def _build_field(block) -> FieldSpec:
 
 def _build_category(block) -> FinCategory:
     if "preset" in block:
-        preset = block["preset"]
-        if preset == "trivial":
-            return presets.trivial_category()
-        if preset == "poset-a2":
-            return presets.poset_a2()
-        if preset == "discrete":
-            return presets.discrete_category(block["count"])
-        if preset == "cyclic-monoid":
-            return presets.cyclic_monoid(block["size"], block["loop"])
-        if preset == "one-object-group":
-            return presets.one_object_group(block["order"])
-        raise InputError([f"category.preset: unhandled preset {preset!r}"])
+        return _CATEGORY_BUILDERS[block["preset"]](block)
     mor = {m["id"]: (m["dom"], m["cod"]) for m in block["morphisms"]}
     compose = {(r["first"], r["then"]): r["equals"] for r in block["compose"]}
     return FinCategory(tuple(block["objects"]), mor, dict(block["identities"]),
@@ -367,22 +468,7 @@ def _build_category(block) -> FinCategory:
 
 
 def _build_algebra(block, k: FieldSpec) -> FDAlgebra:
-    preset = block["preset"]
-    if preset == "field":
-        return field_algebra(k)
-    if preset == "dual-numbers":
-        return dual_numbers(k)
-    if preset == "group-algebra":
-        return group_algebra(block["orders"], k)
-    if preset == "upper-triangular":
-        return upper_triangular_algebra(block["size"], k)
-    if preset == "field-product":
-        return presets.field_product(k, block["count"])
-    if preset == "explicit":
-        dim = block["dim"]
-        return FDAlgebra(field=k, dim=dim, structure=k.array(block["tensor"]),
-                         unit=k.array(block["unit"]), name="explicit")
-    raise InputError([f"algebra.preset: unhandled preset {preset!r}"])
+    return _ALGEBRA_BUILDERS[block["preset"]](block, k)
 
 
 def _explicit_system(built: Built, blk: dict, key: str):
@@ -419,6 +505,12 @@ def _explicit_system(built: Built, blk: dict, key: str):
     return cls(pre, mods, maps, name="explicit")
 
 
+_PRESET_SYSTEMS = {("bimodule", "regular"): presets.regular_bimodule_system,
+                   ("bimodule", "zero"): presets.zero_bimodule_system,
+                   ("right_module", "regular"): presets.regular_right_module_system,
+                   ("right_module", "zero"): presets.zero_right_module_system}
+
+
 def build(spec: ProblemSpec) -> Built:
     p = spec.payload
     k = _build_field(p["field"])
@@ -445,78 +537,22 @@ def build(spec: ProblemSpec) -> Built:
                 built.precosheaf = presets.precosheaf_from(cat, algebras, edge_maps)
             except ValueError as exc:
                 raise InputError([f"algebra.maps: {exc}"])
-    if "bimodule" in p:
+    for key in ("bimodule", "right_module"):
+        if key not in p:
+            continue
         if built.precosheaf is None:
-            raise InputError(["bimodule: needs an algebra block"])
-        blk = p["bimodule"]
+            raise InputError([f"{key}: needs an algebra block"])
+        blk = p[key]
         if "preset" in blk:
-            builder = (presets.regular_bimodule_system if blk["preset"] == "regular"
-                       else presets.zero_bimodule_system)
-            built.bimodule = builder(built.precosheaf)
+            system = _PRESET_SYSTEMS[key, blk["preset"]](built.precosheaf)
         else:
-            built.bimodule = _explicit_system(built, blk, "bimodule")
-    if "right_module" in p:
-        if built.precosheaf is None:
-            raise InputError(["right_module: needs an algebra block"])
-        blk = p["right_module"]
-        if "preset" in blk:
-            builder = (presets.regular_right_module_system
-                       if blk["preset"] == "regular"
-                       else presets.zero_right_module_system)
-            built.right_module = builder(built.precosheaf)
-        else:
-            built.right_module = _explicit_system(built, blk, "right_module")
+            system = _explicit_system(built, blk, key)
+        setattr(built, key, system)
     built.modules = dict(p.get("modules") or {})
     return built
 
 
 # -- running ---------------------------------------------------------------------
-
-def _category_for(built: Built, over: str) -> FinCategory:
-    if over == "base":
-        return built.category
-    if built.precosheaf is None:
-        raise InputError([f"task: category '{over}' needs an algebra block"])
-    if over == "gr-a":
-        return constructions.gr_algebra(built.category, built.precosheaf)
-    if over == "gr-an":
-        if built.right_module is None:
-            raise InputError(["task: category 'gr-an' needs a right_module block"])
-        return constructions.gr_right_module(built.category, built.precosheaf,
-                                             built.right_module)
-    raise InputError([f"task: unknown category {over!r}"])
-
-
-def _build_module(built: Built, name: str, cats: dict) -> CatModule:
-    if name not in built.modules:
-        raise InputError([f"task: dangling module reference {name!r}"])
-    blk = built.modules[name]
-    over = blk["over"]
-    if over not in cats:
-        cats[over] = _category_for(built, over)
-    cat = cats[over]
-    kc = built.coeff_field
-    if blk["preset"] == "constant":
-        return constant_module(cat, kc)
-    if blk["preset"] == "representable":
-        at = blk.get("at")
-        if over != "base":
-            raise InputError([f"modules.{name}: representable modules are supported "
-                              "over 'base' only"])
-        if at not in cat.objects:
-            raise InputError([f"modules.{name}.at: dangling object reference {at!r}"])
-        return representable_module(cat, kc, at)
-    dims = blk["dims"]
-    missing = [x for x in cat.objects if x not in dims]
-    if missing:
-        raise InputError([f"modules.{name}.dims: no dimension at object {missing[0]!r}"])
-    mats = {}
-    for f in cat.mor:
-        if f not in blk["mats"]:
-            raise InputError([f"modules.{name}.mats: no matrix at morphism {f!r}"])
-        mats[f] = kc.array(blk["mats"][f])
-    return CatModule(cat, kc, {x: int(dims[x]) for x in cat.objects}, mats, name=name)
-
 
 def _validate_all(built: Built) -> Report:
     rep = Report()
@@ -527,12 +563,9 @@ def _validate_all(built: Built) -> Report:
             rep.extend(validate_bimodule(built.bimodule))
         if built.right_module is not None:
             rep.extend(validate_right_module(built.right_module))
-    cats: dict = {}
     if rep.ok:
         for name in built.modules:
-            mod = _build_module(built, name, cats)
-            sub = validate_cat_module(mod)
-            for v in sub.violations:
+            for v in validate_cat_module(built.module(name)).violations:
                 rep.add(v.code, f"module {name}: {v.message}", **v.witness)
     return rep
 
@@ -566,15 +599,10 @@ def run(spec: ProblemSpec, command: str | None = None,
         caps_eff.update({k2: v for k2, v in caps.items() if v is not None})
     doc: dict = {"command": cmd, "caps": caps_eff}
     try:
-        if cmd == "validate":
-            rep = _validate_all(built)
+        rep = _validate_all(built)
+        if cmd == "validate" or not rep.ok:
             doc["validation"] = rep.as_dict()
             return doc, 0 if rep.ok else 1
-
-        rep = _validate_all(built)
-        if not rep.ok:
-            doc["validation"] = rep.as_dict()
-            return doc, 1
 
         if cmd == "build-algebra":
             if built.precosheaf is None:
@@ -623,8 +651,7 @@ def run(spec: ProblemSpec, command: str | None = None,
         if cmd == "check-extension":
             if built.precosheaf is None or built.right_module is None:
                 raise InputError(["check-extension: needs algebra and right_module blocks"])
-            ext = extcheck.fiber_extension(built.category, built.precosheaf,
-                                           built.right_module)
+            ext = built.extension()
             erep = extcheck.check_extension(ext)
             doc["sizes"] = {"kernel": len(ext.kernel.mor), "total": len(ext.total.mor),
                             "base": len(ext.base.mor)}
@@ -635,8 +662,7 @@ def run(spec: ProblemSpec, command: str | None = None,
             name = built.task.get("module")
             if not name:
                 raise InputError(["task.module: cohomology needs a module name"])
-            cats: dict = {}
-            mod = _build_module(built, name, cats)
+            mod = built.module(name)
             n = caps_eff["n"]
             res_route = cohomology_dims(mod.cat, mod, n)
             nerve_route = nerve_cohomology_dims(mod.cat, mod, n)
@@ -649,9 +675,8 @@ def run(spec: ProblemSpec, command: str | None = None,
             names = built.task.get("modules")
             if not names or len(names) != 2:
                 raise InputError(["task.modules: ext needs exactly two module names"])
-            cats = {}
-            gmod = _build_module(built, names[0], cats)
-            fmod = _build_module(built, names[1], cats)
+            gmod = built.module(names[0])
+            fmod = built.module(names[1])
             if gmod.cat is not fmod.cat:
                 raise InputError(["task.modules: ext modules must live over one category"])
             doc["dims"] = [int(v) for v in cat_ext_dims(gmod.cat, gmod, fmod,
@@ -663,18 +688,14 @@ def run(spec: ProblemSpec, command: str | None = None,
                 raise InputError(["lhs-report: needs algebra and right_module blocks"])
             wname = built.task.get("weight")
             fname = built.task.get("coefficients")
-            cats = {}
-            if wname:
-                g = _build_module(built, wname, cats)
-            else:
-                g = constant_module(_category_for(built, "gr-a"), built.coeff_field)
-            if fname:
-                f = _build_module(built, fname, cats)
-            else:
-                f = constant_module(_category_for(built, "gr-an"), built.coeff_field)
+            g = (built.module(wname) if wname
+                 else constant_module(built.category_for("gr-a"), built.coeff_field))
+            f = (built.module(fname) if fname
+                 else constant_module(built.category_for("gr-an"), built.coeff_field))
             report = lhsengine.lhs_report(built.category, built.precosheaf,
                                           built.right_module, g, f,
-                                          (caps_eff["p"], caps_eff["q"], caps_eff["n"]))
+                                          (caps_eff["p"], caps_eff["q"], caps_eff["n"]),
+                                          _ext=built.extension())
             doc["report"] = report.as_dict()
             return doc, 0 if report.ok else 1
 

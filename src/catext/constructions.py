@@ -9,16 +9,22 @@ skew algebra is A(*) and the extension algebra is the square-zero extension
 A(*) |x M(*), not their opposites.
 
 The Grothendieck composition laws read "first argument then second".
-`gr_bimodule` follows the algebra's fiber order, so that transporting it into
-the extension algebra reverses composition.  `gr_algebra` and
-`gr_right_module` put the first argument's coefficient on the left,
-A(g)(r) s: for a right A-module N the module term n + N(g)(m).s is
-associative only with that algebra term, and the fiber extensions
+`gr_bimodule` (over a bimodule M) and `gr_right_module` (over a right module
+N) share one enumerator, `_gr_module`, and hand it only their composite law:
+
+    Gr(A, M):  (r,m,f) o (s,n,g) = (s A(g)(r),  s.M(g)(m) + n.A(g)(r),  fg)
+    Gr(A, N):  (r,m,f) o (s,n,g) = (A(g)(r) s,  n + N(g)(m).s,          fg)
+
+Gr(A, M) follows the algebra's fiber order, so that transporting it into the
+extension algebra reverses composition.  `gr_algebra` and Gr(A, N) put the
+first argument's coefficient on the left: for a right A-module N the module
+term is associative only with that algebra term, and the fiber extensions
 (`extcheck`, `lhsengine`) are built on these two.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -55,11 +61,8 @@ def skew_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FDAlgebra:
                         structure[row, col, index[(h, l)]] = prod[l]
     unit = k.zeros(d)
     for x in c.objects:
-        ident = c.identity[x]
-        ux = a.at(x).unit
-        for i in range(a.at(x).dim):
-            if ux[i] != 0:
-                unit[index[(ident, i)]] = ux[i]
+        for i, u in enumerate(a.at(x).unit):
+            unit[index[(c.identity[x], i)]] = u
     return FDAlgebra(field=k, dim=d, structure=structure, unit=unit,
                      basis_labels=tuple(basis), name="A[C]")
 
@@ -124,11 +127,8 @@ def extension_algebra(c: FinCategory, a: AlgebraPrecosheaf,
             # (m at g) * (m at f) = 0
     unit = k.zeros(d)
     for x in c.objects:
-        ident = c.identity[x]
-        ux = a.at(x).unit
-        for i in range(a.at(x).dim):
-            if ux[i] != 0:
-                unit[index[(ident, "a", i)]] = ux[i]
+        for i, u in enumerate(a.at(x).unit):
+            unit[index[(c.identity[x], "a", i)]] = u
     return FDAlgebra(field=k, dim=d, structure=structure, unit=unit,
                      basis_labels=tuple(basis), name="A|xM")
 
@@ -174,6 +174,37 @@ def gr_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FinCategory:
     return FinCategory(tuple(c.objects), mor, identity, compose, name="Gr(A)")
 
 
+def _gr_module(c: FinCategory, a: AlgebraPrecosheaf, m, law, name: str) -> FinCategory:
+    """The one enumerator behind `gr_bimodule` and `gr_right_module`.
+
+    Morphisms (r, m, f) with r in A(cod f), m in M(cod f); identities
+    (1, 0, 1_x).  For each composable pair (f, g), `law(g)` gives the
+    composite law: an algebra term t(r, s) and a module term w(r, m, s, n),
+    each a reduced coefficient vector, with (r,m,f) o (s,n,g) = (t, w, fg).
+    The algebra term is taken once per (r, m, s), outside the loop over n;
+    the laws memoize their pieces for the pair."""
+    k = a.field
+    _require_finite(k)
+    fib_a = {f: a.at(c.cod(f)).elements() for f in c.mor}
+    fib_m = {f: k.vectors(m.at(c.cod(f)).dim) for f in c.mor}
+    _guard_table(c, {f: len(fib_a[f]) * len(fib_m[f]) for f in c.mor})
+    mor = {(r, mm, f): c.mor[f] for f in c.mor for r in fib_a[f] for mm in fib_m[f]}
+    identity = {x: (tuple(int(v) for v in a.at(x).unit), (0,) * m.at(x).dim, c.identity[x])
+                for x in c.objects}
+    compose = {}
+    for (f, g), h in c.compose.items():
+        alg_term, mod_term = law(g)
+        has_m = m.at(c.cod(g)).dim > 0
+        for r in fib_a[f]:
+            for mm in fib_m[f]:
+                for s in fib_a[g]:
+                    t = tuple(int(v) for v in alg_term(r, s))
+                    for n in fib_m[g]:
+                        wt = tuple(int(v) for v in mod_term(r, mm, s, n)) if has_m else ()
+                        compose[((r, mm, f), (s, n, g))] = (t, wt, h)
+    return FinCategory(tuple(c.objects), mor, identity, compose, name=name)
+
+
 def gr_bimodule(c: FinCategory, a: AlgebraPrecosheaf,
                 m: PrecosheafBimodule) -> FinCategory:
     """Morphisms (r, m, f); composition
@@ -185,43 +216,19 @@ def gr_bimodule(c: FinCategory, a: AlgebraPrecosheaf,
     M = 0 this agrees with `gr_algebra` only when the fiber algebras are
     commutative."""
     k = a.field
-    _require_finite(k)
-    fib_a = {f: a.at(c.cod(f)).elements() for f in c.mor}
-    fib_m = {f: k.vectors(m.at(c.cod(f)).dim) for f in c.mor}
-    _guard_table(c, {f: len(fib_a[f]) * len(fib_m[f]) for f in c.mor})
-    mor = {}
-    for f in c.mor:
-        d_, c_ = c.mor[f]
-        for r in fib_a[f]:
-            for mm in fib_m[f]:
-                mor[(r, mm, f)] = (d_, c_)
-    identity = {}
-    for x in c.objects:
-        zero_m = tuple(0 for _ in range(m.at(x).dim))
-        identity[x] = (tuple(int(v) for v in a.at(x).unit), zero_m, c.identity[x])
-    compose = {}
-    for (f, g), h in c.compose.items():
-        z = c.cod(g)
-        ag = a.on(g).matrix
-        mg = m.on(g)
-        alg_z, mod_z = a.at(z), m.at(z)
-        left_s = {s: mod_z.left_of(k.array(s)) for s in fib_a[g]} if mod_z.dim else None
-        for r in fib_a[f]:
-            agr = k.matmul(ag, k.array(r))
-            right_agr = mod_z.right_of(agr) if mod_z.dim else None
-            for mm in fib_m[f]:
-                mgm = k.matmul(mg, k.array(mm)) if mod_z.dim else None
-                for s in fib_a[g]:
-                    t = tuple(int(v) for v in alg_z.mul(k.array(s), agr))
-                    for n in fib_m[g]:
-                        if mod_z.dim:
-                            w = k.reduce(k.matmul(left_s[s], mgm)
-                                         + k.matmul(right_agr, k.array(n)))
-                            wt = tuple(int(v) for v in w)
-                        else:
-                            wt = ()
-                        compose[((r, mm, f), (s, n, g))] = (t, wt, h)
-    return FinCategory(tuple(c.objects), mor, identity, compose, name="Gr(A,M)")
+
+    def law(g):
+        ag, mg = a.on(g).matrix, m.on(g)
+        alg_z, mod_z = a.at(c.cod(g)), m.at(c.cod(g))
+        agr = cache(lambda r: k.matmul(ag, k.array(r)))
+        right_agr = cache(lambda r: mod_z.right_of(agr(r)))
+        left_s = cache(lambda s: mod_z.left_of(k.array(s)))
+        mgm = cache(lambda mm: k.matmul(mg, k.array(mm)))
+        s_mgm = cache(lambda mm, s: k.matmul(left_s(s), mgm(mm)))  # s.M(g)(m)
+        n_agr = cache(lambda r, n: k.matmul(right_agr(r), k.array(n)))  # n.A(g)(r)
+        return (lambda r, s: alg_z.mul(k.array(s), agr(r)),
+                lambda r, mm, s, n: k.reduce(s_mgm(mm, s) + n_agr(r, n)))
+    return _gr_module(c, a, m, law, "Gr(A,M)")
 
 
 def gr_right_module(c: FinCategory, a: AlgebraPrecosheaf,
@@ -233,41 +240,17 @@ def gr_right_module(c: FinCategory, a: AlgebraPrecosheaf,
     coefficient s only from the right; associativity then forces the algebra
     term A(g)(r)s of `gr_algebra`, not the s A(g)(r) of `gr_bimodule`."""
     k = a.field
-    _require_finite(k)
-    fib_a = {f: a.at(c.cod(f)).elements() for f in c.mor}
-    fib_n = {f: k.vectors(n.at(c.cod(f)).dim) for f in c.mor}
-    _guard_table(c, {f: len(fib_a[f]) * len(fib_n[f]) for f in c.mor})
-    mor = {}
-    for f in c.mor:
-        d_, c_ = c.mor[f]
-        for r in fib_a[f]:
-            for mm in fib_n[f]:
-                mor[(r, mm, f)] = (d_, c_)
-    identity = {}
-    for x in c.objects:
-        zero_m = tuple(0 for _ in range(n.at(x).dim))
-        identity[x] = (tuple(int(v) for v in a.at(x).unit), zero_m, c.identity[x])
-    compose = {}
-    for (f, g), h in c.compose.items():
-        z = c.cod(g)
-        ag = a.on(g).matrix
-        ng = n.on(g)
-        alg_z, mod_z = a.at(z), n.at(z)
-        for r in fib_a[f]:
-            agr = k.matmul(ag, k.array(r))
-            for mm in fib_n[f]:
-                ngm = k.matmul(ng, k.array(mm)) if mod_z.dim else None
-                for s in fib_a[g]:
-                    t = tuple(int(v) for v in alg_z.mul(agr, k.array(s)))
-                    rs = mod_z.right_of(k.array(s)) if mod_z.dim else None
-                    for nn in fib_n[g]:
-                        if mod_z.dim:
-                            w = k.reduce(k.array(nn) + k.matmul(rs, ngm))
-                            wt = tuple(int(v) for v in w)
-                        else:
-                            wt = ()
-                        compose[((r, mm, f), (s, nn, g))] = (t, wt, h)
-    return FinCategory(tuple(c.objects), mor, identity, compose, name="Gr(A,N)")
+
+    def law(g):
+        ag, ng = a.on(g).matrix, n.on(g)
+        alg_z, mod_z = a.at(c.cod(g)), n.at(c.cod(g))
+        agr = cache(lambda r: k.matmul(ag, k.array(r)))
+        right_s = cache(lambda s: mod_z.right_of(k.array(s)))
+        ngm = cache(lambda mm: k.matmul(ng, k.array(mm)))
+        ngm_s = cache(lambda mm, s: k.matmul(right_s(s), ngm(mm)))  # N(g)(m).s
+        return (lambda r, s: alg_z.mul(agr(r), k.array(s)),
+                lambda r, mm, s, nn: k.reduce(k.array(nn) + ngm_s(mm, s)))
+    return _gr_module(c, a, n, law, "Gr(A,N)")
 
 
 # -- verdicts -------------------------------------------------------------------

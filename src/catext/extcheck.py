@@ -105,16 +105,18 @@ def check_extension(e: CatExtension) -> Report:
     return rep
 
 
-def fiber_extension(c: FinCategory, a: AlgebraPrecosheaf,
-                    n: PrecosheafRightModule) -> CatExtension:
+def fiber_extension(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
+                    _total: FinCategory | None = None,
+                    _base: FinCategory | None = None) -> CatExtension:
     """The extension  N_fibers -> Gr(A, N) -> Gr(A).
 
     iota sends the fiber element m at x to (1_{A(x)}, m, 1_x); pi forgets the
-    module component.
+    module component.  `_total` and `_base` pass in Gr(A, N) and Gr(A) when
+    the caller has built them already.
     """
     kernel = disjoint_fiber_category(n)
-    total = gr_right_module(c, a, n)
-    base = gr_algebra(c, a)
+    total = _total if _total is not None else gr_right_module(c, a, n)
+    base = _base if _base is not None else gr_algebra(c, a)
     unit_of = {x: tuple(int(v) for v in a.at(x).unit) for x in c.objects}
     iota = CatFunctor(kernel, total,
                       obj_map={x: x for x in kernel.objects},

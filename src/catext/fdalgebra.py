@@ -217,25 +217,26 @@ def validate_module(m: AlgModule) -> Report:
 
 
 def free_module(a: FDAlgebra, rank: int, side: str = "right") -> AlgModule:
-    """Direct sum of rank copies of the regular representation."""
+    """Direct sum of rank copies of the regular representation; only the
+    actions of the requested side are built."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
+    if side not in ("left", "right", "bi"):
+        raise ValueError(f"unknown side {side!r}")
     k = a.field
     n = rank * a.dim
-    def blockdiag(mat):
-        out = k.zeros(n, n)
-        for t in range(rank):
-            out[t * a.dim:(t + 1) * a.dim, t * a.dim:(t + 1) * a.dim] = mat
+    def actions(mult_matrix):
+        out = []
+        for i in range(a.dim):
+            mat = mult_matrix(a.basis_vector(i))
+            block = k.zeros(n, n)
+            for t in range(rank):
+                block[t * a.dim:(t + 1) * a.dim, t * a.dim:(t + 1) * a.dim] = mat
+            out.append(block)
         return out
-    right = [blockdiag(a.right_mult_matrix(a.basis_vector(i))) for i in range(a.dim)]
-    left = [blockdiag(a.left_mult_matrix(a.basis_vector(i))) for i in range(a.dim)]
-    if side == "right":
-        return AlgModule(a, n, "right", right_action=right)
-    if side == "left":
-        return AlgModule(a, n, "left", left_action=left)
-    if side == "bi":
-        return AlgModule(a, n, "bi", right_action=right, left_action=left)
-    raise ValueError(f"unknown side {side!r}")
+    right = actions(a.right_mult_matrix) if side != "left" else []
+    left = actions(a.left_mult_matrix) if side != "right" else []
+    return AlgModule(a, n, side, right_action=right, left_action=left)
 
 
 def regular_bimodule(a: FDAlgebra) -> AlgModule:

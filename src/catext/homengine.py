@@ -37,15 +37,8 @@ class CatModule:
     mats: dict  # MorId -> ndarray
     name: str = ""
 
-    def dim_at(self, x) -> int:
-        return self.dims[x]
-
     def on(self, f) -> np.ndarray:
         return self.mats[f]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims[x] for x in self.cat.objects)
 
 
 def validate_cat_module(m: CatModule) -> Report:
@@ -479,9 +472,6 @@ class FiniteAbelianGroup:
 
     def add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
-
-    def neg(self, a: tuple) -> tuple:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
 
     @property
     def order(self) -> int:

@@ -63,7 +63,8 @@ class SpectralReport:
 
 
 class _LhsContext:
-    """Caches the extension, per-object fiber complexes and subquotients."""
+    """Caches the extension, the fiber groups and the per-object subquotients
+    of their bar complexes."""
 
     def __init__(self, c: FinCategory, a: AlgebraPrecosheaf,
                  n: PrecosheafRightModule, f: CatModule, qmax: int,
@@ -76,15 +77,11 @@ class _LhsContext:
             raise ValueError("coefficient module is not over Gr(A, N)")
         self.k = f.field
         self.groups = {}
-        self.gmodules = {}
-        self.bars = {}
         self.subqs = {}
         for x in c.objects:
             grp, gmod = fiber_restriction(c, a, n, f, x, _ext=self.ext)
             bar = bar_cochain_complex(grp, gmod, qmax)
             self.groups[x] = grp
-            self.gmodules[x] = gmod
-            self.bars[x] = bar
             self.subqs[x] = [
                 subquotient(self.k, bar.d[q], bar.d[q - 1] if q else None)
                 for q in range(qmax + 1)
@@ -200,7 +197,8 @@ def abutment(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
 
 
 def lhs_report(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
-               g: CatModule, f: CatModule, caps: tuple = (2, 2, 2)) -> SpectralReport:
+               g: CatModule, f: CatModule, caps: tuple = (2, 2, 2),
+               _ext: CatExtension | None = None) -> SpectralReport:
     """Compare E2 diagonals against the abutment, degree by degree.
 
     Verdicts: "equal" when the sums match, "bounded" when the E2 sum strictly
@@ -211,7 +209,7 @@ def lhs_report(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
     cap_p, cap_q, cap_n = caps
     cap_p = max(cap_p, cap_n)
     cap_q = max(cap_q, cap_n)
-    ext = fiber_extension(c, a, n)
+    ext = _ext if _ext is not None else fiber_extension(c, a, n)
     table = e2_page(c, a, n, g, f, cap_p, cap_q, _ext=ext)
     abut = abutment(c, a, n, g, f, cap_n, _ext=ext)
     rows = {q for (p, q), d in table.items() if d}

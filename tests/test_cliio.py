@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from catext import cli, constructions
 from catext.cliio import InputError, emit, parse, render, run
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -238,3 +240,57 @@ def test_cli_caps_flags():
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert len(doc["report"]["verdicts"]) == 2
+
+
+# -- one problem context --------------------------------------------------------
+
+@pytest.fixture
+def gr_builds(monkeypatch):
+    """Counts Grothendieck builds, wrapping each construction under every
+    catext module global that holds it."""
+    counts = Counter()
+    for name in ("gr_algebra", "gr_right_module", "gr_bimodule"):
+        orig = getattr(constructions, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("catext") and mod is not None:
+                for attr, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("problem,command", [
+    ("one_object_lhs", "lhs-report"),        # named weight and coefficient modules
+    ("lemma_fiber_extension", "lhs-report"),  # default constant modules
+    ("one_object_lhs", "check-extension"),    # modules validated, then the extension
+    ("lemma_fiber_extension", "check-extension"),
+])
+def test_each_job_builds_gr_once(gr_builds, problem, command):
+    doc, code = run(parse((PROBLEMS / f"{problem}.yaml").read_text()), command=command)
+    assert code == 0, doc
+    assert gr_builds == {"gr_algebra": 1, "gr_right_module": 1}
+
+
+# -- malformed scalars and blocks -------------------------------------------------
+
+@pytest.mark.parametrize("edit,path", [
+    (("{preset: trivial}", "{preset: discrete, count: abc}"), "category.count"),
+    (("{preset: trivial}", "{preset: discrete, count: -1}"), "category.count"),
+    (("{preset: trivial}", "{preset: cyclic-monoid, size: 0}"), "category.size"),
+    (("{preset: trivial}", "{preset: cyclic-monoid, size: 2, loop: 2}"), "category.loop"),
+    (("{command: validate}", "{command: validate, caps: {p: x}}"), "task.caps.p"),
+    (("task:", "algebra: {at: [1, 2]}\ntask:"), "algebra.at"),
+    (("{preset: trivial}", "5"), "category"),
+    (("{kind: prime, characteristic: 2}", "[prime, 2]"), "field"),
+    (("task:", "modules: {F: {preset: explicit, dims: {'*': x}}}\ntask:"), "modules.F.dims.*"),
+])
+def test_malformed_scalars_and_blocks_exit_two(tmp_path, capsys, edit, path):
+    problem = tmp_path / "problem.yaml"
+    problem.write_text(MINIMAL.replace(*edit))
+    assert cli.main(["validate", str(problem), "--format", "structured"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert any(e.startswith(path + ":") for e in doc["input_errors"]), doc

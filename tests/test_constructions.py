@@ -4,12 +4,14 @@ import pytest
 from catext.constructions import (check_composition_antihom, check_degeneration,
                                   extension_algebra, gr_algebra, gr_bimodule,
                                   gr_right_module, skew_algebra)
-from catext.fdalgebra import (AlgHom, field_algebra, group_algebra, regular_bimodule,
-                              trivial_extension, upper_triangular_algebra, validate_algebra)
+from catext.coeffsys import forget_left_action
+from catext.fdalgebra import (AlgHom, dual_numbers, field_algebra, group_algebra,
+                              regular_bimodule, trivial_extension, upper_triangular_algebra,
+                              validate_algebra)
 from catext.fincat import CatFunctor, FinCategory, is_isomorphism, linearize, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
-                            cyclic_monoid, field_product, one_object_group, poset_a2,
-                            precosheaf_from, projection_bimodule_system,
+                            cyclic_monoid, discrete_category, field_product, one_object_group,
+                            poset_a2, precosheaf_from, projection_bimodule_system,
                             regular_bimodule_system, regular_right_module_system,
                             trivial_category, zero_bimodule_system, zero_right_module_system)
 
@@ -360,3 +362,116 @@ def test_noncommutative_fibers(a):
         assert F2.equal(structure, te.structure) and F2.equal(unit, te.unit)
         structure, unit = _identity_block(sk, c.identity[x])
         assert F2.equal(structure, a.at(x).structure) and F2.equal(unit, a.at(x).unit)
+
+
+# -- one Grothendieck enumerator ---------------------------------------------------
+# The two enumerators as they were written out separately, kept as oracles for
+# the shared one: same morphisms, identities and composites, in the same order.
+
+def reference_gr_bimodule(c, a, m):
+    k = a.field
+    fib_a = {f: a.at(c.cod(f)).elements() for f in c.mor}
+    fib_m = {f: k.vectors(m.at(c.cod(f)).dim) for f in c.mor}
+    mor = {}
+    for f in c.mor:
+        for r in fib_a[f]:
+            for mm in fib_m[f]:
+                mor[(r, mm, f)] = c.mor[f]
+    identity = {x: (tuple(int(v) for v in a.at(x).unit), tuple(0 for _ in range(m.at(x).dim)),
+                    c.identity[x]) for x in c.objects}
+    compose = {}
+    for (f, g), h in c.compose.items():
+        z = c.cod(g)
+        ag, mg = a.on(g).matrix, m.on(g)
+        alg_z, mod_z = a.at(z), m.at(z)
+        left_s = {s: mod_z.left_of(k.array(s)) for s in fib_a[g]} if mod_z.dim else None
+        for r in fib_a[f]:
+            agr = k.matmul(ag, k.array(r))
+            right_agr = mod_z.right_of(agr) if mod_z.dim else None
+            for mm in fib_m[f]:
+                mgm = k.matmul(mg, k.array(mm)) if mod_z.dim else None
+                for s in fib_a[g]:
+                    t = tuple(int(v) for v in alg_z.mul(k.array(s), agr))
+                    for n in fib_m[g]:
+                        if mod_z.dim:
+                            w = k.reduce(k.matmul(left_s[s], mgm)
+                                         + k.matmul(right_agr, k.array(n)))
+                            wt = tuple(int(v) for v in w)
+                        else:
+                            wt = ()
+                        compose[((r, mm, f), (s, n, g))] = (t, wt, h)
+    return mor, identity, compose
+
+
+def reference_gr_right_module(c, a, n):
+    k = a.field
+    fib_a = {f: a.at(c.cod(f)).elements() for f in c.mor}
+    fib_n = {f: k.vectors(n.at(c.cod(f)).dim) for f in c.mor}
+    mor = {}
+    for f in c.mor:
+        for r in fib_a[f]:
+            for mm in fib_n[f]:
+                mor[(r, mm, f)] = c.mor[f]
+    identity = {x: (tuple(int(v) for v in a.at(x).unit), tuple(0 for _ in range(n.at(x).dim)),
+                    c.identity[x]) for x in c.objects}
+    compose = {}
+    for (f, g), h in c.compose.items():
+        z = c.cod(g)
+        ag, ng = a.on(g).matrix, n.on(g)
+        alg_z, mod_z = a.at(z), n.at(z)
+        for r in fib_a[f]:
+            agr = k.matmul(ag, k.array(r))
+            for mm in fib_n[f]:
+                ngm = k.matmul(ng, k.array(mm)) if mod_z.dim else None
+                for s in fib_a[g]:
+                    t = tuple(int(v) for v in alg_z.mul(agr, k.array(s)))
+                    rs = mod_z.right_of(k.array(s)) if mod_z.dim else None
+                    for nn in fib_n[g]:
+                        if mod_z.dim:
+                            w = k.reduce(k.array(nn) + k.matmul(rs, ngm))
+                            wt = tuple(int(v) for v in w)
+                        else:
+                            wt = ()
+                        compose[((r, mm, f), (s, nn, g))] = (t, wt, h)
+    return mor, identity, compose
+
+
+def fixtures_enumerator():
+    """(id, category, precosheaf): field, dual-number, k[Z/2] and UT(2) fibers
+    over the preset categories, plus the non-constant A2 fixtures."""
+    cats = {"pt": trivial_category(), "a2": poset_a2(), "disc2": discrete_category(2),
+            "cyc31": cyclic_monoid(3, 1), "bz2": one_object_group(2)}
+    algs = {"f3": field_algebra(F3), "dual": dual_numbers(F2),
+            "kz2": group_algebra([2], F2), "ut2": UT2}
+    out = [(f"{cn}-{an}", c, constant_precosheaf(c, alg))
+           for cn, c in cats.items() for an, alg in algs.items()]
+    out.append(("a2-aug", poset_a2(), a2_augmentation_precosheaf(F2)))
+    out.append(("a2-ut2-diag", poset_a2(), fixtures_noncommutative()[2]))
+    return out
+
+
+def _same_tables(cat, ref):
+    mor, identity, compose = ref
+    assert list(cat.mor.items()) == list(mor.items())
+    assert cat.identity == identity
+    assert list(cat.compose.items()) == list(compose.items())
+
+
+@pytest.mark.parametrize("system", ["regular", "zero"])
+@pytest.mark.parametrize("name,c,a", fixtures_enumerator(),
+                         ids=[e[0] for e in fixtures_enumerator()])
+def test_shared_enumerator_matches_reference(name, c, a, system):
+    if system == "regular":
+        m, n = regular_bimodule_system(a), regular_right_module_system(a)
+    else:
+        m, n = zero_bimodule_system(a), zero_right_module_system(a)
+    _same_tables(gr_bimodule(c, a, m), reference_gr_bimodule(c, a, m))
+    _same_tables(gr_right_module(c, a, n), reference_gr_right_module(c, a, n))
+
+
+def test_shared_enumerator_matches_reference_on_projection_bimodule():
+    pb = projection_bimodule_system(F2)
+    c, a = pb.base, pb.precosheaf
+    _same_tables(gr_bimodule(c, a, pb), reference_gr_bimodule(c, a, pb))
+    n = forget_left_action(pb)
+    _same_tables(gr_right_module(c, a, n), reference_gr_right_module(c, a, n))

@@ -188,6 +188,16 @@ def test_free_module_sides_validate(side):
     assert validate_module(fm).ok
 
 
+def test_free_module_builds_only_the_requested_side():
+    a = group_algebra([2], F3)
+    assert free_module(a, 2, "right").left_action == []
+    assert free_module(a, 2, "left").right_action == []
+    bi = free_module(a, 2, "bi")
+    assert len(bi.left_action) == len(bi.right_action) == a.dim
+    with pytest.raises(ValueError):
+        free_module(a, 1, "middle")
+
+
 def test_corrupted_module_reports_witness():
     fm = free_module(dual_numbers(F2), 1)
     fm.right_action[1] = F2.array([[1, 0], [0, 1]])  # eps now acts as identity
