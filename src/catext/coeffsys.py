@@ -9,6 +9,7 @@ equation on all basis triples and report witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,10 +21,16 @@ from .validation import Report
 
 @dataclass(eq=False)
 class AlgebraPrecosheaf:
+    """The verdict of `validate_precosheaf` is computed on first use and
+    kept, so the algebras and maps must not be changed after it."""
     base: FinCategory
     algebras: dict  # ObjId -> FDAlgebra
     maps: dict  # MorId -> AlgHom
     name: str = ""
+
+    @cached_property
+    def _verdict(self) -> Report:
+        return _check_precosheaf(self)
 
     @property
     def field(self) -> FieldSpec:
@@ -73,6 +80,13 @@ class PrecosheafRightModule:
 
 
 def validate_precosheaf(a: AlgebraPrecosheaf) -> Report:
+    """Category, per-object algebras, per-morphism algebra maps and the
+    functor laws.  The verdict is computed once per precosheaf object; each
+    call returns its own copy of it."""
+    return Report(list(a._verdict.violations))
+
+
+def _check_precosheaf(a: AlgebraPrecosheaf) -> Report:
     rep = Report()
     cat = a.base
     cat_rep = validate_category(cat)
@@ -132,10 +146,8 @@ def validate_bimodule(m: PrecosheafBimodule) -> Report:
         M(f)(r . m) = A(f)(r) . M(f)(m)     (left)
         M(f)(m . s) = M(f)(m) . A(f)(s)     (right)
     """
-    rep = Report()
-    pre_rep = validate_precosheaf(m.precosheaf)
-    if not pre_rep.ok:
-        rep.extend(pre_rep)
+    rep = validate_precosheaf(m.precosheaf)
+    if not rep.ok:
         return rep
     cat = m.base
     k = m.precosheaf.field
@@ -180,10 +192,8 @@ def validate_bimodule(m: PrecosheafBimodule) -> Report:
 
 
 def validate_right_module(n: PrecosheafRightModule) -> Report:
-    rep = Report()
-    pre_rep = validate_precosheaf(n.precosheaf)
-    if not pre_rep.ok:
-        rep.extend(pre_rep)
+    rep = validate_precosheaf(n.precosheaf)
+    if not rep.ok:
         return rep
     cat = n.base
     k = n.precosheaf.field

@@ -1,12 +1,18 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
 Everything downstream (algebra validation, resolutions, cochain complexes)
-reduces to rref / kernel / solve over an exact field, so this module is the
-single computational substrate.  There are no tolerances anywhere: entries
-are Python ints reduced mod p, or fractions.Fraction.
+reduces to rref / kernel / solve over an exact field: Q (Fraction entries in
+object arrays) or F_p with p prime < 2**31 (int64 residues).  There are no
+tolerances anywhere, and Ext by linear algebra needs a field.
 
-The ground ring of the constructions is restricted to fields (Q and F_p
-with p prime < 2**31): Ext computation by linear algebra needs a field.
+`FieldSpec.matmul` is the one place where field products are summed.  With
+inner dimension n it takes one int64 product and one mod while
+n (p - 1)^2 < 2^63, the delayed-reduction bound of Dumas, Giorgi and Pernet
+("Dense linear algebra over word-size prime fields", ACM TOMS 2008); above
+it the left factor is split into 16-bit limbs and the inner dimension into
+chunks of 2^16, so that each limb product stays below 2^63.  `_eliminate`
+and `Echelon` share one row update, `_clear_column`, whose terms are single
+products below p^2 < 2^62.
 """
 from __future__ import annotations
 
@@ -16,9 +22,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-# int64 matmul is overflow-safe when accumulated sums stay below 2**63;
-# primes above this bound take the (slow, arbitrary precision) object path.
-_FAST_PRIME_BOUND = 1 << 15
+_LIMB = 16  # bits of the low limb and log2 of the inner chunk of the split product
 
 
 def _is_prime(n: int) -> bool:
@@ -127,21 +131,28 @@ class FieldSpec:
         return np.mod(a, self.characteristic) if self.is_prime_field else a
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.is_prime_field:
-            p = self.characteristic
-            if p < _FAST_PRIME_BOUND:
-                return np.mod(a @ b, p)
-            ao = a.astype(object)
-            return np.mod(ao @ b.astype(object), p).astype(np.int64)
-        return a @ b
+        """Reduced product a @ b of a vector or matrix a and a vector or
+        matrix b.  Over F_p the entries must lie in (-p, p)."""
+        if not self.is_prime_field:
+            return a @ b
+        p = self.characteristic
+        inner = a.shape[-1]
+        if inner * (p - 1) ** 2 < 1 << 63:
+            return np.mod(a @ b, p)
+        # |hi| < 2^15 and 0 <= lo < 2^16 against |b| < 2^31, at most 2^16 terms
+        hi, lo = a >> _LIMB, a & ((1 << _LIMB) - 1)
+        out = 0
+        for s in range(0, inner, 1 << _LIMB):
+            chunk = slice(s, s + (1 << _LIMB))
+            top = np.mod(hi[..., chunk] @ b[chunk], p)
+            out = np.mod(out + (top << _LIMB) + np.mod(lo[..., chunk] @ b[chunk], p), p)
+        return out
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         return a.shape == b.shape and bool(np.array_equal(a, b))
 
     def is_zero(self, a: np.ndarray) -> bool:
-        if self.is_prime_field:
-            return not np.any(a)
-        return all(v == 0 for v in np.asarray(a, dtype=object).reshape(-1))
+        return not np.any(a)
 
     def vectors(self, dim: int, limit: int = 1 << 20):
         """All vectors of F_p**dim as int tuples, in lexicographic order."""
@@ -187,12 +198,18 @@ class Matrix:
     def cols(self) -> int:
         return self.a.shape[1]
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.field.matmul(self.a, other.a))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.field == other.field \
             and self.field.equal(self.a, other.a)
+
+
+def _clear_column(field: FieldSpec, m: np.ndarray, col: np.ndarray,
+                  pivot_row: np.ndarray) -> None:
+    """The one elimination row update: m[i] -= col[i] * pivot_row for every
+    row i with col[i] != 0, in place."""
+    rows = np.nonzero(col)[0]
+    if len(rows):
+        m[rows] = field.reduce(m[rows] - np.outer(col[rows], pivot_row))
 
 
 def _eliminate(field: FieldSpec, m: np.ndarray):
@@ -203,22 +220,16 @@ def _eliminate(field: FieldSpec, m: np.ndarray):
     for c in range(cols):
         if r == rows:
             break
-        sub = m[r:, c]
-        nz = np.nonzero(sub)[0] if field.is_prime_field \
-            else np.array([i for i, v in enumerate(sub) if v != 0])
+        nz = np.nonzero(m[r:, c])[0]
         if len(nz) == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        inv = field.inv(m[r, c])
-        m[r] = field.reduce(m[r] * inv)
+        m[r] = field.reduce(m[r] * field.inv(m[r, c]))
         col = np.array(m[:, c], copy=True)
         col[r] = field.zero
-        other = np.nonzero(col)[0] if field.is_prime_field \
-            else np.array([i for i, v in enumerate(col) if v != 0], dtype=np.int64)
-        if len(other):
-            m[other] = field.reduce(m[other] - np.outer(col[other], m[r]))
+        _clear_column(field, m, col, m[r])
         pivots.append(c)
         r += 1
     return pivots
@@ -244,10 +255,8 @@ def kernel_basis(m: Matrix) -> Matrix:
     r, pivots = rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
     out = field.zeros(len(free), m.cols)
-    for k, fc in enumerate(free):
-        out[k, fc] = field.one
-        for i, pc in enumerate(pivots):
-            out[k, pc] = field.reduce(field.zero - r.a[i, fc])
+    out[np.arange(len(free)), free] = field.one
+    out[:, pivots] = field.reduce(-r.a[:len(pivots), free].T)
     return Matrix(field, out)
 
 
@@ -300,13 +309,9 @@ class Echelon:
     def _reduce_vec(self, v: np.ndarray) -> np.ndarray:
         field = self.field
         v = self._coerce(v)
-        if self._pivots:
-            coeffs = v[self._pivots]
-            if field.is_prime_field:
-                if np.any(coeffs):
-                    v = field.reduce(v - coeffs @ self._mat)
-            elif any(c != 0 for c in coeffs):
-                v = v - coeffs @ self._mat
+        coeffs = v[self._pivots]
+        if np.any(coeffs):
+            v = field.reduce(v - field.matmul(coeffs, self._mat))
         return v
 
     def contains(self, v) -> bool:
@@ -321,12 +326,7 @@ class Echelon:
             return False
         piv = int(nz[0])
         red = field.reduce(red * field.inv(red[piv]))
-        if self._pivots:
-            col = np.array(self._mat[:, piv], copy=True)
-            touched = np.nonzero(col)[0]
-            if len(touched):
-                self._mat[touched] = field.reduce(
-                    self._mat[touched] - np.outer(col[touched], red))
+        _clear_column(field, self._mat, self._mat[:, piv], red)
         self._mat = np.concatenate([self._mat, red.reshape(1, -1)], axis=0)
         self._pivots.append(piv)
         return True

@@ -35,22 +35,25 @@ class FDAlgebra:
         if not self.basis_labels:
             self.basis_labels = tuple(range(self.dim))
 
+    def _left_contract(self, a: np.ndarray) -> np.ndarray:
+        """(j, l) -> coefficient of e_l in a e_j."""
+        d = self.dim
+        return self.field.matmul(a, self.structure.reshape(d, d * d)).reshape(d, d)
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of two coefficient vectors."""
-        k = self.field
-        partial = k.reduce(np.tensordot(a, self.structure, axes=([0], [0])))
-        return k.reduce(np.tensordot(b, partial, axes=([0], [0])))
+        return self.field.matmul(b, self._left_contract(a))
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> x a on the algebra itself."""
-        k = self.field
+        d = self.dim
+        by_right = np.swapaxes(self.structure, 0, 1).reshape(d, d * d)
         # column i is e_i a
-        return k.reduce(np.tensordot(a, self.structure, axes=([0], [1])).T)
+        return self.field.matmul(a, by_right).reshape(d, d).T
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> a x on the algebra itself."""
-        k = self.field
-        return k.reduce(np.tensordot(a, self.structure, axes=([0], [0])).T)
+        return self._left_contract(a).T
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = self.field.zeros(self.dim)
@@ -68,12 +71,11 @@ def validate_algebra(a: FDAlgebra) -> Report:
     k = a.field
     c = a.structure
     for i in range(a.dim):
-        ci = c[i]  # (j, l) -> coeff of e_l in e_i e_j
         for j in range(a.dim):
             # (e_i e_j) e_l = sum_m c[i,j,m] c[m,l,:]
-            lhs = k.reduce(np.tensordot(c[i, j], c, axes=([0], [0])))
+            lhs = a._left_contract(c[i, j])
             # e_i (e_j e_l) = sum_m c[j,l,m] c[i,m,:]
-            rhs = k.reduce(c[j] @ ci)
+            rhs = k.matmul(c[j], c[i])
             if not k.equal(lhs, rhs):
                 bad = next((l for l in range(a.dim) if not k.equal(lhs[l], rhs[l])), None)
                 rep.add("associativity", "(e_i e_j) e_l != e_i (e_j e_l)",
@@ -146,20 +148,20 @@ class AlgModule:
 
     def right_of(self, a_vec: np.ndarray) -> np.ndarray:
         """Matrix of v -> v . a for an algebra element a."""
-        k = self.algebra.field
-        out = k.zeros(self.dim, self.dim)
-        for i in range(self.algebra.dim):
-            if a_vec[i] != 0:
-                out = out + a_vec[i] * self.right_action[i]
-        return k.reduce(out)
+        return _combine(self.algebra.field, a_vec, self.right_action, self.dim)
 
     def left_of(self, a_vec: np.ndarray) -> np.ndarray:
-        k = self.algebra.field
-        out = k.zeros(self.dim, self.dim)
-        for i in range(self.algebra.dim):
-            if a_vec[i] != 0:
-                out = out + a_vec[i] * self.left_action[i]
-        return k.reduce(out)
+        return _combine(self.algebra.field, a_vec, self.left_action, self.dim)
+
+
+def _combine(k: FieldSpec, coeffs: np.ndarray, mats: list, n: int) -> np.ndarray:
+    """sum_i coeffs[i] mats[i] for n x n matrices, as one kernel product over
+    the non-zero coefficients."""
+    nz = np.nonzero(coeffs)[0]
+    if not len(nz):
+        return k.zeros(n, n)
+    stacked = np.stack([mats[i] for i in nz]).reshape(len(nz), n * n)
+    return k.matmul(coeffs[nz], stacked).reshape(n, n)
 
 
 def validate_module(m: AlgModule) -> Report:
@@ -181,17 +183,10 @@ def validate_module(m: AlgModule) -> Report:
             if mat.shape != (m.dim, m.dim):
                 rep.add("shape", f"{nm} action matrix has wrong shape", i=a.basis_labels[i])
                 return rep
-    def wsum(fam, coeffs):
-        out = k.zeros(m.dim, m.dim)
-        for l in range(a.dim):
-            if coeffs[l] != 0:
-                out = out + coeffs[l] * fam[l]
-        return k.reduce(out)
-
     if has_right:
         for i in range(a.dim):
             for j in range(a.dim):
-                if not k.equal(wsum(m.right_action, c[i, j]),
+                if not k.equal(_combine(k, c[i, j], m.right_action, m.dim),
                                k.matmul(m.right_action[j], m.right_action[i])):
                     rep.add("right-action", "v.(e_i e_j) != (v.e_i).e_j",
                             i=a.basis_labels[i], j=a.basis_labels[j])
@@ -200,7 +195,7 @@ def validate_module(m: AlgModule) -> Report:
     if has_left:
         for i in range(a.dim):
             for j in range(a.dim):
-                if not k.equal(wsum(m.left_action, c[i, j]),
+                if not k.equal(_combine(k, c[i, j], m.left_action, m.dim),
                                k.matmul(m.left_action[i], m.left_action[j])):
                     rep.add("left-action", "(e_i e_j).v != e_i.(e_j.v)",
                             i=a.basis_labels[i], j=a.basis_labels[j])

@@ -252,8 +252,7 @@ def _free_action_matrix(algebra: FDAlgebra, imgs: np.ndarray) -> np.ndarray:
         v = imgs[:, t]
         blocks = v.reshape(-1, d)
         for j in range(d):
-            col = k.reduce(blocks @ rmats[j]).reshape(-1)
-            out[:, t * d + j] = col
+            out[:, t * d + j] = k.matmul(blocks, rmats[j]).reshape(-1)
     return out
 
 
@@ -383,6 +382,15 @@ class CochainComplex:
         return out
 
 
+def _add_diagonal(mat: np.ndarray, r0: int, c0: int, n: int, sign: int) -> None:
+    """Add sign * identity onto the n x n block of the C-contiguous mat at
+    (r0, c0), unreduced: a cochain differential is reduced once, after all
+    its q + 2 faces."""
+    step = mat.shape[1] + 1
+    start = r0 * mat.shape[1] + c0
+    mat.reshape(-1)[start:start + n * step:step] += sign
+
+
 def nerve_cochain_complex(c: FinCategory, f: CatModule, max_n: int,
                           normalized: bool = False) -> CochainComplex:
     """C^q = sum over q-chains x0 -> ... -> xq of F(x0), with the simplicial
@@ -405,36 +413,29 @@ def nerve_cochain_complex(c: FinCategory, f: CatModule, max_n: int,
         dims.append(total)
 
     diffs = []
-    minus = k.coerce(-1)
     for q in range(max_n + 1):
         mat = k.zeros(dims[q + 1], dims[q])
+        cols = offsets[q]  # a degenerate face is missing: normalized cochains vanish there
         for ch in chains[q + 1]:
             r0 = offsets[q + 1][ch]
             nrow = f.dims[start_of(q + 1, ch)]
             if nrow == 0:
                 continue
-
-            def accumulate(target, block):
-                if target not in offsets[q]:
-                    return  # normalized complex: degenerate face, cochain is 0 there
-                c0 = offsets[q][target]
-                ncol = f.dims[start_of(q, target)]
-                if ncol:
-                    mat[r0:r0 + nrow, c0:c0 + ncol] = k.reduce(
-                        mat[r0:r0 + nrow, c0:c0 + ncol] + block)
-
             first = ch[0]
             tail = ch[1:] if q >= 1 else (c.cod(first),)
-            accumulate(tail, f.on(first))
-            sign = k.one
+            if tail in cols:
+                c0 = cols[tail]
+                mat[r0:r0 + nrow, c0:c0 + f.dims[c.cod(first)]] += f.on(first)
+            sign = 1
             for i in range(1, q + 1):
-                sign = k.coerce(sign * minus)
+                sign = -sign
                 merged = ch[:i - 1] + (c.then(ch[i - 1], ch[i]),) + ch[i + 1:]
-                accumulate(merged, sign * k.eye(nrow))
-            sign = k.coerce(sign * minus)
+                if merged in cols:
+                    _add_diagonal(mat, r0, cols[merged], nrow, sign)
             head = ch[:q] if q >= 1 else (c.dom(first),)
-            accumulate(head, sign * k.eye(nrow))
-        diffs.append(mat)
+            if head in cols:
+                _add_diagonal(mat, r0, cols[head], nrow, -sign)
+        diffs.append(k.reduce(mat))
     return CochainComplex(k, dims, diffs)
 
 
@@ -533,29 +534,23 @@ def bar_cochain_complex(group: FiniteAbelianGroup, module: GroupModule,
     indices = [bar_index(group, q) for q in range(max_q + 2)]
     dims = [len(ts) * nv for ts, _ in indices]
     diffs = []
-    minus = k.coerce(-1)
     for q in range(max_q + 1):
         mat = k.zeros(dims[q + 1], dims[q])
         index = indices[q][1]
         if nv:
             for r, t_new in enumerate(indices[q + 1][0]):
                 r0 = r * nv
-
-                def accumulate(t_old, block):
-                    c0 = index[t_old] * nv
-                    mat[r0:r0 + nv, c0:c0 + nv] = k.reduce(
-                        mat[r0:r0 + nv, c0:c0 + nv] + block)
-
-                accumulate(t_new[1:], module.on(t_new[0]))
-                sign = k.one
+                c0 = index[t_new[1:]] * nv
+                mat[r0:r0 + nv, c0:c0 + nv] += module.on(t_new[0])
+                sign = 1
                 for i in range(1, q + 1):
-                    sign = k.coerce(sign * minus)
+                    sign = -sign
                     g = group.add(t_new[i - 1], t_new[i])
                     if g != group.zero:  # a normalized cochain vanishes there
-                        accumulate(t_new[:i - 1] + (g,) + t_new[i + 1:], sign * k.eye(nv))
-                sign = k.coerce(sign * minus)
-                accumulate(t_new[:q], sign * k.eye(nv))
-        diffs.append(mat)
+                        t_old = t_new[:i - 1] + (g,) + t_new[i + 1:]
+                        _add_diagonal(mat, r0, index[t_old] * nv, nv, sign)
+                _add_diagonal(mat, r0, index[t_new[:q]] * nv, nv, -sign)
+        diffs.append(k.reduce(mat))
     return CochainComplex(k, dims, diffs)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from catext import cli, constructions
+from catext import cli, coeffsys, constructions
 from catext.cliio import InputError, emit, parse, render, run
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -273,6 +273,57 @@ def test_each_job_builds_gr_once(gr_builds, problem, command):
     doc, code = run(parse((PROBLEMS / f"{problem}.yaml").read_text()), command=command)
     assert code == 0, doc
     assert gr_builds == {"gr_algebra": 1, "gr_right_module": 1}
+
+
+@pytest.mark.parametrize("problem,command,objects", [
+    ("one_object_lhs", "lhs-report", 1),            # right_module block
+    ("lemma_fiber_extension", "check-extension", 2),
+    ("dual_numbers_degeneration", None, 1),         # bimodule block
+    ("corrupt_bimodule", None, 1),                  # broken bimodule, valid precosheaf
+])
+def test_each_job_checks_its_precosheaf_once(monkeypatch, problem, command, objects):
+    """The precosheaf check validates one algebra per object of the category."""
+    calls = []
+    orig = coeffsys.validate_algebra
+
+    def counted(a):
+        calls.append(a)
+        return orig(a)
+    monkeypatch.setattr(coeffsys, "validate_algebra", counted)
+    run(parse((PROBLEMS / f"{problem}.yaml").read_text()), command=command)
+    assert len(calls) == objects
+
+
+# -- word-size coefficient primes -----------------------------------------------
+
+PT_F5_LHS = """
+field: {kind: prime, characteristic: 5}
+coefficient_field: {kind: prime, characteristic: %d}
+category: {preset: trivial}
+algebra:
+  constant: {preset: field}
+right_module: {preset: regular}
+modules:
+  G: {over: gr-a, preset: constant}
+  F: {over: gr-an, preset: constant}
+task:
+  command: lhs-report
+  caps: {p: 2, q: 4, n: 2}
+  weight: G
+  coefficients: F
+"""
+
+
+def test_word_size_coefficient_prime_matches_small_prime():
+    """Fibers of order 5: every prime coprime to 5 gives the same cohomology,
+    so F_(2^31 - 1) must report exactly what F_7 reports."""
+    reports = []
+    for p in (2**31 - 1, 7):
+        doc, code = run(parse(PT_F5_LHS % p))
+        assert code == 0, doc
+        reports.append(doc["report"])
+    assert reports[0] == reports[1]
+    assert set(reports[0]["e2"].values()) == {0, 1}
 
 
 # -- malformed scalars and blocks -------------------------------------------------

@@ -34,6 +34,19 @@ def test_zero_map_precosheaf_reports_unit():
     assert any(v.code == "unit" for v in rep.violations)
 
 
+def test_precosheaf_verdict_is_kept_and_copied_per_call():
+    kz2 = group_algebra([2], F2)
+    zero = AlgHom(kz2, field_algebra(F2), F2.zeros(1, 2))
+    pre = precosheaf_from(poset_a2(), {"0": kz2, "1": field_algebra(F2)}, {"a": zero})
+    first = validate_precosheaf(pre)
+    assert not first.ok
+    first.add("mine", "added by the caller")
+    again = validate_precosheaf(pre)
+    assert again.violations == first.violations[:-1]
+    assert validate_right_module(regular_right_module_system(pre)).violations \
+        == again.violations
+
+
 def test_functor_law_violation_detected():
     # Z/2 acting on k[Z/3] by inversion is a precosheaf; rewiring the identity
     # slot to the inversion breaks the functor laws

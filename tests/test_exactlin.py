@@ -1,10 +1,14 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rank, rref, solve, solve_matrix
+from catext.fdalgebra import AlgModule, FDAlgebra
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -172,3 +176,185 @@ def test_echelon_matches_rref_rank(field, dim, rows):
     assert basis.rows == expected
     for i in range(basis.rows):
         assert e.contains(basis.a[i])
+
+
+# -- differential tests against a pure-Python int oracle, entries in [0, p) ------
+#
+# At p = 2^31 - 1 a single product comes close to 2^62, so a sum of three
+# unreduced int64 products can overflow; 65521, the largest prime below 2^16,
+# is above the old object-path bound 2^15 but inside the one-product bound.
+
+WORD_FIELDS = [FieldSpec.prime(2**31 - 1), FieldSpec.prime(65521), F3]
+
+
+def _py_matmul(a, b, cols, p):
+    return [[sum(row[t] * b[t][j] for t in range(len(b))) % p for j in range(cols)]
+            for row in a]
+
+
+def _py_rank(rows, p):
+    rows = [[v % p for v in r] for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _entries(draw, p, rows, cols):
+    """rows x cols residues from the whole range [0, p), half of them from its
+    top quarter, where sums of products leave int64 first.  Hypothesis draws
+    only the seed, which keeps large matrices cheap to generate."""
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    top = p - 1 - p // 4
+    return [[rnd.randrange(top if rnd.random() < 0.5 else 0, p) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@st.composite
+def word_products(draw, p):
+    n, m, l = (draw(st.integers(0, 6)) for _ in range(3))
+    return _entries(draw, p, n, m), _entries(draw, p, m, l), l
+
+
+@st.composite
+def word_systems(draw, p):
+    """A matrix of rank at most r with more than r rows, as a product of
+    random factors, and one more vector."""
+    r = draw(st.integers(2, 6))
+    rows, cols = r + draw(st.integers(1, 3)), draw(st.integers(r, 8))
+    left, right = _entries(draw, p, rows, r), _entries(draw, p, r, cols)
+    return _py_matmul(left, right, cols, p), _entries(draw, p, 1, cols)[0]
+
+
+word_fields = pytest.mark.parametrize("field", WORD_FIELDS, ids=lambda k: f"F{k.p}")
+
+
+@word_fields
+@given(data=st.data())
+def test_matmul_matches_int_oracle(field, data):
+    a, b, l = data.draw(word_products(field.p))
+    an = np.array(a, dtype=np.int64).reshape(len(a), len(b))
+    bn = np.array(b, dtype=np.int64).reshape(len(b), l)
+    assert field.matmul(an, bn).tolist() == _py_matmul(a, b, l, field.p)
+    if a:
+        assert field.matmul(an[0], bn).tolist() == _py_matmul(a[:1], b, l, field.p)[0]
+
+
+def test_matmul_chunks_the_inner_dimension():
+    p = 2**31 - 1
+    k = FieldSpec.prime(p)
+    n = (1 << 16) + 5  # more than one chunk of the split product
+    a = np.full((2, n), p - 1, dtype=np.int64)
+    a[1, ::3] = 1 << 30
+    b = np.full((n, 1), p - 2, dtype=np.int64)
+    want = [sum(int(x) for x in row) * (p - 2) % p for row in a]
+    assert k.matmul(a, b)[:, 0].tolist() == want
+    assert k.matmul(a[1], b[:, 0]).tolist() == want[1]
+
+
+@word_fields
+@given(data=st.data())
+def test_rank_and_kernel_match_int_oracle(field, data):
+    rows, _ = data.draw(word_systems(field.p))
+    p, cols = field.p, len(rows[0])
+    m = Matrix.make(field, rows)
+    r = _py_rank(rows, p)
+    assert rank(m) == r
+    ker = kernel_basis(m).a.tolist()
+    assert len(ker) == cols - r
+    assert _py_rank(ker, p) == len(ker)
+    kernel_columns = [list(c) for c in zip(*ker)]
+    assert all(v == 0 for row in _py_matmul(rows, kernel_columns, len(ker), p) for v in row)
+
+
+@word_fields
+@given(data=st.data())
+def test_echelon_matches_int_oracle(field, data):
+    rows, probe = data.draw(word_systems(field.p))
+    p = field.p
+    e = Echelon(field, len(probe))
+    for i, row in enumerate(rows):
+        assert e.contains(row) == (_py_rank(rows[:i + 1], p) == _py_rank(rows[:i], p))
+        e.add(row)
+        assert e.rank == _py_rank(rows[:i + 1], p)
+    assert e.contains(probe) == (_py_rank(rows + [probe], p) == _py_rank(rows, p))
+
+
+@st.composite
+def word_algebras(draw, p):
+    """Random structure constants (not necessarily associative), two algebra
+    elements and right action matrices of a random module dimension."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    structure = [_entries(draw, p, d, d) for _ in range(d)]
+    a, b = _entries(draw, p, 2, d)
+    actions = [_entries(draw, p, n, n) for _ in range(d)]
+    return structure, a, b, actions
+
+
+def _algebra(field, structure):
+    d = len(structure)
+    return FDAlgebra(field, d, np.array(structure, dtype=np.int64),
+                     field.zeros(d))
+
+
+@word_fields
+@given(data=st.data())
+def test_algebra_products_match_int_oracle(field, data):
+    c, a, b, _ = data.draw(word_algebras(field.p))
+    p, d = field.p, len(c)
+    alg = _algebra(field, c)
+    av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+    def py_mul(x, y):
+        return [sum(x[i] * y[j] * c[i][j][l] for i in range(d) for j in range(d)) % p
+                for l in range(d)]
+    assert alg.mul(av, bv).tolist() == py_mul(a, b)
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    assert alg.right_mult_matrix(bv).T.tolist() == [py_mul(e, b) for e in basis]
+    assert alg.left_mult_matrix(av).T.tolist() == [py_mul(a, e) for e in basis]
+
+
+@word_fields
+@given(data=st.data())
+def test_module_right_of_matches_int_oracle(field, data):
+    c, a, _, actions = data.draw(word_algebras(field.p))
+    p, n = field.p, len(actions[0])
+    mod = AlgModule(_algebra(field, c), n, "right",
+                    right_action=[np.array(m, dtype=np.int64).reshape(n, n) for m in actions])
+    want = [[sum(a[i] * m[r][s] for i, m in enumerate(actions)) % p for s in range(n)]
+            for r in range(n)]
+    assert mod.right_of(np.array(a, dtype=np.int64)).tolist() == want
+
+
+# -- every field product goes through FieldSpec.matmul ------------------------------
+
+_PRODUCT_CALLS = {"tensordot", "dot", "matmul", "einsum"}
+
+
+def test_field_products_only_in_the_kernel():
+    """An unguarded int64 product overflows once two terms near p^2 are summed,
+    so outside exactlin.py no module may multiply arrays itself."""
+    src = Path(__file__).resolve().parent.parent / "src" / "catext"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "exactlin.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _PRODUCT_CALLS \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id in ("np", "numpy"):
+                found.append(f"{path.name}:{node.lineno}: np.{node.func.attr}")
+    assert not found, "field products outside FieldSpec.matmul: " + ", ".join(found)
