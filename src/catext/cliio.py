@@ -238,10 +238,23 @@ def _norm_algebra(errors, path, block):
     return out
 
 
+def _load_yaml(text: str):
+    """yaml.safe_load through libyaml when it is built in.  A document the C
+    loader rejects is parsed again by the pure-Python SafeLoader, whose error
+    messages are the ones reported; the C loader words many of them
+    differently and fails on lone surrogates with a UnicodeEncodeError."""
+    if yaml.__with_libyaml__:
+        try:
+            return yaml.load(text, Loader=yaml.CSafeLoader)
+        except (yaml.YAMLError, UnicodeError):
+            pass
+    return yaml.safe_load(text)
+
+
 def parse(text: str) -> ProblemSpec:
     """Normalize and schema-check a problem document."""
     try:
-        raw = yaml.safe_load(text)
+        raw = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "document"

@@ -36,20 +36,18 @@ class FDAlgebra:
             self.basis_labels = tuple(range(self.dim))
 
     def _left_contract(self, a: np.ndarray) -> np.ndarray:
-        """(j, l) -> coefficient of e_l in a e_j."""
-        d = self.dim
-        return self.field.matmul(a, self.structure.reshape(d, d * d)).reshape(d, d)
+        """(j, l) -> coefficient of e_l in a e_j: the slices structure[i]
+        summed over the non-zero coefficients of a."""
+        return _combine(self.field, a, self.structure, self.dim)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of two coefficient vectors."""
         return self.field.matmul(b, self._left_contract(a))
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x a on the algebra itself."""
-        d = self.dim
-        by_right = np.swapaxes(self.structure, 0, 1).reshape(d, d * d)
-        # column i is e_i a
-        return self.field.matmul(a, by_right).reshape(d, d).T
+        """Matrix of x -> x a on the algebra itself; column i is e_i a, and
+        for a = e_j this is the slice structure[:, j, :].T."""
+        return _combine(self.field, a, np.swapaxes(self.structure, 0, 1), self.dim).T
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> a x on the algebra itself."""
@@ -219,18 +217,19 @@ def free_module(a: FDAlgebra, rank: int, side: str = "right") -> AlgModule:
     if side not in ("left", "right", "bi"):
         raise ValueError(f"unknown side {side!r}")
     k = a.field
-    n = rank * a.dim
-    def actions(mult_matrix):
+    d = a.dim
+    n = rank * d
+    def actions(slices):
+        # slices[i].T is the multiplication matrix of e_i
         out = []
-        for i in range(a.dim):
-            mat = mult_matrix(a.basis_vector(i))
+        for i in range(d):
             block = k.zeros(n, n)
             for t in range(rank):
-                block[t * a.dim:(t + 1) * a.dim, t * a.dim:(t + 1) * a.dim] = mat
+                block[t * d:(t + 1) * d, t * d:(t + 1) * d] = slices[i].T
             out.append(block)
         return out
-    right = actions(a.right_mult_matrix) if side != "left" else []
-    left = actions(a.left_mult_matrix) if side != "right" else []
+    right = actions(np.swapaxes(a.structure, 0, 1)) if side != "left" else []
+    left = actions(a.structure) if side != "right" else []
     return AlgModule(a, n, side, right_action=right, left_action=left)
 
 

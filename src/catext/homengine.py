@@ -243,17 +243,13 @@ class Resolution:
 def _free_action_matrix(algebra: FDAlgebra, imgs: np.ndarray) -> np.ndarray:
     """k-matrix of the module map F -> F' sending generator t to imgs[:, t],
     where F is free of rank imgs.shape[1]."""
-    k = algebra.field
     d = algebra.dim
-    rank_src = imgs.shape[1]
-    out = k.zeros(imgs.shape[0], rank_src * d)
-    rmats = [algebra.right_mult_matrix(algebra.basis_vector(j)).T for j in range(d)]
-    for t in range(rank_src):
-        v = imgs[:, t]
-        blocks = v.reshape(-1, d)
-        for j in range(d):
-            out[:, t * d + j] = k.matmul(blocks, rmats[j]).reshape(-1)
-    return out
+    rank_tgt, rank_src = imgs.shape[0] // d, imgs.shape[1]
+    # prod[t, s, j, l]: coefficient of e_l in block s of imgs[:, t] . e_j
+    prod = algebra.field.matmul(imgs.T.reshape(rank_src * rank_tgt, d),
+                                algebra.structure.reshape(d, d * d))
+    prod = prod.reshape(rank_src, rank_tgt, d, d)
+    return prod.transpose(1, 3, 0, 2).reshape(rank_tgt * d, rank_src * d)
 
 
 def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resolution:

@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 
 from catext import cli, coeffsys, constructions
 from catext.cliio import InputError, emit, parse, render, run
@@ -46,15 +47,17 @@ def test_parse_minimal():
     assert spec.payload["task"]["command"] == "validate"
 
 
-def test_parse_reports_dangling_reference_with_id():
-    bad = MINIMAL.replace("{preset: trivial}", """
+DANGLING = MINIMAL.replace("{preset: trivial}", """
   objects: [x]
   morphisms: [{id: ix, dom: x, cod: x}]
   identities: {x: ix}
   compose: [{first: ix, then: ghost, equals: ix}]
 """)
+
+
+def test_parse_reports_dangling_reference_with_id():
     with pytest.raises(InputError) as exc:
-        parse(bad)
+        parse(DANGLING)
     assert any("ghost" in e for e in exc.value.errors)
 
 
@@ -328,7 +331,7 @@ def test_word_size_coefficient_prime_matches_small_prime():
 
 # -- malformed scalars and blocks -------------------------------------------------
 
-@pytest.mark.parametrize("edit,path", [
+MALFORMED_EDITS = [
     (("{preset: trivial}", "{preset: discrete, count: abc}"), "category.count"),
     (("{preset: trivial}", "{preset: discrete, count: -1}"), "category.count"),
     (("{preset: trivial}", "{preset: cyclic-monoid, size: 0}"), "category.size"),
@@ -338,10 +341,52 @@ def test_word_size_coefficient_prime_matches_small_prime():
     (("{preset: trivial}", "5"), "category"),
     (("{kind: prime, characteristic: 2}", "[prime, 2]"), "field"),
     (("task:", "modules: {F: {preset: explicit, dims: {'*': x}}}\ntask:"), "modules.F.dims.*"),
-])
+]
+
+
+@pytest.mark.parametrize("edit,path", MALFORMED_EDITS)
 def test_malformed_scalars_and_blocks_exit_two(tmp_path, capsys, edit, path):
     problem = tmp_path / "problem.yaml"
     problem.write_text(MINIMAL.replace(*edit))
     assert cli.main(["validate", str(problem), "--format", "structured"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert any(e.startswith(path + ":") for e in doc["input_errors"]), doc
+
+
+# -- libyaml and the pure-Python loader -------------------------------------------
+
+# libyaml words each of these differently from the pure-Python loader, and
+# fails on the lone surrogate with a UnicodeEncodeError
+YAML_SYNTAX_ERRORS = ["field: {kind: prime\ncategory: bad", "a: [1, 2", "a: b: c",
+                      "- a\nb: c", "a:\n\t- b", "a: &x 1\nb: *y", "a: @b", "\x00",
+                      "a: \ud800"]
+
+
+def _parse_outcome(text):
+    try:
+        return "spec", parse(text).payload
+    except InputError as exc:
+        return "errors", exc.errors
+
+
+def test_libyaml_parse_matches_safe_loader(monkeypatch):
+    texts = [path.read_text() for path in sorted(PROBLEMS.glob("*.yaml"))]
+    texts += [MINIMAL, EXPLICIT_A2, PT_F5_LHS % 7, DANGLING,
+              MINIMAL.replace("trivial", "moebius")]
+    texts += [MINIMAL.replace(*edit) for edit, _ in MALFORMED_EDITS] + YAML_SYNTAX_ERRORS
+    with_libyaml = [_parse_outcome(t) for t in texts]
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    assert [_parse_outcome(t) for t in texts] == with_libyaml
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_parse_loads_through_libyaml(monkeypatch):
+    loaded = []
+
+    class Recording(yaml.CSafeLoader):
+        def __init__(self, stream):
+            loaded.append(stream)
+            super().__init__(stream)
+    monkeypatch.setattr(yaml, "CSafeLoader", Recording)
+    parse(MINIMAL)
+    assert loaded == [MINIMAL]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_
                               free_module, group_algebra, identity_hom, opposite_algebra,
                               regular_bimodule, trivial_extension, upper_triangular_algebra,
                               validate_algebra, validate_hom, validate_module, zero_module)
-from catext.presets import F2, F3, QQ, field_product
+from catext.fincat import linearize
+from catext.presets import F2, F3, QQ, cyclic_monoid, field_product, poset_a2
 
 ALGEBRAS = [field_algebra(F2), dual_numbers(QQ), group_algebra([2], F2),
             group_algebra([2, 2], F3), upper_triangular_algebra(2, F2),
@@ -15,6 +18,36 @@ ALGEBRAS = [field_algebra(F2), dual_numbers(QQ), group_algebra([2], F2),
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
 def test_fixture_algebras_valid(alg):
     assert validate_algebra(alg).ok
+
+
+SLICE_ALGEBRAS = ALGEBRAS + [upper_triangular_algebra(3, QQ), linearize(poset_a2(), F3),
+                             linearize(cyclic_monoid(3, 1), QQ)]
+
+
+@pytest.mark.parametrize("alg", SLICE_ALGEBRAS, ids=lambda a: a.name)
+def test_basis_mult_matrices_are_structure_slices(alg):
+    for j in range(alg.dim):
+        e = alg.basis_vector(j)
+        for got, want in ((alg.right_mult_matrix(e), alg.structure[:, j, :].T),
+                          (alg.left_mult_matrix(e), alg.structure[j].T)):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("alg", SLICE_ALGEBRAS, ids=lambda a: a.name)
+def test_mult_matrices_return_fresh_arrays(alg):
+    before = np.array(alg.structure, copy=True)
+    for mult in (alg.right_mult_matrix, alg.left_mult_matrix):
+        mult(alg.basis_vector(0))[...] = alg.field.one
+    assert alg.field.equal(alg.structure, before)
+
+
+def test_zero_vector_mult_matrices_over_rationals_hold_fractions():
+    alg = upper_triangular_algebra(2, QQ)
+    for mat in (alg.right_mult_matrix(QQ.zeros(alg.dim)),
+                alg.left_mult_matrix(QQ.zeros(alg.dim))):
+        assert mat.shape == (alg.dim, alg.dim)
+        assert all(type(v) is Fraction and v == 0 for v in mat.reshape(-1))
 
 
 def test_dual_numbers_by_hand():

@@ -1,28 +1,39 @@
+from fractions import Fraction
 from itertools import product as iproduct
+from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catext.exactlin import FieldSpec
 from catext.extcheck import fiber_extension
-from catext.fdalgebra import (AlgModule, dual_numbers, field_algebra, free_module,
-                              group_algebra, validate_module)
+from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
+                              free_module, group_algebra, validate_module)
 from catext.fincat import CatFunctor, linearize
 from catext.homengine import (CatModule, CochainComplex, FiniteAbelianGroup, GroupModule,
-                              bar_cochain_complex, cat_ext_dims, cohomology_dims,
-                              constant_module, ext_dims, free_resolution,
+                              _free_action_matrix, bar_cochain_complex, cat_ext_dims,
+                              cohomology_dims, constant_module, ext_dims, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
                               nerve_cochain_complex, nerve_cohomology_dims,
                               representable_module, restrict, subquotient,
                               to_algebra_module, trivial_group_module,
                               validate_cat_module, validate_group_module,
                               validate_resolution, zero_cat_module)
-from catext.presets import (F2, F3, QQ, constant_precosheaf, discrete_category,
-                            one_object_group, poset_a2, regular_right_module_system,
-                            trivial_category)
+from catext.presets import (F2, F3, QQ, constant_precosheaf, cyclic_monoid,
+                            discrete_category, one_object_group, poset_a2,
+                            regular_right_module_system, trivial_category)
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), discrete_category(2)]
 F5 = FieldSpec.prime(5)
+WORD_FIELDS = [FieldSpec.prime(65521), FieldSpec.prime(2**31 - 1)]
+word_fields = pytest.mark.parametrize("field", WORD_FIELDS, ids=lambda k: f"F{k.p}")
+
+
+def _residue(rnd: Random, p: int) -> int:
+    """A residue from the whole range [0, p), half the time from its top
+    quarter, where sums of products leave int64 first."""
+    return rnd.randrange(p - 1 - p // 4 if rnd.random() < 0.5 else 0, p)
 
 
 # -- cat modules -------------------------------------------------------------------
@@ -179,6 +190,56 @@ def test_resolution_over_rationals():
     dn = dual_numbers(QQ)
     triv = AlgModule(dn, 1, "right", right_action=[QQ.eye(1), QQ.zeros(1, 1)])
     assert ext_dims(dn, triv, triv, 2) == [1, 1, 1]
+
+
+# -- free boundaries straight from the structure tensor --------------------------------
+
+def reference_free_action_matrix(algebra: FDAlgebra, imgs: np.ndarray) -> np.ndarray:
+    """The per-basis loop that _free_action_matrix replaced: column t*d + j is
+    the image of generator t times e_j, one target block at a time."""
+    k = algebra.field
+    d = algebra.dim
+    rank_src = imgs.shape[1]
+    out = k.zeros(imgs.shape[0], rank_src * d)
+    rmats = [algebra.right_mult_matrix(algebra.basis_vector(j)).T for j in range(d)]
+    for t in range(rank_src):
+        blocks = imgs[:, t].reshape(-1, d)
+        for j in range(d):
+            out[:, t * d + j] = k.matmul(blocks, rmats[j]).reshape(-1)
+    return out
+
+
+@st.composite
+def free_maps(draw, k):
+    """Random structure constants (not necessarily associative) of dimension
+    1-4 and generator images of 0-3 sources in a free module of rank 0-3,
+    about a third of them zero columns.  Hypothesis draws only the seed."""
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    rank_tgt, rank_src = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def scalar():
+        if k.is_prime_field:
+            return _residue(rnd, k.p)
+        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))
+
+    structure = k.array([[[scalar() for _ in range(d)] for _ in range(d)] for _ in range(d)])
+    imgs = k.zeros(rank_tgt * d, rank_src)
+    for t in range(rank_src):
+        if rnd.random() < 2 / 3:
+            imgs[:, t] = k.array([scalar() for _ in range(rank_tgt * d)])
+    return FDAlgebra(k, d, structure, k.zeros(d)), imgs
+
+
+@pytest.mark.parametrize("field", WORD_FIELDS + [F3, QQ],
+                         ids=lambda k: f"F{k.p}" if k.is_prime_field else "Q")
+@given(data=st.data())
+def test_free_action_matrix_matches_per_basis_loop(field, data):
+    alg, imgs = data.draw(free_maps(field))
+    got = _free_action_matrix(alg, imgs)
+    want = reference_free_action_matrix(alg, imgs)
+    assert got.shape == want.shape == (imgs.shape[0], imgs.shape[1] * alg.dim)
+    assert got.tolist() == want.tolist()
 
 
 # -- cat-level Ext and the three cohomology routes ---------------------------------------
@@ -398,6 +459,86 @@ def test_ext0_equals_nat_transform_dimension(cat):
     alg = linearize(cat, F2)
     mods = [to_algebra_module(constant_module(cat, F2), alg),
             to_algebra_module(representable_module(cat, F2, cat.objects[0]), alg)]
+    for g in mods:
+        for f in mods:
+            assert ext_dims(alg, g, f, 0)[0] == hom_space_dim(g, f)
+
+
+# -- word-size primes: the resolution route against the nerve route and Hom ------------
+
+def _py_inverse(rows: list, p: int):
+    """Inverse of a square matrix mod p by Gauss-Jordan on Python ints, or
+    None when it is singular."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c] % p), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = pow(aug[c][c], p - 2, p)
+        aug[c] = [v * inv % p for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [(v - f * w) % p for v, w in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def _conjugated_diagonal(rnd: Random, field: FieldSpec, diag: list) -> np.ndarray:
+    """P diag(diag) P^-1 for a random invertible P with entries from all of [0, p)."""
+    p, n = field.p, len(diag)
+    while True:
+        P = [[_residue(rnd, p) for _ in range(n)] for _ in range(n)]
+        P_inv = _py_inverse(P, p)
+        if P_inv is not None:
+            break
+    return field.array([[sum(P[i][l] * diag[l] * P_inv[l][j] for l in range(n)) % p
+                         for j in range(n)] for i in range(n)])
+
+
+@word_fields
+@given(seed=st.integers(0, 2**32 - 1), n0=st.integers(1, 3), n1=st.integers(1, 3))
+def test_word_size_oracle_equivalence_random_arrow(field, seed, n0, n1):
+    rnd = Random(seed)
+    c = poset_a2()
+    arrow = field.array([[_residue(rnd, field.p) for _ in range(n1)] for _ in range(n0)])
+    f = CatModule(c, field, {"0": n0, "1": n1},
+                  {"i0": field.eye(n0), "i1": field.eye(n1), "a": arrow})
+    assert validate_cat_module(f).ok
+    assert cohomology_dims(c, f, 3) == nerve_cohomology_dims(c, f, 3)
+
+
+@word_fields
+@given(seed=st.integers(0, 2**32 - 1), signs=st.lists(st.sampled_from([1, -1]),
+                                                       min_size=1, max_size=3))
+def test_word_size_oracle_equivalence_conjugated_involution(field, seed, signs):
+    c = one_object_group(2)
+    g = _conjugated_diagonal(Random(seed), field, [s % field.p for s in signs])
+    n = len(signs)
+    f = CatModule(c, field, {"*": n}, {"t0": field.eye(n), "t1": g})
+    assert validate_cat_module(f).ok
+    dims = cohomology_dims(c, f, 3)
+    assert dims == nerve_cohomology_dims(c, f, 3)
+    # p is odd, so the invariants are the +1 eigenspace and nothing is higher
+    assert dims == [signs.count(1), 0, 0, 0]
+
+
+@word_fields
+@given(seed=st.integers(0, 2**32 - 1),
+       diag=st.lists(st.sampled_from([1, -1, 0]), min_size=1, max_size=3))
+def test_word_size_ext0_equals_hom_on_cyclic_monoid(field, seed, diag):
+    c = cyclic_monoid(3, 1)  # t^3 = t
+    alg = linearize(c, field)
+
+    def module(t):
+        n = t.shape[0]
+        return CatModule(c, field, {"*": n}, {"t0": field.eye(n), "t1": t,
+                                              "t2": field.matmul(t, t)})
+    twisted = module(_conjugated_diagonal(Random(seed), field, [v % field.p for v in diag]))
+    mods = [constant_module(c, field), module(field.eye(2)), twisted]
+    assert all(validate_cat_module(m).ok for m in mods)
+    mods = [to_algebra_module(m, alg) for m in mods]
     for g in mods:
         for f in mods:
             assert ext_dims(alg, g, f, 0)[0] == hom_space_dim(g, f)
