@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dfield
 import yaml
 
 from . import constructions, extcheck, lhsengine, presets
-from .coeffsys import (PrecosheafBimodule, PrecosheafRightModule, validate_bimodule,
-                       validate_precosheaf, validate_right_module)
+from .coeffsys import (PrecosheafModule, validate_bimodule, validate_precosheaf,
+                       validate_right_module)
 from .exactlin import FieldSpec
 from .fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_algebra,
                         group_algebra, upper_triangular_algebra, validate_algebra)
@@ -26,9 +26,6 @@ from .fincat import FinCategory, validate_category
 from .homengine import (CatModule, cat_ext_dims, cohomology_dims, constant_module,
                         nerve_cohomology_dims, representable_module, validate_cat_module)
 from .validation import Report
-
-COMMANDS = ("validate", "build-algebra", "check-theorem-a", "check-extension",
-            "cohomology", "ext", "lhs-report")
 
 _CATEGORY_BUILDERS = {
     "trivial": lambda b: presets.trivial_category(),
@@ -396,8 +393,8 @@ class Built:
     coeff_field: FieldSpec
     category: FinCategory
     precosheaf: object = None
-    bimodule: PrecosheafBimodule | None = None
-    right_module: PrecosheafRightModule | None = None
+    bimodule: PrecosheafModule | None = None
+    right_module: PrecosheafModule | None = None
     modules: dict = dfield(default_factory=dict)  # name -> normalized module block
     task: dict = dfield(default_factory=dict)
     _cats: dict = dfield(default_factory=dict, init=False, repr=False)
@@ -514,8 +511,7 @@ def _explicit_system(built: Built, blk: dict, key: str):
             maps[f] = k.eye(mods[x].dim)
         else:
             raise InputError([f"{key}.maps: no map at morphism {f!r}"])
-    cls = PrecosheafBimodule if key == "bimodule" else PrecosheafRightModule
-    return cls(pre, mods, maps, name="explicit")
+    return PrecosheafModule(pre, mods, maps, name="explicit")
 
 
 _PRESET_SYSTEMS = {("bimodule", "regular"): presets.regular_bimodule_system,
@@ -598,6 +594,97 @@ def _algebra_payload(alg: FDAlgebra) -> dict:
             "products": entries}
 
 
+def _cmd_build_algebra(built: Built, caps: dict) -> tuple[dict, bool]:
+    if built.bimodule is not None:
+        alg = constructions.extension_algebra(built.category, built.precosheaf,
+                                              built.bimodule)
+        kind = "extension-category-algebra"
+    else:
+        alg = constructions.skew_algebra(built.category, built.precosheaf)
+        kind = "skew-category-algebra"
+    arep = validate_algebra(alg)
+    return {"kind": kind, "algebra": _algebra_payload(alg),
+            "validation": arep.as_dict()}, arep.ok
+
+
+def _cmd_check_theorem_a(built: Built, caps: dict) -> tuple[dict, bool]:
+    c, pre, m = built.category, built.precosheaf, built.bimodule
+    verdicts = {}
+    if len(c.mor) == 1:
+        verdicts["trivial-extension-degeneration"] = constructions.check_degeneration(
+            "trivial-ext", c, pre, m)
+    if all(m.at(x).dim == 0 for x in c.objects):
+        verdicts["skew-degeneration"] = constructions.check_degeneration("skew", c, pre, m)
+    ext_alg = constructions.extension_algebra(c, pre, m)
+    arep = validate_algebra(ext_alg)
+    if built.field.is_prime_field:
+        verdicts["composition-antihomomorphism"] = constructions.check_composition_antihom(
+            c, pre, m, ext=ext_alg)
+    checks = {name: v.as_dict() for name, v in verdicts.items()}
+    checks["extension-algebra-axioms"] = arep.as_dict()
+    return {"checks": checks}, arep.ok and all(v.passed for v in verdicts.values())
+
+
+def _cmd_check_extension(built: Built, caps: dict) -> tuple[dict, bool]:
+    ext = built.extension()
+    erep = extcheck.check_extension(ext)
+    return {"sizes": {"kernel": len(ext.kernel.mor), "total": len(ext.total.mor),
+                      "base": len(ext.base.mor)},
+            "extension": erep.as_dict()}, erep.ok
+
+
+def _cmd_cohomology(built: Built, caps: dict) -> tuple[dict, bool]:
+    name = built.task.get("module")
+    if not name:
+        raise InputError(["task.module: cohomology needs a module name"])
+    mod = built.module(name)
+    res_route = cohomology_dims(mod.cat, mod, caps["n"])
+    nerve_route = nerve_cohomology_dims(mod.cat, mod, caps["n"])
+    return {"dims": [int(v) for v in res_route],
+            "nerve_dims": [int(v) for v in nerve_route],
+            "routes_agree": res_route == nerve_route}, res_route == nerve_route
+
+
+def _cmd_ext(built: Built, caps: dict) -> tuple[dict, bool]:
+    names = built.task.get("modules")
+    if not names or len(names) != 2:
+        raise InputError(["task.modules: ext needs exactly two module names"])
+    gmod = built.module(names[0])
+    fmod = built.module(names[1])
+    if gmod.cat is not fmod.cat:
+        raise InputError(["task.modules: ext modules must live over one category"])
+    return {"dims": [int(v) for v in cat_ext_dims(gmod.cat, gmod, fmod, caps["n"])]}, True
+
+
+def _cmd_lhs_report(built: Built, caps: dict) -> tuple[dict, bool]:
+    wname = built.task.get("weight")
+    fname = built.task.get("coefficients")
+    g = (built.module(wname) if wname
+         else constant_module(built.category_for("gr-a"), built.coeff_field))
+    f = (built.module(fname) if fname
+         else constant_module(built.category_for("gr-an"), built.coeff_field))
+    report = lhsengine.lhs_report(built.category, built.precosheaf, built.right_module,
+                                  g, f, (caps["p"], caps["q"], caps["n"]),
+                                  _ext=built.extension())
+    return {"report": report.as_dict()}, report.ok
+
+
+# name -> (Built blocks the command needs, wording of the "needs" message, handler)
+_COMMANDS = {
+    "validate": ((), None, None),
+    "build-algebra": (("precosheaf",), "an algebra block", _cmd_build_algebra),
+    "check-theorem-a": (("precosheaf", "bimodule"), "algebra and bimodule blocks",
+                        _cmd_check_theorem_a),
+    "check-extension": (("precosheaf", "right_module"), "algebra and right_module blocks",
+                        _cmd_check_extension),
+    "cohomology": ((), None, _cmd_cohomology),
+    "ext": ((), None, _cmd_ext),
+    "lhs-report": (("precosheaf", "right_module"), "algebra and right_module blocks",
+                   _cmd_lhs_report),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
 def run(spec: ProblemSpec, command: str | None = None,
         caps: dict | None = None) -> tuple[dict, int]:
     """Execute the task; returns (report document, exit code)."""
@@ -607,121 +694,44 @@ def run(spec: ProblemSpec, command: str | None = None,
         return {"command": command or spec.payload["task"]["command"],
                 "input_errors": exc.errors}, 2
     cmd = command or built.task["command"]
-    caps_eff = dict(built.task["caps"])
-    if caps:
-        caps_eff.update({k2: v for k2, v in caps.items() if v is not None})
+    overrides = {c: v for c, v in (caps or {}).items() if v is not None}
+    caps_eff = {**built.task["caps"], **overrides}
     doc: dict = {"command": cmd, "caps": caps_eff}
     try:
+        errors: list = []
+        for c, v in overrides.items():
+            _int(errors, f"task.caps.{c}", v)
+        if errors:
+            raise InputError(errors)
         rep = _validate_all(built)
         if cmd == "validate" or not rep.ok:
-            doc["validation"] = rep.as_dict()
-            return doc, 0 if rep.ok else 1
-
-        if cmd == "build-algebra":
-            if built.precosheaf is None:
-                raise InputError(["build-algebra: needs an algebra block"])
-            if built.bimodule is not None:
-                alg = constructions.extension_algebra(built.category, built.precosheaf,
-                                                      built.bimodule)
-                doc["kind"] = "extension-category-algebra"
-            else:
-                alg = constructions.skew_algebra(built.category, built.precosheaf)
-                doc["kind"] = "skew-category-algebra"
-            doc["algebra"] = _algebra_payload(alg)
-            arep = validate_algebra(alg)
-            doc["validation"] = arep.as_dict()
-            return doc, 0 if arep.ok else 1
-
-        if cmd == "check-theorem-a":
-            if built.precosheaf is None or built.bimodule is None:
-                raise InputError(["check-theorem-a: needs algebra and bimodule blocks"])
-            checks = {}
-            ok = True
-            if len(built.category.mor) == 1:
-                v = constructions.check_degeneration("trivial-ext", built.category,
-                                                     built.precosheaf, built.bimodule)
-                checks["trivial-extension-degeneration"] = v.as_dict()
-                ok = ok and v.passed
-            if all(built.bimodule.at(x).dim == 0 for x in built.category.objects):
-                v = constructions.check_degeneration("skew", built.category,
-                                                     built.precosheaf, built.bimodule)
-                checks["skew-degeneration"] = v.as_dict()
-                ok = ok and v.passed
-            ext_alg = constructions.extension_algebra(built.category, built.precosheaf,
-                                                      built.bimodule)
-            arep = validate_algebra(ext_alg)
-            checks["extension-algebra-axioms"] = arep.as_dict()
-            ok = ok and arep.ok
-            if built.field.is_prime_field:
-                v = constructions.check_composition_antihom(built.category,
-                                                            built.precosheaf,
-                                                            built.bimodule, ext=ext_alg)
-                checks["composition-antihomomorphism"] = v.as_dict()
-                ok = ok and v.passed
-            doc["checks"] = checks
-            return doc, 0 if ok else 1
-
-        if cmd == "check-extension":
-            if built.precosheaf is None or built.right_module is None:
-                raise InputError(["check-extension: needs algebra and right_module blocks"])
-            ext = built.extension()
-            erep = extcheck.check_extension(ext)
-            doc["sizes"] = {"kernel": len(ext.kernel.mor), "total": len(ext.total.mor),
-                            "base": len(ext.base.mor)}
-            doc["extension"] = erep.as_dict()
-            return doc, 0 if erep.ok else 1
-
-        if cmd == "cohomology":
-            name = built.task.get("module")
-            if not name:
-                raise InputError(["task.module: cohomology needs a module name"])
-            mod = built.module(name)
-            n = caps_eff["n"]
-            res_route = cohomology_dims(mod.cat, mod, n)
-            nerve_route = nerve_cohomology_dims(mod.cat, mod, n)
-            doc["dims"] = [int(v) for v in res_route]
-            doc["nerve_dims"] = [int(v) for v in nerve_route]
-            doc["routes_agree"] = res_route == nerve_route
-            return doc, 0 if res_route == nerve_route else 1
-
-        if cmd == "ext":
-            names = built.task.get("modules")
-            if not names or len(names) != 2:
-                raise InputError(["task.modules: ext needs exactly two module names"])
-            gmod = built.module(names[0])
-            fmod = built.module(names[1])
-            if gmod.cat is not fmod.cat:
-                raise InputError(["task.modules: ext modules must live over one category"])
-            doc["dims"] = [int(v) for v in cat_ext_dims(gmod.cat, gmod, fmod,
-                                                        caps_eff["n"])]
-            return doc, 0
-
-        if cmd == "lhs-report":
-            if built.precosheaf is None or built.right_module is None:
-                raise InputError(["lhs-report: needs algebra and right_module blocks"])
-            wname = built.task.get("weight")
-            fname = built.task.get("coefficients")
-            g = (built.module(wname) if wname
-                 else constant_module(built.category_for("gr-a"), built.coeff_field))
-            f = (built.module(fname) if fname
-                 else constant_module(built.category_for("gr-an"), built.coeff_field))
-            report = lhsengine.lhs_report(built.category, built.precosheaf,
-                                          built.right_module, g, f,
-                                          (caps_eff["p"], caps_eff["q"], caps_eff["n"]),
-                                          _ext=built.extension())
-            doc["report"] = report.as_dict()
-            return doc, 0 if report.ok else 1
-
-        raise InputError([f"task.command: unhandled command {cmd!r}"])
+            fields, ok = {"validation": rep.as_dict()}, rep.ok
+        else:
+            if cmd not in _COMMANDS:
+                raise InputError([f"task.command: unhandled command {cmd!r}"])
+            needs, wording, handler = _COMMANDS[cmd]
+            if any(getattr(built, block) is None for block in needs):
+                raise InputError([f"{cmd}: needs {wording}"])
+            fields, ok = handler(built, caps_eff)
     except InputError as exc:
         doc["input_errors"] = exc.errors
         return doc, 2
     except ValueError as exc:
         doc["input_errors"] = [str(exc)]
         return doc, 2
+    doc.update(fields)
+    return doc, 0 if ok else 1
 
 
 # -- rendering ---------------------------------------------------------------------
+
+def _violation_lines(title: str, rep: dict) -> list:
+    lines = [f"{title}: {'ok' if rep['ok'] else 'FAILED'}"]
+    for item in rep["violations"]:
+        w = ", ".join(f"{k}={val}" for k, val in sorted(item["witness"].items()))
+        lines.append(f"  [{item['code']}] {item['message']}  ({w})")
+    return lines
+
 
 def render(doc: dict, fmt: str = "structured") -> str:
     if fmt == "structured":
@@ -732,11 +742,11 @@ def render(doc: dict, fmt: str = "structured") -> str:
         lines.extend(f"  - {e}" for e in doc["input_errors"])
         return "\n".join(lines) + "\n"
     if "validation" in doc:
-        v = doc["validation"]
-        lines.append(f"validation: {'ok' if v['ok'] else 'FAILED'}")
-        for item in v["violations"]:
-            w = ", ".join(f"{k}={val}" for k, val in sorted(item["witness"].items()))
-            lines.append(f"  [{item['code']}] {item['message']}  ({w})")
+        lines.extend(_violation_lines("validation", doc["validation"]))
+    if "spot_checks" in doc:
+        sc = doc["spot_checks"]
+        lines.append(f"spot checks: seed {sc['seed']}, {sc['rounds']} rounds, "
+                     f"{sc['failures']} failures")
     if "algebra" in doc:
         a = doc["algebra"]
         lines.append(f"kind: {doc.get('kind')}")
@@ -758,11 +768,7 @@ def render(doc: dict, fmt: str = "structured") -> str:
         s = doc["sizes"]
         lines.append(f"kernel/total/base morphisms: {s['kernel']}/{s['total']}/{s['base']}")
     if "extension" in doc:
-        e = doc["extension"]
-        lines.append(f"extension axioms: {'ok' if e['ok'] else 'FAILED'}")
-        for item in e["violations"]:
-            w = ", ".join(f"{k}={val}" for k, val in sorted(item["witness"].items()))
-            lines.append(f"  [{item['code']}] {item['message']}  ({w})")
+        lines.extend(_violation_lines("extension axioms", doc["extension"]))
     if "dims" in doc:
         lines.append("dims: " + " ".join(str(v) for v in doc["dims"]))
     if "nerve_dims" in doc:

@@ -1,9 +1,9 @@
 """Coefficient systems on a finite category.
 
 A precosheaf of algebras assigns an FDAlgebra to every object and a unital
-algebra homomorphism to every morphism, covariantly.  Bimodule / right-module
-systems add per-object module structure plus per-morphism linear maps that
-are compatible with the algebra maps.  Validators check every compatibility
+algebra homomorphism to every morphism, covariantly.  A precosheaf of modules
+(a bimodule or a right-module system) adds per-object module structure plus
+per-morphism linear maps that are compatible with the algebra maps.  Validators check every compatibility
 equation on all basis triples and report witnesses.
 """
 from __future__ import annotations
@@ -44,27 +44,12 @@ class AlgebraPrecosheaf:
 
 
 @dataclass(eq=False)
-class PrecosheafBimodule:
+class PrecosheafModule:
+    """A precosheaf of A-modules: a module at every object and a linear map
+    M(f): M(dom f) -> M(cod f) at every morphism.  A bimodule system when its
+    modules have side "bi", a right-module system when they have side "right"."""
     precosheaf: AlgebraPrecosheaf
-    modules: dict  # ObjId -> AlgModule with side "bi"
-    maps: dict  # MorId -> ndarray, M(f): M(dom f) -> M(cod f)
-    name: str = ""
-
-    @property
-    def base(self) -> FinCategory:
-        return self.precosheaf.base
-
-    def at(self, x) -> AlgModule:
-        return self.modules[x]
-
-    def on(self, f) -> np.ndarray:
-        return self.maps[f]
-
-
-@dataclass(eq=False)
-class PrecosheafRightModule:
-    precosheaf: AlgebraPrecosheaf
-    modules: dict  # ObjId -> AlgModule with side "right"
+    modules: dict  # ObjId -> AlgModule
     maps: dict  # MorId -> ndarray
     name: str = ""
 
@@ -128,24 +113,20 @@ def _check_precosheaf(a: AlgebraPrecosheaf) -> Report:
     return rep
 
 
-def _module_functoriality(rep: Report, sys_) -> None:
-    cat = sys_.base
-    k = sys_.precosheaf.field
-    for x in cat.objects:
-        if not k.equal(sys_.on(cat.identity[x]), k.eye(sys_.at(x).dim)):
-            rep.add("functor", "module map at identity is not the identity", object=x)
-    for (f, g), h in cat.compose.items():
-        if not k.equal(sys_.on(h), k.matmul(sys_.on(g), sys_.on(f))):
-            rep.add("functor", "M(fg) != M(g) . M(f)", f=f, g=g)
+# side -> (violation code, name of the system, wording of a wrong side and of
+# an invalid module)
+_SIDES = {"bi": ("bimodule", "M", "a bimodule", "bimodule"),
+          "right": ("right-module", "N", "right-sided", "module")}
 
 
-def validate_bimodule(m: PrecosheafBimodule) -> Report:
-    """Per-object bimodules, functoriality, and both compatibility laws.
-
-    For every f: x -> y and all basis r of A(x), basis m of M(x):
+def _validate_system(m: PrecosheafModule, side: str) -> Report:
+    """The precosheaf, the module at every object, the map shapes, the functor
+    laws, then for every f: x -> y, basis r of A(x) and basis m of M(x) the
+    compatibility law of each action the side carries, left before right:
         M(f)(r . m) = A(f)(r) . M(f)(m)     (left)
         M(f)(m . s) = M(f)(m) . A(f)(s)     (right)
     """
+    code, sym, wrong, invalid = _SIDES[side]
     rep = validate_precosheaf(m.precosheaf)
     if not rep.ok:
         return rep
@@ -153,93 +134,64 @@ def validate_bimodule(m: PrecosheafBimodule) -> Report:
     k = m.precosheaf.field
     for x in cat.objects:
         if x not in m.modules:
-            rep.add("bimodule", "no module at object", object=x)
+            rep.add(code, "no module at object", object=x)
             continue
-        if m.at(x).side != "bi":
-            rep.add("bimodule", "module at object is not a bimodule", object=x)
+        if m.at(x).side != side:
+            rep.add(code, f"module at object is not {wrong}", object=x)
             continue
         sub = validate_module(m.at(x))
         if not sub.ok:
-            rep.add("bimodule", "invalid bimodule at object", object=x,
+            rep.add(code, f"invalid {invalid} at object", object=x,
                     first=sub.violations[0].code)
     if not rep.ok:
         return rep
     for f, (x, y) in cat.mor.items():
         mf = m.maps.get(f)
         if mf is None or mf.shape != (m.at(y).dim, m.at(x).dim):
-            rep.add("bimodule", "module map missing or mis-shaped", f=f)
+            rep.add(code, "module map missing or mis-shaped", f=f)
     if not rep.ok:
         return rep
-    _module_functoriality(rep, m)
+    for x in cat.objects:
+        if not k.equal(m.on(cat.identity[x]), k.eye(m.at(x).dim)):
+            rep.add("functor", "module map at identity is not the identity", object=x)
+    for (f, g), h in cat.compose.items():
+        if not k.equal(m.on(h), k.matmul(m.on(g), m.on(f))):
+            rep.add("functor", "M(fg) != M(g) . M(f)", f=f, g=g)
+    left_law = f"{sym}(f)(r.m) != A(f)(r).{sym}(f)(m)"
+    right_law = f"{sym}(f)(m.s) != {sym}(f)(m).A(f)(s)"
     for f, (x, y) in cat.mor.items():
         af = m.precosheaf.on(f).matrix
         mf = m.on(f)
         mx, my = m.at(x), m.at(y)
+        laws = [(mx.left_action, my.left_of, "r", left_law)] if side == "bi" else []
+        laws.append((mx.right_action, my.right_of, "s", right_law))
         for i in range(m.precosheaf.at(x).dim):
-            lhs = k.matmul(mf, mx.left_action[i])
-            rhs = k.matmul(my.left_of(af[:, i]), mf)
-            if not k.equal(lhs, rhs):
-                bad = next(j for j in range(mx.dim) if not k.equal(lhs[:, j], rhs[:, j]))
-                rep.add("compatibility", "M(f)(r.m) != A(f)(r).M(f)(m)",
-                        f=f, r=i, m=bad)
-            lhs = k.matmul(mf, mx.right_action[i])
-            rhs = k.matmul(my.right_of(af[:, i]), mf)
-            if not k.equal(lhs, rhs):
-                bad = next(j for j in range(mx.dim) if not k.equal(lhs[:, j], rhs[:, j]))
-                rep.add("compatibility", "M(f)(m.s) != M(f)(m).A(f)(s)",
-                        f=f, s=i, m=bad)
+            for action, image_of, key, msg in laws:
+                lhs = k.matmul(mf, action[i])
+                rhs = k.matmul(image_of(af[:, i]), mf)
+                if not k.equal(lhs, rhs):
+                    bad = next(j for j in range(mx.dim) if not k.equal(lhs[:, j], rhs[:, j]))
+                    rep.add("compatibility", msg, f=f, **{key: i}, m=bad)
     return rep
 
 
-def validate_right_module(n: PrecosheafRightModule) -> Report:
-    rep = validate_precosheaf(n.precosheaf)
-    if not rep.ok:
-        return rep
-    cat = n.base
-    k = n.precosheaf.field
-    for x in cat.objects:
-        if x not in n.modules:
-            rep.add("right-module", "no module at object", object=x)
-            continue
-        if n.at(x).side != "right":
-            rep.add("right-module", "module at object is not right-sided", object=x)
-            continue
-        sub = validate_module(n.at(x))
-        if not sub.ok:
-            rep.add("right-module", "invalid module at object", object=x,
-                    first=sub.violations[0].code)
-    if not rep.ok:
-        return rep
-    for f, (x, y) in cat.mor.items():
-        nf = n.maps.get(f)
-        if nf is None or nf.shape != (n.at(y).dim, n.at(x).dim):
-            rep.add("right-module", "module map missing or mis-shaped", f=f)
-    if not rep.ok:
-        return rep
-    _module_functoriality(rep, n)
-    for f, (x, y) in cat.mor.items():
-        af = n.precosheaf.on(f).matrix
-        nf = n.on(f)
-        nx, ny = n.at(x), n.at(y)
-        for i in range(n.precosheaf.at(x).dim):
-            lhs = k.matmul(nf, nx.right_action[i])
-            rhs = k.matmul(ny.right_of(af[:, i]), nf)
-            if not k.equal(lhs, rhs):
-                bad = next(j for j in range(nx.dim) if not k.equal(lhs[:, j], rhs[:, j]))
-                rep.add("compatibility", "N(f)(m.s) != N(f)(m).A(f)(s)",
-                        f=f, s=i, m=bad)
-    return rep
+def validate_bimodule(m: PrecosheafModule) -> Report:
+    return _validate_system(m, "bi")
 
 
-def forget_left_action(m: PrecosheafBimodule) -> PrecosheafRightModule:
+def validate_right_module(n: PrecosheafModule) -> Report:
+    return _validate_system(n, "right")
+
+
+def forget_left_action(m: PrecosheafModule) -> PrecosheafModule:
     mods = {x: AlgModule(mod.algebra, mod.dim, "right",
                          right_action=[np.array(r, copy=True) for r in mod.right_action])
             for x, mod in m.modules.items()}
-    return PrecosheafRightModule(m.precosheaf, mods, dict(m.maps),
-                                 name=f"{m.name}-as-right" if m.name else "")
+    return PrecosheafModule(m.precosheaf, mods, dict(m.maps),
+                            name=f"{m.name}-as-right" if m.name else "")
 
 
-def underlying_group_category(n: PrecosheafRightModule, x) -> FinCategory:
+def underlying_group_category(n: PrecosheafModule, x) -> FinCategory:
     """One-object groupoid of the additive group of N(x); prime field only."""
     k = n.precosheaf.field
     if not k.is_prime_field:
@@ -256,27 +208,18 @@ def underlying_group_category(n: PrecosheafRightModule, x) -> FinCategory:
     return FinCategory((x,), mor, {x: (x, zero)}, compose, name=f"N({x})")
 
 
-def disjoint_fiber_category(n: PrecosheafRightModule) -> FinCategory:
+def disjoint_fiber_category(n: PrecosheafModule) -> FinCategory:
     """Disjoint union of the one-object groupoids N(x), one per object of C.
 
     Objects are those of the base category; hom(x, x) = elements of N(x),
     no morphisms between distinct objects.
     """
-    k = n.precosheaf.field
-    if not k.is_prime_field:
+    if not n.precosheaf.field.is_prime_field:
         raise ValueError("fiber category needs a finite carrier (prime field)")
-    base = n.base
-    p = k.characteristic
-    mor = {}
-    identity = {}
-    compose = {}
-    for x in base.objects:
-        elems = k.vectors(n.at(x).dim)
-        for e in elems:
-            mor[(x, e)] = (x, x)
-        identity[x] = (x, tuple(0 for _ in range(n.at(x).dim)))
-        for e in elems:
-            for g in elems:
-                s = tuple((a + b) % p for a, b in zip(e, g))
-                compose[((x, e), (x, g))] = (x, s)
-    return FinCategory(tuple(base.objects), mor, identity, compose, name="N_disjoint")
+    mor, identity, compose = {}, {}, {}
+    for x in n.base.objects:
+        fiber = underlying_group_category(n, x)
+        mor.update(fiber.mor)
+        identity.update(fiber.identity)
+        compose.update(fiber.compose)
+    return FinCategory(tuple(n.base.objects), mor, identity, compose, name="N_disjoint")

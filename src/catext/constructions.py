@@ -28,7 +28,7 @@ from functools import cache
 
 import numpy as np
 
-from .coeffsys import AlgebraPrecosheaf, PrecosheafBimodule, PrecosheafRightModule
+from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .fdalgebra import FDAlgebra
 from .fincat import FinCategory
 
@@ -68,7 +68,7 @@ def skew_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FDAlgebra:
 
 
 def extension_algebra(c: FinCategory, a: AlgebraPrecosheaf,
-                      m: PrecosheafBimodule) -> FDAlgebra:
+                      m: PrecosheafModule) -> FDAlgebra:
     """Extension category algebra: per morphism f an A(cod f)-block and an
     M(cod f)-block; the product extends
 
@@ -206,7 +206,7 @@ def _gr_module(c: FinCategory, a: AlgebraPrecosheaf, m, law, name: str) -> FinCa
 
 
 def gr_bimodule(c: FinCategory, a: AlgebraPrecosheaf,
-                m: PrecosheafBimodule) -> FinCategory:
+                m: PrecosheafModule) -> FinCategory:
     """Morphisms (r, m, f); composition
     (r,m,f) o (s,n,g) = (s A(g)(r), s.M(g)(m) + n.A(g)(r), fg).
 
@@ -232,7 +232,7 @@ def gr_bimodule(c: FinCategory, a: AlgebraPrecosheaf,
 
 
 def gr_right_module(c: FinCategory, a: AlgebraPrecosheaf,
-                    n: PrecosheafRightModule) -> FinCategory:
+                    n: PrecosheafModule) -> FinCategory:
     """Morphisms (r, m, f); composition
     (r,m,f) o (s,n,g) = (A(g)(r)s, n + N(g)(m).s, fg).
 
@@ -282,7 +282,7 @@ def _embed_triple(alg: FDAlgebra, index: dict, r, mm, f) -> np.ndarray:
 
 
 def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
-                              m: PrecosheafBimodule,
+                              m: PrecosheafModule,
                               gr: FinCategory | None = None,
                               ext: FDAlgebra | None = None) -> CheckVerdict:
     """Transport every composable pair of Gr(A, M) into the extension algebra.
@@ -315,7 +315,7 @@ def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
 
 
 def check_degeneration(kind: str, c: FinCategory, a: AlgebraPrecosheaf,
-                       m: PrecosheafBimodule) -> CheckVerdict:
+                       m: PrecosheafModule) -> CheckVerdict:
     """Structure-constant equality in the two degenerate situations.
 
     kind="trivial-ext": C must be the one-object, one-morphism category; the

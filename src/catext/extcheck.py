@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .coeffsys import AlgebraPrecosheaf, PrecosheafRightModule, disjoint_fiber_category
+from .coeffsys import AlgebraPrecosheaf, PrecosheafModule, disjoint_fiber_category
 from .constructions import gr_algebra, gr_right_module
 from .fincat import CatFunctor, FinCategory, validate_category, validate_functor
 from .validation import Report
@@ -105,7 +105,7 @@ def check_extension(e: CatExtension) -> Report:
     return rep
 
 
-def fiber_extension(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
+def fiber_extension(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
                     _total: FinCategory | None = None,
                     _base: FinCategory | None = None) -> CatExtension:
     """The extension  N_fibers -> Gr(A, N) -> Gr(A).

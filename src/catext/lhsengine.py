@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffsys import AlgebraPrecosheaf, PrecosheafRightModule
+from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .extcheck import CatExtension, fiber_extension
 from .fincat import FinCategory, linearize
 from .homengine import (CatModule, FiniteAbelianGroup, GroupModule, Subquotient,
@@ -67,7 +67,7 @@ class _LhsContext:
     of their bar complexes."""
 
     def __init__(self, c: FinCategory, a: AlgebraPrecosheaf,
-                 n: PrecosheafRightModule, f: CatModule, qmax: int,
+                 n: PrecosheafModule, f: CatModule, qmax: int,
                  _ext: CatExtension | None = None):
         self.c, self.a, self.n = c, a, n
         self.f = f
@@ -148,7 +148,7 @@ class _LhsContext:
         return HLocalSystem(q, CatModule(gr_a, self.k, dims, mats, name=f"H^{q}(fibers)"))
 
 
-def fiber_restriction(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
+def fiber_restriction(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
                       f: CatModule, x, _ext: CatExtension | None = None):
     """Additive group of N(x) together with F(x) acted on through iota."""
     ext = _ext if _ext is not None else fiber_extension(c, a, n)
@@ -162,13 +162,13 @@ def fiber_restriction(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightMo
     return grp, GroupModule(f.field, f.dims[x], action)
 
 
-def h_local_system(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
+def h_local_system(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
                    f: CatModule, q: int) -> HLocalSystem:
     ctx = _LhsContext(c, a, n, f, qmax=q)
     return ctx.local_system(q)
 
 
-def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
+def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
             g: CatModule, f: CatModule, cap_p: int, cap_q: int,
             _ext: CatExtension | None = None) -> dict:
     """E2[(p, q)] = dim Ext^p over Gr(A) of g against the fiber H^q system."""
@@ -187,7 +187,7 @@ def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
     return table
 
 
-def abutment(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
+def abutment(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
              g: CatModule, f: CatModule, cap_n: int,
              _ext: CatExtension | None = None) -> list:
     """dim Ext^m over Gr(A, N) of the pullback of g against f, m <= cap_n."""
@@ -196,7 +196,7 @@ def abutment(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
     return [int(v) for v in cat_ext_dims(ext.total, res_g, f, cap_n)]
 
 
-def lhs_report(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafRightModule,
+def lhs_report(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
                g: CatModule, f: CatModule, caps: tuple = (2, 2, 2),
                _ext: CatExtension | None = None) -> SpectralReport:
     """Compare E2 diagonals against the abutment, degree by degree.

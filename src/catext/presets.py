@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeffsys import AlgebraPrecosheaf, PrecosheafBimodule, PrecosheafRightModule
+from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .exactlin import FieldSpec
 from .fdalgebra import (AlgHom, AlgModule, FDAlgebra, field_algebra, group_algebra,
                         regular_bimodule)
@@ -115,23 +115,23 @@ def a2_augmentation_precosheaf(k: FieldSpec) -> AlgebraPrecosheaf:
 
 # -- bimodule / right-module systems ------------------------------------------
 
-def regular_bimodule_system(pre: AlgebraPrecosheaf) -> PrecosheafBimodule:
+def regular_bimodule_system(pre: AlgebraPrecosheaf) -> PrecosheafModule:
     mods = {x: regular_bimodule(pre.at(x)) for x in pre.base.objects}
     maps = {f: np.array(pre.on(f).matrix, copy=True) for f in pre.base.mor}
-    return PrecosheafBimodule(pre, mods, maps, name="regular")
+    return PrecosheafModule(pre, mods, maps, name="regular")
 
 
-def zero_bimodule_system(pre: AlgebraPrecosheaf) -> PrecosheafBimodule:
+def zero_bimodule_system(pre: AlgebraPrecosheaf) -> PrecosheafModule:
     k = pre.field
     mods = {x: AlgModule(pre.at(x), 0, "bi",
                          right_action=[k.zeros(0, 0)] * pre.at(x).dim,
                          left_action=[k.zeros(0, 0)] * pre.at(x).dim)
             for x in pre.base.objects}
     maps = {f: k.zeros(0, 0) for f in pre.base.mor}
-    return PrecosheafBimodule(pre, mods, maps, name="zero")
+    return PrecosheafModule(pre, mods, maps, name="zero")
 
 
-def regular_right_module_system(pre: AlgebraPrecosheaf) -> PrecosheafRightModule:
+def regular_right_module_system(pre: AlgebraPrecosheaf) -> PrecosheafModule:
     mods = {}
     for x in pre.base.objects:
         a = pre.at(x)
@@ -139,19 +139,19 @@ def regular_right_module_system(pre: AlgebraPrecosheaf) -> PrecosheafRightModule
                             right_action=[a.right_mult_matrix(a.basis_vector(i))
                                           for i in range(a.dim)])
     maps = {f: np.array(pre.on(f).matrix, copy=True) for f in pre.base.mor}
-    return PrecosheafRightModule(pre, mods, maps, name="regular")
+    return PrecosheafModule(pre, mods, maps, name="regular")
 
 
-def zero_right_module_system(pre: AlgebraPrecosheaf) -> PrecosheafRightModule:
+def zero_right_module_system(pre: AlgebraPrecosheaf) -> PrecosheafModule:
     k = pre.field
     mods = {x: AlgModule(pre.at(x), 0, "right",
                          right_action=[k.zeros(0, 0)] * pre.at(x).dim)
             for x in pre.base.objects}
     maps = {f: k.zeros(0, 0) for f in pre.base.mor}
-    return PrecosheafRightModule(pre, mods, maps, name="zero")
+    return PrecosheafModule(pre, mods, maps, name="zero")
 
 
-def projection_bimodule_system(k: FieldSpec) -> PrecosheafBimodule:
+def projection_bimodule_system(k: FieldSpec) -> PrecosheafModule:
     """Trivial category, algebra k x k, carrier k.
 
     Left action through the first coordinate, right action through the
@@ -164,10 +164,10 @@ def projection_bimodule_system(k: FieldSpec) -> PrecosheafBimodule:
                     left_action=[k.array([[1]]), k.array([[0]])],
                     right_action=[k.array([[0]]), k.array([[1]])])
     maps = {f: k.eye(1) for f in cat.mor}
-    return PrecosheafBimodule(pre, {"*": mod}, maps, name="projection")
+    return PrecosheafModule(pre, {"*": mod}, maps, name="projection")
 
 
-def corrupt_bimodule(m: PrecosheafBimodule) -> PrecosheafBimodule:
+def corrupt_bimodule(m: PrecosheafModule) -> PrecosheafModule:
     """Flip one left-action entry at the first object; breaks compatibility."""
     k = m.precosheaf.field
     x = m.base.objects[0]
@@ -180,4 +180,4 @@ def corrupt_bimodule(m: PrecosheafBimodule) -> PrecosheafBimodule:
     mods[x] = AlgModule(old.algebra, old.dim, "bi",
                         right_action=[np.array(a, copy=True) for a in old.right_action],
                         left_action=left)
-    return PrecosheafBimodule(m.precosheaf, mods, dict(m.maps), name=f"{m.name}-corrupt")
+    return PrecosheafModule(m.precosheaf, mods, dict(m.maps), name=f"{m.name}-corrupt")

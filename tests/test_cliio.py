@@ -245,6 +245,48 @@ def test_cli_caps_flags():
     assert len(doc["report"]["verdicts"]) == 2
 
 
+@pytest.mark.parametrize("cap", ["p", "q", "n"])
+def test_negative_cap_flags_exit_two(capsys, cap):
+    code = cli.main(["lhs-report", str(PROBLEMS / "one_object_lhs.yaml"),
+                     f"--cap-{cap}", "-1", "--format", "structured"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out)["input_errors"] == [
+        f"task.caps.{cap}: need an integer >= 0, got -1"]
+    assert "Traceback" not in out.err
+
+
+def test_table_output_shows_spot_checks(capsys):
+    problem = str(PROBLEMS / "a2_skew.yaml")
+    assert cli.main(["validate", problem, "--seed", "3"]) == 0
+    assert capsys.readouterr().out == ("command: validate\nvalidation: ok\n"
+                                       "spot checks: seed 3, 25 rounds, 0 failures\n")
+    assert cli.main(["validate", problem]) == 0
+    assert capsys.readouterr().out == "command: validate\nvalidation: ok\n"
+
+
+# -- the command table --------------------------------------------------------------
+
+ALGEBRA_ONLY = MINIMAL.replace("task:", "algebra:\n  constant: {preset: field}\ntask:")
+
+
+@pytest.mark.parametrize("text,command,message", [
+    (MINIMAL, "build-algebra", "build-algebra: needs an algebra block"),
+    (MINIMAL, "check-theorem-a", "check-theorem-a: needs algebra and bimodule blocks"),
+    (ALGEBRA_ONLY, "check-theorem-a", "check-theorem-a: needs algebra and bimodule blocks"),
+    (MINIMAL, "check-extension", "check-extension: needs algebra and right_module blocks"),
+    (ALGEBRA_ONLY, "check-extension",
+     "check-extension: needs algebra and right_module blocks"),
+    (MINIMAL, "lhs-report", "lhs-report: needs algebra and right_module blocks"),
+    (ALGEBRA_ONLY, "lhs-report", "lhs-report: needs algebra and right_module blocks"),
+    (MINIMAL, "prove", "task.command: unhandled command 'prove'"),
+])
+def test_missing_blocks_are_named(text, command, message):
+    doc, code = run(parse(text), command=command)
+    assert code == 2
+    assert doc["input_errors"] == [message]
+
+
 # -- one problem context --------------------------------------------------------
 
 @pytest.fixture

@@ -1,15 +1,16 @@
 import pytest
 
-from catext.coeffsys import (disjoint_fiber_category, forget_left_action,
+from catext.coeffsys import (PrecosheafModule, disjoint_fiber_category, forget_left_action,
                              underlying_group_category, validate_bimodule,
                              validate_precosheaf, validate_right_module)
-from catext.fdalgebra import AlgHom, field_algebra, group_algebra
-from catext.fincat import validate_category
+from catext.fdalgebra import AlgHom, AlgModule, field_algebra, group_algebra
+from catext.fincat import FinCategory, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
                             corrupt_bimodule, cyclic_monoid, field_product, one_object_group,
                             poset_a2, precosheaf_from, projection_bimodule_system,
                             regular_bimodule_system, regular_right_module_system,
                             trivial_category, zero_bimodule_system, zero_right_module_system)
+from catext.validation import Report
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), cyclic_monoid(3, 1)]
 
@@ -162,3 +163,223 @@ def test_group_categories_are_groupoids(cat):
     for x in cat.objects:
         sub = underlying_group_category(n, x)
         assert validate_category(sub).ok
+
+
+# -- the merged module-system validator against the two it replaced ---------------
+
+def _reference_functoriality(rep, sys_):
+    cat = sys_.base
+    k = sys_.precosheaf.field
+    for x in cat.objects:
+        if not k.equal(sys_.on(cat.identity[x]), k.eye(sys_.at(x).dim)):
+            rep.add("functor", "module map at identity is not the identity", object=x)
+    for (f, g), h in cat.compose.items():
+        if not k.equal(sys_.on(h), k.matmul(sys_.on(g), sys_.on(f))):
+            rep.add("functor", "M(fg) != M(g) . M(f)", f=f, g=g)
+
+
+def reference_validate_bimodule(m) -> Report:
+    """The bimodule validator as written before the two system types merged:
+    the oracle for `validate_bimodule`."""
+    from catext.fdalgebra import validate_module
+    rep = validate_precosheaf(m.precosheaf)
+    if not rep.ok:
+        return rep
+    cat = m.base
+    k = m.precosheaf.field
+    for x in cat.objects:
+        if x not in m.modules:
+            rep.add("bimodule", "no module at object", object=x)
+            continue
+        if m.at(x).side != "bi":
+            rep.add("bimodule", "module at object is not a bimodule", object=x)
+            continue
+        sub = validate_module(m.at(x))
+        if not sub.ok:
+            rep.add("bimodule", "invalid bimodule at object", object=x,
+                    first=sub.violations[0].code)
+    if not rep.ok:
+        return rep
+    for f, (x, y) in cat.mor.items():
+        mf = m.maps.get(f)
+        if mf is None or mf.shape != (m.at(y).dim, m.at(x).dim):
+            rep.add("bimodule", "module map missing or mis-shaped", f=f)
+    if not rep.ok:
+        return rep
+    _reference_functoriality(rep, m)
+    for f, (x, y) in cat.mor.items():
+        af = m.precosheaf.on(f).matrix
+        mf = m.on(f)
+        mx, my = m.at(x), m.at(y)
+        for i in range(m.precosheaf.at(x).dim):
+            lhs = k.matmul(mf, mx.left_action[i])
+            rhs = k.matmul(my.left_of(af[:, i]), mf)
+            if not k.equal(lhs, rhs):
+                bad = next(j for j in range(mx.dim) if not k.equal(lhs[:, j], rhs[:, j]))
+                rep.add("compatibility", "M(f)(r.m) != A(f)(r).M(f)(m)",
+                        f=f, r=i, m=bad)
+            lhs = k.matmul(mf, mx.right_action[i])
+            rhs = k.matmul(my.right_of(af[:, i]), mf)
+            if not k.equal(lhs, rhs):
+                bad = next(j for j in range(mx.dim) if not k.equal(lhs[:, j], rhs[:, j]))
+                rep.add("compatibility", "M(f)(m.s) != M(f)(m).A(f)(s)",
+                        f=f, s=i, m=bad)
+    return rep
+
+
+def reference_validate_right_module(n) -> Report:
+    """The right-module validator as written before the merge: the oracle
+    for `validate_right_module`."""
+    from catext.fdalgebra import validate_module
+    rep = validate_precosheaf(n.precosheaf)
+    if not rep.ok:
+        return rep
+    cat = n.base
+    k = n.precosheaf.field
+    for x in cat.objects:
+        if x not in n.modules:
+            rep.add("right-module", "no module at object", object=x)
+            continue
+        if n.at(x).side != "right":
+            rep.add("right-module", "module at object is not right-sided", object=x)
+            continue
+        sub = validate_module(n.at(x))
+        if not sub.ok:
+            rep.add("right-module", "invalid module at object", object=x,
+                    first=sub.violations[0].code)
+    if not rep.ok:
+        return rep
+    for f, (x, y) in cat.mor.items():
+        nf = n.maps.get(f)
+        if nf is None or nf.shape != (n.at(y).dim, n.at(x).dim):
+            rep.add("right-module", "module map missing or mis-shaped", f=f)
+    if not rep.ok:
+        return rep
+    _reference_functoriality(rep, n)
+    for f, (x, y) in cat.mor.items():
+        af = n.precosheaf.on(f).matrix
+        nf = n.on(f)
+        nx, ny = n.at(x), n.at(y)
+        for i in range(n.precosheaf.at(x).dim):
+            lhs = k.matmul(nf, nx.right_action[i])
+            rhs = k.matmul(ny.right_of(af[:, i]), nf)
+            if not k.equal(lhs, rhs):
+                bad = next(j for j in range(nx.dim) if not k.equal(lhs[:, j], rhs[:, j]))
+                rep.add("compatibility", "N(f)(m.s) != N(f)(m).A(f)(s)",
+                        f=f, s=i, m=bad)
+    return rep
+
+
+def _edited(sys_, modules=None, maps=None):
+    """A copy of a module system with some modules or maps replaced; a value
+    of None deletes the entry."""
+    mods, mats = dict(sys_.modules), dict(sys_.maps)
+    for table, edits in ((mods, modules or {}), (mats, maps or {})):
+        for key, val in edits.items():
+            if val is None:
+                del table[key]
+            else:
+                table[key] = val
+    return PrecosheafModule(sys_.precosheaf, mods, mats, name=f"{sys_.name}-edited")
+
+
+def _systems():
+    kz2 = group_algebra([2], F2)
+    out = []
+    for cat in CATS:
+        pre = constant_precosheaf(cat, kz2)
+        out += [(f"regular-bi-{cat.name}", regular_bimodule_system(pre)),
+                (f"regular-right-{cat.name}", regular_right_module_system(pre)),
+                (f"zero-bi-{cat.name}", zero_bimodule_system(pre)),
+                (f"zero-right-{cat.name}", zero_right_module_system(pre))]
+    aug = a2_augmentation_precosheaf(F2)
+    regular_aug = regular_bimodule_system(aug)
+    out += [("projection-F2", projection_bimodule_system(F2)),
+            ("projection-Q", projection_bimodule_system(QQ)),
+            ("corrupt", corrupt_bimodule(regular_aug)),
+            ("forget-left", forget_left_action(regular_aug)),
+            ("forget-left-corrupt", forget_left_action(corrupt_bimodule(regular_aug)))]
+    right_aug = regular_right_module_system(aug)
+    x0 = right_aug.at("0")
+    bad_action = AlgModule(x0.algebra, x0.dim, "right",
+                           right_action=[x0.right_action[0], F2.array([[0, 1], [1, 1]])])
+    out += [("wrong-side-bi", _edited(regular_aug, modules={"1": right_aug.at("1")})),
+            ("wrong-side-right", _edited(right_aug, modules={"0": regular_aug.at("0")})),
+            ("invalid-right", _edited(right_aug, modules={"0": bad_action})),
+            ("missing-module", _edited(regular_aug, modules={"0": None})),
+            ("missing-map", _edited(right_aug, maps={"a": None})),
+            ("mis-shaped-map", _edited(regular_aug, maps={"a": F2.zeros(2, 2)})),
+            ("broken-identity", _edited(right_aug, maps={"i0": F2.zeros(2, 2)}))]
+    # on B(Z/2) with k[Z/2] constant: t1 -> [[0,1],[1,1]] has order three, so
+    # M(t1 t1) != M(t1)^2; t1 -> [[1,1],[0,1]] is an involution that commutes
+    # with neither action of the non-identity basis element
+    group = constant_precosheaf(one_object_group(2), kz2)
+    bi, right = regular_bimodule_system(group), regular_right_module_system(group)
+    order_three, shear = F2.array([[0, 1], [1, 1]]), F2.array([[1, 1], [0, 1]])
+    out += [("broken-composite-bi", _edited(bi, maps={"t1": order_three})),
+            ("broken-composite-right", _edited(right, maps={"t1": order_three})),
+            ("broken-compatibility-bi", _edited(bi, maps={"t1": shear})),
+            ("broken-compatibility-right", _edited(right, maps={"t1": shear}))]
+    return out
+
+
+SYSTEMS = _systems()
+
+
+@pytest.mark.parametrize("sys_", [s for _, s in SYSTEMS], ids=[n for n, _ in SYSTEMS])
+def test_module_system_validators_match_references(sys_):
+    assert validate_bimodule(sys_).as_dict() == reference_validate_bimodule(sys_).as_dict()
+    assert validate_right_module(sys_).as_dict() \
+        == reference_validate_right_module(sys_).as_dict()
+
+
+def test_reference_systems_reach_every_check():
+    """Each kind of violation the validators report occurs among SYSTEMS, so
+    the comparison above covers every branch, left and right laws included."""
+    seen = set()
+    for _, sys_ in SYSTEMS:
+        for rep in (validate_bimodule(sys_), validate_right_module(sys_)):
+            seen |= {(v.code, v.message, tuple(v.witness)) for v in rep.violations}
+    for code, message, witness in [
+            ("bimodule", "no module at object", ("object",)),
+            ("bimodule", "module at object is not a bimodule", ("object",)),
+            ("bimodule", "invalid bimodule at object", ("object", "first")),
+            ("bimodule", "module map missing or mis-shaped", ("f",)),
+            ("right-module", "module at object is not right-sided", ("object",)),
+            ("right-module", "invalid module at object", ("object", "first")),
+            ("right-module", "module map missing or mis-shaped", ("f",)),
+            ("functor", "module map at identity is not the identity", ("object",)),
+            ("functor", "M(fg) != M(g) . M(f)", ("f", "g")),
+            ("compatibility", "M(f)(r.m) != A(f)(r).M(f)(m)", ("f", "r", "m")),
+            ("compatibility", "M(f)(m.s) != M(f)(m).A(f)(s)", ("f", "s", "m")),
+            ("compatibility", "N(f)(m.s) != N(f)(m).A(f)(s)", ("f", "s", "m"))]:
+        assert (code, message, witness) in seen
+
+
+def reference_disjoint_fiber_category(n) -> FinCategory:
+    """The fiber enumerator as written before it was built from
+    `underlying_group_category`: the oracle for its table order."""
+    k = n.precosheaf.field
+    p = k.characteristic
+    mor, identity, compose = {}, {}, {}
+    for x in n.base.objects:
+        elems = k.vectors(n.at(x).dim)
+        for e in elems:
+            mor[(x, e)] = (x, x)
+        identity[x] = (x, tuple(0 for _ in range(n.at(x).dim)))
+        for e in elems:
+            for g in elems:
+                compose[((x, e), (x, g))] = (x, tuple((a + b) % p for a, b in zip(e, g)))
+    return FinCategory(tuple(n.base.objects), mor, identity, compose, name="N_disjoint")
+
+
+@pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
+def test_disjoint_fiber_tables_keep_their_order(cat):
+    for pre in (constant_precosheaf(cat, group_algebra([2], F2)),
+                constant_precosheaf(cat, field_product(F3, 2))):
+        n = regular_right_module_system(pre)
+        got, want = disjoint_fiber_category(n), reference_disjoint_fiber_category(n)
+        assert got.objects == want.objects and got.name == want.name
+        assert list(got.mor.items()) == list(want.mor.items())
+        assert list(got.identity.items()) == list(want.identity.items())
+        assert list(got.compose.items()) == list(want.compose.items())
