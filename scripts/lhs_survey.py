@@ -8,14 +8,19 @@ verdicts.  A "violation" anywhere is an implementation bug by construction.
 Usage: python scripts/lhs_survey.py [--cap N]
 """
 import argparse
+import sys
 import time
+from pathlib import Path
 
-from catext.exactlin import FieldSpec
-from catext.extcheck import check_extension, fiber_extension
-from catext.fdalgebra import field_algebra, group_algebra
-from catext.homengine import constant_module, representable_module
-from catext.lhsengine import lhs_report
-from catext.presets import (constant_precosheaf, one_object_group, poset_a2,
+# import the catext of this checkout, not whichever one is installed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from catext.exactlin import FieldSpec  # noqa: E402
+from catext.extcheck import check_extension, fiber_extension  # noqa: E402
+from catext.fdalgebra import field_algebra, group_algebra  # noqa: E402
+from catext.homengine import constant_module, representable_module  # noqa: E402
+from catext.lhsengine import lhs_report  # noqa: E402
+from catext.presets import (constant_precosheaf, one_object_group, poset_a2,  # noqa: E402
                             regular_right_module_system, trivial_category,
                             zero_right_module_system)
 

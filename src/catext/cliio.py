@@ -12,6 +12,7 @@ Reports are emitted as deterministic JSON (structured) or aligned text
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field as dfield
 
 import yaml
@@ -103,10 +104,8 @@ def _mapping(errors, path, value) -> dict:
     return value if isinstance(value, dict) else {}
 
 
-def _norm_field(errors, path, block, default=None):
+def _norm_field(errors, path, block):
     if block is None:
-        if default is not None:
-            return dict(default)
         _err(errors, path, "missing field block")
         return None
     if not isinstance(block, dict):
@@ -117,6 +116,11 @@ def _norm_field(errors, path, block, default=None):
         p = block.get("characteristic")
         if not isinstance(p, int) or p < 2:
             _err(errors, path + ".characteristic", "need a prime integer >= 2")
+            return None
+        try:
+            FieldSpec.prime(p)
+        except ValueError as exc:
+            _err(errors, path + ".characteristic", str(exc))
             return None
         return {"kind": "prime-field", "characteristic": p}
     if kind == "rationals":
@@ -579,6 +583,32 @@ def _validate_all(built: Built) -> Report:
     return rep
 
 
+def _spot_checks(built: Built, seed: int, rounds: int = 25) -> dict:
+    """Randomized element-level law checks, complementing the exhaustive
+    basis-level validators: associativity and unit of the algebra at a random
+    object, on random elements.  Module actions are not spot-checked."""
+    rng = random.Random(seed)
+    if built.precosheaf is None:
+        return {"seed": seed, "rounds": 0, "failures": 0}
+    k = built.field
+
+    def rand_vec(dim):
+        if k.is_prime_field:
+            return k.array([rng.randrange(k.characteristic) for _ in range(dim)])
+        return k.array([rng.randint(-9, 9) for _ in range(dim)])
+
+    failures = 0
+    for _ in range(rounds):
+        x = rng.choice(built.category.objects)
+        alg = built.precosheaf.at(x)
+        u, v, w = (rand_vec(alg.dim) for _ in range(3))
+        if not k.equal(alg.mul(alg.mul(u, v), w), alg.mul(u, alg.mul(v, w))):
+            failures += 1
+        if not k.equal(alg.mul(alg.unit, u), u):
+            failures += 1
+    return {"seed": seed, "rounds": rounds, "failures": failures}
+
+
 def _algebra_payload(alg: FDAlgebra) -> dict:
     entries = []
     k = alg.field
@@ -686,8 +716,9 @@ COMMANDS = tuple(_COMMANDS)
 
 
 def run(spec: ProblemSpec, command: str | None = None,
-        caps: dict | None = None) -> tuple[dict, int]:
-    """Execute the task; returns (report document, exit code)."""
+        caps: dict | None = None, seed: int | None = None) -> tuple[dict, int]:
+    """Execute the task; returns (report document, exit code).  With a seed, a
+    clean `validate` also runs the randomized spot checks on the same build."""
     try:
         built = build(spec)
     except InputError as exc:
@@ -706,6 +737,9 @@ def run(spec: ProblemSpec, command: str | None = None,
         rep = _validate_all(built)
         if cmd == "validate" or not rep.ok:
             fields, ok = {"validation": rep.as_dict()}, rep.ok
+            if cmd == "validate" and ok and seed is not None:
+                fields["spot_checks"] = _spot_checks(built, seed)
+                ok = not fields["spot_checks"]["failures"]
         else:
             if cmd not in _COMMANDS:
                 raise InputError([f"task.command: unhandled command {cmd!r}"])

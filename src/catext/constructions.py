@@ -9,9 +9,12 @@ skew algebra is A(*) and the extension algebra is the square-zero extension
 A(*) |x M(*), not their opposites.
 
 The Grothendieck composition laws read "first argument then second".
-`gr_bimodule` (over a bimodule M) and `gr_right_module` (over a right module
-N) share one enumerator, `_gr_module`, and hand it only their composite law:
+`gr_algebra`, `gr_bimodule` (over a bimodule M) and `gr_right_module` (over a
+right module N) share one enumerator, `_grothendieck`, which owns the
+morphism labels, identities, iteration order and size guards; each hands it
+only its fiber and its composite law:
 
+    Gr(A):     (r,f)   o (s,g)   = (A(g)(r) s,                             fg)
     Gr(A, M):  (r,m,f) o (s,n,g) = (s A(g)(r),  s.M(g)(m) + n.A(g)(r),  fg)
     Gr(A, N):  (r,m,f) o (s,n,g) = (A(g)(r) s,  n + N(g)(m).s,          fg)
 
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -146,6 +151,45 @@ def _guard_table(c: FinCategory, fiber_sizes: dict) -> None:
         raise ValueError(f"composition table with {total} entries exceeds desk scale")
 
 
+def _ints(v: np.ndarray) -> tuple:
+    return tuple(v.tolist())
+
+
+def _sum_mod(p: int):
+    """Sum of two residue tuples mod p, memoized: few distinct pairs occur."""
+    return cache(lambda u, v: tuple((x + y) % p for x, y in zip(u, v)))
+
+
+def _grothendieck(c: FinCategory, a: AlgebraPrecosheaf, systems: tuple, law,
+                  name: str) -> FinCategory:
+    """The one enumerator behind the three Grothendieck constructions.
+
+    The fiber at f is A(cod f) times the carrier at cod f of each module
+    system in `systems` (none for Gr(A), one for Gr(A, M) and Gr(A, N)).
+    Morphisms (*e, f) for e in the fiber: (r, f) or (r, m, f); identities
+    (1, 0, 1_x).  For each composable pair (f, g), `law(g)(*e, *e')` is the
+    fiber element e'' of the composite (*e, f) o (*e', g) = (*e'', fg).  The
+    law is taken once per g, so what it memoizes serves every f before g."""
+    k = a.field
+    _require_finite(k)
+    factors = {f: [a.at(c.cod(f)).elements()]
+               + [k.vectors(s.at(c.cod(f)).dim) for s in systems] for f in c.mor}
+    _guard_table(c, {f: prod(map(len, fs)) for f, fs in factors.items()})
+    fibers = {f: list(product(*fs)) for f, fs in factors.items()}
+    labels = {f: [(*e, f) for e in fibers[f]] for f in c.mor}
+    mor = {u: c.mor[f] for f in c.mor for u in labels[f]}
+    identity = {x: (_ints(a.at(x).unit), *((0,) * s.at(x).dim for s in systems),
+                    c.identity[x]) for x in c.objects}
+    law = cache(law)
+    compose = {}
+    for (f, g), h in c.compose.items():
+        comp = law(g)
+        for e, u in zip(fibers[f], labels[f]):
+            for e2, v in zip(fibers[g], labels[g]):
+                compose[u, v] = (*comp(*e, *e2), h)
+    return FinCategory(tuple(c.objects), mor, identity, compose, name=name)
+
+
 def gr_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FinCategory:
     """Category with morphisms (r, f), r in A(cod f);
     (r,f) o (s,g) = (A(g)(r) s, fg).
@@ -153,56 +197,12 @@ def gr_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FinCategory:
     The first argument's coefficient multiplies from the left, matching
     `gr_right_module` (see the module docstring)."""
     k = a.field
-    _require_finite(k)
-    fibers = {f: a.at(c.cod(f)).elements() for f in c.mor}
-    _guard_table(c, {f: len(v) for f, v in fibers.items()})
-    mor = {}
-    for f in c.mor:
-        d_, c_ = c.mor[f]
-        for r in fibers[f]:
-            mor[(r, f)] = (d_, c_)
-    identity = {x: (tuple(int(v) for v in a.at(x).unit), c.identity[x]) for x in c.objects}
-    compose = {}
-    for (f, g), h in c.compose.items():
-        ag = a.on(g).matrix
-        alg_z = a.at(c.cod(g))
-        for r in fibers[f]:
-            agr = k.matmul(ag, k.array(r))
-            for s in fibers[g]:
-                t = alg_z.mul(agr, k.array(s))
-                compose[((r, f), (s, g))] = (tuple(int(v) for v in t), h)
-    return FinCategory(tuple(c.objects), mor, identity, compose, name="Gr(A)")
 
-
-def _gr_module(c: FinCategory, a: AlgebraPrecosheaf, m, law, name: str) -> FinCategory:
-    """The one enumerator behind `gr_bimodule` and `gr_right_module`.
-
-    Morphisms (r, m, f) with r in A(cod f), m in M(cod f); identities
-    (1, 0, 1_x).  For each composable pair (f, g), `law(g)` gives the
-    composite law: an algebra term t(r, s) and a module term w(r, m, s, n),
-    each a reduced coefficient vector, with (r,m,f) o (s,n,g) = (t, w, fg).
-    The algebra term is taken once per (r, m, s), outside the loop over n;
-    the laws memoize their pieces for the pair."""
-    k = a.field
-    _require_finite(k)
-    fib_a = {f: a.at(c.cod(f)).elements() for f in c.mor}
-    fib_m = {f: k.vectors(m.at(c.cod(f)).dim) for f in c.mor}
-    _guard_table(c, {f: len(fib_a[f]) * len(fib_m[f]) for f in c.mor})
-    mor = {(r, mm, f): c.mor[f] for f in c.mor for r in fib_a[f] for mm in fib_m[f]}
-    identity = {x: (tuple(int(v) for v in a.at(x).unit), (0,) * m.at(x).dim, c.identity[x])
-                for x in c.objects}
-    compose = {}
-    for (f, g), h in c.compose.items():
-        alg_term, mod_term = law(g)
-        has_m = m.at(c.cod(g)).dim > 0
-        for r in fib_a[f]:
-            for mm in fib_m[f]:
-                for s in fib_a[g]:
-                    t = tuple(int(v) for v in alg_term(r, s))
-                    for n in fib_m[g]:
-                        wt = tuple(int(v) for v in mod_term(r, mm, s, n)) if has_m else ()
-                        compose[((r, mm, f), (s, n, g))] = (t, wt, h)
-    return FinCategory(tuple(c.objects), mor, identity, compose, name=name)
+    def law(g):
+        ag, alg_z = a.on(g).matrix, a.at(c.cod(g))
+        agr = cache(lambda r: k.matmul(ag, k.array(r)))
+        return cache(lambda r, s: (_ints(alg_z.mul(agr(r), k.array(s))),))
+    return _grothendieck(c, a, (), law, "Gr(A)")
 
 
 def gr_bimodule(c: FinCategory, a: AlgebraPrecosheaf,
@@ -216,19 +216,20 @@ def gr_bimodule(c: FinCategory, a: AlgebraPrecosheaf,
     M = 0 this agrees with `gr_algebra` only when the fiber algebras are
     commutative."""
     k = a.field
+    add = _sum_mod(k.p)
 
     def law(g):
         ag, mg = a.on(g).matrix, m.on(g)
         alg_z, mod_z = a.at(c.cod(g)), m.at(c.cod(g))
         agr = cache(lambda r: k.matmul(ag, k.array(r)))
+        t = cache(lambda r, s: _ints(alg_z.mul(k.array(s), agr(r))))
         right_agr = cache(lambda r: mod_z.right_of(agr(r)))
         left_s = cache(lambda s: mod_z.left_of(k.array(s)))
         mgm = cache(lambda mm: k.matmul(mg, k.array(mm)))
-        s_mgm = cache(lambda mm, s: k.matmul(left_s(s), mgm(mm)))  # s.M(g)(m)
-        n_agr = cache(lambda r, n: k.matmul(right_agr(r), k.array(n)))  # n.A(g)(r)
-        return (lambda r, s: alg_z.mul(k.array(s), agr(r)),
-                lambda r, mm, s, n: k.reduce(s_mgm(mm, s) + n_agr(r, n)))
-    return _gr_module(c, a, m, law, "Gr(A,M)")
+        s_mgm = cache(lambda mm, s: _ints(k.matmul(left_s(s), mgm(mm))))  # s.M(g)(m)
+        n_agr = cache(lambda r, n: _ints(k.matmul(right_agr(r), k.array(n))))  # n.A(g)(r)
+        return lambda r, mm, s, n: (t(r, s), add(s_mgm(mm, s), n_agr(r, n)))
+    return _grothendieck(c, a, (m,), law, "Gr(A,M)")
 
 
 def gr_right_module(c: FinCategory, a: AlgebraPrecosheaf,
@@ -240,17 +241,18 @@ def gr_right_module(c: FinCategory, a: AlgebraPrecosheaf,
     coefficient s only from the right; associativity then forces the algebra
     term A(g)(r)s of `gr_algebra`, not the s A(g)(r) of `gr_bimodule`."""
     k = a.field
+    add = _sum_mod(k.p)
 
     def law(g):
         ag, ng = a.on(g).matrix, n.on(g)
         alg_z, mod_z = a.at(c.cod(g)), n.at(c.cod(g))
         agr = cache(lambda r: k.matmul(ag, k.array(r)))
+        t = cache(lambda r, s: _ints(alg_z.mul(agr(r), k.array(s))))
         right_s = cache(lambda s: mod_z.right_of(k.array(s)))
         ngm = cache(lambda mm: k.matmul(ng, k.array(mm)))
-        ngm_s = cache(lambda mm, s: k.matmul(right_s(s), ngm(mm)))  # N(g)(m).s
-        return (lambda r, s: alg_z.mul(agr(r), k.array(s)),
-                lambda r, mm, s, nn: k.reduce(k.array(nn) + ngm_s(mm, s)))
-    return _gr_module(c, a, n, law, "Gr(A,N)")
+        ngm_s = cache(lambda mm, s: _ints(k.matmul(right_s(s), ngm(mm))))  # N(g)(m).s
+        return lambda r, mm, s, nn: (t(r, s), add(nn, ngm_s(mm, s)))
+    return _grothendieck(c, a, (n,), law, "Gr(A,N)")
 
 
 # -- verdicts -------------------------------------------------------------------

@@ -331,14 +331,8 @@ def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
             for s in range(r_src):
                 mat[t * nf:(t + 1) * nf, s * nf:(s + 1) * nf] = f.right_of(coords[s])
         diffs.append(mat)
-    out = []
-    prev_rank = 0
-    for i in range(max_n + 1):
-        dim_i = res.ranks[i] * nf
-        r_i = rank(Matrix(k, diffs[i]))
-        out.append(dim_i - r_i - prev_rank)
-        prev_rank = r_i
-    return out
+    dims = [res.ranks[i] * nf for i in range(max_n + 2)]
+    return CochainComplex(k, dims, diffs).cohomology_dims()
 
 
 def ext_dims(algebra: FDAlgebra, g: AlgModule, f: AlgModule, max_n: int) -> list:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from catext import cli, coeffsys, constructions
+from catext import cli, cliio, coeffsys, constructions
 from catext.cliio import InputError, emit, parse, render, run
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -432,3 +432,35 @@ def test_parse_loads_through_libyaml(monkeypatch):
     monkeypatch.setattr(yaml, "CSafeLoader", Recording)
     parse(MINIMAL)
     assert loaded == [MINIMAL]
+
+
+# -- field characteristics ----------------------------------------------------------
+
+@pytest.mark.parametrize("edit,path", [
+    (("characteristic: 2}", "characteristic: 4}"), "field.characteristic"),
+    (("task:", "coefficient_field: {kind: prime, characteristic: 9}\ntask:"),
+     "coefficient_field.characteristic"),
+    (("characteristic: 2}", "characteristic: 2147483659}"), "field.characteristic"),
+])
+def test_non_prime_or_too_large_characteristic_exits_two(tmp_path, capsys, edit, path):
+    """FieldSpec's own rule (a prime below 2^31) is an input error, not a crash."""
+    problem = tmp_path / "problem.yaml"
+    problem.write_text(MINIMAL.replace(*edit))
+    assert cli.main(["validate", str(problem), "--format", "structured"]) == 2
+    out = capsys.readouterr()
+    errors = json.loads(out.out)["input_errors"]
+    assert len(errors) == 1 and errors[0].startswith(path + ": "), errors
+    assert "Traceback" not in out.err
+
+
+def test_seeded_validate_builds_once(monkeypatch, capsys):
+    builds = []
+    orig = cliio.build
+
+    def counted(spec):
+        builds.append(spec)
+        return orig(spec)
+    monkeypatch.setattr(cliio, "build", counted)
+    assert cli.main(["validate", str(PROBLEMS / "a2_skew.yaml"), "--seed", "3"]) == 0
+    assert "spot checks: seed 3, 25 rounds, 0 failures" in capsys.readouterr().out
+    assert len(builds) == 1

@@ -365,8 +365,28 @@ def test_noncommutative_fibers(a):
 
 
 # -- one Grothendieck enumerator ---------------------------------------------------
-# The two enumerators as they were written out separately, kept as oracles for
+# The three enumerators as they were written out separately, kept as oracles for
 # the shared one: same morphisms, identities and composites, in the same order.
+
+def reference_gr_algebra(c, a):
+    k = a.field
+    fibers = {f: a.at(c.cod(f)).elements() for f in c.mor}
+    mor = {}
+    for f in c.mor:
+        for r in fibers[f]:
+            mor[(r, f)] = c.mor[f]
+    identity = {x: (tuple(int(v) for v in a.at(x).unit), c.identity[x]) for x in c.objects}
+    compose = {}
+    for (f, g), h in c.compose.items():
+        ag = a.on(g).matrix
+        alg_z = a.at(c.cod(g))
+        for r in fibers[f]:
+            agr = k.matmul(ag, k.array(r))
+            for s in fibers[g]:
+                t = alg_z.mul(agr, k.array(s))
+                compose[((r, f), (s, g))] = (tuple(int(v) for v in t), h)
+    return mor, identity, compose
+
 
 def reference_gr_bimodule(c, a, m):
     k = a.field
@@ -465,6 +485,7 @@ def test_shared_enumerator_matches_reference(name, c, a, system):
         m, n = regular_bimodule_system(a), regular_right_module_system(a)
     else:
         m, n = zero_bimodule_system(a), zero_right_module_system(a)
+    _same_tables(gr_algebra(c, a), reference_gr_algebra(c, a))
     _same_tables(gr_bimodule(c, a, m), reference_gr_bimodule(c, a, m))
     _same_tables(gr_right_module(c, a, n), reference_gr_right_module(c, a, n))
 

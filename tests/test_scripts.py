@@ -1,0 +1,25 @@
+"""The scripts in scripts/ run from a checkout, with PYTHONPATH unset."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _script(tmp_path, name, *args):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+
+
+def test_run_problems_runs_from_checkout(tmp_path):
+    res = _script(tmp_path, "run_problems.py")
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_lhs_survey_runs_from_checkout(tmp_path):
+    res = _script(tmp_path, "lhs_survey.py", "--cap", "1")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.rstrip().endswith("0 violation(s)")
