@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Hashable
 from dataclasses import dataclass, field as dfield
 
 import yaml
@@ -97,6 +98,14 @@ def _int(errors, path, value, least=0):
     return None
 
 
+def _name(errors, path, value) -> bool:
+    """True for a scalar name; a list or a mapping is recorded as an error."""
+    if isinstance(value, Hashable):
+        return True
+    _err(errors, path, f"need a scalar name, got {value!r}")
+    return False
+
+
 def _mapping(errors, path, value) -> dict:
     """value as a mapping: missing or empty is {}, anything else an error."""
     if value and not isinstance(value, dict):
@@ -163,10 +172,14 @@ def _norm_category(errors, path, block):
     if not isinstance(mors, list):
         _err(errors, path + ".morphisms", "need a morphism list")
         return None
+    for i, x in enumerate(objs):
+        _name(errors, path + f".objects[{i}]", x)
     ids = set()
     for i, m in enumerate(mors):
         if not isinstance(m, dict) or not {"id", "dom", "cod"} <= set(m):
             _err(errors, path + f".morphisms[{i}]", "need id/dom/cod")
+            continue
+        if not _name(errors, path + f".morphisms[{i}].id", m["id"]):
             continue
         if m["id"] in ids:
             _err(errors, path + f".morphisms[{i}]", f"duplicate morphism id {m['id']!r}")
@@ -181,7 +194,7 @@ def _norm_category(errors, path, block):
     for x, f in idents.items():
         if x not in objs:
             _err(errors, path + ".identities", f"dangling object reference {x!r}")
-        if f not in ids:
+        if _name(errors, path + ".identities", f) and f not in ids:
             _err(errors, path + ".identities", f"dangling morphism reference {f!r}")
     if not isinstance(table, list):
         _err(errors, path + ".compose", "need a list of {first, then, equals}")
@@ -191,9 +204,9 @@ def _norm_category(errors, path, block):
             _err(errors, path + f".compose[{i}]", "need first/then/equals")
             continue
         for kk in ("first", "then", "equals"):
-            if row[kk] not in ids:
-                _err(errors, path + f".compose[{i}].{kk}",
-                     f"dangling morphism reference {row[kk]!r}")
+            entry = path + f".compose[{i}].{kk}"
+            if _name(errors, entry, row[kk]) and row[kk] not in ids:
+                _err(errors, entry, f"dangling morphism reference {row[kk]!r}")
     return {"objects": list(objs),
             "morphisms": [dict(m) for m in mors],
             "identities": dict(idents),
@@ -374,6 +387,15 @@ def parse(text: str) -> ProblemSpec:
     for key in ("module", "modules", "category", "weight", "coefficients", "kind"):
         if key in task:
             norm_task[key] = task[key]
+    for key in ("module", "weight", "coefficients"):
+        if key in task:
+            _name(errors, f"task.{key}", task[key])
+    modules = task.get("modules") or []
+    if not isinstance(modules, list):
+        _err(errors, "task.modules", "need a list of module names")
+        modules = []
+    for i, name in enumerate(modules):
+        _name(errors, f"task.modules[{i}]", name)
     out["task"] = norm_task
     if errors:
         raise InputError(errors)
@@ -447,6 +469,7 @@ class Built:
                 if missing:
                     raise InputError([f"modules.{name}.dims: no dimension at object "
                                       f"{missing[0]!r}"])
+                _known_morphisms(cat, blk["mats"], f"modules.{name}.mats")
                 mats = {}
                 for f in cat.mor:
                     if f not in blk["mats"]:
@@ -464,6 +487,13 @@ class Built:
                 self.category, self.precosheaf, self.right_module,
                 _total=self.category_for("gr-an"), _base=self.category_for("gr-a"))
         return self._ext
+
+
+def _known_morphisms(cat: FinCategory, keys, path: str) -> None:
+    """Every key of a maps or mats block must name a morphism of cat."""
+    for f in keys:
+        if f not in cat.mor:
+            raise InputError([f"{path}.{f}: dangling morphism reference"])
 
 
 def _build_field(block) -> FieldSpec:
@@ -507,6 +537,7 @@ def _explicit_system(built: Built, blk: dict, key: str):
                                 left_action=mats_of("left"))
         else:
             mods[x] = AlgModule(alg, dim, "right", right_action=mats_of("right"))
+    _known_morphisms(cat, blk["maps"], f"{key}.maps")
     maps = {}
     for f, (x, y) in cat.mor.items():
         if f in blk["maps"]:
@@ -540,10 +571,9 @@ def build(spec: ProblemSpec) -> Built:
             missing = [x for x in cat.objects if x not in algebras]
             if missing:
                 raise InputError([f"algebra.at: no algebra at object {missing[0]!r}"])
+            _known_morphisms(cat, alg_block["maps"], "algebra.maps")
             edge_maps = {}
             for f, mat in alg_block["maps"].items():
-                if f not in cat.mor:
-                    raise InputError([f"algebra.maps.{f}: dangling morphism reference"])
                 x, y = cat.mor[f]
                 edge_maps[f] = AlgHom(algebras[x], algebras[y], k.array(mat))
             try:

@@ -3,8 +3,10 @@
 A precosheaf of algebras assigns an FDAlgebra to every object and a unital
 algebra homomorphism to every morphism, covariantly.  A precosheaf of modules
 (a bimodule or a right-module system) adds per-object module structure plus
-per-morphism linear maps that are compatible with the algebra maps.  Validators check every compatibility
-equation on all basis triples and report witnesses.
+per-morphism linear maps that are compatible with the algebra maps.  The
+validators check the functor laws of the algebra and module maps through
+`fincat.functor_failures`, then every compatibility equation on all basis
+triples, and report witnesses.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .exactlin import FieldSpec
 from .fdalgebra import FDAlgebra, AlgHom, AlgModule, validate_algebra, validate_hom, validate_module
-from .fincat import FinCategory, validate_category
+from .fincat import FinCategory, functor_failures, validate_category
 from .validation import Report
 
 
@@ -78,7 +80,6 @@ def _check_precosheaf(a: AlgebraPrecosheaf) -> Report:
     if not cat_rep.ok:
         rep.extend(cat_rep)
         return rep
-    k = a.field
     for x in cat.objects:
         if x not in a.algebras:
             rep.add("precosheaf", "no algebra at object", object=x)
@@ -102,14 +103,12 @@ def _check_precosheaf(a: AlgebraPrecosheaf) -> Report:
             rep.add(v.code, f"algebra map at morphism fails: {v.message}", f=f, **v.witness)
     if not rep.ok:
         return rep
-    for x in cat.objects:
-        if not k.equal(a.on(cat.identity[x]).matrix, k.eye(a.at(x).dim)):
-            rep.add("functor", "map at identity is not the identity", object=x)
-    for (f, g), h in cat.compose.items():
-        lhs = a.on(h).matrix
-        rhs = k.matmul(a.on(g).matrix, a.on(f).matrix)  # A(f) then A(g)
-        if not k.equal(lhs, rhs):
-            rep.add("functor", "A(fg) != A(g) . A(f)", f=f, g=g)
+    objects, pairs = functor_failures(cat, a.field, {f: h.matrix for f, h in a.maps.items()},
+                                      contravariant=False)
+    for x in objects:
+        rep.add("functor", "map at identity is not the identity", object=x)
+    for f, g in pairs:
+        rep.add("functor", "A(fg) != A(g) . A(f)", f=f, g=g)
     return rep
 
 
@@ -151,12 +150,11 @@ def _validate_system(m: PrecosheafModule, side: str) -> Report:
             rep.add(code, "module map missing or mis-shaped", f=f)
     if not rep.ok:
         return rep
-    for x in cat.objects:
-        if not k.equal(m.on(cat.identity[x]), k.eye(m.at(x).dim)):
-            rep.add("functor", "module map at identity is not the identity", object=x)
-    for (f, g), h in cat.compose.items():
-        if not k.equal(m.on(h), k.matmul(m.on(g), m.on(f))):
-            rep.add("functor", "M(fg) != M(g) . M(f)", f=f, g=g)
+    objects, pairs = functor_failures(cat, k, m.maps, contravariant=False)
+    for x in objects:
+        rep.add("functor", "module map at identity is not the identity", object=x)
+    for f, g in pairs:
+        rep.add("functor", "M(fg) != M(g) . M(f)", f=f, g=g)
     left_law = f"{sym}(f)(r.m) != A(f)(r).{sym}(f)(m)"
     right_law = f"{sym}(f)(m.s) != {sym}(f)(m).A(f)(s)"
     for f, (x, y) in cat.mor.items():

@@ -131,8 +131,8 @@ class FieldSpec:
         return np.mod(a, self.characteristic) if self.is_prime_field else a
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Reduced product a @ b of a vector or matrix a and a vector or
-        matrix b.  Over F_p the entries must lie in (-p, p)."""
+        """Reduced product a @ b of vectors, matrices or stacks of matrices.
+        Over F_p the entries must lie in (-p, p)."""
         if not self.is_prime_field:
             return a @ b
         p = self.characteristic
@@ -144,8 +144,9 @@ class FieldSpec:
         out = 0
         for s in range(0, inner, 1 << _LIMB):
             chunk = slice(s, s + (1 << _LIMB))
-            top = np.mod(hi[..., chunk] @ b[chunk], p)
-            out = np.mod(out + (top << _LIMB) + np.mod(lo[..., chunk] @ b[chunk], p), p)
+            bc = b[..., chunk, :] if b.ndim >= 2 else b[chunk]  # b's inner axis
+            top = np.mod(hi[..., chunk] @ bc, p)
+            out = np.mod(out + (top << _LIMB) + np.mod(lo[..., chunk] @ bc, p), p)
         return out
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:

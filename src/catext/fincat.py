@@ -10,6 +10,8 @@ from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from typing import Hashable
 
+import numpy as np
+
 from .exactlin import FieldSpec
 from .validation import Report
 
@@ -156,6 +158,23 @@ def _check_category(c: FinCategory) -> Report:
                 rep.add("associativity", "(fg)h != f(gh)",
                         f=labels[i], g=labels[j], h=labels[k])
     return rep
+
+
+def functor_failures(c: FinCategory, k: FieldSpec, mats: dict, contravariant: bool):
+    """The objects x with mats[1_x] != id, and the table entries (f, g), in
+    table order, with mats[fg] != mats[g] mats[f], or mats[f] mats[g] when
+    contravariant; entries with equal factor shapes share one stacked product."""
+    objects = [x for x in c.objects if not k.equal(e := mats[c.identity[x]], k.eye(len(e)))]
+    groups: dict = {}  # factor shapes -> [(f, g, left factor, right factor, fg)]
+    for (f, g), h in c.compose.items():
+        left, right = (f, g) if contravariant else (g, f)
+        groups.setdefault((mats[left].shape, mats[right].shape), []).append((f, g, left, right, h))
+    bad = set()
+    for entries in groups.values():
+        left, right, h = (np.stack([mats[e[i]] for e in entries]) for i in (2, 3, 4))
+        wrong = (k.matmul(left, right) != h).any(axis=(1, 2))
+        bad.update(e[:2] for e, w in zip(entries, wrong) if w)
+    return objects, [fg for fg in c.compose if fg in bad]
 
 
 def opposite(c: FinCategory) -> FinCategory:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rank, solve_matrix
 from .fdalgebra import AlgModule, FDAlgebra, free_module
-from .fincat import CatFunctor, FinCategory, linearize, nerve_chains
+from .fincat import CatFunctor, FinCategory, functor_failures, linearize, nerve_chains
 from .validation import Report
 
 
@@ -43,20 +43,17 @@ class CatModule:
 
 def validate_cat_module(m: CatModule) -> Report:
     rep = Report()
-    c = m.cat
-    k = m.field
-    for f, (x, y) in c.mor.items():
+    for f, (x, y) in m.cat.mor.items():
         mat = m.mats.get(f)
         if mat is None or mat.shape != (m.dims[x], m.dims[y]):
             rep.add("shape", "matrix missing or mis-shaped", f=f)
     if not rep.ok:
         return rep
-    for x in c.objects:
-        if not k.equal(m.on(c.identity[x]), k.eye(m.dims[x])):
-            rep.add("functor", "F(1_x) != id", object=x)
-    for (f, g), h in c.compose.items():
-        if not k.equal(m.on(h), k.matmul(m.on(f), m.on(g))):
-            rep.add("functor", "F(fg) != F(f) F(g)", f=f, g=g)
+    objects, pairs = functor_failures(m.cat, m.field, m.mats, contravariant=True)
+    for x in objects:
+        rep.add("functor", "F(1_x) != id", object=x)
+    for f, g in pairs:
+        rep.add("functor", "F(fg) != F(f) F(g)", f=f, g=g)
     return rep
 
 

@@ -88,35 +88,31 @@ class _LhsContext:
             ]
 
     # -- induced maps -----------------------------------------------------
-    def alpha(self, x, y, fbase, r: tuple):
-        """Group homomorphism N(x) -> N(y): m -> N(f)(m) . r."""
-        kc = self.a.field  # construction field
-        nf = self.n.on(fbase)
-        right_r = self.n.at(y).right_of(kc.array(r)) if self.n.at(y).dim else None
-        def apply(m: tuple) -> tuple:
-            if self.n.at(y).dim == 0:
-                return ()
-            img = kc.matmul(right_r, kc.matmul(nf, kc.array(m)))
-            return tuple(int(v) for v in img)
-        return apply
+    def alpha(self, lift) -> dict:
+        """Group homomorphism N(x) -> N(y) of a lift u: x -> y, conjugation
+        by u read from the table of Gr(A, N): m -> the h with
+        iota(m) then u = u then iota(h), which is N(f)(m) . r for u = (r, _, f)."""
+        total, iota = self.ext.total, self.ext.iota
+        x, y = total.mor[lift]
+        h_of = {total.then(lift, iota.on_mor((y, h))): h for h in self.groups[y].elements}
+        return {m: h_of[total.then(iota.on_mor((x, m)), lift)] for m in self.groups[x].elements}
 
     def pullback_matrix(self, lift, q: int) -> np.ndarray:
         """Cochain-level map C^q(N(y); F(y)) -> C^q(N(x); F(x)) on normalized
         bar cochains for a lift (r, m, f) of the Gr(A)-morphism (r, f).  The
         row of a tuple t stays zero when alpha(t) has a zero entry: a
         normalized cochain vanishes there."""
-        r, _, fbase = lift
-        x, y = self.c.mor[fbase]
+        x, y = self.c.mor[lift[-1]]
         k = self.k
         phi = self.f.on(lift)
-        al = self.alpha(x, y, fbase, r)
+        al = self.alpha(lift)
         nvx, nvy = self.f.dims[x], self.f.dims[y]
         tx, _ = bar_index(self.groups[x], q)
         ty, iy = bar_index(self.groups[y], q)
         mat = k.zeros(len(tx) * nvx, len(ty) * nvy)
         if nvx and nvy:
             for i, t in enumerate(tx):
-                j = iy.get(tuple(al(m) for m in t))
+                j = iy.get(tuple(al[m] for m in t))
                 if j is not None:
                     mat[i * nvx:(i + 1) * nvx, j * nvy:(j + 1) * nvy] = phi
         return mat
@@ -124,8 +120,7 @@ class _LhsContext:
     def induced_class_map(self, lift, q: int) -> np.ndarray:
         """Map on H^q classes induced by an arbitrary lift; shape
         (dim H^q at x, dim H^q at y)."""
-        _, _, fbase = lift
-        x, y = self.c.mor[fbase]
+        x, y = self.c.mor[lift[-1]]
         sx: Subquotient = self.subqs[x][q]
         sy: Subquotient = self.subqs[y][q]
         if sx.dim == 0 or sy.dim == 0:

@@ -10,8 +10,8 @@ import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .exactlin import FieldSpec
-from .fdalgebra import (AlgHom, AlgModule, FDAlgebra, field_algebra, group_algebra,
-                        regular_bimodule)
+from .fdalgebra import (AlgHom, AlgModule, FDAlgebra, field_algebra, free_module,
+                        group_algebra, zero_module)
 from .fincat import FinCategory
 
 F2 = FieldSpec.prime(2)
@@ -115,40 +115,29 @@ def a2_augmentation_precosheaf(k: FieldSpec) -> AlgebraPrecosheaf:
 
 # -- bimodule / right-module systems ------------------------------------------
 
+def _module_system(pre: AlgebraPrecosheaf, side: str, regular: bool) -> PrecosheafModule:
+    """A(x) or 0 at every object x as a module of the given side; maps A(f) or 0."""
+    mods = {x: free_module(pre.at(x), 1, side) if regular else zero_module(pre.at(x), side)
+            for x in pre.base.objects}
+    maps = {f: np.array(pre.on(f).matrix, copy=True) if regular else pre.field.zeros(0, 0)
+            for f in pre.base.mor}
+    return PrecosheafModule(pre, mods, maps, name="regular" if regular else "zero")
+
+
 def regular_bimodule_system(pre: AlgebraPrecosheaf) -> PrecosheafModule:
-    mods = {x: regular_bimodule(pre.at(x)) for x in pre.base.objects}
-    maps = {f: np.array(pre.on(f).matrix, copy=True) for f in pre.base.mor}
-    return PrecosheafModule(pre, mods, maps, name="regular")
+    return _module_system(pre, "bi", regular=True)
 
 
 def zero_bimodule_system(pre: AlgebraPrecosheaf) -> PrecosheafModule:
-    k = pre.field
-    mods = {x: AlgModule(pre.at(x), 0, "bi",
-                         right_action=[k.zeros(0, 0)] * pre.at(x).dim,
-                         left_action=[k.zeros(0, 0)] * pre.at(x).dim)
-            for x in pre.base.objects}
-    maps = {f: k.zeros(0, 0) for f in pre.base.mor}
-    return PrecosheafModule(pre, mods, maps, name="zero")
+    return _module_system(pre, "bi", regular=False)
 
 
 def regular_right_module_system(pre: AlgebraPrecosheaf) -> PrecosheafModule:
-    mods = {}
-    for x in pre.base.objects:
-        a = pre.at(x)
-        mods[x] = AlgModule(a, a.dim, "right",
-                            right_action=[a.right_mult_matrix(a.basis_vector(i))
-                                          for i in range(a.dim)])
-    maps = {f: np.array(pre.on(f).matrix, copy=True) for f in pre.base.mor}
-    return PrecosheafModule(pre, mods, maps, name="regular")
+    return _module_system(pre, "right", regular=True)
 
 
 def zero_right_module_system(pre: AlgebraPrecosheaf) -> PrecosheafModule:
-    k = pre.field
-    mods = {x: AlgModule(pre.at(x), 0, "right",
-                         right_action=[k.zeros(0, 0)] * pre.at(x).dim)
-            for x in pre.base.objects}
-    maps = {f: k.zeros(0, 0) for f in pre.base.mor}
-    return PrecosheafModule(pre, mods, maps, name="zero")
+    return _module_system(pre, "right", regular=False)
 
 
 def projection_bimodule_system(k: FieldSpec) -> PrecosheafModule:

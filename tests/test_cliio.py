@@ -464,3 +464,84 @@ def test_seeded_validate_builds_once(monkeypatch, capsys):
     assert cli.main(["validate", str(PROBLEMS / "a2_skew.yaml"), "--seed", "3"]) == 0
     assert "spot checks: seed 3, 25 rounds, 0 failures" in capsys.readouterr().out
     assert len(builds) == 1
+
+
+# -- names and morphism references ------------------------------------------------
+
+NAMED_POINT = """
+field: {kind: prime, characteristic: 2}
+category:
+  objects: [x]
+  morphisms: [{id: ix, dom: x, cod: x}]
+  identities: {x: ix}
+  compose: [{first: ix, then: ix, equals: ix}]
+algebra:
+  constant: {preset: field}
+bimodule:
+  at:
+    x: {dim: 1, left: [[[1]]], right: [[[1]]]}
+  maps: {ix: [[1]]}
+right_module:
+  at:
+    x: {dim: 1, right: [[[1]]]}
+  maps: {ix: [[1]]}
+modules:
+  G: {over: gr-a, preset: constant}
+  F: {over: gr-an, preset: constant}
+  E: {preset: explicit, dims: {x: 1}, mats: {ix: [[1]]}}
+task:
+  command: lhs-report
+  caps: {p: 1, q: 1, n: 1}
+  module: E
+  modules: [E, E]
+  weight: G
+  coefficients: F
+"""
+
+
+def _run_main(tmp_path, capsys, text, command):
+    problem = tmp_path / "problem.yaml"
+    problem.write_text(text)
+    code = cli.main([command, str(problem), "--format", "structured"])
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    return code, json.loads(out.out)
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "ext", "lhs-report"])
+def test_named_point_runs_clean(tmp_path, capsys, command):
+    code, doc = _run_main(tmp_path, capsys, NAMED_POINT, command)
+    assert code == 0 and "input_errors" not in doc, doc
+
+
+@pytest.mark.parametrize("command,edit,path", [
+    ("validate", ("objects: [x]", "objects: [[x], y]"), "category.objects[0]"),
+    ("validate", ("[{id: ix, dom", "[{id: [ix], dom"), "category.morphisms[0].id"),
+    ("cohomology", ("module: E", "module: [E]"), "task.module"),
+    ("lhs-report", ("weight: G", "weight: [G]"), "task.weight"),
+    ("lhs-report", ("coefficients: F", "coefficients: [F]"), "task.coefficients"),
+    ("ext", ("modules: [E, E]", "modules: [[E], E]"), "task.modules[0]"),
+])
+def test_non_scalar_name_exits_two(tmp_path, capsys, command, edit, path):
+    """A list where a name belongs is an input error at its path, not a
+    TypeError from hashing it."""
+    code, doc = _run_main(tmp_path, capsys, NAMED_POINT.replace(*edit), command)
+    assert code == 2
+    assert any(e.startswith(path + ": need a scalar name") for e in doc["input_errors"]), doc
+
+
+@pytest.mark.parametrize("command,edit,path", [
+    ("validate", ("maps: {ix: [[1]]}\nright_module", "maps: {ix: [[1]], zz: [[5]]}\n"
+                  "right_module"), "bimodule.maps.zz"),
+    ("validate", ("maps: {ix: [[1]]}\nmodules", "maps: {ix: [[1]], zz: [[5]]}\nmodules"),
+     "right_module.maps.zz"),
+    ("cohomology", ("mats: {ix: [[1]]}", "mats: {ix: [[1]], zz: [[5]]}"), "modules.E.mats.zz"),
+])
+def test_map_of_no_morphism_exits_two(tmp_path, capsys, command, edit, path):
+    """A maps or mats key that names no morphism is reported as algebra.maps
+    reports it, not ignored."""
+    text = NAMED_POINT.replace(*edit)
+    assert text != NAMED_POINT
+    code, doc = _run_main(tmp_path, capsys, text, command)
+    assert code == 2
+    assert doc["input_errors"] == [f"{path}: dangling morphism reference"]

@@ -1,8 +1,12 @@
+from itertools import product as iproduct
+
+import numpy as np
 import pytest
 
-from catext.coeffsys import (PrecosheafModule, disjoint_fiber_category, forget_left_action,
-                             underlying_group_category, validate_bimodule,
+from catext.coeffsys import (AlgebraPrecosheaf, PrecosheafModule, disjoint_fiber_category,
+                             forget_left_action, underlying_group_category, validate_bimodule,
                              validate_precosheaf, validate_right_module)
+from catext.exactlin import FieldSpec
 from catext.fdalgebra import AlgHom, AlgModule, field_algebra, group_algebra
 from catext.fincat import FinCategory, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
@@ -13,6 +17,7 @@ from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_pre
 from catext.validation import Report
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), cyclic_monoid(3, 1)]
+F5 = FieldSpec.prime(5)
 
 
 @pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)
@@ -354,6 +359,117 @@ def test_reference_systems_reach_every_check():
             ("compatibility", "M(f)(m.s) != M(f)(m).A(f)(s)", ("f", "s", "m")),
             ("compatibility", "N(f)(m.s) != N(f)(m).A(f)(s)", ("f", "s", "m"))]:
         assert (code, message, witness) in seen
+
+
+# -- the functor laws against the loops they replaced ----------------------------
+
+def reference_validate_precosheaf(a) -> Report:
+    """The precosheaf validator as written before the functor laws moved to
+    `fincat.functor_failures`: the oracle for `validate_precosheaf`."""
+    from catext.fdalgebra import validate_algebra, validate_hom
+    rep = Report()
+    cat = a.base
+    cat_rep = validate_category(cat)
+    if not cat_rep.ok:
+        rep.extend(cat_rep)
+        return rep
+    k = a.field
+    for x in cat.objects:
+        if x not in a.algebras:
+            rep.add("precosheaf", "no algebra at object", object=x)
+            continue
+        sub = validate_algebra(a.at(x))
+        if not sub.ok:
+            rep.add("precosheaf", "invalid algebra at object", object=x,
+                    first=sub.violations[0].code)
+    if not rep.ok:
+        return rep
+    for f, (x, y) in cat.mor.items():
+        h = a.maps.get(f)
+        if h is None:
+            rep.add("precosheaf", "no algebra map at morphism", f=f)
+            continue
+        if h.matrix.shape != (a.at(y).dim, a.at(x).dim):
+            rep.add("precosheaf", "map shape does not match endpoint algebras", f=f)
+            continue
+        sub = validate_hom(h)
+        for v in sub.violations:
+            rep.add(v.code, f"algebra map at morphism fails: {v.message}", f=f, **v.witness)
+    if not rep.ok:
+        return rep
+    for x in cat.objects:
+        if not k.equal(a.on(cat.identity[x]).matrix, k.eye(a.at(x).dim)):
+            rep.add("functor", "map at identity is not the identity", object=x)
+    for (f, g), h in cat.compose.items():
+        lhs = a.on(h).matrix
+        rhs = k.matmul(a.on(g).matrix, a.on(f).matrix)  # A(f) then A(g)
+        if not k.equal(lhs, rhs):
+            rep.add("functor", "A(fg) != A(g) . A(f)", f=f, g=g)
+    return rep
+
+
+LAW_FIELDS = [F2, F5, FieldSpec.prime(2**31 - 1), QQ]
+law_fields = pytest.mark.parametrize("k", LAW_FIELDS, ids=lambda k: f"F{k.p}" if k.p else "Q")
+
+
+def _raised_entries(maps: dict, k):
+    """(f, matrix) for every entry of every matrix maps[f], raised by one."""
+    for f, mat in maps.items():
+        for i, j in iproduct(range(mat.shape[0]), range(mat.shape[1])):
+            bad = np.array(mat, copy=True)
+            bad[i, j] = k.coerce(bad[i, j] + 1)
+            yield f, bad
+
+
+def _automorphism_fixtures(k):
+    """Precosheaves whose maps are algebra automorphisms, each valid, with
+    one map replaced by a second automorphism: every map stays an algebra
+    map, so only the functor laws can fail.  k[Z/3] on B(Z/3) with
+    g -> g^2, and k x k on A2 with the swap of the factors."""
+    kz3, kk = group_algebra([3], k), field_product(k, 2)
+    square = k.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    swap = k.array([[0, 1], [1, 0]])
+    for pre, auto in ((constant_precosheaf(one_object_group(3), kz3), square),
+                      (constant_precosheaf(poset_a2(), kk), swap)):
+        yield pre
+        for f, h in pre.maps.items():
+            yield AlgebraPrecosheaf(pre.base, pre.algebras,
+                                    {**pre.maps, f: AlgHom(h.source, h.target, auto)})
+
+
+@law_fields
+def test_precosheaf_validator_matches_reference(k):
+    """On the automorphism fixtures and on every single-entry corruption of
+    the maps of the augmentation precosheaf, violation lists agree in code,
+    message, witness and order."""
+    pres = list(_automorphism_fixtures(k))
+    aug = a2_augmentation_precosheaf(k)
+    pres += [AlgebraPrecosheaf(aug.base, aug.algebras,
+                               {**aug.maps, f: AlgHom(aug.on(f).source, aug.on(f).target, bad)})
+             for f, bad in _raised_entries({f: h.matrix for f, h in aug.maps.items()}, k)]
+    seen = set()
+    for pre in pres:
+        got = validate_precosheaf(pre)
+        assert got.as_dict() == reference_validate_precosheaf(pre).as_dict()
+        seen |= {v.message for v in got.violations}
+    assert {"map at identity is not the identity", "A(fg) != A(g) . A(f)"} <= seen
+
+
+@law_fields
+def test_module_system_validators_match_references_on_raised_entries(k):
+    """Every single-entry corruption of the maps of the regular systems."""
+    seen = set()
+    for cat in CATS:
+        pre = constant_precosheaf(cat, group_algebra([2], k))
+        for sys_ in (regular_bimodule_system(pre), regular_right_module_system(pre)):
+            for f, bad in _raised_entries(sys_.maps, k):
+                edited = _edited(sys_, maps={f: bad})
+                for new, old in ((validate_bimodule, reference_validate_bimodule),
+                                 (validate_right_module, reference_validate_right_module)):
+                    got = new(edited)
+                    assert got.as_dict() == old(edited).as_dict()
+                    seen |= {v.message for v in got.violations}
+    assert {"module map at identity is not the identity", "M(fg) != M(g) . M(f)"} <= seen
 
 
 def reference_disjoint_fiber_category(n) -> FinCategory:

@@ -248,6 +248,39 @@ def test_matmul_matches_int_oracle(field, data):
     assert field.matmul(an, bn).tolist() == _py_matmul(a, b, l, field.p)
     if a:
         assert field.matmul(an[0], bn).tolist() == _py_matmul(a[:1], b, l, field.p)[0]
+    # stacks of two products: the second factors are p - 1 - a and b upside down
+    p = field.p
+    a2, b2 = [[p - 1 - v for v in row] for row in a], b[::-1]
+    stack_a = np.stack([an, np.array(a2, dtype=np.int64).reshape(an.shape)])
+    stack_b = np.stack([bn, np.array(b2, dtype=np.int64).reshape(bn.shape)])
+    assert field.matmul(stack_a, stack_b).tolist() \
+        == [_py_matmul(a, b, l, p), _py_matmul(a2, b2, l, p)]
+    assert field.matmul(stack_a, bn).tolist() \
+        == [_py_matmul(a, b, l, p), _py_matmul(a2, b, l, p)]
+
+
+@given(data=st.data())
+def test_stacked_matmul_over_rationals(data):
+    s, n, m, l = (data.draw(st.integers(0, 4)) for _ in range(4))
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    a = [[[data.draw(entry) for _ in range(m)] for _ in range(n)] for _ in range(s)]
+    b = [[[data.draw(entry) for _ in range(l)] for _ in range(m)] for _ in range(s)]
+    want = [[[sum((x[i][t] * y[t][j] for t in range(m)), Fraction(0)) for j in range(l)]
+             for i in range(n)] for x, y in zip(a, b)]
+    got = QQ.matmul(QQ.array(a).reshape(s, n, m), QQ.array(b).reshape(s, m, l))
+    assert got.shape == (s, n, l) and got.tolist() == want
+
+
+def test_matmul_takes_more_than_2_16_stacked_products():
+    """The split product slices the inner axis of a stacked right factor,
+    not its stack axis."""
+    p = 2**31 - 1
+    k = FieldSpec.prime(p)
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, p, size=(70_000, 2, 3), dtype=np.int64)
+    b = rng.integers(0, p, size=(70_000, 3, 2), dtype=np.int64)
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert k.matmul(a, b).tolist() == want.tolist()
 
 
 def test_matmul_chunks_the_inner_dimension():

@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from catext.exactlin import FieldSpec
 from catext.fdalgebra import AlgHom, upper_triangular_algebra, validate_algebra, validate_hom
-from catext.fincat import (CatFunctor, FinCategory, is_isomorphism, linearize, nerve_chains,
-                           opposite, validate_category, validate_functor)
+from catext.fincat import (CatFunctor, FinCategory, functor_failures, is_isomorphism,
+                           linearize, nerve_chains, opposite, validate_category,
+                           validate_functor)
 from catext.presets import (broken_category, cyclic_monoid, discrete_category, F2, F3,
                             one_object_group, poset_a2, trivial_category)
 from catext.validation import Report
@@ -230,3 +231,44 @@ def test_functor_validation():
 def test_linearize_rejects_broken_category():
     with pytest.raises(ValueError):
         linearize(broken_category(), F2)
+
+
+# -- functor laws of a matrix family ---------------------------------------------
+
+def _chain3() -> FinCategory:
+    """The poset 0 -> 1 -> 2, whose arrows a and b compose to ab."""
+    mor = {"i0": ("0", "0"), "i1": ("1", "1"), "i2": ("2", "2"),
+           "a": ("0", "1"), "b": ("1", "2"), "ab": ("0", "2")}
+    compose = {(x, x): x for x in ("i0", "i1", "i2")}
+    compose.update({("i0", "a"): "a", ("a", "i1"): "a", ("i1", "b"): "b", ("b", "i2"): "b",
+                    ("i0", "ab"): "ab", ("ab", "i2"): "ab", ("a", "b"): "ab"})
+    return FinCategory(("0", "1", "2"), mor, {"0": "i0", "1": "i1", "2": "i2"}, compose)
+
+
+@pytest.mark.parametrize("field", [F2, F3, FieldSpec.prime(2**31 - 1), FieldSpec.rationals()],
+                         ids=lambda k: f"F{k.p}" if k.p else "Q")
+def test_functor_failures_reads_the_factor_order(field):
+    c = _chain3()
+    assert validate_category(c).ok
+    a, b = field.array([[1, 1], [0, 1]]), field.array([[1, 0], [1, 1]])
+    mats = {f: field.eye(2) for f in ("i0", "i1", "i2")}
+    mats.update({"a": a, "b": b, "ab": field.matmul(b, a)})  # a then b, covariantly
+    assert functor_failures(c, field, mats, contravariant=False) == ([], [])
+    assert functor_failures(c, field, mats, contravariant=True) == ([], [("a", "b")])
+    mats["ab"] = field.matmul(a, b)
+    assert functor_failures(c, field, mats, contravariant=True) == ([], [])
+    mats["i1"] = field.zeros(2, 2)  # 0 . 0 = 0, so only the entries with a or b fail
+    assert functor_failures(c, field, mats, contravariant=True) == (
+        ["1"], [("a", "i1"), ("i1", "b")])
+
+
+def test_functor_failures_stacks_mixed_shapes_in_table_order():
+    # the module k at 0, k^2 at 1 and 0 at 2: three factor shapes
+    c = _chain3()
+    k = F3
+    mats = {"i0": k.eye(1), "i1": k.eye(2), "i2": k.eye(0), "a": k.array([[1], [2]]),
+            "b": k.zeros(0, 2), "ab": k.zeros(0, 1)}
+    assert functor_failures(c, k, mats, contravariant=False) == ([], [])
+    mats["i0"] = k.array([[2]])  # into k^0 every map agrees, so ab passes
+    assert functor_failures(c, k, mats, contravariant=False) == (
+        ["0"], [("i0", "i0"), ("i0", "a")])

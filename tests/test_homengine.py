@@ -23,6 +23,7 @@ from catext.homengine import (CatModule, CochainComplex, FiniteAbelianGroup, Gro
 from catext.presets import (F2, F3, QQ, constant_precosheaf, cyclic_monoid,
                             discrete_category, one_object_group, poset_a2,
                             regular_right_module_system, trivial_category)
+from catext.validation import Report
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), discrete_category(2)]
 F5 = FieldSpec.prime(5)
@@ -62,6 +63,71 @@ def test_broken_cat_module_detected():
     assert rep.ok  # zero on the only arrow is still functorial
     m.mats["i0"] = F2.zeros(1, 1)
     assert not validate_cat_module(m).ok
+
+
+def reference_validate_cat_module(m) -> Report:
+    """The module validator as written before the functor laws moved to
+    `fincat.functor_failures`: the oracle for `validate_cat_module`."""
+    rep = Report()
+    c = m.cat
+    k = m.field
+    for f, (x, y) in c.mor.items():
+        mat = m.mats.get(f)
+        if mat is None or mat.shape != (m.dims[x], m.dims[y]):
+            rep.add("shape", "matrix missing or mis-shaped", f=f)
+    if not rep.ok:
+        return rep
+    for x in c.objects:
+        if not k.equal(m.on(c.identity[x]), k.eye(m.dims[x])):
+            rep.add("functor", "F(1_x) != id", object=x)
+    for (f, g), h in c.compose.items():
+        if not k.equal(m.on(h), k.matmul(m.on(f), m.on(g))):
+            rep.add("functor", "F(fg) != F(f) F(g)", f=f, g=g)
+    return rep
+
+
+LAW_FIELDS = [F2, F5, FieldSpec.prime(2**31 - 1), QQ]
+
+
+def _law_modules(k):
+    """Valid modules with matrices of several shapes, among them the
+    constant module on the 18 morphisms of Gr(A, N) of an A2 fixture."""
+    c = poset_a2()
+    a = constant_precosheaf(c, field_algebra(F2))
+    ext = fiber_extension(c, a, regular_right_module_system(a))
+    return [representable_module(cyclic_monoid(3, 1), k, "*"),
+            representable_module(c, k, "1"), representable_module(c, k, "0"),
+            constant_module(one_object_group(3), k), constant_module(ext.total, k)]
+
+
+def _single_entry_corruptions(m):
+    """Copies of m with one matrix entry raised by one, for every entry."""
+    k = m.field
+    for f, mat in m.mats.items():
+        for i, j in iproduct(range(mat.shape[0]), range(mat.shape[1])):
+            bad = np.array(mat, copy=True)
+            bad[i, j] = k.coerce(bad[i, j] + 1)
+            yield CatModule(m.cat, k, m.dims, {**m.mats, f: bad}, name=f"{m.name}-{f}")
+
+
+@pytest.mark.parametrize("k", LAW_FIELDS, ids=lambda k: f"F{k.p}" if k.p else "Q")
+def test_cat_module_validator_matches_reference(k):
+    seen = 0
+    for m in _law_modules(k):
+        assert validate_cat_module(m).ok and reference_validate_cat_module(m).ok
+        for bad in _single_entry_corruptions(m):
+            want = reference_validate_cat_module(bad).as_dict()
+            assert validate_cat_module(bad).as_dict() == want
+            seen += not want["ok"]
+    assert seen > 20
+    c = poset_a2()
+    broken = constant_module(c, k)
+    broken.mats["i0"] = k.zeros(1, 1)
+    misshaped = constant_module(c, k)
+    misshaped.mats["a"] = k.zeros(2, 1)
+    for m in (broken, misshaped):
+        assert validate_cat_module(m).as_dict() == reference_validate_cat_module(m).as_dict()
+        assert not validate_cat_module(m).ok
 
 
 def test_restrict_identity_functor():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,61 @@ def test_e2_zero_fibers_concentrated_in_row_zero():
         assert table[(p, 0)] == base_ext[p]
         for q in (1, 2):
             assert table[(p, q)] == 0
+
+
+def reference_alpha(ctx, lift) -> dict:
+    """The fiber map of a lift (r, m, f) as computed before it was read from
+    the table of Gr(A, N): m -> N(f)(m) . r through the module's matrices."""
+    r, _, fbase = lift
+    x, y = ctx.c.mor[fbase]
+    kc = ctx.a.field
+    nf = ctx.n.on(fbase)
+    right_r = ctx.n.at(y).right_of(kc.array(r)) if ctx.n.at(y).dim else None
+
+    def apply(m: tuple) -> tuple:
+        if ctx.n.at(y).dim == 0:
+            return ()
+        img = kc.matmul(right_r, kc.matmul(nf, kc.array(m)))
+        return tuple(int(v) for v in img)
+    return {m: apply(m) for m in ctx.groups[x].elements}
+
+
+def _alpha_fixtures() -> list:
+    """(name, A, N) of the LHS problem files and of LHS fixtures with
+    non-identity algebra maps, Klein fibers, a zero module and F3."""
+    from catext import cliio
+    from catext.fdalgebra import group_algebra
+    from catext.presets import a2_augmentation_precosheaf
+    out = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.yaml")):
+        built = cliio.build(cliio.parse(path.read_text()))
+        if built.right_module is not None:
+            out.append((path.stem, built.precosheaf, built.right_module))
+    a2_kz2 = constant_precosheaf(poset_a2(), group_algebra([2], F2))
+    for name, a in [("a2-aug", a2_augmentation_precosheaf(F2)), ("a2-kz2", a2_kz2),
+                    ("bz2-kz2", constant_precosheaf(one_object_group(2), group_algebra([2], F2))),
+                    ("pt-f3", constant_precosheaf(trivial_category(), field_algebra(F3)))]:
+        out.append((name, a, regular_right_module_system(a)))
+    out.append(("a2-kz2-zero", a2_kz2, zero_right_module_system(a2_kz2)))
+    return out
+
+
+ALPHA_FIXTURES = _alpha_fixtures()
+
+
+@pytest.mark.parametrize("a,n", [t[1:] for t in ALPHA_FIXTURES],
+                         ids=[t[0] for t in ALPHA_FIXTURES])
+def test_alpha_read_from_table_matches_module_formula(a, n):
+    """For every lift of every Gr(A) morphism."""
+    c = a.base
+    ext = fiber_extension(c, a, n)
+    ctx = _LhsContext(c, a, n, constant_module(ext.total, a.field), qmax=0, _ext=ext)
+    lifts = 0
+    for u in ext.base.mor:
+        for lift in (v for v in ext.total.mor if ext.pi.on_mor(v) == u):
+            assert ctx.alpha(lift) == reference_alpha(ctx, lift)
+            lifts += 1
+    assert lifts == len(ext.total.mor)
 
 
 def restrict_along_iso(ext, f):
