@@ -469,6 +469,7 @@ class Built:
                 if missing:
                     raise InputError([f"modules.{name}.dims: no dimension at object "
                                       f"{missing[0]!r}"])
+                _known_objects(cat, blk["dims"], f"modules.{name}.dims")
                 _known_morphisms(cat, blk["mats"], f"modules.{name}.mats")
                 mats = {}
                 for f in cat.mor:
@@ -487,6 +488,13 @@ class Built:
                 self.category, self.precosheaf, self.right_module,
                 _total=self.category_for("gr-an"), _base=self.category_for("gr-a"))
         return self._ext
+
+
+def _known_objects(cat: FinCategory, keys, path: str) -> None:
+    """Every key of an at or dims block must name an object of cat."""
+    for x in keys:
+        if x not in cat.objects:
+            raise InputError([f"{path}.{x}: dangling object reference"])
 
 
 def _known_morphisms(cat: FinCategory, keys, path: str) -> None:
@@ -537,6 +545,7 @@ def _explicit_system(built: Built, blk: dict, key: str):
                                 left_action=mats_of("left"))
         else:
             mods[x] = AlgModule(alg, dim, "right", right_action=mats_of("right"))
+    _known_objects(cat, blk["at"], f"{key}.at")
     _known_morphisms(cat, blk["maps"], f"{key}.maps")
     maps = {}
     for f, (x, y) in cat.mor.items():
@@ -571,6 +580,7 @@ def build(spec: ProblemSpec) -> Built:
             missing = [x for x in cat.objects if x not in algebras]
             if missing:
                 raise InputError([f"algebra.at: no algebra at object {missing[0]!r}"])
+            _known_objects(cat, algebras, "algebra.at")
             _known_morphisms(cat, alg_block["maps"], "algebra.maps")
             edge_maps = {}
             for f, mat in alg_block["maps"].items():

@@ -6,13 +6,29 @@ object arrays) or F_p with p prime < 2**31 (int64 residues).  There are no
 tolerances anywhere, and Ext by linear algebra needs a field.
 
 `FieldSpec.matmul` is the one place where field products are summed.  With
-inner dimension n it takes one int64 product and one mod while
-n (p - 1)^2 < 2^63, the delayed-reduction bound of Dumas, Giorgi and Pernet
-("Dense linear algebra over word-size prime fields", ACM TOMS 2008); above
-it the left factor is split into 16-bit limbs and the inner dimension into
-chunks of 2^16, so that each limb product stays below 2^63.  `_eliminate`
-and `Echelon` share one row update, `_clear_column`, whose terms are single
-products below p^2 < 2^62.
+inner dimension n it has three branches, after the delayed-reduction bounds
+of Dumas, Giorgi and Pernet ("Dense linear algebra over word-size prime
+fields", ACM TOMS 2008):
+
+* while n (p - 1)^2 < 2^53, a matrix-matrix product whose left factor has at
+  least 16 rows and which makes at least 2^16 multiply-adds is one float64
+  (BLAS) product and one mod.  Every partial sum is an integer below 2^53,
+  so it is exact; the bound decides correctness and the size gate only
+  speed.  p = 2^31 - 1 never takes it (already (p - 1)^2 > 2^53), and
+  vector-matrix products stay on int64, so nothing small is copied to float;
+* while n (p - 1)^2 < 2^63, one int64 product and one mod;
+* above that, the left factor is split into 16-bit limbs and the inner
+  dimension into chunks of 2^16, so that each limb product stays below 2^63.
+
+`_eliminate` reduces a matrix of at most 64 rows with the pivot loop and a
+taller one row-blocked: block by block through `Echelon.extend`, which
+reduces a block against the basis in one product, runs the pivot loop on
+what is left and clears the old rows at the new pivots in one more product
+(blocked elimination with one product per trailing update, as in
+Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013).  The rref is
+unique, so both give the same matrix.  The pivot loop and `Echelon.add`
+share one row update, `_clear_column`, whose terms are single products
+below p^2 < 2^62.
 """
 from __future__ import annotations
 
@@ -23,6 +39,11 @@ from itertools import product as iproduct
 import numpy as np
 
 _LIMB = 16  # bits of the low limb and log2 of the inner chunk of the split product
+# A product goes through float64 BLAS only if its left factor has this many
+# rows and it makes this many multiply-adds; smaller ones are faster in int64.
+_BLAS_ROWS = 16
+_BLAS_WORK = 1 << 16
+_BLOCK = 64  # rows per block of the row-blocked elimination
 
 
 def _is_prime(n: int) -> bool:
@@ -137,6 +158,9 @@ class FieldSpec:
             return a @ b
         p = self.characteristic
         inner = a.shape[-1]
+        if a.ndim >= 2 and b.ndim >= 2 and a.shape[-2] >= _BLAS_ROWS \
+                and a.size * b.shape[-1] >= _BLAS_WORK and inner * (p - 1) ** 2 < 1 << 53:
+            return np.mod(a.astype(np.float64) @ b.astype(np.float64), p).astype(np.int64)
         if inner * (p - 1) ** 2 < 1 << 63:
             return np.mod(a @ b, p)
         # |hi| < 2^15 and 0 <= lo < 2^16 against |b| < 2^31, at most 2^16 terms
@@ -213,8 +237,9 @@ def _clear_column(field: FieldSpec, m: np.ndarray, col: np.ndarray,
         m[rows] = field.reduce(m[rows] - np.outer(col[rows], pivot_row))
 
 
-def _eliminate(field: FieldSpec, m: np.ndarray):
-    """In-place row reduction to rref; returns pivot column list."""
+def _pivot_loop(field: FieldSpec, m: np.ndarray):
+    """In-place row reduction to rref, one pivot at a time; returns pivot
+    column list."""
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -234,6 +259,24 @@ def _eliminate(field: FieldSpec, m: np.ndarray):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _eliminate(field: FieldSpec, m: np.ndarray):
+    """In-place row reduction to rref; returns pivot column list.
+
+    A matrix of more than one block of rows is fed through `Echelon.extend`
+    block by block; the rref is unique, so the result is the pivot loop's."""
+    rows, cols = m.shape
+    if rows <= _BLOCK:
+        return _pivot_loop(field, m)
+    ech = Echelon(field, cols)
+    for s in range(0, rows, _BLOCK):
+        if ech.rank == cols:
+            break
+        ech.extend(m[s:s + _BLOCK])
+    m[:ech.rank] = ech.basis_matrix().a
+    m[ech.rank:] = field.zero
+    return sorted(ech._pivots)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -331,6 +374,31 @@ class Echelon:
         self._mat = np.concatenate([self._mat, red.reshape(1, -1)], axis=0)
         self._pivots.append(piv)
         return True
+
+    def extend(self, block) -> int:
+        """Insert the rows of a 2-D block; returns by how much the rank grew.
+
+        The block is reduced against the basis in one product, what is left
+        goes through the pivot loop, and the old rows are cleared at the new
+        pivots in one more product."""
+        field = self.field
+        block = np.asarray(block)
+        if block.dtype != self._mat.dtype:
+            block = field.array(block)
+        block = block.reshape(-1, self.dim)
+        rest = block
+        if self._pivots:
+            rest = field.reduce(block - field.matmul(block[:, self._pivots], self._mat))
+        rest = rest[np.any(rest != 0, axis=1)]  # a copy: the pivot loop works in place
+        new = _pivot_loop(field, rest)
+        if not new:
+            return 0
+        rest = rest[:len(new)]
+        if self._pivots:
+            self._mat = field.reduce(self._mat - field.matmul(self._mat[:, new], rest))
+        self._mat = np.concatenate([self._mat, rest], axis=0)
+        self._pivots.extend(new)
+        return len(new)
 
     def basis_matrix(self) -> Matrix:
         if not self._pivots:

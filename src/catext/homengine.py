@@ -18,7 +18,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rank, solve_matrix
+from .exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rank, rref
 from .fdalgebra import AlgModule, FDAlgebra, free_module
 from .fincat import CatFunctor, FinCategory, functor_failures, linearize, nerve_chains
 from .validation import Report
@@ -551,12 +551,18 @@ def group_cohomology_dims(group: FiniteAbelianGroup, module: GroupModule,
 @dataclass(eq=False)
 class Subquotient:
     """ker(d_out) / im(d_in) with a fixed representative basis, supporting
-    exact projection of cocycles onto class coordinates."""
+    exact projection of cocycles onto class coordinates.
+
+    The columns of S = [image basis | reps] are independent.  `_rows` are
+    independent rows of S and `_inverse` is the inverse of S[_rows], so v is
+    in the span of S iff S x = v for x = _inverse v[_rows]."""
 
     field: FieldSpec
     ambient_dim: int
     reps: np.ndarray  # (ambient, h_dim) columns are class representatives
-    _solver: Matrix  # [image basis | reps]
+    _solver: np.ndarray  # S = [image basis | reps]
+    _rows: list
+    _inverse: np.ndarray
     _n_image: int
 
     @property
@@ -570,10 +576,11 @@ class Subquotient:
             vecs = vecs.reshape(-1, 1)
         if self.dim == 0:
             return k.zeros(0, vecs.shape[1])
-        sol = solve_matrix(self._solver, Matrix(k, vecs))
-        if sol is None:
+        vecs = k.reduce(vecs)
+        x = k.matmul(self._inverse, vecs[self._rows])
+        if not k.equal(k.matmul(self._solver, x), vecs):
             raise ValueError("vector is not a cocycle modulo boundaries")
-        return sol.a[self._n_image:, :]
+        return x[self._n_image:, :]
 
 
 def subquotient(field: FieldSpec, d_out: np.ndarray, d_in: np.ndarray | None) -> Subquotient:
@@ -592,11 +599,13 @@ def subquotient(field: FieldSpec, d_out: np.ndarray, d_in: np.ndarray | None) ->
         if ech.add(row):
             reps.append(np.array(row, copy=True))
     n_img = len(image_cols)
-    h = len(reps)
-    cols = image_cols + reps
-    if cols:
-        solver = Matrix(field, np.stack(cols, axis=1))
-    else:
-        solver = Matrix.zeros(field, ambient, 0)
-    reps_mat = np.stack(reps, axis=1) if reps else field.zeros(ambient, 0)
-    return Subquotient(field, ambient, reps_mat, solver, n_img)
+    if not reps:
+        return Subquotient(field, ambient, field.zeros(ambient, 0), field.zeros(ambient, 0),
+                           [], field.zeros(0, 0), n_img)
+    solver = np.stack(image_cols + reps, axis=1)
+    # rref [S^T | I] = [U S^T | U] with U S^T the identity at the pivots R,
+    # so U = (S[R]^T)^-1 and the inverse of S[R] is U^T
+    n = solver.shape[1]
+    red, rows = rref(Matrix(field, np.concatenate([solver.T, field.eye(n)], axis=1)))
+    return Subquotient(field, ambient, np.stack(reps, axis=1), solver, rows,
+                       np.array(red.a[:, ambient:].T), n_img)

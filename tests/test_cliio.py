@@ -545,3 +545,24 @@ def test_map_of_no_morphism_exits_two(tmp_path, capsys, command, edit, path):
     code, doc = _run_main(tmp_path, capsys, text, command)
     assert code == 2
     assert doc["input_errors"] == [f"{path}: dangling morphism reference"]
+
+
+@pytest.mark.parametrize("command,edit,path", [
+    ("validate", ("constant: {preset: field}", "at: {x: {preset: field}, zz: {preset: field}}"),
+     "algebra.at.zz"),
+    ("validate", ("    x: {dim: 1, left: [[[1]]], right: [[[1]]]}\n",
+                  "    x: {dim: 1, left: [[[1]]], right: [[[1]]]}\n"
+                  "    zz: {dim: 1, left: [[[1]]], right: [[[1]]]}\n"), "bimodule.at.zz"),
+    ("validate", ("    x: {dim: 1, right: [[[1]]]}\n",
+                  "    x: {dim: 1, right: [[[1]]]}\n    yy: {dim: 1, right: [[[1]]]}\n"),
+     "right_module.at.yy"),
+    ("cohomology", ("dims: {x: 1}", "dims: {x: 1, zz: 4}"), "modules.E.dims.zz"),
+])
+def test_key_of_no_object_exits_two(tmp_path, capsys, command, edit, path):
+    """An at or dims key that names no object is reported as a maps key
+    that names no morphism is, not ignored."""
+    text = NAMED_POINT.replace(*edit)
+    assert text != NAMED_POINT
+    code, doc = _run_main(tmp_path, capsys, text, command)
+    assert code == 2
+    assert doc["input_errors"] == [f"{path}: dangling object reference"]

@@ -210,14 +210,18 @@ def _py_rank(rows, p):
     return r
 
 
-def _entries(draw, p, rows, cols):
+def _residues(rnd, p, rows, cols):
     """rows x cols residues from the whole range [0, p), half of them from its
-    top quarter, where sums of products leave int64 first.  Hypothesis draws
-    only the seed, which keeps large matrices cheap to generate."""
-    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    top quarter, where sums of products leave int64 first."""
     top = p - 1 - p // 4
     return [[rnd.randrange(top if rnd.random() < 0.5 else 0, p) for _ in range(cols)]
             for _ in range(rows)]
+
+
+def _entries(draw, p, rows, cols):
+    """`_residues` from a drawn seed: hypothesis draws only the seed, which
+    keeps large matrices cheap to generate."""
+    return _residues(Random(draw(st.integers(0, 2**32 - 1))), p, rows, cols)
 
 
 @st.composite
@@ -367,6 +371,180 @@ def test_module_right_of_matches_int_oracle(field, data):
     want = [[sum(a[i] * m[r][s] for i, m in enumerate(actions)) % p for s in range(n)]
             for r in range(n)]
     assert mod.right_of(np.array(a, dtype=np.int64)).tolist() == want
+
+
+# -- the float64 branch of FieldSpec.matmul -----------------------------------------
+#
+# A product whose left factor has at least 16 rows and which makes at least 2^16
+# multiply-adds runs in float64 while inner (p - 1)^2 < 2^53.  At p = 2^31 - 1
+# that never holds; at 65521 it holds up to inner dimension about 2^21.
+
+BLAS_PRIMES = [2, 3, 65521, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", BLAS_PRIMES)
+@pytest.mark.parametrize("n,m,l", [(16, 64, 64), (40, 70, 33), (100, 24, 90)])
+def test_matmul_above_the_size_gate_matches_int_oracle(p, n, m, l):
+    assert n >= 16 and n * m * l >= 1 << 16
+    k = FieldSpec.prime(p)
+    rnd = Random(n * m * l + p)
+    a, b = _residues(rnd, p, n, m), _residues(rnd, p, m, l)
+    an, bn = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    want = _py_matmul(a, b, l, p)
+    assert k.matmul(an, bn).tolist() == want
+    # a left factor in (-p, 0]: the branch reduces negative sums as well
+    assert k.matmul(-an, bn).tolist() == [[-v % p for v in row] for row in want]
+
+
+@pytest.mark.parametrize("p", BLAS_PRIMES)
+def test_stacked_matmul_above_the_size_gate_matches_int_oracle(p):
+    k = FieldSpec.prime(p)
+    rnd = Random(p)
+    a = [_residues(rnd, p, 32, 48) for _ in range(3)]
+    b = [_residues(rnd, p, 48, 50) for _ in range(3)]
+    sa, sb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert k.matmul(sa, sb).tolist() == [_py_matmul(x, y, 50, p) for x, y in zip(a, b)]
+    assert k.matmul(sa, sb[0]).tolist() == [_py_matmul(x, b[0], 50, p) for x in a]
+
+
+def test_float_branch_stops_at_the_exactness_bound():
+    """Just below 2^26, 2 (p - 1)^2 < 2^53 <= 3 (p - 1)^2: inner dimension 2
+    takes the float branch and 3 does not.  Three odd products near 2^52 sum
+    to an odd number above 2^53, which float64 cannot hold."""
+    p = 2**26 - 5
+    k = FieldSpec.prime(p)
+    assert 2 * (p - 1) ** 2 < 1 << 53 <= 3 * (p - 1) ** 2
+    for inner in (2, 3):
+        a = np.full((256, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, 128), p - 1, dtype=np.int64)
+        a[1::2] = p - 2
+        b[:, 1::2] = p - 2
+        want = _py_matmul(a.tolist(), b.tolist(), 128, p)
+        assert k.matmul(a, b).tolist() == want
+        assert k.matmul(a[None], b[None]).tolist() == [want]
+
+
+# -- the row-blocked elimination against the pivot loop ------------------------------
+
+def _reference_eliminate(field, m):
+    """The one-pivot-at-a-time loop that reduced every matrix before the
+    blocked driver: in place, returns the pivot columns."""
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = field.reduce(m[r] * field.inv(m[r, c]))
+        col = np.array(m[:, c], copy=True)
+        col[r] = field.zero
+        nzr = np.nonzero(col)[0]
+        if len(nzr):
+            m[nzr] = field.reduce(m[nzr] - np.outer(col[nzr], m[r]))
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _reference_rref(m):
+    work = np.array(m.a, copy=True)
+    return work, _reference_eliminate(m.field, work)
+
+
+BLOCK_FIELDS = [FieldSpec.prime(p) for p in BLAS_PRIMES] + [QQ]
+
+
+@st.composite
+def tall_matrices(draw):
+    """More than one 64-row block, of bounded rank, often sparse, with a
+    leading band of zero columns in the first rows so that later blocks find
+    pivots before the earlier ones."""
+    field = draw(st.sampled_from(BLOCK_FIELDS))
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    big = field.is_prime_field
+    rows = rnd.randrange(65, 200 if big else 140)
+    cols = rnd.randrange(1, 48 if big else 14)
+    r = rnd.randrange(0, min(rows, cols) + 2)
+    hi = field.p if big else 7
+    left = np.array([[rnd.randrange(hi) for _ in range(r)] for _ in range(rows)],
+                    dtype=np.int64).reshape(rows, r)
+    right = np.array([[rnd.randrange(hi) if rnd.random() < 0.4 else 0 for _ in range(cols)]
+                      for _ in range(r)], dtype=np.int64).reshape(r, cols)
+    a = field.matmul(field.array(left), field.array(right)) if r else field.zeros(rows, cols)
+    band = rnd.randrange(0, cols + 1)
+    a[:rnd.randrange(0, rows), :band] = field.zero
+    return Matrix(field, a)
+
+
+@given(tall_matrices())
+def test_blocked_rref_matches_pivot_loop(m):
+    work, pivots = _reference_rref(m)
+    r, got = rref(m)
+    assert got == pivots
+    assert r.a.tolist() == work.tolist()
+    assert rank(m) == len(pivots)
+
+
+@given(tall_matrices())
+def test_blocked_kernel_matches_pivot_loop(m):
+    field = m.field
+    work, pivots = _reference_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    want = field.zeros(len(free), m.cols)
+    want[np.arange(len(free)), free] = field.one
+    want[:, pivots] = field.reduce(-work[:len(pivots), free].T)
+    assert kernel_basis(m).a.tolist() == want.tolist()
+
+
+@given(tall_matrices(), st.integers(0, 2**32 - 1))
+def test_blocked_solve_matches_pivot_loop(m, seed):
+    field, rnd = m.field, Random(seed)
+    x = field.array([[rnd.randrange(5) for _ in range(2)] for _ in range(m.cols)])
+    b = field.matmul(m.a, x.reshape(m.cols, 2))
+    b[:, 1] = field.array([rnd.randrange(5) for _ in range(m.rows)])  # mostly inconsistent
+    for rhs in (b, b[:, :1]):
+        aug = np.concatenate([np.array(m.a, copy=True), rhs], axis=1)
+        pivots = _reference_eliminate(field, aug)
+        got = solve_matrix(m, Matrix(field, np.array(rhs, copy=True)))
+        if any(p >= m.cols for p in pivots):
+            assert got is None
+            continue
+        want = field.zeros(m.cols, rhs.shape[1])
+        for i, pc in enumerate(pivots):
+            want[pc] = aug[i, m.cols:]
+        assert got.a.tolist() == want.tolist()
+
+
+@given(tall_matrices(), st.lists(st.integers(1, 90), min_size=1, max_size=6))
+def test_echelon_extend_matches_add_and_pivot_loop(m, sizes):
+    field = m.field
+    added, extended = Echelon(field, m.cols), Echelon(field, m.cols)
+    for row in m.a:
+        added.add(row)
+    start = 0
+    for size in sizes + [m.rows]:
+        before = extended.rank
+        assert extended.extend(m.a[start:start + size]) == extended.rank - before
+        start += size
+    work, pivots = _reference_rref(m)
+    assert extended.rank == added.rank == len(pivots)
+    assert extended.basis_matrix().a.tolist() == added.basis_matrix().a.tolist() \
+        == work[:len(pivots)].tolist()
+    assert all(extended.contains(row) for row in m.a)
+
+
+def test_echelon_extend_takes_lists_and_empty_blocks():
+    e = Echelon(F3, 3)
+    assert e.extend([[0, 1, 1], [0, 2, 2]]) == 1
+    assert e.extend(F3.zeros(0, 3)) == 0
+    assert e.extend([[1, 1, 0], [0, 0, 1]]) == 2
+    assert e.basis_matrix().a.tolist() == F3.eye(3).tolist()
 
 
 # -- every field product goes through FieldSpec.matmul ------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catext.exactlin import FieldSpec
+from catext.exactlin import FieldSpec, Matrix, solve_matrix
 from catext.extcheck import fiber_extension
 from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               free_module, group_algebra, validate_module)
@@ -625,3 +625,32 @@ def test_subquotient_projection_roundtrip():
     assert not F3.is_zero(F3.matmul(cc.d[1], bad)), "fixture accidentally a cocycle"
     with pytest.raises(ValueError):
         sq.project(bad)
+
+
+@pytest.mark.parametrize("orders,field,q", [
+    ((3,), F3, 1), ((3,), F3, 2), ((2, 2), F2, 2), ((5,), FieldSpec.prime(5), 1),
+    ((2, 2), FieldSpec.prime(65521), 0), ((3,), FieldSpec.prime(2**31 - 1), 0), ((2,), QQ, 0),
+])
+def test_subquotient_projection_matches_solve(orders, field, q):
+    """The factored projection gives the coordinates the parent's solve
+    against [image basis | reps] gave, and raises on every non-cocycle."""
+    g = FiniteAbelianGroup(orders)
+    cc = bar_cochain_complex(g, trivial_group_module(g, field, 2), q + 1)
+    sq = subquotient(field, cc.d[q], cc.d[q - 1] if q else None)
+    assert sq.dim > 0
+    rnd = Random(q)
+    coords = field.array([[rnd.randrange(5) for _ in range(3)] for _ in range(sq.dim)])
+    vecs = field.matmul(sq.reps, coords)
+    if q:
+        y = field.array([[rnd.randrange(5) for _ in range(3)]
+                         for _ in range(cc.d[q - 1].shape[1])])
+        vecs = field.reduce(vecs + field.matmul(cc.d[q - 1], y))
+    assert sq.project(vecs).tolist() == coords.tolist()
+    ref = solve_matrix(Matrix(field, sq._solver), Matrix(field, vecs))
+    assert ref.a[sq._n_image:].tolist() == coords.tolist()
+    for j in range(cc.dims[q]):
+        e = field.zeros(cc.dims[q])
+        e[j] = field.one
+        if not field.is_zero(field.matmul(cc.d[q], e)):
+            with pytest.raises(ValueError, match="^vector is not a cocycle modulo boundaries$"):
+                sq.project(e)
