@@ -2,9 +2,12 @@
 
 One human-writable YAML format describes everything: the field, a category
 (preset or explicit composition table), a precosheaf of algebras, optional
-bimodule / right-module systems, coefficient modules, and a task.  parse()
-normalizes and schema-checks the document (reporting every error with its
-path); emit() writes the canonical form back, so emit . parse is idempotent.
+bimodule / right-module systems, coefficient modules, and a task.  One table
+per block lists its keys, their kinds and defaults, and which keys name
+objects or morphisms.  parse() walks the tables, normalizing the document and
+reporting every error with its path (a key no table lists is one); build()
+checks names against the built category.  emit() writes the canonical form
+back, so emit . parse is idempotent.
 
 Reports are emitted as deterministic JSON (structured) or aligned text
 (table).  Exit codes: 0 clean, 1 mathematical violation found, 2 input error.
@@ -13,8 +16,9 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field as dfield
+from typing import NamedTuple
 
 import yaml
 
@@ -29,24 +33,7 @@ from .homengine import (CatModule, cat_ext_dims, cohomology_dims, constant_modul
                         nerve_cohomology_dims, representable_module, validate_cat_module)
 from .validation import Report
 
-_CATEGORY_BUILDERS = {
-    "trivial": lambda b: presets.trivial_category(),
-    "poset-a2": lambda b: presets.poset_a2(),
-    "discrete": lambda b: presets.discrete_category(b["count"]),
-    "cyclic-monoid": lambda b: presets.cyclic_monoid(b["size"], b["loop"]),
-    "one-object-group": lambda b: presets.one_object_group(b["order"]),
-}
-CATEGORY_PRESETS = tuple(_CATEGORY_BUILDERS)
-_ALGEBRA_BUILDERS = {
-    "field": lambda b, k: field_algebra(k),
-    "dual-numbers": lambda b, k: dual_numbers(k),
-    "group-algebra": lambda b, k: group_algebra(b["orders"], k),
-    "upper-triangular": lambda b, k: upper_triangular_algebra(b["size"], k),
-    "field-product": lambda b, k: presets.field_product(k, b["count"]),
-    "explicit": lambda b, k: FDAlgebra(field=k, dim=b["dim"], structure=k.array(b["tensor"]),
-                                       unit=k.array(b["unit"]), name="explicit"),
-}
-ALGEBRA_PRESETS = tuple(_ALGEBRA_BUILDERS)
+_SPOT_ROUNDS = 25  # rounds of the element-level spot checks of validate --seed
 
 
 class InputError(Exception):
@@ -62,194 +49,364 @@ class ProblemSpec:
     payload: dict
 
 
-# -- parsing -------------------------------------------------------------------
+# -- the problem format -------------------------------------------------------
+#
+# A kind reads one value: kind(errors, path, value, out) records what is wrong
+# and returns the normal form (out: the enclosing block's so far).  The names
+# of a key marked `names` (its value) or `keys` (its mapping's keys) are
+# checked by parse() inside an explicit category, elsewhere by build().
+
+_NO = object()  # an absent key without a default, or a null no-block: left out
+
+
+class _Errors(list):
+    names = None  # inside an explicit category: its objects and morphism ids so far
+
+
+class _Key(NamedTuple):
+    """One key of a block: how its value is read."""
+    kind: Callable
+    default: object = _NO     # read for an absent key; None makes the key required
+    null: object = None       # what a null value is: _NO (no block) or the error
+    names: str | None = None  # "object" or "morphism"
+    keys: str | None = None   # "object" or "morphism"
+    stop: bool = False        # an error here rejects the rest of the block
+    new: bool = False         # the value is a new morphism id, not a reference
+
 
 def _err(errors, path, msg):
     errors.append(f"{path}: {msg}")
 
 
-def _check_matrix(errors, path, m, rows=None, cols=None):
+def _read(errors, path, value, keys, out) -> bool:
+    """Put the normal forms of value's keys into out; False once a stop key fails."""
+    scope = errors.names
+    for key, (kind, default, null, names, _, stop, new) in keys.items():
+        raw = value.get(key, default)
+        if raw is _NO or (raw is None and null is _NO):
+            continue
+        kpath = f"{path}.{key}" if path else key
+        if raw is None and null:
+            _err(errors, kpath, null)
+            continue
+        before = len(errors)
+        out[key] = kind(errors, kpath, raw, out)
+        if len(errors) > before:
+            if stop:
+                return False
+        elif scope is not None and new:
+            if raw in scope["morphism"]:
+                _err(errors, path, f"duplicate morphism id {raw!r}")
+            scope["morphism"].add(raw)
+        elif scope is not None and names and raw not in scope[names]:
+            _err(errors, kpath, f"dangling {names} reference {raw!r}")
+    return True
+
+
+def _block(keys, tag=None, cases=None, check=None, required=(), need="expected a mapping",
+           empty=False):
+    """A mapping with the listed keys, read in order.  With a tag, that key's
+    value picks the case whose keys come next.  check(errors, path, value, out)
+    runs before those keys; False rejects the block.  need is the error for a
+    value that is not a mapping or lacks a required key; with empty, any falsy
+    value reads as {}."""
+    required = frozenset(required)
+
+    def read(errors, path, value, outer=None):
+        if empty and not value:
+            value = {}
+        if not isinstance(value, dict) or required and not required <= value.keys():
+            return _err(errors, path, need)
+        out, rest, scope = {}, keys, errors.names
+        if tag is not None:
+            if not _read(errors, path, value, keys, out):
+                return None
+            rest = cases[out[tag]]
+        if check and check(errors, path, value, out) is False:
+            return None
+        done = _read(errors, path, value, rest, out)
+        errors.names = scope
+        if not done:
+            return None
+        for key in value:
+            if key not in keys and key not in rest:
+                _err(errors, f"{path}.{key}" if path else key, "unknown key")
+        return out
+    return read
+
+
+def _either(blocks, otherwise):
+    """A mapping read by the block of the first listed key it has, or else by
+    otherwise: a block, or the error."""
+    def read(errors, path, value, out=None):
+        if not isinstance(value, dict):
+            return _err(errors, path, "expected a mapping")
+        block = next((b for key, b in blocks.items() if key in value), otherwise)
+        return _err(errors, path, block) if isinstance(block, str) else block(errors, path, value)
+    return read
+
+
+def _map(kind, need=None):
+    """A mapping from names to values of one kind.  Without need (the error for
+    a value that is not a mapping), any falsy value reads as {}."""
+    def read(errors, path, value, out=None):
+        if need is None and not value:
+            return {}
+        if not isinstance(value, dict):
+            return _err(errors, path, need or "expected a mapping")
+        return {k: kind(errors, f"{path}.{k}", v, out) for k, v in value.items()}
+    return read
+
+
+def _seq(item, need=None):
+    """A list of values of one kind; need is the error for anything else."""
+    def read(errors, path, value, out=None):
+        if not isinstance(value, list):
+            return _err(errors, path, need)
+        return [item(errors, f"{path}[{i}]", v, out) for i, v in enumerate(value)]
+    return read
+
+
+def _one(noun, choices, alias=None):
+    """One of choices; an alias reads as the choice it stands for."""
+    alias = alias or {}
+
+    def read(errors, path, value, out=None):
+        if isinstance(value, Hashable) and alias.get(value, value) in choices:
+            return alias.get(value, value)
+        _err(errors, path, f"unknown {noun} {value!r}")
+        return value
+    return read
+
+
+def _int_of(least):
+    """An integer >= least, as int() reads it (None after an error)."""
+    def read(errors, path, value, out=None):
+        try:
+            if int(value) >= least:
+                return int(value)
+        except (TypeError, ValueError):
+            pass
+        return _err(errors, path, f"need an integer >= {least}, got {value!r}")
+    return read
+
+
+def _name(errors, path, value, out=None):
+    """A scalar name: a list or a mapping is an error."""
+    if not isinstance(value, Hashable):
+        _err(errors, path, f"need a scalar name, got {value!r}")
+    return value
+
+
+def _any(errors, path, value, out=None):
+    return value
+
+
+def _matrix(errors, path, m, out=None, rows=None, cols=None):
+    """An integer matrix (a list of rows), of the given shape if any."""
     if not isinstance(m, list) or any(not isinstance(r, list) for r in m):
         _err(errors, path, "expected a list of rows")
-        return
-    widths = {len(r) for r in m}
-    if len(widths) > 1:
+    elif len({len(r) for r in m}) > 1:
         _err(errors, path, "ragged matrix")
-        return
-    if rows is not None and len(m) != rows:
-        _err(errors, path, f"expected {rows} rows, got {len(m)}")
-    if cols is not None and m and len(m[0]) != cols:
-        _err(errors, path, f"expected {cols} columns, got {len(m[0])}")
-    for r in m:
-        for v in r:
-            if not isinstance(v, int):
-                _err(errors, path, f"matrix entries must be integers, got {v!r}")
-                return
+    else:
+        if rows is not None and len(m) != rows:
+            _err(errors, path, f"expected {rows} rows, got {len(m)}")
+        if cols is not None and m and len(m[0]) != cols:
+            _err(errors, path, f"expected {cols} columns, got {len(m[0])}")
+        bad = [v for r in m for v in r if not isinstance(v, int)]
+        if bad:
+            _err(errors, path, f"matrix entries must be integers, got {bad[0]!r}")
+    return m
 
 
-def _int(errors, path, value, least=0):
-    """value as an integer >= least, or None after recording an error."""
+def _square(errors, path, m, out):
+    """A dim x dim integer matrix, dim being the enclosing block's."""
+    return _matrix(errors, path, m, out, out["dim"], out["dim"])
+
+
+# -- the tables -----------------------------------------------------------------
+
+def _characteristic(errors, path, p, out):
+    if not isinstance(p, int) or p < 2:
+        return _err(errors, path, "need a prime integer >= 2")
     try:
-        if int(value) >= least:
-            return int(value)
-    except (TypeError, ValueError):
-        pass
-    _err(errors, path, f"need an integer >= {least}, got {value!r}")
-    return None
+        FieldSpec.prime(p)
+    except ValueError as exc:
+        _err(errors, path, str(exc))
+    return p
 
 
-def _name(errors, path, value) -> bool:
-    """True for a scalar name; a list or a mapping is recorded as an error."""
-    if isinstance(value, Hashable):
-        return True
-    _err(errors, path, f"need a scalar name, got {value!r}")
-    return False
+def _loop(errors, path, value, out):
+    loop = _int_of(0)(errors, path, value)
+    if None not in (loop, out["size"]) and loop >= out["size"]:
+        _err(errors, path, "need loop < size")
+    return loop
 
 
-def _mapping(errors, path, value) -> dict:
-    """value as a mapping: missing or empty is {}, anything else an error."""
-    if value and not isinstance(value, dict):
-        _err(errors, path, "expected a mapping")
-    return value if isinstance(value, dict) else {}
+def _orders(errors, path, orders, out):
+    if not isinstance(orders, list) or any(not isinstance(n, int) or n < 1 for n in orders):
+        return _err(errors, path, "need positive integer orders")
+    return list(orders)
 
 
-def _norm_field(errors, path, block):
-    if block is None:
-        _err(errors, path, "missing field block")
-        return None
-    if not isinstance(block, dict):
-        _err(errors, path, "expected a mapping")
-        return None
-    kind = block.get("kind")
-    if kind in ("prime", "prime-field"):
-        p = block.get("characteristic")
-        if not isinstance(p, int) or p < 2:
-            _err(errors, path + ".characteristic", "need a prime integer >= 2")
-            return None
-        try:
-            FieldSpec.prime(p)
-        except ValueError as exc:
-            _err(errors, path + ".characteristic", str(exc))
-            return None
-        return {"kind": "prime-field", "characteristic": p}
-    if kind == "rationals":
-        return {"kind": "rationals"}
-    _err(errors, path + ".kind", f"unknown field kind {kind!r}")
-    return None
+def _dim(errors, path, dim, out):
+    if not isinstance(dim, int) or dim < 0:
+        _err(errors, path, "need a nonnegative dimension")
+    return dim
 
 
-def _norm_category(errors, path, block):
-    if block is None:
-        _err(errors, path, "missing category block")
-        return None
-    if not isinstance(block, dict):
-        _err(errors, path, "expected a mapping")
-        return None
-    if "preset" in block:
-        preset = block["preset"]
-        if preset not in CATEGORY_PRESETS:
-            _err(errors, path + ".preset", f"unknown preset {preset!r}")
-            return None
-        out = {"preset": preset}
-        if preset == "discrete":
-            out["count"] = _int(errors, path + ".count", block.get("count", 2), 1)
-        if preset == "cyclic-monoid":
-            out["size"] = _int(errors, path + ".size", block.get("size", 3), 1)
-            out["loop"] = _int(errors, path + ".loop", block.get("loop", 1))
-            if out["size"] is not None and out["loop"] is not None \
-                    and out["loop"] >= out["size"]:
-                _err(errors, path + ".loop", "need loop < size")
-        if preset == "one-object-group":
-            out["order"] = _int(errors, path + ".order", block.get("order", 2), 1)
-        return out
-    objs = block.get("objects")
-    mors = block.get("morphisms")
-    idents = block.get("identities")
-    table = block.get("compose")
-    if not isinstance(objs, list) or not objs:
-        _err(errors, path + ".objects", "need a non-empty object list")
-        return None
-    if not isinstance(mors, list):
-        _err(errors, path + ".morphisms", "need a morphism list")
-        return None
-    for i, x in enumerate(objs):
-        _name(errors, path + f".objects[{i}]", x)
-    ids = set()
-    for i, m in enumerate(mors):
-        if not isinstance(m, dict) or not {"id", "dom", "cod"} <= set(m):
-            _err(errors, path + f".morphisms[{i}]", "need id/dom/cod")
-            continue
-        if not _name(errors, path + f".morphisms[{i}].id", m["id"]):
-            continue
-        if m["id"] in ids:
-            _err(errors, path + f".morphisms[{i}]", f"duplicate morphism id {m['id']!r}")
-        ids.add(m["id"])
-        for end in ("dom", "cod"):
-            if m[end] not in objs:
-                _err(errors, path + f".morphisms[{i}].{end}",
-                     f"dangling object reference {m[end]!r}")
+def _tensor(errors, path, tensor, out):
+    dim = out["dim"]
+    if isinstance(tensor, list) and len(tensor) == dim:
+        return _seq(_square)(errors, path, tensor, out)
+    return _err(errors, path, f"need {dim} slabs of a {dim}^3 tensor")
+
+
+def _unit(errors, path, unit, out):
+    dim = out["dim"]
+    if isinstance(unit, list) and len(unit) == dim and all(isinstance(v, int) for v in unit):
+        return unit
+    return _err(errors, path, f"need an integer vector of length {dim}")
+
+
+def _identities(errors, path, idents, out):
     if not isinstance(idents, dict):
-        _err(errors, path + ".identities", "need an object -> morphism map")
-        idents = {}
+        return _err(errors, path, "need an object -> morphism map")
     for x, f in idents.items():
-        if x not in objs:
-            _err(errors, path + ".identities", f"dangling object reference {x!r}")
-        if _name(errors, path + ".identities", f) and f not in ids:
-            _err(errors, path + ".identities", f"dangling morphism reference {f!r}")
-    if not isinstance(table, list):
-        _err(errors, path + ".compose", "need a list of {first, then, equals}")
-        table = []
-    for i, row in enumerate(table):
-        if not isinstance(row, dict) or not {"first", "then", "equals"} <= set(row):
-            _err(errors, path + f".compose[{i}]", "need first/then/equals")
-            continue
-        for kk in ("first", "then", "equals"):
-            entry = path + f".compose[{i}].{kk}"
-            if _name(errors, entry, row[kk]) and row[kk] not in ids:
-                _err(errors, entry, f"dangling morphism reference {row[kk]!r}")
-    return {"objects": list(objs),
-            "morphisms": [dict(m) for m in mors],
-            "identities": dict(idents),
-            "compose": [dict(r) for r in table]}
+        if x not in errors.names["object"]:
+            _err(errors, path, f"dangling object reference {x!r}")
+        if isinstance(f, Hashable) and f not in errors.names["morphism"]:
+            _err(errors, path, f"dangling morphism reference {f!r}")
+        _name(errors, path, f)
+    return dict(idents)
 
 
-def _norm_algebra(errors, path, block):
-    if not isinstance(block, dict) or "preset" not in block:
-        _err(errors, path, "need an algebra block with a preset")
-        return None
-    preset = block["preset"]
-    if preset not in ALGEBRA_PRESETS:
-        _err(errors, path + ".preset", f"unknown algebra preset {preset!r}")
-        return None
-    out = {"preset": preset}
-    if preset == "group-algebra":
-        orders = block.get("orders", [2])
-        if not isinstance(orders, list) or any(not isinstance(n, int) or n < 1 for n in orders):
-            _err(errors, path + ".orders", "need positive integer orders")
-        out["orders"] = list(orders)
-    if preset == "upper-triangular":
-        out["size"] = _int(errors, path + ".size", block.get("size", 2), 1)
-    if preset == "field-product":
-        out["count"] = _int(errors, path + ".count", block.get("count", 2), 1)
-    if preset == "explicit":
-        dim = block.get("dim")
-        if not isinstance(dim, int) or dim < 0:
-            _err(errors, path + ".dim", "need a nonnegative dimension")
-            return None
-        out["dim"] = dim
-        tensor = block.get("tensor")
-        if not isinstance(tensor, list) or len(tensor) != dim:
-            _err(errors, path + ".tensor", f"need {dim} slabs of a {dim}^3 tensor")
-        else:
-            for i, slab in enumerate(tensor):
-                _check_matrix(errors, path + f".tensor[{i}]", slab, dim, dim)
-        unit = block.get("unit")
-        if not isinstance(unit, list) or len(unit) != dim \
-                or any(not isinstance(v, int) for v in unit):
-            _err(errors, path + ".unit", f"need an integer vector of length {dim}")
-        out["tensor"] = tensor
-        out["unit"] = unit
-    return out
+def _lists(errors, path, value, out):
+    """An explicit category's lists come first; errors.names then holds its names."""
+    if not isinstance(value.get("objects"), list) or not value["objects"]:
+        _err(errors, path + ".objects", "need a non-empty object list")
+        return False
+    if not isinstance(value.get("morphisms"), list):
+        _err(errors, path + ".morphisms", "need a morphism list")
+        return False
+    errors.names = {"object": value["objects"], "morphism": set()}
+
+
+def _base_only(errors, path, value, out):
+    if out["preset"] == "explicit" and out["over"] != "base":
+        _err(errors, path, "explicit modules are supported over 'base' only")
+
+
+def _command(errors, path, value, out):
+    return _one("command", COMMANDS)(errors, path, value, out)
+
+
+class _Preset(NamedTuple):
+    build: Callable  # called with the normal form of the block (and the field)
+    keys: dict = {}  # its parameters
+
+
+def _presets(noun, table, tag="preset", alias=None, **block):
+    """A block whose tag names an entry of table; its keys are that entry's."""
+    return _block({tag: _Key(_one(noun, table, alias), None, stop=True)}, tag=tag,
+                  cases={name: p.keys for name, p in table.items()}, **block)
+
+
+_FIELDS = {"prime-field": _Preset(lambda b: FieldSpec.prime(b["characteristic"]),
+                                  {"characteristic": _Key(_characteristic, None)}),
+           "rationals": _Preset(lambda b: FieldSpec.rationals())}
+_CATEGORY_PRESETS = {
+    "trivial": _Preset(lambda b: presets.trivial_category()),
+    "poset-a2": _Preset(lambda b: presets.poset_a2()),
+    "discrete": _Preset(lambda b: presets.discrete_category(b["count"]),
+                        {"count": _Key(_int_of(1), 2)}),
+    "cyclic-monoid": _Preset(lambda b: presets.cyclic_monoid(b["size"], b["loop"]),
+                             {"size": _Key(_int_of(1), 3), "loop": _Key(_loop, 1)}),
+    "one-object-group": _Preset(lambda b: presets.one_object_group(b["order"]),
+                                {"order": _Key(_int_of(1), 2)}),
+}
+_ALGEBRA_PRESETS = {
+    "field": _Preset(lambda b, k: field_algebra(k)),
+    "dual-numbers": _Preset(lambda b, k: dual_numbers(k)),
+    "group-algebra": _Preset(lambda b, k: group_algebra(b["orders"], k),
+                             {"orders": _Key(_orders, [2])}),
+    "upper-triangular": _Preset(lambda b, k: upper_triangular_algebra(b["size"], k),
+                                {"size": _Key(_int_of(1), 2)}),
+    "field-product": _Preset(lambda b, k: presets.field_product(k, b["count"]),
+                             {"count": _Key(_int_of(1), 2)}),
+    "explicit": _Preset(lambda b, k: FDAlgebra(field=k, dim=b["dim"],
+                                               structure=k.array(b["tensor"]),
+                                               unit=k.array(b["unit"]), name="explicit"),
+                        {"dim": _Key(_dim, None, stop=True), "tensor": _Key(_tensor, None),
+                         "unit": _Key(_unit, None)}),
+}
+_SYSTEM_PRESETS = {
+    "bimodule": {"regular": _Preset(presets.regular_bimodule_system),
+                 "zero": _Preset(presets.zero_bimodule_system)},
+    "right_module": {"regular": _Preset(presets.regular_right_module_system),
+                     "zero": _Preset(presets.zero_right_module_system)},
+}
+_MODULE_PRESETS = {"constant": {},
+                   "representable": {"at": _Key(_any, None, names="object")},
+                   "explicit": {"dims": _Key(_map(_int_of(0)), {}, keys="object"),
+                                "mats": _Key(_map(_matrix), {}, keys="morphism")}}
+
+
+def _at_maps(entry):
+    """Keys of a per-object block: its entries at objects, its matrices at morphisms."""
+    return {"at": _Key(_map(entry), None, keys="object"),
+            "maps": _Key(_map(_matrix), {}, keys="morphism")}
+
+
+_MORPHISM = _block({"id": _Key(_name, None, stop=True, new=True),
+                    "dom": _Key(_any, None, names="object"),
+                    "cod": _Key(_any, None, names="object")},
+                   required=("id", "dom", "cod"), need="need id/dom/cod")
+_COMPOSITE = _block({key: _Key(_name, None, names="morphism")
+                     for key in ("first", "then", "equals")},
+                    required=("first", "then", "equals"), need="need first/then/equals")
+_ALGEBRA = _presets("algebra preset", _ALGEBRA_PRESETS, required=("preset",),
+                    need="need an algebra block with a preset")
+_ALGEBRA_AT = _at_maps(_ALGEBRA)
+_SYSTEM_AT = {key: _at_maps(_block(
+    {"dim": _Key(_int_of(0), None, stop=True),
+     **{side: _Key(_seq(_square, "need one matrix per algebra basis element"), None)
+        for side in sides}},
+    required=("dim",), need="need dim plus per-basis action matrices"))
+    for key, sides in (("bimodule", ("left", "right")), ("right_module", ("right",)))}
+_CAPS = _block({cap: _Key(_int_of(0), 2) for cap in "pqn"}, empty=True)
+_NAMES = _seq(_name, "need a list of module names")
+_FIELD = _presets("field kind", _FIELDS, "kind", {"prime": "prime-field"})
+
+_DOCUMENT = _block({
+    "field": _Key(_FIELD, None, null="missing field block"),
+    "coefficient_field": _Key(_FIELD, null="missing field block"),
+    "category": _Key(_either(
+        {"preset": _presets("preset", _CATEGORY_PRESETS)},
+        _block({"objects": _Key(_seq(_name), None),
+                "morphisms": _Key(_seq(_MORPHISM), None),
+                "identities": _Key(_identities, None),
+                "compose": _Key(_seq(_COMPOSITE, "need a list of {first, then, equals}"), None)},
+               check=_lists)), None, null="missing category block"),
+    "algebra": _Key(_either({"constant": _block({"constant": _Key(_ALGEBRA, None)}),
+                             "at": _block(_ALGEBRA_AT)},
+                            "need 'constant' or per-object 'at'"), null=_NO),
+    **{key: _Key(_either({"preset": _presets("preset", _SYSTEM_PRESETS[key]),
+                          "at": _block(at)}, "need a preset or per-object 'at'"), null=_NO)
+       for key, at in _SYSTEM_AT.items()},
+    "modules": _Key(_map(_block({"over": _Key(_one("category", ("base", "gr-a", "gr-an")), "base"),
+                                 "preset": _Key(_one("module preset", _MODULE_PRESETS),
+                                                "constant", stop=True)},
+                                tag="preset", cases=_MODULE_PRESETS, check=_base_only),
+                         "expected a name -> module mapping"), null=_NO),
+    "task": _Key(_block({"command": _Key(_command, "validate"),
+                         "caps": _Key(_CAPS, {}),
+                         "module": _Key(_name), "weight": _Key(_name),
+                         "coefficients": _Key(_name),
+                         "modules": _Key(lambda errors, path, names, out:
+                                         _NAMES(errors, path, names) if names else names)},
+                        empty=True), {}),
+})
 
 
 def _load_yaml(text: str):
@@ -275,131 +432,11 @@ def parse(text: str) -> ProblemSpec:
         raise InputError([f"{loc}: YAML syntax error: {getattr(exc, 'problem', exc)}"])
     if not isinstance(raw, dict):
         raise InputError(["document: expected a mapping at the top level"])
-    errors: list = []
-    out: dict = {}
-    out["field"] = _norm_field(errors, "field", raw.get("field"))
-    if "coefficient_field" in raw:
-        out["coefficient_field"] = _norm_field(errors, "coefficient_field",
-                                               raw.get("coefficient_field"))
-    out["category"] = _norm_category(errors, "category", raw.get("category"))
-
-    alg = raw.get("algebra")
-    if alg is not None:
-        if not isinstance(alg, dict):
-            _err(errors, "algebra", "expected a mapping")
-        elif "constant" in alg:
-            out["algebra"] = {"constant": _norm_algebra(errors, "algebra.constant",
-                                                        alg["constant"])}
-        elif "at" in alg:
-            entry = {"at": {}, "maps": {}}
-            for x, blk in _mapping(errors, "algebra.at", alg["at"]).items():
-                entry["at"][x] = _norm_algebra(errors, f"algebra.at.{x}", blk)
-            for f, mat in _mapping(errors, "algebra.maps", alg.get("maps")).items():
-                _check_matrix(errors, f"algebra.maps.{f}", mat)
-                entry["maps"][f] = mat
-            out["algebra"] = entry
-        else:
-            _err(errors, "algebra", "need 'constant' or per-object 'at'")
-
-    for key in ("bimodule", "right_module"):
-        blk = raw.get(key)
-        if blk is None:
-            continue
-        if not isinstance(blk, dict):
-            _err(errors, key, "expected a mapping")
-            continue
-        if "preset" in blk:
-            if blk["preset"] not in ("regular", "zero"):
-                _err(errors, key + ".preset", f"unknown preset {blk['preset']!r}")
-            else:
-                out[key] = {"preset": blk["preset"]}
-            continue
-        if "at" not in blk:
-            _err(errors, key, "need a preset or per-object 'at'")
-            continue
-        entry = {"at": {}, "maps": {}}
-        sides = ("left", "right") if key == "bimodule" else ("right",)
-        for x, data in _mapping(errors, key + ".at", blk["at"]).items():
-            path = f"{key}.at.{x}"
-            if not isinstance(data, dict) or "dim" not in data:
-                _err(errors, path, "need dim plus per-basis action matrices")
-                continue
-            dim = _int(errors, path + ".dim", data["dim"])
-            if dim is None:
-                continue
-            entry["at"][x] = {"dim": dim}
-            for side in sides:
-                mats = data.get(side)
-                if not isinstance(mats, list):
-                    _err(errors, path + f".{side}", "need one matrix per algebra basis element")
-                    continue
-                for i, mat in enumerate(mats):
-                    _check_matrix(errors, path + f".{side}[{i}]", mat, dim, dim)
-                entry["at"][x][side] = mats
-        for f, mat in _mapping(errors, key + ".maps", blk.get("maps")).items():
-            _check_matrix(errors, f"{key}.maps.{f}", mat)
-            entry["maps"][f] = mat
-        out[key] = entry
-
-    mods = raw.get("modules")
-    if mods is not None:
-        if not isinstance(mods, dict):
-            _err(errors, "modules", "expected a name -> module mapping")
-        else:
-            out["modules"] = {}
-            for name, blk in mods.items():
-                path = f"modules.{name}"
-                if not isinstance(blk, dict):
-                    _err(errors, path, "expected a mapping")
-                    continue
-                over = blk.get("over", "base")
-                if over not in ("base", "gr-a", "gr-an"):
-                    _err(errors, path + ".over", f"unknown category {over!r}")
-                preset = blk.get("preset", "constant")
-                if preset not in ("constant", "representable", "explicit"):
-                    _err(errors, path + ".preset", f"unknown module preset {preset!r}")
-                    continue
-                entry = {"over": over, "preset": preset}
-                if preset == "representable":
-                    entry["at"] = blk.get("at")
-                if preset == "explicit":
-                    if over != "base":
-                        _err(errors, path, "explicit modules are supported over 'base' only")
-                    entry["dims"] = {x: _int(errors, f"{path}.dims.{x}", d) for x, d
-                                     in _mapping(errors, path + ".dims", blk.get("dims")).items()}
-                    entry["mats"] = {}
-                    for f, mat in _mapping(errors, path + ".mats", blk.get("mats")).items():
-                        _check_matrix(errors, path + f".mats.{f}", mat)
-                        entry["mats"][f] = mat
-                out["modules"][name] = entry
-
-    task = raw.get("task") or {}
-    if not isinstance(task, dict):
-        _err(errors, "task", "expected a mapping")
-        task = {}
-    command = task.get("command", "validate")
-    if command not in COMMANDS:
-        _err(errors, "task.command", f"unknown command {command!r}")
-    caps = _mapping(errors, "task.caps", task.get("caps"))
-    norm_task = {"command": command,
-                 "caps": {c: _int(errors, f"task.caps.{c}", caps.get(c, 2))
-                          for c in ("p", "q", "n")}}
-    for key in ("module", "modules", "category", "weight", "coefficients", "kind"):
-        if key in task:
-            norm_task[key] = task[key]
-    for key in ("module", "weight", "coefficients"):
-        if key in task:
-            _name(errors, f"task.{key}", task[key])
-    modules = task.get("modules") or []
-    if not isinstance(modules, list):
-        _err(errors, "task.modules", "need a list of module names")
-        modules = []
-    for i, name in enumerate(modules):
-        _name(errors, f"task.modules[{i}]", name)
-    out["task"] = norm_task
+    errors = _Errors()
+    payload = _DOCUMENT(errors, "", raw)
     if errors:
         raise InputError(errors)
-    return ProblemSpec(out)
+    return ProblemSpec(payload)
 
 
 def emit(spec: ProblemSpec) -> str:
@@ -436,13 +473,11 @@ class Built:
                 raise InputError([f"task: category '{over}' needs an algebra block"])
             if over == "gr-a":
                 cat = constructions.gr_algebra(self.category, self.precosheaf)
-            elif over == "gr-an" and self.right_module is not None:
-                cat = constructions.gr_right_module(self.category, self.precosheaf,
-                                                    self.right_module)
-            elif over == "gr-an":
+            elif self.right_module is None:
                 raise InputError(["task: category 'gr-an' needs a right_module block"])
             else:
-                raise InputError([f"task: unknown category {over!r}"])
+                cat = constructions.gr_right_module(self.category, self.precosheaf,
+                                                    self.right_module)
             self._cats[over] = cat
         return self._cats[over]
 
@@ -457,27 +492,17 @@ class Built:
             if blk["preset"] == "constant":
                 mod = constant_module(cat, kc)
             elif blk["preset"] == "representable":
-                at = blk.get("at")
                 if blk["over"] != "base":
                     raise InputError([f"modules.{name}: representable modules are supported "
                                       "over 'base' only"])
-                if at not in cat.objects:
-                    raise InputError([f"modules.{name}.at: dangling object reference {at!r}"])
-                mod = representable_module(cat, kc, at)
+                _known(cat, blk, _MODULE_PRESETS["representable"], f"modules.{name}")
+                mod = representable_module(cat, kc, blk["at"])
             else:
-                missing = [x for x in cat.objects if x not in blk["dims"]]
-                if missing:
-                    raise InputError([f"modules.{name}.dims: no dimension at object "
-                                      f"{missing[0]!r}"])
-                _known_objects(cat, blk["dims"], f"modules.{name}.dims")
-                _known_morphisms(cat, blk["mats"], f"modules.{name}.mats")
-                mats = {}
-                for f in cat.mor:
-                    if f not in blk["mats"]:
-                        raise InputError([f"modules.{name}.mats: no matrix at morphism {f!r}"])
-                    mats[f] = kc.array(blk["mats"][f])
-                mod = CatModule(cat, kc, {x: blk["dims"][x] for x in cat.objects}, mats,
-                                name=name)
+                _every(cat.objects, blk["dims"], f"modules.{name}.dims", "dimension at object")
+                _known(cat, blk, _MODULE_PRESETS["explicit"], f"modules.{name}")
+                _every(cat.mor, blk["mats"], f"modules.{name}.mats", "matrix at morphism")
+                mod = CatModule(cat, kc, {x: blk["dims"][x] for x in cat.objects},
+                                {f: kc.array(blk["mats"][f]) for f in cat.mor}, name=name)
             self._mods[name] = mod
         return self._mods[name]
 
@@ -490,98 +515,76 @@ class Built:
         return self._ext
 
 
-def _known_objects(cat: FinCategory, keys, path: str) -> None:
-    """Every key of an at or dims block must name an object of cat."""
-    for x in keys:
-        if x not in cat.objects:
-            raise InputError([f"{path}.{x}: dangling object reference"])
+def _every(names, block, path: str, what: str) -> None:
+    """Every object (or morphism) in names has an entry in block."""
+    for x in names:
+        if x not in block:
+            raise InputError([f"{path}: no {what} {x!r}"])
 
 
-def _known_morphisms(cat: FinCategory, keys, path: str) -> None:
-    """Every key of a maps or mats block must name a morphism of cat."""
-    for f in keys:
-        if f not in cat.mor:
-            raise InputError([f"{path}.{f}: dangling morphism reference"])
-
-
-def _build_field(block) -> FieldSpec:
-    if block["kind"] == "rationals":
-        return FieldSpec.rationals()
-    return FieldSpec.prime(block["characteristic"])
+def _known(cat: FinCategory, block: dict, keys: dict, path: str) -> None:
+    """Every value the table marks with names, and every key of a mapping it
+    marks with keys, must name an object or a morphism (as marked) of cat."""
+    names = {"object": cat.objects, "morphism": cat.mor}
+    for key, spec in keys.items():
+        for x in block[key] if spec.keys else ():
+            if x not in names[spec.keys]:
+                raise InputError([f"{path}.{key}.{x}: dangling {spec.keys} reference"])
+        if spec.names and block[key] not in names[spec.names]:
+            raise InputError([f"{path}.{key}: dangling {spec.names} reference {block[key]!r}"])
 
 
 def _build_category(block) -> FinCategory:
     if "preset" in block:
-        return _CATEGORY_BUILDERS[block["preset"]](block)
+        return _CATEGORY_PRESETS[block["preset"]].build(block)
     mor = {m["id"]: (m["dom"], m["cod"]) for m in block["morphisms"]}
     compose = {(r["first"], r["then"]): r["equals"] for r in block["compose"]}
     return FinCategory(tuple(block["objects"]), mor, dict(block["identities"]),
                        compose, name="explicit")
 
 
-def _build_algebra(block, k: FieldSpec) -> FDAlgebra:
-    return _ALGEBRA_BUILDERS[block["preset"]](block, k)
-
-
 def _explicit_system(built: Built, blk: dict, key: str):
     """Per-object modules plus morphism maps; identity maps default to eye."""
-    k = built.field
-    cat = built.category
-    pre = built.precosheaf
+    k, cat, pre = built.field, built.category, built.precosheaf
     mods = {}
     for x in cat.objects:
         if x not in blk["at"]:
             raise InputError([f"{key}.at: no module at object {x!r}"])
-        data = blk["at"][x]
-        dim = data["dim"]
-        alg = pre.at(x)
-        def mats_of(side):
-            mats = data.get(side)
-            if mats is None or len(mats) != alg.dim:
+        data, alg, actions = blk["at"][x], pre.at(x), {}
+        for side in ("right", "left") if key == "bimodule" else ("right",):
+            if len(data[side]) != alg.dim:
                 raise InputError([f"{key}.at.{x}.{side}: need {alg.dim} matrices"])
-            return [k.array(m) for m in mats]
-        if key == "bimodule":
-            mods[x] = AlgModule(alg, dim, "bi", right_action=mats_of("right"),
-                                left_action=mats_of("left"))
-        else:
-            mods[x] = AlgModule(alg, dim, "right", right_action=mats_of("right"))
-    _known_objects(cat, blk["at"], f"{key}.at")
-    _known_morphisms(cat, blk["maps"], f"{key}.maps")
-    maps = {}
-    for f, (x, y) in cat.mor.items():
-        if f in blk["maps"]:
-            maps[f] = k.array(blk["maps"][f])
-        elif f == cat.identity[x] and x == y:
-            maps[f] = k.eye(mods[x].dim)
-        else:
-            raise InputError([f"{key}.maps: no map at morphism {f!r}"])
+            actions[f"{side}_action"] = [k.array(m) for m in data[side]]
+        mods[x] = AlgModule(alg, data["dim"], "bi" if key == "bimodule" else "right",
+                            **actions)
+    _known(cat, blk, _SYSTEM_AT[key], key)
+    missing = [f for f, (x, y) in cat.mor.items()
+               if f not in blk["maps"] and (f != cat.identity[x] or x != y)]
+    if missing:
+        raise InputError([f"{key}.maps: no map at morphism {missing[0]!r}"])
+    maps = {f: k.array(blk["maps"][f]) if f in blk["maps"] else k.eye(mods[x].dim)
+            for f, (x, _) in cat.mor.items()}
     return PrecosheafModule(pre, mods, maps, name="explicit")
-
-
-_PRESET_SYSTEMS = {("bimodule", "regular"): presets.regular_bimodule_system,
-                   ("bimodule", "zero"): presets.zero_bimodule_system,
-                   ("right_module", "regular"): presets.regular_right_module_system,
-                   ("right_module", "zero"): presets.zero_right_module_system}
 
 
 def build(spec: ProblemSpec) -> Built:
     p = spec.payload
-    k = _build_field(p["field"])
-    kc = _build_field(p["coefficient_field"]) if "coefficient_field" in p else k
+    k = _FIELDS[p["field"]["kind"]].build(p["field"])
+    kc = _FIELDS[p["coefficient_field"]["kind"]].build(p["coefficient_field"]) \
+        if "coefficient_field" in p else k
     cat = _build_category(p["category"])
     built = Built(field=k, coeff_field=kc, category=cat, task=dict(p["task"]))
     alg_block = p.get("algebra")
     if alg_block:
         if "constant" in alg_block:
             built.precosheaf = presets.constant_precosheaf(
-                cat, _build_algebra(alg_block["constant"], k))
+                cat, _ALGEBRA_PRESETS[alg_block["constant"]["preset"]].build(
+                    alg_block["constant"], k))
         else:
-            algebras = {x: _build_algebra(blk, k) for x, blk in alg_block["at"].items()}
-            missing = [x for x in cat.objects if x not in algebras]
-            if missing:
-                raise InputError([f"algebra.at: no algebra at object {missing[0]!r}"])
-            _known_objects(cat, algebras, "algebra.at")
-            _known_morphisms(cat, alg_block["maps"], "algebra.maps")
+            algebras = {x: _ALGEBRA_PRESETS[blk["preset"]].build(blk, k)
+                        for x, blk in alg_block["at"].items()}
+            _every(cat.objects, algebras, "algebra.at", "algebra at object")
+            _known(cat, alg_block, _ALGEBRA_AT, "algebra")
             edge_maps = {}
             for f, mat in alg_block["maps"].items():
                 x, y = cat.mor[f]
@@ -590,17 +593,12 @@ def build(spec: ProblemSpec) -> Built:
                 built.precosheaf = presets.precosheaf_from(cat, algebras, edge_maps)
             except ValueError as exc:
                 raise InputError([f"algebra.maps: {exc}"])
-    for key in ("bimodule", "right_module"):
-        if key not in p:
-            continue
+    for key in (key for key in _SYSTEM_AT if key in p):
         if built.precosheaf is None:
             raise InputError([f"{key}: needs an algebra block"])
         blk = p[key]
-        if "preset" in blk:
-            system = _PRESET_SYSTEMS[key, blk["preset"]](built.precosheaf)
-        else:
-            system = _explicit_system(built, blk, key)
-        setattr(built, key, system)
+        setattr(built, key, _SYSTEM_PRESETS[key][blk["preset"]].build(built.precosheaf)
+                if "preset" in blk else _explicit_system(built, blk, key))
     built.modules = dict(p.get("modules") or {})
     return built
 
@@ -623,7 +621,7 @@ def _validate_all(built: Built) -> Report:
     return rep
 
 
-def _spot_checks(built: Built, seed: int, rounds: int = 25) -> dict:
+def _spot_checks(built: Built, seed: int) -> dict:
     """Randomized element-level law checks, complementing the exhaustive
     basis-level validators: associativity and unit of the algebra at a random
     object, on random elements.  Module actions are not spot-checked."""
@@ -638,7 +636,7 @@ def _spot_checks(built: Built, seed: int, rounds: int = 25) -> dict:
         return k.array([rng.randint(-9, 9) for _ in range(dim)])
 
     failures = 0
-    for _ in range(rounds):
+    for _ in range(_SPOT_ROUNDS):
         x = rng.choice(built.category.objects)
         alg = built.precosheaf.at(x)
         u, v, w = (rand_vec(alg.dim) for _ in range(3))
@@ -646,7 +644,7 @@ def _spot_checks(built: Built, seed: int, rounds: int = 25) -> dict:
             failures += 1
         if not k.equal(alg.mul(alg.unit, u), u):
             failures += 1
-    return {"seed": seed, "rounds": rounds, "failures": failures}
+    return {"seed": seed, "rounds": _SPOT_ROUNDS, "failures": failures}
 
 
 def _algebra_payload(alg: FDAlgebra) -> dict:
@@ -769,9 +767,8 @@ def run(spec: ProblemSpec, command: str | None = None,
     caps_eff = {**built.task["caps"], **overrides}
     doc: dict = {"command": cmd, "caps": caps_eff}
     try:
-        errors: list = []
-        for c, v in overrides.items():
-            _int(errors, f"task.caps.{c}", v)
+        errors = _Errors()
+        _CAPS(errors, "task.caps", overrides)
         if errors:
             raise InputError(errors)
         rep = _validate_all(built)

@@ -143,13 +143,10 @@ def _closure(mod: AlgModule, ech: Echelon, seeds: list) -> None:
     """
     k = mod.algebra.field
     vecs = [np.asarray(k.array(v)).reshape(-1) for v in seeds]
-    if not vecs:
+    if not vecs or not mod.right_action:
         return
     block = np.stack(vecs, axis=1)
-    for rho in mod.right_action:
-        images = k.matmul(rho, block)
-        for j in range(images.shape[1]):
-            ech.add(images[:, j])
+    ech.extend(np.concatenate([k.matmul(rho, block) for rho in mod.right_action], axis=1).T)
 
 
 def _generated_rank(mod: AlgModule, vectors: list) -> int:
@@ -174,8 +171,7 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> li
         basis_rows = k.eye(mod.dim)
     else:
         target = Echelon(k, mod.dim)
-        for row in span_rows:
-            target.add(row)
+        target.extend(span_rows)
         full_rank = target.rank
         basis_rows = target.basis_matrix().a
     if full_rank == 0:

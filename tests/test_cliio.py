@@ -566,3 +566,43 @@ def test_key_of_no_object_exits_two(tmp_path, capsys, command, edit, path):
     code, doc = _run_main(tmp_path, capsys, text, command)
     assert code == 2
     assert doc["input_errors"] == [f"{path}: dangling object reference"]
+
+
+STRAY_KEYS = [
+    (NAMED_POINT + "colour: red\n", "colour: unknown key"),
+    (NAMED_POINT.replace("characteristic: 2}", "characteristic: 2, size: 4}"),
+     "field.size: unknown key"),
+    (MINIMAL.replace("{preset: trivial}", "{preset: trivial, count: 3}"),
+     "category.count: unknown key"),
+    (NAMED_POINT.replace("  objects: [x]", "  name: pt\n  objects: [x]"),
+     "category.name: unknown key"),
+    (NAMED_POINT.replace("[{id: ix, dom: x, cod: x}]", "[{id: ix, dom: x, cod: x, label: one}]"),
+     "category.morphisms[0].label: unknown key"),
+    (NAMED_POINT.replace("[{first: ix, then: ix, equals: ix}]",
+                         "[{first: ix, then: ix, equals: ix, order: 1}]"),
+     "category.compose[0].order: unknown key"),
+    (NAMED_POINT.replace("  constant: {preset: field}", "  constant: {preset: field}\n  name: k"),
+     "algebra.name: unknown key"),
+    (NAMED_POINT.replace("{preset: field}", "{preset: field, size: 2}"),
+     "algebra.constant.size: unknown key"),
+    (NAMED_POINT.replace("{dim: 1, left: [[[1]]], right: [[[1]]]}",
+                         "{dim: 1, left: [[[1]]], right: [[[1]]], middle: []}"),
+     "bimodule.at.x.middle: unknown key"),
+    (NAMED_POINT.replace("mats: {ix: [[1]]}}", "mats: {ix: [[1]]}, at: x}"),
+     "modules.E.at: unknown key"),
+    (NAMED_POINT.replace("  module: E\n", "  module: E\n  kind: lhs\n"), "task.kind: unknown key"),
+    (NAMED_POINT.replace("  module: E\n", "  module: E\n  category: gr-a\n"),
+     "task.category: unknown key"),
+    (NAMED_POINT.replace("{p: 1, q: 1, n: 1}", "{p: 1, q: 1, n: 1, r: 1}"),
+     "task.caps.r: unknown key"),
+]
+
+
+@pytest.mark.parametrize("text,line", STRAY_KEYS, ids=[line for _, line in STRAY_KEYS])
+def test_unknown_key_exits_two(tmp_path, capsys, text, line):
+    """A key that the problem format does not list is an input error at its
+    path, at every level of the format, not silently ignored."""
+    assert text not in (NAMED_POINT, MINIMAL)
+    code, doc = _run_main(tmp_path, capsys, text, "validate")
+    assert code == 2
+    assert doc["input_errors"] == [line]
