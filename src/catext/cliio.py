@@ -18,6 +18,7 @@ import json
 import random
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field as dfield
+from math import prod
 from typing import NamedTuple
 
 import yaml
@@ -304,12 +305,25 @@ def _command(errors, path, value, out):
 class _Preset(NamedTuple):
     build: Callable  # called with the normal form of the block (and the field)
     keys: dict = {}  # its parameters
+    size: Callable | None = None  # entries of the table its parameters ask for
 
 
-def _presets(noun, table, tag="preset", alias=None, **block):
-    """A block whose tag names an entry of table; its keys are that entry's."""
-    return _block({tag: _Key(_one(noun, table, alias), None, stop=True)}, tag=tag,
+def _presets(noun, table, tag="preset", alias=None, entries=None, **block):
+    """A block whose tag names an entry of table; its keys are that entry's.
+    An entry with a size that asks for more than the desk-scale limit of
+    entries (what entries names) is an error, found before anything is built."""
+    read = _block({tag: _Key(_one(noun, table, alias), None, stop=True)}, tag=tag,
                   cases={name: p.keys for name, p in table.items()}, **block)
+
+    def bounded(errors, path, value, out=None):
+        before = len(errors)
+        b = read(errors, path, value)
+        size = len(errors) == before and table[b[tag]].size
+        if size and size(b) > constructions._TABLE_LIMIT:
+            _err(errors, path, f"{entries} of {size(b)} entries exceeds the limit "
+                               f"of {constructions._TABLE_LIMIT}")
+        return b
+    return bounded
 
 
 _FIELDS = {"prime-field": _Preset(lambda b: FieldSpec.prime(b["characteristic"]),
@@ -319,21 +333,23 @@ _CATEGORY_PRESETS = {
     "trivial": _Preset(lambda b: presets.trivial_category()),
     "poset-a2": _Preset(lambda b: presets.poset_a2()),
     "discrete": _Preset(lambda b: presets.discrete_category(b["count"]),
-                        {"count": _Key(_int_of(1), 2)}),
+                        {"count": _Key(_int_of(1), 2)}, lambda b: b["count"]),
     "cyclic-monoid": _Preset(lambda b: presets.cyclic_monoid(b["size"], b["loop"]),
-                             {"size": _Key(_int_of(1), 3), "loop": _Key(_loop, 1)}),
+                             {"size": _Key(_int_of(1), 3), "loop": _Key(_loop, 1)},
+                             lambda b: b["size"] ** 2),
     "one-object-group": _Preset(lambda b: presets.one_object_group(b["order"]),
-                                {"order": _Key(_int_of(1), 2)}),
+                                {"order": _Key(_int_of(1), 2)}, lambda b: b["order"] ** 2),
 }
 _ALGEBRA_PRESETS = {
     "field": _Preset(lambda b, k: field_algebra(k)),
     "dual-numbers": _Preset(lambda b, k: dual_numbers(k)),
     "group-algebra": _Preset(lambda b, k: group_algebra(b["orders"], k),
-                             {"orders": _Key(_orders, [2])}),
+                             {"orders": _Key(_orders, [2])}, lambda b: prod(b["orders"]) ** 3),
     "upper-triangular": _Preset(lambda b, k: upper_triangular_algebra(b["size"], k),
-                                {"size": _Key(_int_of(1), 2)}),
+                                {"size": _Key(_int_of(1), 2)},
+                                lambda b: (b["size"] * (b["size"] + 1) // 2) ** 3),
     "field-product": _Preset(lambda b, k: presets.field_product(k, b["count"]),
-                             {"count": _Key(_int_of(1), 2)}),
+                             {"count": _Key(_int_of(1), 2)}, lambda b: b["count"] ** 3),
     "explicit": _Preset(lambda b, k: FDAlgebra(field=k, dim=b["dim"],
                                                structure=k.array(b["tensor"]),
                                                unit=k.array(b["unit"]), name="explicit"),
@@ -366,7 +382,8 @@ _COMPOSITE = _block({key: _Key(_name, None, names="morphism")
                      for key in ("first", "then", "equals")},
                     required=("first", "then", "equals"), need="need first/then/equals")
 _ALGEBRA = _presets("algebra preset", _ALGEBRA_PRESETS, required=("preset",),
-                    need="need an algebra block with a preset")
+                    need="need an algebra block with a preset",
+                    entries="a structure tensor (dim^3)")
 _ALGEBRA_AT = _at_maps(_ALGEBRA)
 _SYSTEM_AT = {key: _at_maps(_block(
     {"dim": _Key(_int_of(0), None, stop=True),
@@ -382,7 +399,7 @@ _DOCUMENT = _block({
     "field": _Key(_FIELD, None, null="missing field block"),
     "coefficient_field": _Key(_FIELD, null="missing field block"),
     "category": _Key(_either(
-        {"preset": _presets("preset", _CATEGORY_PRESETS)},
+        {"preset": _presets("preset", _CATEGORY_PRESETS, entries="a composition table")},
         _block({"objects": _Key(_seq(_name), None),
                 "morphisms": _Key(_seq(_MORPHISM), None),
                 "identities": _Key(_identities, None),
@@ -648,18 +665,12 @@ def _spot_checks(built: Built, seed: int) -> dict:
 
 
 def _algebra_payload(alg: FDAlgebra) -> dict:
-    entries = []
-    k = alg.field
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for l in range(alg.dim):
-                v = alg.structure[i, j, l]
-                if v != 0:
-                    entries.append([i, j, l, str(v)])
+    i, j, l, c = alg.constants
     return {"dim": alg.dim,
             "basis": [str(b) for b in alg.basis_labels],
             "unit": [str(v) for v in alg.unit],
-            "products": entries}
+            "products": [[*ijl, str(v)]
+                         for *ijl, v in zip(i.tolist(), j.tolist(), l.tolist(), c)]}
 
 
 def _cmd_build_algebra(built: Built, caps: dict) -> tuple[dict, bool]:

@@ -342,9 +342,7 @@ def check_degeneration(kind: str, c: FinCategory, a: AlgebraPrecosheaf,
         # that case in the verdict detail
         op = opposite_algebra(te)
         anti = k.equal(ext.structure, op.structure) and k.equal(ext.unit, op.unit)
-        witness = [(i, j, l)
-                   for i in range(ext.dim) for j in range(ext.dim) for l in range(ext.dim)
-                   if ext.structure[i, j, l] != te.structure[i, j, l]][:4]
+        witness = [tuple(w) for w in np.argwhere(ext.structure != te.structure)[:4].tolist()]
         detail = ("equality fails; the opposite square-zero extension matches exactly"
                   if anti else "equality fails")
         return CheckVerdict(False, detail, {"entries": witness})

@@ -5,8 +5,9 @@ reduces to rref / kernel / solve over an exact field: Q (Fraction entries in
 object arrays) or F_p with p prime < 2**31 (int64 residues).  There are no
 tolerances anywhere, and Ext by linear algebra needs a field.
 
-`FieldSpec.matmul` is the one place where field products are summed.  With
-inner dimension n it has three branches, after the delayed-reduction bounds
+`FieldSpec.matmul` is the one place where field products are summed, and
+`FieldSpec.sparse_matmul` the one for a sparse left factor.  With inner
+dimension n the first has three branches, after the delayed-reduction bounds
 of Dumas, Giorgi and Pernet ("Dense linear algebra over word-size prime
 fields", ACM TOMS 2008):
 
@@ -172,6 +173,16 @@ class FieldSpec:
             top = np.mod(hi[..., chunk] @ bc, p)
             out = np.mod(out + (top << _LIMB) + np.mod(lo[..., chunk] @ bc, p), p)
         return out
+
+    def sparse_matmul(self, rows, cols, vals, n: int, x: np.ndarray) -> np.ndarray:
+        """Reduced product s @ x, where row r of s @ x sums vals[e] x[cols[e]]
+        over the entries e with rows[e] = r.  Each term is reduced before they
+        are summed, so over F_p a row of t terms stays below t p < 2^63."""
+        w = x.shape[1]
+        terms = self.reduce(vals[:, None] * x[cols])
+        out = self.zeros(n * w)
+        np.add.at(out, (rows[:, None] * w + np.arange(w)).reshape(-1), terms.reshape(-1))
+        return self.reduce(out.reshape(n, w))
 
     def equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         return a.shape == b.shape and bool(np.array_equal(a, b))

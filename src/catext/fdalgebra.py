@@ -10,6 +10,7 @@ machinery never special-case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
@@ -34,6 +35,13 @@ class FDAlgebra:
             raise ValueError("unit vector shape mismatch")
         if not self.basis_labels:
             self.basis_labels = tuple(range(self.dim))
+
+    @cached_property
+    def constants(self) -> tuple:
+        """The non-zero structure constants c[i, j, l] as arrays (i, j, l, c) in
+        C order, kept after first use: the tensor must not change."""
+        i, j, l = np.nonzero(self.structure)
+        return i, j, l, self.structure[i, j, l]
 
     def _left_contract(self, a: np.ndarray) -> np.ndarray:
         """(j, l) -> coefficient of e_l in a e_j: the slices structure[i]

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import NamedTuple
 
 import numpy as np
 
 from .exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rank, rref
-from .fdalgebra import AlgModule, FDAlgebra, free_module
+from .fdalgebra import AlgModule, FDAlgebra
 from .fincat import CatFunctor, FinCategory, functor_failures, linearize, nerve_chains
 from .validation import Report
 
@@ -135,23 +136,42 @@ def hom_space_dim(g: AlgModule, f: AlgModule) -> int:
 
 # -- generators and free resolutions --------------------------------------------
 
-def _closure(mod: AlgModule, ech: Echelon, seeds: list) -> None:
-    """Extend ech to span the submodule generated by its span plus seeds.
+class _FreeModule(NamedTuple):
+    """A free right module; it holds no action matrices."""
+    algebra: FDAlgebra
+    rank: int
+    dim: int  # rank * algebra.dim
 
-    v.A = span{rho_j v} is already action-closed (rho is a representation of
-    a unital algebra), so one pass through the action matrices suffices.
-    """
-    k = mod.algebra.field
-    vecs = [np.asarray(k.array(v)).reshape(-1) for v in seeds]
-    if not vecs or not mod.right_action:
-        return
+
+def _act(mod, vecs: list) -> np.ndarray:
+    """(d, len(vecs), dim mod) array whose [j, t] is vecs[t] . e_j: for a
+    free module one sparse product with the structure constants c[i, j, l]
+    (block by block, x e_i . e_j = c x e_l), else one product with the stack
+    of the action matrices.  The images of vectors under the basis span the
+    submodule they generate."""
+    alg = mod.algebra
+    k, d, m = alg.field, alg.dim, len(vecs)
+    if not m or not d:
+        return k.zeros(d, m, mod.dim)
     block = np.stack(vecs, axis=1)
-    ech.extend(np.concatenate([k.matmul(rho, block) for rho in mod.right_action], axis=1).T)
+    if isinstance(mod, _FreeModule):
+        i, j, l, c = alg.constants
+        r = mod.rank
+        x = block.reshape(r, d, m).transpose(1, 0, 2).reshape(d, r * m)
+        prod = k.sparse_matmul(j * d + l, i, c, d * d, x)  # [j d + l, s m + t]
+        return prod.reshape(d, d, r, m).transpose(0, 3, 2, 1).reshape(d, m, r * d)
+    return k.matmul(np.stack(mod.right_action), block).transpose(0, 2, 1)
+
+
+def _cover(mod, vecs: list) -> np.ndarray:
+    """k-matrix of the module map from the free module of rank len(vecs) to
+    mod that sends generator t to vecs[t]: column t d + j is vecs[t] . e_j."""
+    return _act(mod, vecs).transpose(2, 1, 0).reshape(mod.dim, len(vecs) * mod.algebra.dim)
 
 
 def _generated_rank(mod: AlgModule, vectors: list) -> int:
     ech = Echelon(mod.algebra.field, mod.dim)
-    _closure(mod, ech, vectors)
+    ech.extend(_act(mod, vectors))
     return ech.rank
 
 
@@ -193,7 +213,7 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> li
             break
         if not ech.contains(v):
             gens.append(v)
-            _closure(mod, ech, [v])
+            ech.extend(_act(mod, [v]))
     if ech.rank != full_rank:
         raise AssertionError("generator search failed to span the module")
 
@@ -233,18 +253,6 @@ class Resolution:
         return len(self.ranks) - 1
 
 
-def _free_action_matrix(algebra: FDAlgebra, imgs: np.ndarray) -> np.ndarray:
-    """k-matrix of the module map F -> F' sending generator t to imgs[:, t],
-    where F is free of rank imgs.shape[1]."""
-    d = algebra.dim
-    rank_tgt, rank_src = imgs.shape[0] // d, imgs.shape[1]
-    # prod[t, s, j, l]: coefficient of e_l in block s of imgs[:, t] . e_j
-    prod = algebra.field.matmul(imgs.T.reshape(rank_src * rank_tgt, d),
-                                algebra.structure.reshape(d, d * d))
-    prod = prod.reshape(rank_src, rank_tgt, d, d)
-    return prod.transpose(1, 3, 0, 2).reshape(rank_tgt * d, rank_src * d)
-
-
 def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resolution:
     """Resolve by free covers on generators; exact at every computed stage."""
     if module.side != "right":
@@ -252,36 +260,16 @@ def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resol
     k = algebra.field
     d = algebra.dim
     g0 = module_generators(module)
-    ranks = [len(g0)]
-    aug = k.zeros(module.dim, ranks[0] * d)
-    for t, v in enumerate(g0):
-        for j in range(d):
-            aug[:, t * d + j] = k.matmul(module.right_of(algebra.basis_vector(j)), v)
-    gens: list = []
-    boundaries: list = []
-    prev_matrix = aug
-    prev_rank = ranks[0]
+    ranks, gens, boundaries = [len(g0)], [], []
+    prev = aug = _cover(module, g0)
     for _ in range(length):
-        ker = kernel_basis(Matrix(k, prev_matrix))
-        if prev_rank == 0 or ker.rows == 0:
-            ranks.append(0)
-            gens.append(k.zeros(prev_rank * d, 0))
-            boundaries.append(k.zeros(prev_rank * d, 0))
-            prev_matrix = k.zeros(prev_rank * d, 0)
-            prev_rank = 0
-            continue
-        fmod = free_module(algebra, prev_rank, side="right")
-        kgens = module_generators(fmod, span_rows=ker.a)
-        r_new = len(kgens)
-        imgs = k.zeros(prev_rank * d, r_new)
-        for t, v in enumerate(kgens):
-            imgs[:, t] = v
-        bnd = _free_action_matrix(algebra, imgs)
-        ranks.append(r_new)
-        gens.append(imgs)
-        boundaries.append(bnd)
-        prev_matrix = bnd
-        prev_rank = r_new
+        free = _FreeModule(algebra, ranks[-1], ranks[-1] * d)
+        ker = kernel_basis(Matrix(k, prev))
+        kgens = module_generators(free, span_rows=ker.a) if free.dim and ker.rows else []
+        prev = _cover(free, kgens)
+        ranks.append(len(kgens))
+        gens.append(np.stack(kgens, axis=1) if kgens else k.zeros(free.dim, 0))
+        boundaries.append(prev)
     return Resolution(algebra, module, ranks, aug, gens, boundaries)
 
 
@@ -314,16 +302,14 @@ def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
     k = res.algebra.field
     d = res.algebra.dim
     nf = f.dim
+    action = np.array(f.right_action, dtype=k.dtype).reshape(d, nf * nf)
     diffs = []
     for i in range(max_n + 1):
         r_src, r_tgt = res.ranks[i], res.ranks[i + 1]
-        mat = k.zeros(r_tgt * nf, r_src * nf)
-        imgs = res.gens[i]
-        for t in range(r_tgt):
-            coords = imgs[:, t].reshape(r_src, d)
-            for s in range(r_src):
-                mat[t * nf:(t + 1) * nf, s * nf:(s + 1) * nf] = f.right_of(coords[s])
-        diffs.append(mat)
+        # block (t, s) acts by block s of generator t's image: sum_j x_j rho_j
+        prod = k.matmul(res.gens[i].T.reshape(r_tgt * r_src, d), action)
+        diffs.append(prod.reshape(r_tgt, r_src, nf, nf).transpose(0, 2, 1, 3)
+                     .reshape(r_tgt * nf, r_src * nf))
     dims = [res.ranks[i] * nf for i in range(max_n + 2)]
     return CochainComplex(k, dims, diffs).cohomology_dims()
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from catext import cli, cliio, coeffsys, constructions
+from catext import cli, cliio, coeffsys, constructions, fdalgebra, homengine
 from catext.cliio import InputError, emit, parse, render, run
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -320,6 +320,54 @@ def test_each_job_builds_gr_once(gr_builds, problem, command):
     assert gr_builds == {"gr_algebra": 1, "gr_right_module": 1}
 
 
+EXPLICIT_RIGHT_LHS = """
+field: {kind: prime, characteristic: 2}
+category: {preset: poset-a2}
+algebra:
+  constant: {preset: group-algebra, orders: [2]}
+right_module:
+  at:
+    "0": {dim: 2, right: [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
+    "1": {dim: 2, right: [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
+  maps: {a: [[1, 0], [0, 1]]}
+modules:
+  G: {over: gr-a, preset: constant}
+  F: {over: gr-an, preset: constant}
+task:
+  command: lhs-report
+  caps: {p: 1, q: 1, n: 1}
+  weight: G
+  coefficients: F
+"""
+
+
+def test_lhs_report_builds_no_free_module(monkeypatch):
+    """Resolutions act on their free modules through the structure constants;
+    with an explicit right module (a regular preset builds its system with
+    free_module) an lhs-report job builds no free module at all."""
+    calls, ranks = [], []
+
+    def counted(*args, _orig=fdalgebra.free_module, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+
+    def resolved(*args, _orig=homengine.free_resolution, **kwargs):
+        res = _orig(*args, **kwargs)
+        ranks.append(res.ranks)
+        return res
+    for orig, wrapped in ((fdalgebra.free_module, counted),
+                          (homengine.free_resolution, resolved)):
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("catext") and mod is not None:
+                for attr, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    doc, code = run(parse(EXPLICIT_RIGHT_LHS))
+    assert code == 0, doc
+    assert any(r[1:] and r[1] for r in ranks)  # some resolution has a kernel stage
+    assert calls == []
+
+
 @pytest.mark.parametrize("problem,command,objects", [
     ("one_object_lhs", "lhs-report", 1),            # right_module block
     ("lemma_fiber_extension", "check-extension", 2),
@@ -606,3 +654,47 @@ def test_unknown_key_exits_two(tmp_path, capsys, text, line):
     code, doc = _run_main(tmp_path, capsys, text, "validate")
     assert code == 2
     assert doc["input_errors"] == [line]
+
+
+# -- preset sizes -----------------------------------------------------------------
+
+_LIMIT = constructions._TABLE_LIMIT
+_CATEGORY_TABLE = "a composition table"
+_ALGEBRA_TENSOR = "a structure tensor (dim^3)"
+# (path, table, preset block with %s for the parameter, its first value past
+# the limit, the number of entries a value asks for)
+PRESET_BOUNDS = [
+    ("category", _CATEGORY_TABLE, "{preset: discrete, count: %s}", _LIMIT + 1, lambda n: n),
+    ("category", _CATEGORY_TABLE, "{preset: cyclic-monoid, size: %s}", 1415, lambda n: n * n),
+    ("category", _CATEGORY_TABLE, "{preset: one-object-group, order: %s}", 1415,
+     lambda n: n * n),
+    ("algebra.constant", _ALGEBRA_TENSOR, "{preset: group-algebra, orders: [%s]}", 126,
+     lambda n: n ** 3),
+    ("algebra.constant", _ALGEBRA_TENSOR, "{preset: upper-triangular, size: %s}", 16,
+     lambda n: (n * (n + 1) // 2) ** 3),
+    ("algebra.constant", _ALGEBRA_TENSOR, "{preset: field-product, count: %s}", 126,
+     lambda n: n ** 3),
+]
+
+
+def _preset_document(path: str, block: str) -> str:
+    if path == "category":
+        return MINIMAL.replace("{preset: trivial}", block)
+    return MINIMAL + f"algebra:\n  constant: {block}\n"
+
+
+@pytest.mark.parametrize("path,table,block,first,size", PRESET_BOUNDS,
+                         ids=[b.split(",")[0][9:] for _, _, b, _, _ in PRESET_BOUNDS])
+@pytest.mark.parametrize("past", ["limit+1", "2^31+11"])
+def test_preset_past_the_table_limit_exits_two(tmp_path, capsys, path, table, block, first,
+                                               size, past):
+    """A preset whose table would exceed the desk-scale limit is an input
+    error, reported with the limit and the size asked for before anything is
+    built; the largest value within the limit is accepted."""
+    value = first if past == "limit+1" else 2**31 + 11
+    assert size(first - 1) <= _LIMIT < size(first) <= size(value)
+    parse(_preset_document(path, block % (first - 1)))
+    code, doc = _run_main(tmp_path, capsys, _preset_document(path, block % value), "validate")
+    assert code == 2
+    assert doc["input_errors"] == [
+        f"{path}: {table} of {size(value)} entries exceeds the limit of {_LIMIT}"]

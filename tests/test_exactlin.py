@@ -373,6 +373,66 @@ def test_module_right_of_matches_int_oracle(field, data):
     assert mod.right_of(np.array(a, dtype=np.int64)).tolist() == want
 
 
+# -- the sparse product --------------------------------------------------------------
+
+def _py_sparse_matmul(rows, cols, vals, n, x, w, zero=0):
+    out = [[zero] * w for _ in range(n)]
+    for r, c, v in zip(rows, cols, vals):
+        out[r] = [o + v * y for o, y in zip(out[r], x[c])]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
+@pytest.mark.parametrize("n,inner,w,terms", [(1, 1, 1, 1), (4, 7, 3, 3000), (9, 5, 1, 500),
+                                             (3, 4, 0, 20), (3, 4, 2, 0)])
+def test_sparse_matmul_matches_int_oracle(p, n, inner, w, terms):
+    """Entries repeat at the same place, and most of them come from the top
+    quarter of [0, p): unreduced, a row of them leaves int64 at p = 2^31 - 1."""
+    k = FieldSpec.prime(p)
+    rnd = Random(p + n * inner * w + terms)
+    rows = [rnd.randrange(n) for _ in range(terms)]
+    cols = [rnd.randrange(inner) for _ in range(terms)]
+    vals = _residues(rnd, p, 1, terms)[0]
+    x = _residues(rnd, p, inner, w)
+    want = [[v % p for v in row] for row in _py_sparse_matmul(rows, cols, vals, n, x, w)]
+    args = [np.array(a, dtype=np.int64) for a in (rows, cols, vals)]
+    xn = np.array(x, dtype=np.int64).reshape(inner, w)
+    assert k.sparse_matmul(*args, n, xn).tolist() == want
+    # a right factor in (-p, 0]
+    assert k.sparse_matmul(*args, n, -xn).tolist() == [[-v % p for v in row] for row in want]
+
+
+def test_sparse_matmul_sums_many_terms_per_row():
+    """2^16 + 5 terms of (p - 1)^2 into one row and 1000 into another: each
+    reduced term is below 2^31, so the sums stay exact in int64."""
+    p = 2**31 - 1
+    k = FieldSpec.prime(p)
+    t = (1 << 16) + 5
+    rows = np.array([0] * t + [2] * 1000, dtype=np.int64)
+    cols = np.arange(len(rows), dtype=np.int64) % 3
+    vals = np.full(len(rows), p - 1, dtype=np.int64)
+    x = np.array([[p - 1, 1 << 30], [p - 2, p - 1], [1, p - 3]], dtype=np.int64)
+    want = [[v % p for v in row]
+            for row in _py_sparse_matmul(rows.tolist(), cols.tolist(), vals.tolist(), 3,
+                                         x.tolist(), 2)]
+    assert k.sparse_matmul(rows, cols, vals, 3, x).tolist() == want
+
+
+@given(data=st.data())
+def test_sparse_matmul_over_rationals(data):
+    n, inner, w, terms = (data.draw(st.integers(0, 4)) for _ in range(4))
+    terms = terms if n and inner else 0
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    rows = [data.draw(st.integers(0, n - 1)) for _ in range(terms)]
+    cols = [data.draw(st.integers(0, inner - 1)) for _ in range(terms)]
+    vals = [data.draw(entry) for _ in range(terms)]
+    x = [[data.draw(entry) for _ in range(w)] for _ in range(inner)]
+    got = QQ.sparse_matmul(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                           QQ.array(vals), n, QQ.array(x).reshape(inner, w))
+    assert got.shape == (n, w)
+    assert got.tolist() == _py_sparse_matmul(rows, cols, vals, n, x, w, Fraction(0))
+
+
 # -- the float64 branch of FieldSpec.matmul -----------------------------------------
 #
 # A product whose left factor has at least 16 rows and which makes at least 2^16
@@ -550,11 +610,13 @@ def test_echelon_extend_takes_lists_and_empty_blocks():
 # -- every field product goes through FieldSpec.matmul ------------------------------
 
 _PRODUCT_CALLS = {"tensordot", "dot", "matmul", "einsum"}
+_SCATTER_CALLS = {"at", "reduceat"}  # np.add.at / np.add.reduceat: sparse sums
 
 
 def test_field_products_only_in_the_kernel():
     """An unguarded int64 product overflows once two terms near p^2 are summed,
-    so outside exactlin.py no module may multiply arrays itself."""
+    so outside exactlin.py no module may multiply arrays or scatter-add terms
+    itself."""
     src = Path(__file__).resolve().parent.parent / "src" / "catext"
     found = []
     for path in sorted(src.glob("*.py")):
@@ -568,4 +630,9 @@ def test_field_products_only_in_the_kernel():
                     and isinstance(node.func.value, ast.Name) \
                     and node.func.value.id in ("np", "numpy"):
                 found.append(f"{path.name}:{node.lineno}: np.{node.func.attr}")
-    assert not found, "field products outside FieldSpec.matmul: " + ", ".join(found)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _SCATTER_CALLS \
+                    and isinstance(node.func.value, ast.Attribute) \
+                    and node.func.value.attr == "add":
+                found.append(f"{path.name}:{node.lineno}: add.{node.func.attr}")
+    assert not found, "field sums outside FieldSpec.matmul and sparse_matmul: " + ", ".join(found)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catext.exactlin import FieldSpec, Matrix, solve_matrix
+from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, solve_matrix
 from catext.extcheck import fiber_extension
 from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               free_module, group_algebra, validate_module)
 from catext.fincat import CatFunctor, linearize
 from catext.homengine import (CatModule, CochainComplex, FiniteAbelianGroup, GroupModule,
-                              _free_action_matrix, bar_cochain_complex, cat_ext_dims,
+                              _cover, _FreeModule, bar_cochain_complex, cat_ext_dims,
                               cohomology_dims, constant_module, ext_dims, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
                               nerve_cochain_complex, nerve_cohomology_dims,
@@ -258,10 +258,134 @@ def test_resolution_over_rationals():
     assert ext_dims(dn, triv, triv, 2) == [1, 1, 1]
 
 
-# -- free boundaries straight from the structure tensor --------------------------------
+# -- the resolution against one built from free_module action matrices ------------------
+
+def reference_module_generators(mod: AlgModule, span_rows=None) -> list:
+    """module_generators with the span closure of free_module's time: every
+    image rho_j v of a seed v is added to the span one at a time."""
+    k = mod.algebra.field
+
+    def generated(vecs, ech=None):
+        ech = ech if ech is not None else Echelon(k, mod.dim)
+        for v in vecs:
+            for rho in mod.right_action:
+                ech.add(k.matmul(rho, v))
+        return ech
+
+    if span_rows is None:
+        full_rank, basis_rows = mod.dim, k.eye(mod.dim)
+    else:
+        target = Echelon(k, mod.dim)
+        for row in span_rows:
+            target.add(row)
+        full_rank, basis_rows = target.rank, target.basis_matrix().a
+    if full_rank == 0:
+        return []
+    d = mod.algebra.dim
+    candidates = []
+    if span_rows is None and mod.dim % d == 0:
+        for off in range(0, mod.dim, d):
+            v = k.zeros(mod.dim)
+            v[off:off + d] = mod.algebra.unit
+            candidates.append(v)
+    candidates.extend(np.array(row, copy=True) for row in basis_rows)
+    gens, ech = [], Echelon(k, mod.dim)
+    for v in candidates:
+        if ech.rank == full_rank:
+            break
+        if not ech.contains(v):
+            gens.append(v)
+            generated([v], ech)
+    i = 0
+    while i < len(gens) and len(gens) > 1:
+        rest = gens[:i] + gens[i + 1:]
+        if generated(rest).rank == full_rank:
+            gens = rest
+        else:
+            i += 1
+    if len(gens) > 1:
+        summed = k.reduce(sum(gens[1:], start=np.array(gens[0], copy=True)))
+        if generated([summed]).rank == full_rank:
+            gens = [summed]
+    return gens
+
+
+def reference_free_resolution(algebra: FDAlgebra, module: AlgModule, length: int):
+    """(ranks, aug, gens, boundaries) with every kernel stage searched in
+    free_module(algebra, rank) and every column t d + j of a cover computed
+    as rho_j v_t, one column at a time."""
+    k, d = algebra.field, algebra.dim
+
+    def cover(mod, vecs):
+        out = k.zeros(mod.dim, len(vecs) * d)
+        for t, v in enumerate(vecs):
+            for j in range(d):
+                out[:, t * d + j] = k.matmul(mod.right_action[j], v)
+        return out
+
+    g0 = reference_module_generators(module)
+    ranks, gens, boundaries = [len(g0)], [], []
+    aug = prev = cover(module, g0)
+    for _ in range(length):
+        fmod = free_module(algebra, ranks[-1])
+        ker = kernel_basis(Matrix(k, prev))
+        kgens = reference_module_generators(fmod, ker.a) if ranks[-1] and ker.rows else []
+        imgs = k.zeros(fmod.dim, len(kgens))
+        for t, v in enumerate(kgens):
+            imgs[:, t] = v
+        prev = cover(fmod, kgens)
+        ranks.append(len(kgens))
+        gens.append(imgs)
+        boundaries.append(prev)
+    return ranks, aug, gens, boundaries
+
+
+def _resolution_cases(k):
+    """Algebras with right modules: category algebras with their constant and
+    representable modules, a group algebra, and the dual numbers and
+    k[x]/(x^3 - 2x) (a structure constant 2) acting on k^2 with x acting by 0,
+    whose every stage has rank 2."""
+    cases = [(dual_numbers(k), AlgModule(dual_numbers(k), 2, "right",
+                                         right_action=[k.eye(2), k.zeros(2, 2)]))]
+    c = k.zeros(3, 3, 3)
+    for a, b in iproduct(range(3), repeat=2):
+        c[a, b, a + b if a + b < 3 else a + b - 2] = k.coerce(1 if a + b < 3 else 2)
+    cubic = FDAlgebra(k, 3, c, k.array([1, 0, 0]))
+    cases.append((cubic, AlgModule(cubic, 2, "right",
+                                   right_action=[k.eye(2), k.zeros(2, 2), k.zeros(2, 2)])))
+    kz = group_algebra([2, 2], k)
+    cases.append((kz, AlgModule(kz, 1, "right", right_action=[k.eye(1)] * 4)))
+    for cat in (cyclic_monoid(4, 2), poset_a2()):
+        alg = linearize(cat, k)
+        cases.append((alg, to_algebra_module(constant_module(cat, k), alg)))
+        cases.append((alg, to_algebra_module(representable_module(cat, k, cat.objects[0]),
+                                             alg)))
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3] + WORD_FIELDS,
+                         ids=lambda k: f"F{k.p}" if k.is_prime_field else "Q")
+def test_free_resolution_matches_free_module_reference(field):
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
+
+    top = 0
+    for alg, mod in _resolution_cases(field):
+        res = free_resolution(alg, mod, 3)
+        ranks, aug, gens, boundaries = reference_free_resolution(alg, mod, 3)
+        assert res.ranks == ranks
+        assert same(res.aug, aug)
+        assert len(res.gens) == len(gens) and all(map(same, res.gens, gens))
+        assert len(res.boundaries) == len(boundaries) \
+            and all(map(same, res.boundaries, boundaries))
+        top = max(top, *ranks)
+    assert top >= 2
+
+
+# -- free boundaries straight from the structure constants ------------------------------
 
 def reference_free_action_matrix(algebra: FDAlgebra, imgs: np.ndarray) -> np.ndarray:
-    """The per-basis loop that _free_action_matrix replaced: column t*d + j is
+    """The per-basis loop that the product over the tensor replaced: column t*d + j is
     the image of generator t times e_j, one target block at a time."""
     k = algebra.field
     d = algebra.dim
@@ -302,7 +426,7 @@ def free_maps(draw, k):
 @given(data=st.data())
 def test_free_action_matrix_matches_per_basis_loop(field, data):
     alg, imgs = data.draw(free_maps(field))
-    got = _free_action_matrix(alg, imgs)
+    got = _cover(_FreeModule(alg, imgs.shape[0] // alg.dim, imgs.shape[0]), list(imgs.T))
     want = reference_free_action_matrix(alg, imgs)
     assert got.shape == want.shape == (imgs.shape[0], imgs.shape[1] * alg.dim)
     assert got.tolist() == want.tolist()

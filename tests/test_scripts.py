@@ -1,4 +1,5 @@
 """The scripts in scripts/ run from a checkout, with PYTHONPATH unset."""
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +24,13 @@ def test_lhs_survey_runs_from_checkout(tmp_path):
     res = _script(tmp_path, "lhs_survey.py", "--cap", "1")
     assert res.returncode == 0, res.stderr
     assert res.stdout.rstrip().endswith("0 violation(s)")
+
+
+def test_paper_rung_runs_from_checkout(tmp_path):
+    """The 243-morphism rung keeps the output recorded in BENCH_7.json."""
+    res = _script(tmp_path, "paper_rung.py", "--caps", "1,1,1")
+    assert res.returncode == 0, res.stderr
+    line = json.loads(res.stdout)
+    assert line["caps"] == [1, 1, 1] and line["exit"] == 0
+    assert line["md5"] == "84ca7df58f0019a6bb68d3573b605daf"
+    assert line["wall_s"] > 0 and line["peak_rss_mb"] > 0
