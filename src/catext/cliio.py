@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dfield
 from math import prod
 from typing import NamedTuple
 
+import numpy as np
 import yaml
 
 from . import constructions, extcheck, lhsengine, presets
@@ -326,6 +327,14 @@ def _presets(noun, table, tag="preset", alias=None, entries=None, **block):
     return bounded
 
 
+def _explicit_algebra(b: dict, k: FieldSpec) -> FDAlgebra:
+    """The algebra of a dense structure tensor, read once for its non-zero entries."""
+    tensor = k.array(b["tensor"]).reshape((b["dim"],) * 3)
+    nz = np.nonzero(tensor)
+    return FDAlgebra(field=k, dim=b["dim"], constants=(*nz, tensor[nz]),
+                     unit=k.array(b["unit"]), name="explicit")
+
+
 _FIELDS = {"prime-field": _Preset(lambda b: FieldSpec.prime(b["characteristic"]),
                                   {"characteristic": _Key(_characteristic, None)}),
            "rationals": _Preset(lambda b: FieldSpec.rationals())}
@@ -350,9 +359,7 @@ _ALGEBRA_PRESETS = {
                                 lambda b: (b["size"] * (b["size"] + 1) // 2) ** 3),
     "field-product": _Preset(lambda b, k: presets.field_product(k, b["count"]),
                              {"count": _Key(_int_of(1), 2)}, lambda b: b["count"] ** 3),
-    "explicit": _Preset(lambda b, k: FDAlgebra(field=k, dim=b["dim"],
-                                               structure=k.array(b["tensor"]),
-                                               unit=k.array(b["unit"]), name="explicit"),
+    "explicit": _Preset(_explicit_algebra,
                         {"dim": _Key(_dim, None, stop=True), "tensor": _Key(_tensor, None),
                          "unit": _Key(_unit, None)}),
 }

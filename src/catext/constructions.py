@@ -28,16 +28,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from math import prod
 
 import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
-from .fdalgebra import FDAlgebra
+from .fdalgebra import FDAlgebra, join_constants
 from .fincat import FinCategory
 
 _TABLE_LIMIT = 2_000_000
+_PAIR_TERMS = 1 << 18  # product terms per block of the transport check
+
+
+def _entries(mat: np.ndarray, row: int, col: int, out: int) -> tuple:
+    """Constants (row + j, col, out + l, mat[l, j]) for the non-zero mat[l, j]."""
+    l, j = np.nonzero(mat)
+    return row + j, np.full(len(j), col), out + l, mat[l, j]
 
 
 def skew_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FDAlgebra:
@@ -48,28 +55,23 @@ def skew_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FDAlgebra:
     left, so on the one-morphism category this is A(*) itself.
     """
     k = a.field
-    basis = [(f, i) for f in c.mor for i in range(a.at(c.cod(f)).dim)]
-    index = {b: t for t, b in enumerate(basis)}
-    d = len(basis)
-    structure = k.zeros(d, d, d)
+    dims = {f: a.at(c.cod(f)).dim for f in c.mor}
+    start = dict(zip(c.mor, np.cumsum([0, *dims.values()]).tolist()))  # first basis index
+    blocks = []
     for (f, g), h in c.compose.items():  # f then g; product order is (g-part)*(f-part)
         ag = a.on(g).matrix
         target = a.at(c.cod(g))
-        for i in range(a.at(c.cod(f)).dim):
-            agi = ag[:, i]
-            for j in range(target.dim):
-                prod = target.mul(target.basis_vector(j), agi)
-                row = index[(g, j)]
-                col = index[(f, i)]
-                for l in range(target.dim):
-                    if prod[l] != 0:
-                        structure[row, col, index[(h, l)]] = prod[l]
-    unit = k.zeros(d)
+        for i in range(dims[f]):
+            # column j of the right multiplication by A(g)(e_i) is e_j A(g)(e_i)
+            blocks.append(_entries(target.right_mult_matrix(ag[:, i]),
+                                   start[g], start[f] + i, start[h]))
+    unit = k.zeros(sum(dims.values()))
     for x in c.objects:
-        for i, u in enumerate(a.at(x).unit):
-            unit[index[(c.identity[x], i)]] = u
-    return FDAlgebra(field=k, dim=d, structure=structure, unit=unit,
-                     basis_labels=tuple(basis), name="A[C]")
+        f = c.identity[x]
+        unit[start[f]:start[f] + dims[f]] = a.at(x).unit
+    return FDAlgebra(field=k, dim=len(unit), constants=join_constants(blocks), unit=unit,
+                     basis_labels=tuple((f, i) for f in c.mor for i in range(dims[f])),
+                     name="A[C]")
 
 
 def extension_algebra(c: FinCategory, a: AlgebraPrecosheaf,
@@ -85,57 +87,35 @@ def extension_algebra(c: FinCategory, a: AlgebraPrecosheaf,
     (s,n)(r,m) = (sr, s.m + n.r).
     """
     k = a.field
-    basis = []
-    for f in c.mor:
-        y = c.cod(f)
-        basis.extend((f, "a", i) for i in range(a.at(y).dim))
-        basis.extend((f, "m", j) for j in range(m.at(y).dim))
-    index = {b: t for t, b in enumerate(basis)}
-    d = len(basis)
-    structure = k.zeros(d, d, d)
+    da = {f: a.at(c.cod(f)).dim for f in c.mor}
+    dm = {f: m.at(c.cod(f)).dim for f in c.mor}
+    start = dict(zip(c.mor, np.cumsum([0] + [da[f] + dm[f] for f in c.mor]).tolist()))
+    mstart = {f: start[f] + da[f] for f in c.mor}
+    blocks = []
     for (f, g), h in c.compose.items():
-        y = c.cod(f)
-        z = c.cod(g)
         ag = a.on(g).matrix
-        mg = m.on(g)
-        alg_z = a.at(z)
-        mod_z = m.at(z)
-        da_f, dm_f = a.at(y).dim, m.at(y).dim
-        for i in range(da_f):
+        alg_z, mod_z = a.at(c.cod(g)), m.at(c.cod(g))
+        for i in range(da[f]):
             agi = ag[:, i]
-            right_agi = mod_z.right_of(agi) if mod_z.dim else None
-            for j in range(alg_z.dim):
-                # (e_j at g) * (e_i at f): algebra part t = e_j A(g)(e_i)
-                prod = alg_z.mul(alg_z.basis_vector(j), agi)
-                row, col = index[(g, "a", j)], index[(f, "a", i)]
-                for l in range(alg_z.dim):
-                    if prod[l] != 0:
-                        structure[row, col, index[(h, "a", l)]] = prod[l]
-            # (m_j at g) * (e_i at f): w = m_j.A(g)(e_i)
-            for j in range(mod_z.dim):
-                w = right_agi[:, j]
-                row, col = index[(g, "m", j)], index[(f, "a", i)]
-                for l in range(mod_z.dim):
-                    if w[l] != 0:
-                        structure[row, col, index[(h, "m", l)]] = w[l]
-        for i in range(dm_f):
-            if mod_z.dim == 0:
-                break
-            mgi = mg[:, i]
-            for j in range(alg_z.dim):
-                # (e_j at g) * (m_i at f): w = e_j.M(g)(m_i)
-                w = k.matmul(mod_z.left_action[j], mgi)
-                row, col = index[(g, "a", j)], index[(f, "m", i)]
-                for l in range(mod_z.dim):
-                    if w[l] != 0:
-                        structure[row, col, index[(h, "m", l)]] = w[l]
-            # (m at g) * (m at f) = 0
-    unit = k.zeros(d)
+            # (e_j at g) * (e_i at f) = e_j A(g)(e_i) and (m_j at g) * (e_i at f)
+            # = m_j.A(g)(e_i): column j of the right multiplications by A(g)(e_i)
+            blocks.append(_entries(alg_z.right_mult_matrix(agi),
+                                   start[g], start[f] + i, start[h]))
+            blocks.append(_entries(mod_z.right_of(agi), mstart[g], start[f] + i, mstart[h]))
+        if mod_z.dim and alg_z.dim:
+            # (e_j at g) * (m_i at f) = e_j.M(g)(m_i): entry [j, l, i]
+            w = k.matmul(np.stack(mod_z.left_action), m.on(g))
+            j, l, i = np.nonzero(w)
+            blocks.append((start[g] + j, mstart[f] + i, mstart[h] + l, w[j, l, i]))
+        # (m at g) * (m at f) = 0
+    unit = k.zeros(sum(da.values()) + sum(dm.values()))
     for x in c.objects:
-        for i, u in enumerate(a.at(x).unit):
-            unit[index[(c.identity[x], "a", i)]] = u
-    return FDAlgebra(field=k, dim=d, structure=structure, unit=unit,
-                     basis_labels=tuple(basis), name="A|xM")
+        f = c.identity[x]
+        unit[start[f]:start[f] + da[f]] = a.at(x).unit
+    basis = tuple(b for f in c.mor for b in [(f, "a", i) for i in range(da[f])]
+                  + [(f, "m", j) for j in range(dm[f])])
+    return FDAlgebra(field=k, dim=len(unit), constants=join_constants(blocks), unit=unit,
+                     basis_labels=basis, name="A|xM")
 
 
 # -- Grothendieck constructions ------------------------------------------------
@@ -271,18 +251,6 @@ class CheckVerdict:
                 "pairs_checked": self.pairs_checked}
 
 
-def _embed_triple(alg: FDAlgebra, index: dict, r, mm, f) -> np.ndarray:
-    k = alg.field
-    v = k.zeros(alg.dim)
-    for i, ri in enumerate(r):
-        if ri != 0:
-            v[index[(f, "a", i)]] = k.coerce(ri)
-    for j, mj in enumerate(mm):
-        if mj != 0:
-            v[index[(f, "m", j)]] = k.coerce(mj)
-    return v
-
-
 def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
                               m: PrecosheafModule,
                               gr: FinCategory | None = None,
@@ -294,26 +262,39 @@ def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
         embed(u o v) = embed(v) * embed(u)
 
     in the extension category algebra, i.e. the transport reverses
-    composition into multiplication.  Exhaustive; returns the first failing
-    pair as a witness.
+    composition into multiplication.  Each morphism is embedded once and the
+    pairs are multiplied block by block in one stacked product.  Exhaustive;
+    returns the first failing pair as a witness.
     """
     gr = gr if gr is not None else gr_bimodule(c, a, m)
     ext = ext if ext is not None else extension_algebra(c, a, m)
-    index = {b: t for t, b in enumerate(ext.basis_labels)}
-    checked = 0
     k = ext.field
-    for (u, v), w in gr.compose.items():
-        ru, mu, fu = u
-        rv, mv, fv = v
-        rw, mw, fw = w
-        lhs = _embed_triple(ext, index, rw, mw, fw)
-        rhs = ext.mul(_embed_triple(ext, index, rv, mv, fv),
-                      _embed_triple(ext, index, ru, mu, fu))
-        checked += 1
-        if not k.equal(lhs, rhs):
+    index = {b: t for t, b in enumerate(ext.basis_labels)}
+    row = {u: t for t, u in enumerate(gr.mor)}
+    embed = k.zeros(len(gr.mor), ext.dim)
+    for t, (r, mm, f) in enumerate(gr.mor):
+        cols = [index[(f, "a", i)] for i in range(len(r))] \
+            + [index[(f, "m", j)] for j in range(len(mm))]
+        embed[t, cols] = k.array([*r, *mm])
+    # pairs per block: the stacked product holds pairs x constants terms
+    size = max(1, _PAIR_TERMS // max(1, len(ext.constants[0])))
+    pairs = iter(gr.compose.items())
+    checked = 0
+    while block := list(islice(pairs, size)):
+        u, v, w = np.array([(row[u], row[v], row[w]) for (u, v), w in block]).T
+        bad = np.nonzero(np.any(embed[w] != ext.mul(embed[v], embed[u]), axis=1))[0]
+        if len(bad):
+            (u, v), _ = block[bad[0]]
             return CheckVerdict(False, "composition transport mismatch",
-                                {"u": u, "v": v}, checked)
+                                {"u": u, "v": v}, checked + int(bad[0]) + 1)
+        checked += len(block)
     return CheckVerdict(True, f"all {checked} composable pairs agree", None, checked)
+
+
+def _products(alg: FDAlgebra) -> tuple:
+    """The constants as {(i, j, l): c} and the unit: equal iff the algebras are."""
+    i, j, l, c = alg.constants
+    return dict(zip(zip(i.tolist(), j.tolist(), l.tolist()), c.tolist())), alg.unit.tolist()
 
 
 def check_degeneration(kind: str, c: FinCategory, a: AlgebraPrecosheaf,
@@ -327,32 +308,28 @@ def check_degeneration(kind: str, c: FinCategory, a: AlgebraPrecosheaf,
     """
     from .fdalgebra import opposite_algebra, trivial_extension
 
-    k = a.field
     ext = extension_algebra(c, a, m)
     if kind == "trivial-ext":
         if len(c.objects) != 1 or len(c.mor) != 1:
             raise ValueError("trivial-ext degeneration needs the one-morphism category")
         x = c.objects[0]
         te = trivial_extension(a.at(x), m.at(x))
-        same = k.equal(ext.structure, te.structure) and k.equal(ext.unit, te.unit)
-        if same:
+        ours, theirs = _products(ext), _products(te)
+        if ours == theirs:
             return CheckVerdict(True, "extension algebra vs square-zero extension")
         # if the fiber products were taken in the wrong order, the one-object
         # extension algebra would be the opposite square-zero extension; name
         # that case in the verdict detail
-        op = opposite_algebra(te)
-        anti = k.equal(ext.structure, op.structure) and k.equal(ext.unit, op.unit)
-        witness = [tuple(w) for w in np.argwhere(ext.structure != te.structure)[:4].tolist()]
+        witness = sorted(e for e in ours[0].keys() | theirs[0].keys()
+                         if ours[0].get(e) != theirs[0].get(e))[:4]
         detail = ("equality fails; the opposite square-zero extension matches exactly"
-                  if anti else "equality fails")
+                  if ours == _products(opposite_algebra(te)) else "equality fails")
         return CheckVerdict(False, detail, {"entries": witness})
     if kind == "skew":
         if any(m.at(x).dim != 0 for x in c.objects):
             raise ValueError("skew degeneration needs the zero bimodule")
-        sk = skew_algebra(c, a)
         # with M = 0 the bases (f,"a",i) and (f,i) enumerate identically
-        same = ext.dim == sk.dim and k.equal(ext.structure, sk.structure) \
-            and k.equal(ext.unit, sk.unit)
+        same = _products(ext) == _products(skew_algebra(c, a))
         return CheckVerdict(same, "extension algebra vs skew algebra",
                             None if same else {"dim": ext.dim})
     raise ValueError(f"unknown degeneration kind {kind!r}")

@@ -1,11 +1,14 @@
 """Finite-dimensional associative unital algebras by structure constants.
 
-An algebra is a tensor c[i, j, l] with e_i e_j = sum_l c[i, j, l] e_l plus a
-unit coefficient vector.  Modules store one dense action matrix per basis
-element of the algebra; bimodules store two commuting families.  All fixtures
-(group algebras, dual numbers, category algebras, trivial extensions) are
-generated into this one uniform shape so that validation and the resolution
-machinery never special-case.
+An algebra is its non-zero structure constants, arrays (i, j, l, c) in C
+order with e_i e_j = sum_l c[i, j, l] e_l, plus a unit coefficient vector;
+in a category algebra each e_f e_g is one basis element or 0, so nothing
+stores the dim^3 tensor.  Products, multiplication matrices and the law
+checks are sparse products with the constants.  Modules store one dense
+action matrix per basis element of the algebra; bimodules store two
+commuting families.  All fixtures (group algebras, dual numbers, category
+algebras, trivial extensions) are generated into this one uniform shape so
+that validation and the resolution machinery never special-case.
 """
 from __future__ import annotations
 
@@ -23,43 +26,60 @@ from .validation import Report
 class FDAlgebra:
     field: FieldSpec
     dim: int
-    structure: np.ndarray  # (dim, dim, dim)
+    constants: tuple  # (i, j, l, c): the non-zero c[i, j, l]
     unit: np.ndarray  # (dim,)
     basis_labels: tuple = ()
     name: str = ""
 
     def __post_init__(self):
-        if self.structure.shape != (self.dim, self.dim, self.dim):
-            raise ValueError("structure tensor shape mismatch")
-        if self.unit.shape != (self.dim,):
-            raise ValueError("unit vector shape mismatch")
-        if not self.basis_labels:
-            self.basis_labels = tuple(range(self.dim))
+        d = self.dim
+        ijl = np.array(self.constants[:3], dtype=np.int64).reshape(3, -1)
+        c = self.field.array(self.constants[3]).reshape(-1)
+        if self.unit.shape != (d,) or c.shape != ijl.shape[1:] or ((ijl < 0) | (ijl >= d)).any():
+            raise ValueError("unit or structure constants of the wrong shape or out of range")
+        key = (ijl[0] * d + ijl[1]) * d + ijl[2]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("repeated structure constant (i, j, l)")
+        order = order[np.nonzero(c[order])[0]]  # C order, zeros dropped
+        self.constants = (*ijl[:, order], c[order])
+        for x in self.constants:
+            x.flags.writeable = False
+        self.basis_labels = self.basis_labels or tuple(range(d))
 
     @cached_property
-    def constants(self) -> tuple:
-        """The non-zero structure constants c[i, j, l] as arrays (i, j, l, c) in
-        C order, kept after first use: the tensor must not change."""
-        i, j, l = np.nonzero(self.structure)
-        return i, j, l, self.structure[i, j, l]
-
-    def _left_contract(self, a: np.ndarray) -> np.ndarray:
-        """(j, l) -> coefficient of e_l in a e_j: the slices structure[i]
-        summed over the non-zero coefficients of a."""
-        return _combine(self.field, a, self.structure, self.dim)
+    def structure(self) -> np.ndarray:
+        """Read-only dense c[i, j, l], built on first use; for tests and scripts."""
+        out = self.field.zeros(self.dim, self.dim, self.dim)
+        out[self.constants[:3]] = self.constants[3]
+        out.flags.writeable = False
+        return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two coefficient vectors."""
-        return self.field.matmul(b, self._left_contract(a))
+        """Product of two coefficient vectors, or row by row of two stacks of
+        them: one sparse product summing c[i, j, l] a_i b_j into l."""
+        k = self.field
+        i, j, l, c = self.constants
+        terms = k.reduce(a[..., i] * b[..., j])
+        out = k.sparse_matmul(l, np.arange(len(l)), c, self.dim, np.atleast_2d(terms).T)
+        return out.T.reshape(*terms.shape[:-1], self.dim)
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x a on the algebra itself; column i is e_i a, and
-        for a = e_j this is the slice structure[:, j, :].T."""
-        return _combine(self.field, a, np.swapaxes(self.structure, 0, 1), self.dim).T
+        """Matrix of x -> x a on the algebra itself; column i is e_i a.  For a
+        (dim, m) matrix a, the matrices of its m columns along a last axis."""
+        i, j, l, c = self.constants
+        d = self.dim
+        x = a.reshape(d, 1) if a.ndim == 1 else a
+        return self.field.sparse_matmul(l * d + i, j, c, d * d, x).reshape(d, *a.shape)
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> a x on the algebra itself."""
-        return self._left_contract(a).T
+        """Matrix of x -> a x on the algebra itself; column j is a e_j.  For a
+        (dim, m) matrix a, the matrices of its m columns along a last axis."""
+        i, j, l, c = self.constants
+        d = self.dim
+        x = a.reshape(d, 1) if a.ndim == 1 else a
+        return self.field.sparse_matmul(l * d + j, i, c, d * d, x).reshape(d, *a.shape)
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = self.field.zeros(self.dim)
@@ -71,35 +91,59 @@ class FDAlgebra:
         return self.field.vectors(self.dim)
 
 
+def basis_products(k: FieldSpec, triples) -> tuple:
+    """Constants of e_i e_j = e_l for each (i, j, l) of triples, all else 0."""
+    i, j, l = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return i, j, l, [k.one] * len(i)
+
+
+def join_constants(blocks: list) -> tuple:
+    """One set of constants (i, j, l, c) from blocks of them."""
+    return tuple(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                + [np.ravel(b[t]) for b in blocks]) for t in range(4))
+
+
+def _law_failures(a: FDAlgebra, mats: list, right: bool):
+    """Yield (i, j, bad) for the basis pairs where sum_l c[i,j,l] M_l differs
+    from M_i M_j (M_j M_i if right), bad marking the differing entries.  One
+    sparse and one stacked product per i, so memory stays dim * n^2."""
+    k, d = a.field, a.dim
+    i, j, l, c = a.constants
+    stack = np.asarray(mats)
+    bounds = np.searchsorted(i, np.arange(d + 1))
+    for s in range(d):
+        part = slice(bounds[s], bounds[s + 1])
+        lhs = k.sparse_matmul(j[part], l[part], c[part], d, stack.reshape(d, -1))
+        rhs = k.matmul(stack, stack[s]) if right else k.matmul(stack[s], stack)
+        bad = lhs.reshape(stack.shape) != rhs
+        for t in np.nonzero(bad.reshape(d, -1).any(axis=1))[0]:
+            yield s, t, bad[t]
+
+
 def validate_algebra(a: FDAlgebra) -> Report:
-    """Associativity on all basis triples and two-sided unit on the basis."""
+    """Associativity on all basis triples, as the law of the left regular
+    representation x -> e_i x, and two-sided unit on the basis."""
     rep = Report()
     k = a.field
-    c = a.structure
-    for i in range(a.dim):
-        for j in range(a.dim):
-            # (e_i e_j) e_l = sum_m c[i,j,m] c[m,l,:]
-            lhs = a._left_contract(c[i, j])
-            # e_i (e_j e_l) = sum_m c[j,l,m] c[i,m,:]
-            rhs = k.matmul(c[j], c[i])
-            if not k.equal(lhs, rhs):
-                bad = next((l for l in range(a.dim) if not k.equal(lhs[l], rhs[l])), None)
-                rep.add("associativity", "(e_i e_j) e_l != e_i (e_j e_l)",
-                        i=a.basis_labels[i], j=a.basis_labels[j],
-                        l=None if bad is None else a.basis_labels[bad])
-    for j in range(a.dim):
-        ej = a.basis_vector(j)
-        if not k.equal(a.mul(a.unit, ej), ej):
-            rep.add("unit", "unit * e_j != e_j", j=a.basis_labels[j])
-        if not k.equal(a.mul(ej, a.unit), ej):
-            rep.add("unit", "e_j * unit != e_j", j=a.basis_labels[j])
+    labels = a.basis_labels
+    eye = k.eye(a.dim)
+    regular = a.left_mult_matrix(eye).transpose(2, 0, 1)  # [i]: x -> e_i x
+    for i, j, bad in _law_failures(a, regular, right=False):
+        rep.add("associativity", "(e_i e_j) e_l != e_i (e_j e_l)",
+                i=labels[i], j=labels[j], l=labels[np.nonzero(bad.any(axis=0))[0][0]])
+    units = np.broadcast_to(a.unit, eye.shape)
+    for j, (left, right) in enumerate(zip(a.mul(units, eye) != eye, a.mul(eye, units) != eye)):
+        if left.any():
+            rep.add("unit", "unit * e_j != e_j", j=labels[j])
+        if right.any():
+            rep.add("unit", "e_j * unit != e_j", j=labels[j])
     return rep
 
 
 def opposite_algebra(a: FDAlgebra) -> FDAlgebra:
-    """Structure constants transposed in the first two slots; involutive."""
-    return FDAlgebra(field=a.field, dim=a.dim,
-                     structure=np.array(np.swapaxes(a.structure, 0, 1), copy=True),
+    """Structure constants with the first two slots swapped; involutive."""
+    i, j, l, c = a.constants
+    return FDAlgebra(field=a.field, dim=a.dim, constants=(j, i, l, c),
                      unit=np.array(a.unit, copy=True),
                      basis_labels=a.basis_labels,
                      name=f"{a.name}^op" if a.name else "op")
@@ -116,6 +160,7 @@ class AlgHom:
 
 
 def validate_hom(h: AlgHom) -> Report:
+    """Unit, and multiplicativity on all basis pairs in one stacked product."""
     rep = Report()
     k = h.source.field
     if h.matrix.shape != (h.target.dim, h.source.dim):
@@ -123,13 +168,14 @@ def validate_hom(h: AlgHom) -> Report:
         return rep
     if not k.equal(h.apply(h.source.unit), h.target.unit):
         rep.add("unit", "h(1) != 1")
-    for i in range(h.source.dim):
-        for j in range(h.source.dim):
-            lhs = h.apply(h.source.mul(h.source.basis_vector(i), h.source.basis_vector(j)))
-            rhs = h.target.mul(h.matrix[:, i], h.matrix[:, j])
-            if not k.equal(lhs, rhs):
-                rep.add("multiplicative", "h(e_i e_j) != h(e_i) h(e_j)",
-                        i=h.source.basis_labels[i], j=h.source.basis_labels[j])
+    d = h.source.dim
+    i, j, l, c = h.source.constants
+    images = h.matrix.T  # row s is h(e_s)
+    lhs = k.sparse_matmul(i * d + j, l, c, d * d, images)  # row i d + j is h(e_i e_j)
+    rhs = h.target.mul(np.repeat(images, d, axis=0), np.tile(images, (d, 1)))
+    for t in np.nonzero(np.any(lhs != rhs, axis=1))[0]:
+        rep.add("multiplicative", "h(e_i e_j) != h(e_i) h(e_j)",
+                i=h.source.basis_labels[t // d], j=h.source.basis_labels[t % d])
     return rep
 
 
@@ -174,46 +220,31 @@ def validate_module(m: AlgModule) -> Report:
     rep = Report()
     a = m.algebra
     k = a.field
-    c = a.structure
-    has_right = m.side in ("right", "bi")
-    has_left = m.side in ("left", "bi")
-    if has_right and len(m.right_action) != a.dim:
-        rep.add("shape", "right action family has wrong length")
-        return rep
-    if has_left and len(m.left_action) != a.dim:
-        rep.add("shape", "left action family has wrong length")
-        return rep
-    for fam, nm in ((m.right_action if has_right else [], "right"),
-                    (m.left_action if has_left else [], "left")):
-        for i, mat in enumerate(fam):
+    labels = a.basis_labels
+    laws = [law for law in (("right", m.right_action, m.right_of, "v.(e_i e_j) != (v.e_i).e_j"),
+                            ("left", m.left_action, m.left_of, "(e_i e_j).v != e_i.(e_j.v)"))
+            if m.side in (law[0], "bi")]
+    for side, mats, _, _ in laws:
+        if len(mats) != a.dim:
+            rep.add("shape", f"{side} action family has wrong length")
+            return rep
+    for side, mats, _, _ in laws:
+        for i, mat in enumerate(mats):
             if mat.shape != (m.dim, m.dim):
-                rep.add("shape", f"{nm} action matrix has wrong shape", i=a.basis_labels[i])
+                rep.add("shape", f"{side} action matrix has wrong shape", i=labels[i])
                 return rep
-    if has_right:
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if not k.equal(_combine(k, c[i, j], m.right_action, m.dim),
-                               k.matmul(m.right_action[j], m.right_action[i])):
-                    rep.add("right-action", "v.(e_i e_j) != (v.e_i).e_j",
-                            i=a.basis_labels[i], j=a.basis_labels[j])
-        if not k.equal(m.right_of(a.unit), k.eye(m.dim)):
-            rep.add("unit", "right action of unit is not identity")
-    if has_left:
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if not k.equal(_combine(k, c[i, j], m.left_action, m.dim),
-                               k.matmul(m.left_action[i], m.left_action[j])):
-                    rep.add("left-action", "(e_i e_j).v != e_i.(e_j.v)",
-                            i=a.basis_labels[i], j=a.basis_labels[j])
-        if not k.equal(m.left_of(a.unit), k.eye(m.dim)):
-            rep.add("unit", "left action of unit is not identity")
+    for side, mats, action_of, message in laws:
+        for i, j, _ in _law_failures(a, mats, right=side == "right"):
+            rep.add(f"{side}-action", message, i=labels[i], j=labels[j])
+        if not k.equal(action_of(a.unit), k.eye(m.dim)):
+            rep.add("unit", f"{side} action of unit is not identity")
     if m.side == "bi":
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if not k.equal(k.matmul(m.left_action[i], m.right_action[j]),
-                               k.matmul(m.right_action[j], m.left_action[i])):
-                    rep.add("bimodule", "left and right actions do not commute",
-                            i=a.basis_labels[i], j=a.basis_labels[j])
+        rights = np.asarray(m.right_action)
+        for i, lam in enumerate(m.left_action):
+            bad = k.matmul(lam, rights) != k.matmul(rights, lam)
+            for j in np.nonzero(bad.reshape(a.dim, -1).any(axis=1))[0]:
+                rep.add("bimodule", "left and right actions do not commute",
+                        i=labels[i], j=labels[j])
     return rep
 
 
@@ -224,21 +255,13 @@ def free_module(a: FDAlgebra, rank: int, side: str = "right") -> AlgModule:
         raise ValueError("rank must be >= 0")
     if side not in ("left", "right", "bi"):
         raise ValueError(f"unknown side {side!r}")
-    k = a.field
-    d = a.dim
-    n = rank * d
-    def actions(slices):
-        # slices[i].T is the multiplication matrix of e_i
-        out = []
-        for i in range(d):
-            block = k.zeros(n, n)
-            for t in range(rank):
-                block[t * d:(t + 1) * d, t * d:(t + 1) * d] = slices[i].T
-            out.append(block)
-        return out
-    right = actions(np.swapaxes(a.structure, 0, 1)) if side != "left" else []
-    left = actions(a.structure) if side != "right" else []
-    return AlgModule(a, n, side, right_action=right, left_action=left)
+
+    def actions(mult):
+        # [i]: rank copies down the diagonal of the action of e_i on a
+        return list(np.kron(a.field.eye(rank), mult(a.field.eye(a.dim)).transpose(2, 0, 1)))
+    right = actions(a.right_mult_matrix) if side != "left" else []
+    left = actions(a.left_mult_matrix) if side != "right" else []
+    return AlgModule(a, rank * a.dim, side, right_action=right, left_action=left)
 
 
 def regular_bimodule(a: FDAlgebra) -> AlgModule:
@@ -263,26 +286,26 @@ def trivial_extension(lam: FDAlgebra, m: AlgModule) -> FDAlgebra:
     k = lam.field
     d, n = lam.dim, m.dim
     dim = d + n
-    c = k.zeros(dim, dim, dim)
-    c[:d, :d, :d] = lam.structure
-    for i in range(d):
-        # algebra basis e_i times module basis m_j: left action
-        c[i, d:, d:] = m.left_action[i].T  # c[i, d+j, d+l] = (lam_i)[l, j]
-        # module basis m_j times algebra basis e_i: right action
-        c[d:, i, d:] = m.right_action[i].T
+    blocks = [lam.constants]
+    for i, (lam_i, rho_i) in enumerate(zip(m.left_action, m.right_action)):
+        # e_i m_j = sum_l (lam_i)[l, j] m_l and m_j e_i = sum_l (rho_i)[l, j] m_l
+        l, j = np.nonzero(lam_i)
+        blocks.append((np.full(len(j), i), d + j, d + l, lam_i[l, j]))
+        l, j = np.nonzero(rho_i)
+        blocks.append((d + j, np.full(len(j), i), d + l, rho_i[l, j]))
     unit = k.zeros(dim)
     unit[:d] = lam.unit
     labels = tuple(("a", l) for l in lam.basis_labels) + tuple(("m", j) for j in range(n))
-    return FDAlgebra(field=k, dim=dim, structure=c, unit=unit, basis_labels=labels,
+    return FDAlgebra(field=k, dim=dim, constants=join_constants(blocks), unit=unit,
+                     basis_labels=labels,
                      name=f"{lam.name}|x|M" if lam.name else "trivial-extension")
 
 
 def field_algebra(k: FieldSpec) -> FDAlgebra:
-    c = k.zeros(1, 1, 1)
-    c[0, 0, 0] = k.one
     unit = k.zeros(1)
     unit[0] = k.one
-    return FDAlgebra(field=k, dim=1, structure=c, unit=unit, basis_labels=("1",), name="k")
+    return FDAlgebra(field=k, dim=1, constants=basis_products(k, [(0, 0, 0)]), unit=unit,
+                     basis_labels=("1",), name="k")
 
 
 def dual_numbers(k: FieldSpec) -> FDAlgebra:
@@ -300,14 +323,12 @@ def group_algebra(orders: list[int], k: FieldSpec) -> FDAlgebra:
     elems = [t for t in iproduct(*(range(n) for n in orders))]
     index = {g: i for i, g in enumerate(elems)}
     d = len(elems)
-    c = k.zeros(d, d, d)
-    for g in elems:
-        for h in elems:
-            s = tuple((gi + hi) % n for gi, hi, n in zip(g, h, orders))
-            c[index[g], index[h], index[s]] = k.one
+    products = [(index[g], index[h],
+                 index[tuple((gi + hi) % n for gi, hi, n in zip(g, h, orders))])
+                for g in elems for h in elems]
     unit = k.zeros(d)
     unit[index[tuple(0 for _ in orders)]] = k.one
-    return FDAlgebra(field=k, dim=d, structure=c, unit=unit,
+    return FDAlgebra(field=k, dim=d, constants=basis_products(k, products), unit=unit,
                      basis_labels=tuple(elems),
                      name="k[" + "x".join(f"Z/{n}" for n in orders) + "]")
 
@@ -317,13 +338,10 @@ def upper_triangular_algebra(n: int, k: FieldSpec) -> FDAlgebra:
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {p: t for t, p in enumerate(pairs)}
     d = len(pairs)
-    c = k.zeros(d, d, d)
-    for (i, j) in pairs:
-        for (a, b) in pairs:
-            if j == a:
-                c[index[(i, j)], index[(a, b)], index[(i, b)]] = k.one
+    products = [(index[(i, j)], index[(a, b)], index[(i, b)])
+                for (i, j) in pairs for (a, b) in pairs if j == a]
     unit = k.zeros(d)
     for i in range(n):
         unit[index[(i, i)]] = k.one
-    return FDAlgebra(field=k, dim=d, structure=c, unit=unit,
+    return FDAlgebra(field=k, dim=d, constants=basis_products(k, products), unit=unit,
                      basis_labels=tuple(pairs), name=f"UT({n})")

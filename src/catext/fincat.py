@@ -222,20 +222,19 @@ def linearize(c: FinCategory, k: FieldSpec):
     nose, and the skew algebra of the constant coefficient system coincides
     with linearize structure-constant-for-structure-constant.
     """
-    from .fdalgebra import FDAlgebra
+    from .fdalgebra import FDAlgebra, basis_products
 
     rep = validate_category(c)
     if not rep.ok:
         raise ValueError(f"cannot linearize invalid category: {rep.summary()}")
     labels, index = c.index.labels, c.index.pos
     d = len(labels)
-    structure = k.zeros(d, d, d)
-    for (g, f), h in c.compose.items():  # table entry: g then f
-        structure[index[f], index[g], index[h]] = k.one
+    products = [(index[f], index[g], index[h])  # table entry: g then f
+                for (g, f), h in c.compose.items()]
     unit = k.zeros(d)
     for x in c.objects:
         unit[index[c.identity[x]]] = k.one
-    return FDAlgebra(field=k, dim=d, structure=structure, unit=unit,
+    return FDAlgebra(field=k, dim=d, constants=basis_products(k, products), unit=unit,
                      basis_labels=tuple(labels),
                      name=f"k[{c.name}]" if c.name else "k[C]")
 

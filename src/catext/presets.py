@@ -10,8 +10,8 @@ import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .exactlin import FieldSpec
-from .fdalgebra import (AlgHom, AlgModule, FDAlgebra, field_algebra, free_module,
-                        group_algebra, zero_module)
+from .fdalgebra import (AlgHom, AlgModule, FDAlgebra, basis_products, field_algebra,
+                        free_module, group_algebra, zero_module)
 from .fincat import FinCategory
 
 F2 = FieldSpec.prime(2)
@@ -71,13 +71,11 @@ def broken_category() -> FinCategory:
 
 def field_product(k: FieldSpec, n: int) -> FDAlgebra:
     """k x k x ... x k with the idempotent coordinate basis."""
-    c = k.zeros(n, n, n)
-    for i in range(n):
-        c[i, i, i] = k.one
     unit = k.zeros(n)
     for i in range(n):
         unit[i] = k.one
-    return FDAlgebra(field=k, dim=n, structure=c, unit=unit,
+    idempotents = basis_products(k, [(i, i, i) for i in range(n)])
+    return FDAlgebra(field=k, dim=n, constants=idempotents, unit=unit,
                      basis_labels=tuple(f"e{i}" for i in range(n)), name=f"k^{n}")
 
 

@@ -265,6 +265,28 @@ def test_table_output_shows_spot_checks(capsys):
     assert capsys.readouterr().out == "command: validate\nvalidation: ok\n"
 
 
+ZERO_ALGEBRA = """
+field: {kind: prime, characteristic: 2}
+category: {preset: trivial}
+algebra:
+  constant: {preset: explicit, dim: 0, tensor: [], unit: []}
+bimodule: {preset: zero}
+task: {command: validate}
+"""
+
+
+def test_explicit_zero_algebra_builds_and_validates(tmp_path, capsys):
+    """The schema accepts dim 0; the zero algebra has no products."""
+    problem = tmp_path / "zero.yaml"
+    problem.write_text(ZERO_ALGEBRA)
+    assert cli.main(["validate", str(problem), "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["validation"]["ok"]
+    assert cli.main(["build-algebra", str(problem), "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["algebra"]["dim"] == 0 and doc["algebra"]["products"] == []
+    assert doc["validation"]["ok"]
+
+
 # -- the command table --------------------------------------------------------------
 
 ALGEBRA_ONLY = MINIMAL.replace("task:", "algebra:\n  constant: {preset: field}\ntask:")

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from catext import constructions
 from catext.constructions import (check_composition_antihom, check_degeneration,
                                   extension_algebra, gr_algebra, gr_bimodule,
                                   gr_right_module, skew_algebra)
 from catext.coeffsys import forget_left_action
-from catext.fdalgebra import (AlgHom, dual_numbers, field_algebra, group_algebra,
-                              regular_bimodule, trivial_extension, upper_triangular_algebra,
-                              validate_algebra)
+from catext.fdalgebra import (AlgHom, FDAlgebra, dual_numbers, field_algebra, group_algebra,
+                              opposite_algebra, regular_bimodule, trivial_extension,
+                              upper_triangular_algebra, validate_algebra)
 from catext.fincat import CatFunctor, FinCategory, is_isomorphism, linearize, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
                             cyclic_monoid, discrete_category, field_product, one_object_group,
@@ -253,6 +254,50 @@ def test_transport_catches_corrupted_table():
     assert v.witness is not None
 
 
+def _reference_transport(gr, ext):
+    """The per-pair loop that the blocked check replaced: three embeddings
+    and one product per composable pair."""
+    k = ext.field
+    index = {b: t for t, b in enumerate(ext.basis_labels)}
+
+    def embed(r, mm, f):
+        v = k.zeros(ext.dim)
+        for i, ri in enumerate(r):
+            v[index[(f, "a", i)]] = k.coerce(ri)
+        for j, mj in enumerate(mm):
+            v[index[(f, "m", j)]] = k.coerce(mj)
+        return v
+    checked = 0
+    for (u, v), w in gr.compose.items():
+        checked += 1
+        if not k.equal(embed(*w), ext.mul(embed(*v), embed(*u))):
+            return False, {"u": u, "v": v}, checked
+    return True, None, checked
+
+
+@pytest.mark.parametrize("terms", [1, 500, 1 << 18])
+def test_transport_blocks_keep_the_per_pair_verdict(monkeypatch, terms):
+    """Whatever the block size, the verdict, the witness and the count of
+    pairs checked up to the first failure are the per-pair loop's."""
+    monkeypatch.setattr(constructions, "_PAIR_TERMS", terms)
+    c = poset_a2()
+    a = constant_precosheaf(c, group_algebra([2], F2))
+    m = regular_bimodule_system(a)
+    gr, ext = gr_bimodule(c, a, m), extension_algebra(c, a, m)
+    keys = list(gr.compose)
+    cases = [gr]
+    for key in (keys[0], keys[len(keys) // 2 + 3], keys[-1]):
+        bad = dict(gr.compose)
+        r, mm, f = bad[key]
+        bad[key] = (r, tuple((x + 1) % 2 for x in mm), f)
+        cases.append(FinCategory(gr.objects, dict(gr.mor), dict(gr.identity), bad))
+    for table in cases:
+        v = check_composition_antihom(c, a, m, gr=table, ext=ext)
+        assert (v.passed, v.witness, v.pairs_checked) == _reference_transport(table, ext)
+    assert [check_composition_antihom(c, a, m, gr=t, ext=ext).passed
+            for t in cases] == [True, False, False, False]
+
+
 # -- degenerations ---------------------------------------------------------------------
 
 def test_degeneration_rationals_dual_numbers():
@@ -260,6 +305,28 @@ def test_degeneration_rationals_dual_numbers():
     at = constant_precosheaf(ct, field_algebra(QQ))
     mt = regular_bimodule_system(at)
     assert check_degeneration("trivial-ext", ct, at, mt).passed
+
+
+@pytest.mark.parametrize("k", [F3, QQ], ids=["F3", "Q"])
+def test_failed_degeneration_names_the_first_differing_entries(monkeypatch, k):
+    """With the fiber products in the wrong order (the opposite algebra) or one
+    constant changed, the witness is the first four differing (i, j, l) of
+    the dense tensors in C order."""
+    ct = trivial_category()
+    at = constant_precosheaf(ct, upper_triangular_algebra(2, k))
+    mt = regular_bimodule_system(at)
+    real = extension_algebra(ct, at, mt)
+    i, j, l, c = real.constants
+    changed = FDAlgebra(k, real.dim, (i, j, l, np.concatenate([c[:-1], [c[-1] + 1]])),
+                        real.unit, real.basis_labels)
+    te = trivial_extension(at.at("*"), mt.at("*"))
+    for wrong, detail in ((opposite_algebra(real), "the opposite square-zero extension"),
+                          (changed, None)):
+        monkeypatch.setattr(constructions, "extension_algebra", lambda *args: wrong)
+        v = check_degeneration("trivial-ext", ct, at, mt)
+        want = [tuple(w) for w in np.argwhere(wrong.structure != te.structure)[:4].tolist()]
+        assert not v.passed and v.witness == {"entries": want} and len(want) >= 1
+        assert (detail in v.detail) if detail else v.detail == "equality fails"
 
 
 def test_degeneration_requires_degenerate_input():

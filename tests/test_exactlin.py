@@ -340,8 +340,8 @@ def word_algebras(draw, p):
 
 def _algebra(field, structure):
     d = len(structure)
-    return FDAlgebra(field, d, np.array(structure, dtype=np.int64),
-                     field.zeros(d))
+    c = np.array(structure, dtype=np.int64)
+    return FDAlgebra(field, d, (*np.nonzero(c), c[np.nonzero(c)]), field.zeros(d))
 
 
 @word_fields
@@ -359,6 +359,31 @@ def test_algebra_products_match_int_oracle(field, data):
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
     assert alg.right_mult_matrix(bv).T.tolist() == [py_mul(e, b) for e in basis]
     assert alg.left_mult_matrix(av).T.tolist() == [py_mul(a, e) for e in basis]
+
+
+@word_fields
+@given(data=st.data())
+def test_stacked_algebra_products_match_int_oracle(field, data):
+    """Row t of the product of two stacks is the product of their rows t."""
+    c, _, _, _ = data.draw(word_algebras(field.p))
+    p, d, rows = field.p, len(c), data.draw(st.integers(0, 4))
+    a, b = _entries(data.draw, p, rows, d), _entries(data.draw, p, rows, d)
+    alg = _algebra(field, c)
+    an, bn = (np.array(x, dtype=np.int64).reshape(rows, d) for x in (a, b))
+    want = [[sum(x[i] * y[j] * c[i][j][l] for i in range(d) for j in range(d)) % p
+             for l in range(d)] for x, y in zip(a, b)]
+    assert alg.mul(an, bn).tolist() == want
+    assert [alg.mul(x, y).tolist() for x, y in zip(an, bn)] == want
+
+
+@pytest.mark.parametrize("d", [0, 3])
+@pytest.mark.parametrize("field", [F3, FieldSpec.rationals()], ids=["F3", "Q"])
+def test_products_without_constants_are_zero(field, d):
+    alg = FDAlgebra(field, d, ([], [], [], []), field.zeros(d))
+    stack = field.array([[1] * d] * 2).reshape(2, d)
+    assert field.equal(alg.mul(stack, stack), field.zeros(2, d))
+    assert field.equal(alg.mul(stack[0], stack[1]), field.zeros(d))
+    assert field.equal(alg.mul(stack[:0], stack[:0]), field.zeros(0, d))
 
 
 @word_fields

@@ -1,14 +1,18 @@
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               free_module, group_algebra, identity_hom, opposite_algebra,
                               regular_bimodule, trivial_extension, upper_triangular_algebra,
                               validate_algebra, validate_hom, validate_module, zero_module)
+from catext.exactlin import FieldSpec
 from catext.fincat import linearize
 from catext.presets import F2, F3, QQ, cyclic_monoid, field_product, poset_a2
+from catext.validation import Report
 
 ALGEBRAS = [field_algebra(F2), dual_numbers(QQ), group_algebra([2], F2),
             group_algebra([2, 2], F3), upper_triangular_algebra(2, F2),
@@ -42,6 +46,17 @@ def test_mult_matrices_return_fresh_arrays(alg):
     assert alg.field.equal(alg.structure, before)
 
 
+@pytest.mark.parametrize("alg", SLICE_ALGEBRAS, ids=lambda a: a.name)
+def test_mult_matrices_of_columns_stack_along_last_axis(alg):
+    k = alg.field
+    cols = k.array([[(i * 7 + t * 3) % 5 for t in range(3)] for i in range(alg.dim)])
+    for mult in (alg.right_mult_matrix, alg.left_mult_matrix):
+        got = mult(cols)
+        assert got.shape == (alg.dim, alg.dim, 3)
+        for t in range(3):
+            assert got[:, :, t].tolist() == mult(cols[:, t]).tolist()
+
+
 def test_zero_vector_mult_matrices_over_rationals_hold_fractions():
     alg = upper_triangular_algebra(2, QQ)
     for mat in (alg.right_mult_matrix(QQ.zeros(alg.dim)),
@@ -60,9 +75,7 @@ def test_dual_numbers_by_hand():
 
 def test_broken_algebra_reports_unit_failure():
     # e1 * e1 = e2 but no element acts as a unit
-    c = F2.zeros(2, 2, 2)
-    c[0, 0, 1] = 1
-    bad = FDAlgebra(field=F2, dim=2, structure=c, unit=F2.array([1, 0]))
+    bad = FDAlgebra(field=F2, dim=2, constants=([0], [0], [1], [1]), unit=F2.array([1, 0]))
     rep = validate_algebra(bad)
     assert not rep.ok
     assert any(v.code == "unit" for v in rep.violations)
@@ -237,3 +250,210 @@ def test_corrupted_module_reports_witness():
     rep = validate_module(fm)
     assert not rep.ok
     assert any(v.code == "right-action" for v in rep.violations)
+
+
+# -- constants -------------------------------------------------------------------
+
+def test_constants_are_c_ordered_without_zeros():
+    alg = FDAlgebra(F3, 2, ([1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 0], [2, 1, 3, 1]),
+                    F3.array([1, 0]))
+    assert [x.tolist() for x in alg.constants] == [[0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 2, 1]]
+    assert alg.structure.tolist() == [[[0, 0], [0, 1]], [[0, 2], [1, 0]]]
+
+
+@pytest.mark.parametrize("constants", [
+    ([0], [0], [2], [1]), ([0], [-1], [0], [1]), ([2], [0], [0], [1]),  # out of range
+    ([0, 0], [1, 1], [0, 0], [1, 1]), ([1, 1], [0, 0], [1, 1], [0, 1]),  # repeated
+    ([0, 1], [0], [0], [1]), ([0], [0], [0], [1, 1]),  # unmatched lengths
+])
+def test_bad_constants_raise(constants):
+    with pytest.raises(ValueError):
+        FDAlgebra(F2, 2, constants, F2.array([1, 0]))
+
+
+# -- the dense-loop validators as references --------------------------------------
+
+def _ref_combine(k, coeffs, mats, n):
+    """sum_i coeffs[i] mats[i], one term at a time."""
+    out = k.zeros(n, n)
+    for x, mat in zip(coeffs, mats):
+        if x:
+            out = k.reduce(out + k.reduce(x * mat))
+    return out
+
+
+def _ref_mul(a, x, y):
+    return a.field.matmul(y, _ref_combine(a.field, x, a.structure, a.dim))
+
+
+def ref_validate_algebra(a):
+    rep = Report()
+    k = a.field
+    c = a.structure
+    for i in range(a.dim):
+        for j in range(a.dim):
+            # row l: (e_i e_j) e_l against e_i (e_j e_l)
+            lhs = _ref_combine(k, c[i, j], c, a.dim)
+            rhs = k.matmul(c[j], c[i])
+            if not k.equal(lhs, rhs):
+                bad = next((l for l in range(a.dim) if not k.equal(lhs[l], rhs[l])), None)
+                rep.add("associativity", "(e_i e_j) e_l != e_i (e_j e_l)",
+                        i=a.basis_labels[i], j=a.basis_labels[j],
+                        l=None if bad is None else a.basis_labels[bad])
+    for j in range(a.dim):
+        ej = a.basis_vector(j)
+        if not k.equal(_ref_mul(a, a.unit, ej), ej):
+            rep.add("unit", "unit * e_j != e_j", j=a.basis_labels[j])
+        if not k.equal(_ref_mul(a, ej, a.unit), ej):
+            rep.add("unit", "e_j * unit != e_j", j=a.basis_labels[j])
+    return rep
+
+
+def ref_validate_module(m):
+    rep = Report()
+    a = m.algebra
+    k = a.field
+    c = a.structure
+    has_right = m.side in ("right", "bi")
+    has_left = m.side in ("left", "bi")
+    if has_right and len(m.right_action) != a.dim:
+        rep.add("shape", "right action family has wrong length")
+        return rep
+    if has_left and len(m.left_action) != a.dim:
+        rep.add("shape", "left action family has wrong length")
+        return rep
+    for fam, nm in ((m.right_action if has_right else [], "right"),
+                    (m.left_action if has_left else [], "left")):
+        for i, mat in enumerate(fam):
+            if mat.shape != (m.dim, m.dim):
+                rep.add("shape", f"{nm} action matrix has wrong shape", i=a.basis_labels[i])
+                return rep
+    if has_right:
+        for i in range(a.dim):
+            for j in range(a.dim):
+                if not k.equal(_ref_combine(k, c[i, j], m.right_action, m.dim),
+                               k.matmul(m.right_action[j], m.right_action[i])):
+                    rep.add("right-action", "v.(e_i e_j) != (v.e_i).e_j",
+                            i=a.basis_labels[i], j=a.basis_labels[j])
+        if not k.equal(_ref_combine(k, a.unit, m.right_action, m.dim), k.eye(m.dim)):
+            rep.add("unit", "right action of unit is not identity")
+    if has_left:
+        for i in range(a.dim):
+            for j in range(a.dim):
+                if not k.equal(_ref_combine(k, c[i, j], m.left_action, m.dim),
+                               k.matmul(m.left_action[i], m.left_action[j])):
+                    rep.add("left-action", "(e_i e_j).v != e_i.(e_j.v)",
+                            i=a.basis_labels[i], j=a.basis_labels[j])
+        if not k.equal(_ref_combine(k, a.unit, m.left_action, m.dim), k.eye(m.dim)):
+            rep.add("unit", "left action of unit is not identity")
+    if m.side == "bi":
+        for i in range(a.dim):
+            for j in range(a.dim):
+                if not k.equal(k.matmul(m.left_action[i], m.right_action[j]),
+                               k.matmul(m.right_action[j], m.left_action[i])):
+                    rep.add("bimodule", "left and right actions do not commute",
+                            i=a.basis_labels[i], j=a.basis_labels[j])
+    return rep
+
+
+def ref_validate_hom(h):
+    rep = Report()
+    k = h.source.field
+    if h.matrix.shape != (h.target.dim, h.source.dim):
+        rep.add("shape", "hom matrix has wrong shape", shape=h.matrix.shape)
+        return rep
+    if not k.equal(h.apply(h.source.unit), h.target.unit):
+        rep.add("unit", "h(1) != 1")
+    for i in range(h.source.dim):
+        for j in range(h.source.dim):
+            lhs = h.apply(_ref_mul(h.source, h.source.basis_vector(i),
+                                   h.source.basis_vector(j)))
+            rhs = _ref_mul(h.target, h.matrix[:, i], h.matrix[:, j])
+            if not k.equal(lhs, rhs):
+                rep.add("multiplicative", "h(e_i e_j) != h(e_i) h(e_j)",
+                        i=h.source.basis_labels[i], j=h.source.basis_labels[j])
+    return rep
+
+
+REF_FIELDS = [QQ] + [FieldSpec.prime(p) for p in (2, 3, 65521, 2**31 - 1)]
+ref_fields = pytest.mark.parametrize("k", REF_FIELDS,
+                                     ids=lambda k: f"F{k.p}" if k.is_prime_field else "Q")
+GENUINE = [field_algebra, dual_numbers, lambda k: group_algebra([2], k),
+           lambda k: upper_triangular_algebra(2, k), lambda k: field_product(k, 2)]
+
+
+def _scalar(rnd, k, zeros=0.5):
+    if rnd.random() < zeros:
+        return 0
+    if k.is_prime_field:  # half of them from the top quarter of [0, p)
+        return rnd.randrange(k.p - 1 - k.p // 4 if rnd.random() < 0.5 else 0, k.p)
+    return Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+
+
+def _matrix(rnd, k, rows, cols, zeros=0.5):
+    return k.array([[_scalar(rnd, k, zeros) for _ in range(cols)]
+                    for _ in range(rows)]).reshape(rows, cols)
+
+
+def _random_algebra(rnd, k):
+    """A genuine algebra, or random, mostly non-associative constants of a
+    random density with a random unit."""
+    if rnd.random() < 1 / 3:
+        return rnd.choice(GENUINE)(k)
+    d, zeros = rnd.randint(0, 4), rnd.random()
+    tensor = k.array([[[_scalar(rnd, k, zeros) for _ in range(d)] for _ in range(d)]
+                      for _ in range(d)]).reshape(d, d, d)
+    nz = np.nonzero(tensor)
+    return FDAlgebra(k, d, (*nz, tensor[nz]), _matrix(rnd, k, 1, d).reshape(d))
+
+
+def _random_module(rnd, alg):
+    """A free module or random action matrices, sometimes with one entry changed."""
+    k = alg.field
+    side = rnd.choice(["left", "right", "bi"])
+    if rnd.random() < 1 / 3:
+        mod = free_module(alg, rnd.randint(0, 2), side)
+    else:
+        n, zeros = rnd.randint(0, 3), rnd.random()
+        mod = AlgModule(alg, n, side)
+        if side != "left":
+            mod.right_action = [_matrix(rnd, k, n, n, zeros) for _ in range(alg.dim)]
+        if side != "right":
+            mod.left_action = [_matrix(rnd, k, n, n, zeros) for _ in range(alg.dim)]
+    families = [f for f in (mod.right_action, mod.left_action) if f]
+    if mod.dim and families and rnd.random() < 0.5:
+        mat = rnd.choice(rnd.choice(families))
+        mat[rnd.randrange(mod.dim), rnd.randrange(mod.dim)] = k.coerce(_scalar(rnd, k, 0))
+    return mod
+
+
+def _violations(rep):
+    return [(v.code, v.message, v.witness) for v in rep.violations]
+
+
+@ref_fields
+@given(seed=st.integers(0, 2**32 - 1))
+def test_validate_algebra_matches_dense_reference(k, seed):
+    alg = _random_algebra(Random(seed), k)
+    assert _violations(validate_algebra(alg)) == _violations(ref_validate_algebra(alg))
+
+
+@ref_fields
+@given(seed=st.integers(0, 2**32 - 1))
+def test_validate_module_matches_dense_reference(k, seed):
+    rnd = Random(seed)
+    mod = _random_module(rnd, _random_algebra(rnd, k))
+    assert _violations(validate_module(mod)) == _violations(ref_validate_module(mod))
+
+
+@ref_fields
+@given(seed=st.integers(0, 2**32 - 1))
+def test_validate_hom_matches_dense_reference(k, seed):
+    rnd = Random(seed)
+    source, target = _random_algebra(rnd, k), _random_algebra(rnd, k)
+    if source.dim == target.dim and rnd.random() < 0.5:
+        matrix = k.eye(source.dim)
+    else:
+        matrix = _matrix(rnd, k, target.dim, source.dim, rnd.random())
+    hom = AlgHom(source, target, matrix)
+    assert _violations(validate_hom(hom)) == _violations(ref_validate_hom(hom))

@@ -34,3 +34,5 @@ def test_paper_rung_runs_from_checkout(tmp_path):
     assert line["caps"] == [1, 1, 1] and line["exit"] == 0
     assert line["md5"] == "84ca7df58f0019a6bb68d3573b605daf"
     assert line["wall_s"] > 0 and line["peak_rss_mb"] > 0
+    # 172 MB while the algebra of Gr(A, N) was held as a dense 243^3 tensor
+    assert line["peak_rss_mb"] < 120
