@@ -34,11 +34,10 @@ from math import prod
 import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
-from .fdalgebra import FDAlgebra, join_constants
+from .fdalgebra import BLOCK_TERMS, FDAlgebra, join_constants
 from .fincat import FinCategory
 
 _TABLE_LIMIT = 2_000_000
-_PAIR_TERMS = 1 << 18  # product terms per block of the transport check
 
 
 def _entries(mat: np.ndarray, row: int, col: int, out: int) -> tuple:
@@ -277,7 +276,7 @@ def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
             + [index[(f, "m", j)] for j in range(len(mm))]
         embed[t, cols] = k.array([*r, *mm])
     # pairs per block: the stacked product holds pairs x constants terms
-    size = max(1, _PAIR_TERMS // max(1, len(ext.constants[0])))
+    size = max(1, BLOCK_TERMS // max(1, len(ext.constants[0])))
     pairs = iter(gr.compose.items())
     checked = 0
     while block := list(islice(pairs, size)):

@@ -21,6 +21,8 @@ import numpy as np
 from .exactlin import FieldSpec
 from .validation import Report
 
+BLOCK_TERMS = 1 << 18  # product terms per block of a stacked product with constants
+
 
 @dataclass(eq=False)
 class FDAlgebra:
@@ -124,9 +126,8 @@ def validate_algebra(a: FDAlgebra) -> Report:
     """Associativity on all basis triples, as the law of the left regular
     representation x -> e_i x, and two-sided unit on the basis."""
     rep = Report()
-    k = a.field
     labels = a.basis_labels
-    eye = k.eye(a.dim)
+    eye = a.field.eye(a.dim)
     regular = a.left_mult_matrix(eye).transpose(2, 0, 1)  # [i]: x -> e_i x
     for i, j, bad in _law_failures(a, regular, right=False):
         rep.add("associativity", "(e_i e_j) e_l != e_i (e_j e_l)",
@@ -160,7 +161,7 @@ class AlgHom:
 
 
 def validate_hom(h: AlgHom) -> Report:
-    """Unit, and multiplicativity on all basis pairs in one stacked product."""
+    """Unit, and multiplicativity on all basis pairs in blocks of <= BLOCK_TERMS product terms."""
     rep = Report()
     k = h.source.field
     if h.matrix.shape != (h.target.dim, h.source.dim):
@@ -168,14 +169,17 @@ def validate_hom(h: AlgHom) -> Report:
         return rep
     if not k.equal(h.apply(h.source.unit), h.target.unit):
         rep.add("unit", "h(1) != 1")
-    d = h.source.dim
+    d, labels = h.source.dim, h.source.basis_labels
     i, j, l, c = h.source.constants
-    images = h.matrix.T  # row s is h(e_s)
-    lhs = k.sparse_matmul(i * d + j, l, c, d * d, images)  # row i d + j is h(e_i e_j)
-    rhs = h.target.mul(np.repeat(images, d, axis=0), np.tile(images, (d, 1)))
-    for t in np.nonzero(np.any(lhs != rhs, axis=1))[0]:
-        rep.add("multiplicative", "h(e_i e_j) != h(e_i) h(e_j)",
-                i=h.source.basis_labels[t // d], j=h.source.basis_labels[t % d])
+    pairs, images = i * d + j, h.matrix.T  # sorted by C order; row s of images is h(e_s)
+    size = max(1, BLOCK_TERMS // max(1, len(h.target.constants[0]), h.target.dim))
+    for s in range(0, d * d, size):
+        r = np.arange(s, min(d * d, s + size))  # the pairs (e_{r // d}, e_{r % d})
+        part = slice(*np.searchsorted(pairs, [s, s + size]))
+        lhs = k.sparse_matmul(pairs[part] - s, l[part], c[part], len(r), images)
+        for t in r[np.any(lhs != h.target.mul(images[r // d], images[r % d]), axis=1)]:
+            rep.add("multiplicative", "h(e_i e_j) != h(e_i) h(e_j)",
+                    i=labels[t // d], j=labels[t % d])
     return rep
 
 

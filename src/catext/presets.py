@@ -71,11 +71,8 @@ def broken_category() -> FinCategory:
 
 def field_product(k: FieldSpec, n: int) -> FDAlgebra:
     """k x k x ... x k with the idempotent coordinate basis."""
-    unit = k.zeros(n)
-    for i in range(n):
-        unit[i] = k.one
     idempotents = basis_products(k, [(i, i, i) for i in range(n)])
-    return FDAlgebra(field=k, dim=n, constants=idempotents, unit=unit,
+    return FDAlgebra(field=k, dim=n, constants=idempotents, unit=k.array([1] * n),
                      basis_labels=tuple(f"e{i}" for i in range(n)), name=f"k^{n}")
 
 

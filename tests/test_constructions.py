@@ -279,7 +279,7 @@ def _reference_transport(gr, ext):
 def test_transport_blocks_keep_the_per_pair_verdict(monkeypatch, terms):
     """Whatever the block size, the verdict, the witness and the count of
     pairs checked up to the first failure are the per-pair loop's."""
-    monkeypatch.setattr(constructions, "_PAIR_TERMS", terms)
+    monkeypatch.setattr(constructions, "BLOCK_TERMS", terms)
     c = poset_a2()
     a = constant_precosheaf(c, group_algebra([2], F2))
     m = regular_bimodule_system(a)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from catext import fdalgebra
 from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               free_module, group_algebra, identity_hom, opposite_algebra,
                               regular_bimodule, trivial_extension, upper_triangular_algebra,
@@ -456,4 +458,21 @@ def test_validate_hom_matches_dense_reference(k, seed):
     else:
         matrix = _matrix(rnd, k, target.dim, source.dim, rnd.random())
     hom = AlgHom(source, target, matrix)
-    assert _violations(validate_hom(hom)) == _violations(ref_validate_hom(hom))
+    want = _violations(ref_validate_hom(hom))
+    for terms in (1, 7, 1 << 18):  # one pair per block, a few, all pairs at once
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fdalgebra, "BLOCK_TERMS", terms)
+            assert _violations(validate_hom(hom)) == want
+
+
+def test_validate_hom_memory_is_bounded_by_blocks():
+    # k[Z/50] has 2,500 constants: all 2,500 basis pairs in one stacked
+    # product would hold 6.25 M product terms (50 MB per array)
+    hom = identity_hom(group_algebra([50], F3))
+    tracemalloc.start()
+    try:
+        assert validate_hom(hom).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
