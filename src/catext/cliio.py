@@ -390,7 +390,7 @@ _COMPOSITE = _block({key: _Key(_name, None, names="morphism")
                     required=("first", "then", "equals"), need="need first/then/equals")
 _ALGEBRA = _presets("algebra preset", _ALGEBRA_PRESETS, required=("preset",),
                     need="need an algebra block with a preset",
-                    entries="a structure tensor (dim^3)")
+                    entries="a left regular representation (dim^3)")
 _ALGEBRA_AT = _at_maps(_ALGEBRA)
 _SYSTEM_AT = {key: _at_maps(_block(
     {"dim": _Key(_int_of(0), None, stop=True),

@@ -27,9 +27,10 @@ reduces a block against the basis in one product, runs the pivot loop on
 what is left and clears the old rows at the new pivots in one more product
 (blocked elimination with one product per trailing update, as in
 Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013).  The rref is
-unique, so both give the same matrix.  The pivot loop and `Echelon.add`
-share one row update, `_clear_column`, whose terms are single products
-below p^2 < 2^62.
+unique, so both give the same matrix.  `Echelon.extend` is the only way a
+basis grows: `add` inserts one vector through it and `contains` reduces
+through the same product.  The pivot loop's row update has terms that are
+single products below p^2 < 2^62.
 """
 from __future__ import annotations
 
@@ -239,15 +240,6 @@ class Matrix:
             and self.field.equal(self.a, other.a)
 
 
-def _clear_column(field: FieldSpec, m: np.ndarray, col: np.ndarray,
-                  pivot_row: np.ndarray) -> None:
-    """The one elimination row update: m[i] -= col[i] * pivot_row for every
-    row i with col[i] != 0, in place."""
-    rows = np.nonzero(col)[0]
-    if len(rows):
-        m[rows] = field.reduce(m[rows] - np.outer(col[rows], pivot_row))
-
-
 def _pivot_loop(field: FieldSpec, m: np.ndarray):
     """In-place row reduction to rref, one pivot at a time; returns pivot
     column list."""
@@ -266,7 +258,9 @@ def _pivot_loop(field: FieldSpec, m: np.ndarray):
         m[r] = field.reduce(m[r] * field.inv(m[r, c]))
         col = np.array(m[:, c], copy=True)
         col[r] = field.zero
-        _clear_column(field, m, col, m[r])
+        hit = np.nonzero(col)[0]
+        if len(hit):
+            m[hit] = field.reduce(m[hit] - np.outer(col[hit], m[r]))
         pivots.append(c)
         r += 1
     return pivots
@@ -356,50 +350,34 @@ class Echelon:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _coerce(self, v) -> np.ndarray:
-        if isinstance(v, np.ndarray) and v.dtype == self._mat.dtype:
-            return np.array(v, copy=True).reshape(-1)
-        return np.array(self.field.array(v), copy=True).reshape(-1)
-
-    def _reduce_vec(self, v: np.ndarray) -> np.ndarray:
+    def _reduce(self, block) -> np.ndarray:
+        """The rows of block (a vector or a 2-D block) reduced against the
+        basis in one product.  Anything but an ndarray of the field's dtype
+        is coerced into the field first."""
         field = self.field
-        v = self._coerce(v)
-        coeffs = v[self._pivots]
-        if np.any(coeffs):
-            v = field.reduce(v - field.matmul(coeffs, self._mat))
-        return v
+        if not (isinstance(block, np.ndarray) and block.dtype == self._mat.dtype):
+            block = field.array(block)
+        block = block.reshape(-1, self.dim)
+        if not self._pivots:
+            return block
+        return field.reduce(block - field.matmul(block[:, self._pivots], self._mat))
 
     def contains(self, v) -> bool:
-        return self.field.is_zero(self._reduce_vec(v))
+        return self.field.is_zero(self._reduce(v))
 
     def add(self, v) -> bool:
         """Insert v; True iff it enlarged the span."""
-        field = self.field
-        red = self._reduce_vec(v)
-        nz = np.nonzero(red)[0]
-        if len(nz) == 0:
-            return False
-        piv = int(nz[0])
-        red = field.reduce(red * field.inv(red[piv]))
-        _clear_column(field, self._mat, self._mat[:, piv], red)
-        self._mat = np.concatenate([self._mat, red.reshape(1, -1)], axis=0)
-        self._pivots.append(piv)
-        return True
+        return self.extend(v) > 0
 
     def extend(self, block) -> int:
-        """Insert the rows of a 2-D block; returns by how much the rank grew.
+        """Insert the rows of a block (a vector is one row); returns by how
+        much the rank grew.
 
         The block is reduced against the basis in one product, what is left
         goes through the pivot loop, and the old rows are cleared at the new
         pivots in one more product."""
         field = self.field
-        block = np.asarray(block)
-        if block.dtype != self._mat.dtype:
-            block = field.array(block)
-        block = block.reshape(-1, self.dim)
-        rest = block
-        if self._pivots:
-            rest = field.reduce(block - field.matmul(block[:, self._pivots], self._mat))
+        rest = self._reduce(block)
         rest = rest[np.any(rest != 0, axis=1)]  # a copy: the pivot loop works in place
         new = _pivot_loop(field, rest)
         if not new:

@@ -540,7 +540,6 @@ class Subquotient:
     in the span of S iff S x = v for x = _inverse v[_rows]."""
 
     field: FieldSpec
-    ambient_dim: int
     reps: np.ndarray  # (ambient, h_dim) columns are class representatives
     _solver: np.ndarray  # S = [image basis | reps]
     _rows: list
@@ -567,27 +566,19 @@ class Subquotient:
 
 def subquotient(field: FieldSpec, d_out: np.ndarray, d_in: np.ndarray | None) -> Subquotient:
     ambient = d_out.shape[1]
-    ker = kernel_basis(Matrix(field, d_out))
-    ech = Echelon(field, ambient)
-    image_cols = []
-    if d_in is not None:
-        for j in range(d_in.shape[1]):
-            col = d_in[:, j]
-            if ech.add(col):
-                image_cols.append(np.array(col, copy=True))
-    reps = []
-    for i in range(ker.rows):
-        row = ker.a[i]
-        if ech.add(row):
-            reps.append(np.array(row, copy=True))
-    n_img = len(image_cols)
-    if not reps:
-        return Subquotient(field, ambient, field.zeros(ambient, 0), field.zeros(ambient, 0),
+    # the pivots of [d_in | kernel basis] are its first independent columns:
+    # an image basis, then class representatives
+    ker = kernel_basis(Matrix(field, d_out)).a.T
+    cols = ker if d_in is None else np.concatenate([d_in, ker], axis=1)
+    picked = rref(Matrix(field, cols))[1]
+    n_img = len([c for c in picked if c < cols.shape[1] - ker.shape[1]])
+    solver = cols[:, picked]
+    reps = solver[:, n_img:]
+    if not reps.shape[1]:
+        return Subquotient(field, field.zeros(ambient, 0), field.zeros(ambient, 0),
                            [], field.zeros(0, 0), n_img)
-    solver = np.stack(image_cols + reps, axis=1)
     # rref [S^T | I] = [U S^T | U] with U S^T the identity at the pivots R,
     # so U = (S[R]^T)^-1 and the inverse of S[R] is U^T
     n = solver.shape[1]
     red, rows = rref(Matrix(field, np.concatenate([solver.T, field.eye(n)], axis=1)))
-    return Subquotient(field, ambient, np.stack(reps, axis=1), solver, rows,
-                       np.array(red.a[:, ambient:].T), n_img)
+    return Subquotient(field, reps, solver, rows, np.array(red.a[:, ambient:].T), n_img)

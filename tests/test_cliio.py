@@ -682,7 +682,7 @@ def test_unknown_key_exits_two(tmp_path, capsys, text, line):
 
 _LIMIT = constructions._TABLE_LIMIT
 _CATEGORY_TABLE = "a composition table"
-_ALGEBRA_TENSOR = "a structure tensor (dim^3)"
+_ALGEBRA_TENSOR = "a left regular representation (dim^3)"
 # (path, table, preset block with %s for the parameter, its first value past
 # the limit, the number of entries a value asks for)
 PRESET_BOUNDS = [

@@ -542,6 +542,37 @@ def _reference_rref(m):
     return work, _reference_eliminate(m.field, work)
 
 
+class ReferenceEchelon:
+    """The one-vector insertion `Echelon.add` made before every insertion
+    went through `extend`: reduce v against the basis, scale it to 1 at its
+    first non-zero entry, clear that column in the old rows and append it."""
+
+    def __init__(self, field, dim):
+        self.field, self.mat, self.pivots = field, field.zeros(0, dim), []
+
+    def add(self, v) -> bool:
+        field = self.field
+        v = field.array(v).reshape(-1)
+        coeffs = v[self.pivots]
+        if np.any(coeffs):
+            v = field.reduce(v - field.matmul(coeffs, self.mat))
+        nz = np.nonzero(v)[0]
+        if len(nz) == 0:
+            return False
+        piv = int(nz[0])
+        v = field.reduce(v * field.inv(v[piv]))
+        col = self.mat[:, piv]
+        rows = np.nonzero(col)[0]
+        if len(rows):
+            self.mat[rows] = field.reduce(self.mat[rows] - np.outer(col[rows], v))
+        self.mat = np.concatenate([self.mat, v.reshape(1, -1)], axis=0)
+        self.pivots.append(piv)
+        return True
+
+    def basis(self) -> np.ndarray:
+        return self.mat[np.argsort(self.pivots)]
+
+
 BLOCK_FIELDS = [FieldSpec.prime(p) for p in BLAS_PRIMES] + [QQ]
 
 
@@ -610,18 +641,33 @@ def test_blocked_solve_matches_pivot_loop(m, seed):
 def test_echelon_extend_matches_add_and_pivot_loop(m, sizes):
     field = m.field
     added, extended = Echelon(field, m.cols), Echelon(field, m.cols)
+    ref = ReferenceEchelon(field, m.cols)
     for row in m.a:
-        added.add(row)
+        assert added.add(row) == ref.add(row)
     start = 0
     for size in sizes + [m.rows]:
         before = extended.rank
         assert extended.extend(m.a[start:start + size]) == extended.rank - before
         start += size
     work, pivots = _reference_rref(m)
-    assert extended.rank == added.rank == len(pivots)
+    assert extended.rank == added.rank == len(ref.pivots) == len(pivots)
     assert extended.basis_matrix().a.tolist() == added.basis_matrix().a.tolist() \
-        == work[:len(pivots)].tolist()
+        == ref.basis().tolist() == work[:len(pivots)].tolist()
     assert all(extended.contains(row) for row in m.a)
+
+
+@pytest.mark.parametrize("field,entry,basis", [
+    (F2, 2, [[0, 1]]), (F3, 3, [[0, 1]]), (QQ, 3, [[1, Fraction(1, 3)]])],
+    ids=["F2", "F3", "Q"])
+def test_echelon_coerces_lists_into_the_field(field, entry, basis):
+    """A list is read into the field by every entry point, so over F_p an
+    entry p is 0 and never taken as a pivot."""
+    for insert in (lambda e: e.extend([[entry, 1]]), lambda e: e.add([entry, 1])):
+        e = Echelon(field, 2)
+        assert insert(e)
+        assert e.basis_matrix().a.tolist() == basis
+        assert e.contains([entry, 1]) and e.contains([[entry, 1], [0, 0]])
+        assert not e.contains([1, 0])
 
 
 def test_echelon_extend_takes_lists_and_empty_blocks():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product as iproduct
 from random import Random
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, solve_matrix
+from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rref, solve_matrix
 from catext.extcheck import fiber_extension
 from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               free_module, group_algebra, validate_module)
 from catext.fincat import CatFunctor, linearize
 from catext.homengine import (CatModule, CochainComplex, FiniteAbelianGroup, GroupModule,
-                              _cover, _FreeModule, bar_cochain_complex, cat_ext_dims,
+                              Subquotient, _cover, _FreeModule, bar_cochain_complex,
+                              cat_ext_dims,
                               cohomology_dims, constant_module, ext_dims, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
                               nerve_cochain_complex, nerve_cohomology_dims,
@@ -24,6 +26,7 @@ from catext.presets import (F2, F3, QQ, constant_precosheaf, cyclic_monoid,
                             discrete_category, one_object_group, poset_a2,
                             regular_right_module_system, trivial_category)
 from catext.validation import Report
+from test_exactlin import ReferenceEchelon
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), discrete_category(2)]
 F5 = FieldSpec.prime(5)
@@ -779,3 +782,77 @@ def test_subquotient_projection_matches_solve(orders, field, q):
         if not field.is_zero(field.matmul(cc.d[q], e)):
             with pytest.raises(ValueError, match="^vector is not a cocycle modulo boundaries$"):
                 sq.project(e)
+
+
+def reference_subquotient(field, d_out, d_in):
+    """The subquotient before it picked its columns from one rref: image
+    columns, then kernel rows, each kept iff one-vector insertion grew the
+    span."""
+    ambient = d_out.shape[1]
+    ker = kernel_basis(Matrix(field, d_out))
+    ech = ReferenceEchelon(field, ambient)
+    image_cols = []
+    if d_in is not None:
+        for j in range(d_in.shape[1]):
+            col = d_in[:, j]
+            if ech.add(col):
+                image_cols.append(np.array(col, copy=True))
+    reps = []
+    for i in range(ker.rows):
+        row = ker.a[i]
+        if ech.add(row):
+            reps.append(np.array(row, copy=True))
+    n_img = len(image_cols)
+    if not reps:
+        return Subquotient(field, field.zeros(ambient, 0), field.zeros(ambient, 0),
+                           [], field.zeros(0, 0), n_img)
+    solver = np.stack(image_cols + reps, axis=1)
+    n = solver.shape[1]
+    red, rows = rref(Matrix(field, np.concatenate([solver.T, field.eye(n)], axis=1)))
+    return Subquotient(field, np.stack(reps, axis=1), solver, rows,
+                       np.array(red.a[:, ambient:].T), n_img)
+
+
+SUBQUOTIENT_FIELDS = [QQ] + [FieldSpec.prime(p) for p in (2, 3, 65521, 2**31 - 1)]
+
+
+@st.composite
+def cochain_pairs(draw):
+    """(field, d_out, d_in) with d_out d_in = 0: d_in None, of rank 0 or of
+    low rank, d_out sometimes injective (no kernel), and an ambient dimension
+    sometimes above 64 so that the rref of the picked columns is blocked."""
+    field = draw(st.sampled_from(SUBQUOTIENT_FIELDS))
+    kind = draw(st.sampled_from(["low-rank", "none", "zero", "injective"]))
+    n = draw(st.sampled_from([6, 70, 3, 10, 1, 0]))
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    width = rnd.randrange(1, 8)
+    hi = field.p if field.is_prime_field else 5
+
+    def low_rank(rows, cols, r):
+        left = field.array([[rnd.randrange(hi) for _ in range(r)] for _ in range(rows)])
+        right = field.array([[rnd.randrange(hi) if rnd.random() < 0.5 else 0
+                              for _ in range(cols)] for _ in range(r)])
+        return field.matmul(left.reshape(rows, r), right.reshape(r, cols))
+
+    if kind == "injective":
+        return field, np.concatenate([field.eye(n), low_rank(2, n, 1)]), field.zeros(n, width)
+    d_in = None if kind == "none" else field.zeros(n, width) if kind == "zero" \
+        else low_rank(n, width, rnd.randrange(1, 4))
+    # ker(ann) = im(d_in); dropping rows of ann leaves classes to represent
+    ann = field.eye(n) if d_in is None else kernel_basis(Matrix(field, d_in.T)).a
+    mixed = field.matmul(low_rank(rnd.randrange(0, 3), len(ann), 1), ann)
+    return field, np.concatenate([ann[rnd.randrange(0, 4):], mixed]), d_in
+
+
+@given(cochain_pairs())
+def test_subquotient_matches_one_vector_reference(pair):
+    """Every field of the subquotient, dtype, shape and values, is the one the
+    two insertion loops gave."""
+    field, d_out, d_in = pair
+    got, want = subquotient(field, d_out, d_in), reference_subquotient(field, d_out, d_in)
+    for f in dataclasses.fields(Subquotient):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist()), f.name
+        else:
+            assert a == b, f.name
