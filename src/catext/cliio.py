@@ -472,10 +472,9 @@ def emit(spec: ProblemSpec) -> str:
 
 @dataclass(eq=False)
 class Built:
-    """One problem's context.  The Grothendieck categories, the named modules
-    and the fiber extension are built on first use and kept, so every command
-    reads the same objects: the extension's total and base categories are
-    `category_for("gr-an")` and `category_for("gr-a")`."""
+    """One problem's context: the named modules, built on first use and kept.
+    Gr(A) and the fiber extension are kept on the systems they come from, so
+    every command reads the same `precosheaf.gr` and `right_module.extension`."""
     field: FieldSpec
     coeff_field: FieldSpec
     category: FinCategory
@@ -484,26 +483,19 @@ class Built:
     right_module: PrecosheafModule | None = None
     modules: dict = dfield(default_factory=dict)  # name -> normalized module block
     task: dict = dfield(default_factory=dict)
-    _cats: dict = dfield(default_factory=dict, init=False, repr=False)
     _mods: dict = dfield(default_factory=dict, init=False, repr=False)
-    _ext: extcheck.CatExtension | None = dfield(default=None, init=False, repr=False)
 
     def category_for(self, over: str) -> FinCategory:
         """The category a module lives over: "base", "gr-a" or "gr-an"."""
         if over == "base":
             return self.category
-        if over not in self._cats:
-            if self.precosheaf is None:
-                raise InputError([f"task: category '{over}' needs an algebra block"])
-            if over == "gr-a":
-                cat = constructions.gr_algebra(self.category, self.precosheaf)
-            elif self.right_module is None:
-                raise InputError(["task: category 'gr-an' needs a right_module block"])
-            else:
-                cat = constructions.gr_right_module(self.category, self.precosheaf,
-                                                    self.right_module)
-            self._cats[over] = cat
-        return self._cats[over]
+        if self.precosheaf is None:
+            raise InputError([f"task: category '{over}' needs an algebra block"])
+        if over == "gr-a":
+            return self.precosheaf.gr
+        if self.right_module is None:
+            raise InputError(["task: category 'gr-an' needs a right_module block"])
+        return self.right_module.extension.total
 
     def module(self, name: str) -> CatModule:
         """The named coefficient module, over the category it names."""
@@ -529,14 +521,6 @@ class Built:
                                 {f: kc.array(blk["mats"][f]) for f in cat.mor}, name=name)
             self._mods[name] = mod
         return self._mods[name]
-
-    def extension(self) -> extcheck.CatExtension:
-        """N_fibers -> Gr(A, N) -> Gr(A); needs the algebra and right_module blocks."""
-        if self._ext is None:
-            self._ext = extcheck.fiber_extension(
-                self.category, self.precosheaf, self.right_module,
-                _total=self.category_for("gr-an"), _base=self.category_for("gr-a"))
-        return self._ext
 
 
 def _every(names, block, path: str, what: str) -> None:
@@ -712,7 +696,7 @@ def _cmd_check_theorem_a(built: Built, caps: dict) -> tuple[dict, bool]:
 
 
 def _cmd_check_extension(built: Built, caps: dict) -> tuple[dict, bool]:
-    ext = built.extension()
+    ext = built.right_module.extension
     erep = extcheck.check_extension(ext)
     return {"sizes": {"kernel": len(ext.kernel.mor), "total": len(ext.total.mor),
                       "base": len(ext.base.mor)},
@@ -750,8 +734,7 @@ def _cmd_lhs_report(built: Built, caps: dict) -> tuple[dict, bool]:
     f = (built.module(fname) if fname
          else constant_module(built.category_for("gr-an"), built.coeff_field))
     report = lhsengine.lhs_report(built.category, built.precosheaf, built.right_module,
-                                  g, f, (caps["p"], caps["q"], caps["n"]),
-                                  _ext=built.extension())
+                                  g, f, (caps["p"], caps["q"], caps["n"]))
     return {"report": report.as_dict()}, report.ok
 
 

@@ -7,6 +7,10 @@ per-morphism linear maps that are compatible with the algebra maps.  The
 validators check the functor laws of the algebra and module maps through
 `fincat.functor_failures`, then every compatibility equation on all basis
 triples, and report witnesses.
+
+What is derived from a system is kept on it, built on first use and shared:
+the verdict and Gr(A) on a precosheaf, the fiber extension fibers -> Gr(A, N)
+-> Gr(A) on a right-module system.
 """
 from __future__ import annotations
 
@@ -34,6 +38,12 @@ class AlgebraPrecosheaf:
     def _verdict(self) -> Report:
         return _check_precosheaf(self)
 
+    @cached_property
+    def gr(self) -> FinCategory:
+        """Gr(A), built on first use and kept."""
+        from .constructions import gr_algebra  # constructions imports this module
+        return gr_algebra(self.base, self)
+
     @property
     def field(self) -> FieldSpec:
         return next(iter(self.algebras.values())).field
@@ -58,6 +68,13 @@ class PrecosheafModule:
     @property
     def base(self) -> FinCategory:
         return self.precosheaf.base
+
+    @cached_property
+    def extension(self):
+        """fibers -> Gr(A, N) -> Gr(A) of a right-module system, with base
+        `precosheaf.gr`; built on first use and kept, so N must not change."""
+        from .extcheck import fiber_extension  # extcheck imports this module
+        return fiber_extension(self.base, self.precosheaf, self)
 
     def at(self, x) -> AlgModule:
         return self.modules[x]

@@ -12,7 +12,9 @@ The Grothendieck composition laws read "first argument then second".
 `gr_algebra`, `gr_bimodule` (over a bimodule M) and `gr_right_module` (over a
 right module N) share one enumerator, `_grothendieck`, which owns the
 morphism labels, identities, iteration order and size guards; each hands it
-only its fiber and its composite law:
+only its fiber and its composite law.  A law takes the whole fibers of f
+and g as arrays and returns the composites' factors through the `FieldSpec`
+kernels:
 
     Gr(A):     (r,f)   o (s,g)   = (A(g)(r) s,                             fg)
     Gr(A, M):  (r,m,f) o (s,n,g) = (s A(g)(r),  s.M(g)(m) + n.A(g)(r),  fg)
@@ -22,12 +24,12 @@ Gr(A, M) follows the algebra's fiber order, so that transporting it into the
 extension algebra reverses composition.  `gr_algebra` and Gr(A, N) put the
 first argument's coefficient on the left: for a right A-module N the module
 term is associative only with that algebra term, and the fiber extensions
-(`extcheck`, `lhsengine`) are built on these two.
+(`extcheck`, `lhsengine`) are built on these two, and kept on the systems as
+`AlgebraPrecosheaf.gr` and `PrecosheafModule.extension`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice, product
 from math import prod
 
@@ -130,13 +132,15 @@ def _guard_table(c: FinCategory, fiber_sizes: dict) -> None:
         raise ValueError(f"composition table with {total} entries exceeds desk scale")
 
 
-def _ints(v: np.ndarray) -> tuple:
-    return tuple(v.tolist())
-
-
-def _sum_mod(p: int):
-    """Sum of two residue tuples mod p, memoized: few distinct pairs occur."""
-    return cache(lambda u, v: tuple((x + y) % p for x, y in zip(u, v)))
+def _act(k, mats: list, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i a_i mats[i] v for stacks of algebra elements a and of vectors v
+    that broadcast against each other: one product of the outer products
+    a_i v_j with the table whose row (i, j) is column j of mats[i]."""
+    n = v.shape[-1]
+    outer = k.reduce(a[..., :, None] * v[..., None, :])
+    table = np.array(mats, dtype=np.int64).reshape(len(mats), n, n).transpose(0, 2, 1)
+    return k.matmul(outer.reshape(*outer.shape[:-2], len(mats) * n),
+                    table.reshape(len(mats) * n, n))
 
 
 def _grothendieck(c: FinCategory, a: AlgebraPrecosheaf, systems: tuple, law,
@@ -146,26 +150,38 @@ def _grothendieck(c: FinCategory, a: AlgebraPrecosheaf, systems: tuple, law,
     The fiber at f is A(cod f) times the carrier at cod f of each module
     system in `systems` (none for Gr(A), one for Gr(A, M) and Gr(A, N)).
     Morphisms (*e, f) for e in the fiber: (r, f) or (r, m, f); identities
-    (1, 0, 1_x).  For each composable pair (f, g), `law(g)(*e, *e')` is the
-    fiber element e'' of the composite (*e, f) o (*e', g) = (*e'', fg).  The
-    law is taken once per g, so what it memoizes serves every f before g."""
+    (1, 0, 1_x).  The law is called once per composable pair (f, g), as
+    `law(g, *ef, *eg)`: ef and eg hold the fibers of f and g, one array of
+    factor elements per factor in `FieldSpec.vectors` order, each factor on
+    an axis of its own (f's first) with its vectors along the last axis.  It
+    returns the factors of every composite (*e, f) o (*e', g) = (*e'', fg),
+    arrays that broadcast over those axes; their digits give the position
+    of e'' in the fiber of fg, whose label `compose` reuses."""
     k = a.field
     _require_finite(k)
-    factors = {f: [a.at(c.cod(f)).elements()]
-               + [k.vectors(s.at(c.cod(f)).dim) for s in systems] for f in c.mor}
-    _guard_table(c, {f: prod(map(len, fs)) for f, fs in factors.items()})
-    fibers = {f: list(product(*fs)) for f, fs in factors.items()}
-    labels = {f: [(*e, f) for e in fibers[f]] for f in c.mor}
+    width = 1 + len(systems)
+    factors = {x: [a.at(x).elements(), *(k.vectors(s.at(x).dim) for s in systems)]
+               for x in dict.fromkeys(map(c.cod, c.mor))}
+    _guard_table(c, {f: prod(map(len, factors[c.cod(f)])) for f in c.mor})
+    labels = {f: [(*e, f) for e in product(*factors[c.cod(f)])] for f in c.mor}
     mor = {u: c.mor[f] for f in c.mor for u in labels[f]}
-    identity = {x: (_ints(a.at(x).unit), *((0,) * s.at(x).dim for s in systems),
+    identity = {x: (tuple(a.at(x).unit.tolist()), *((0,) * s.at(x).dim for s in systems),
                     c.identity[x]) for x in c.objects}
-    law = cache(law)
+
+    def fiber(x, first):
+        return tuple(np.expand_dims(np.array(fs, dtype=np.int64),
+                                    tuple(j for j in range(2 * width) if j != first + i))
+                     for i, fs in enumerate(factors[x]))
+    as_f = {x: fiber(x, 0) for x in factors}
+    as_g = {x: fiber(x, width) for x in factors}
     compose = {}
     for (f, g), h in c.compose.items():
-        comp = law(g)
-        for e, u in zip(fibers[f], labels[f]):
-            for e2, v in zip(fibers[g], labels[g]):
-                compose[u, v] = (*comp(*e, *e2), h)
+        y, z = c.cod(f), c.cod(g)
+        digits = [d for part in law(g, *as_f[y], *as_g[z]) for d in np.moveaxis(part, -1, 0)]
+        pos = np.ravel_multi_index(digits, (k.p,) * len(digits))
+        pos = np.broadcast_to(pos, [len(fs) for fs in factors[y] + factors[z]])
+        compose.update(zip(product(labels[f], labels[g]),
+                           map(labels[h].__getitem__, pos.ravel().tolist())))
     return FinCategory(tuple(c.objects), mor, identity, compose, name=name)
 
 
@@ -177,10 +193,8 @@ def gr_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FinCategory:
     `gr_right_module` (see the module docstring)."""
     k = a.field
 
-    def law(g):
-        ag, alg_z = a.on(g).matrix, a.at(c.cod(g))
-        agr = cache(lambda r: k.matmul(ag, k.array(r)))
-        return cache(lambda r, s: (_ints(alg_z.mul(agr(r), k.array(s))),))
+    def law(g, r, s):
+        return (a.at(c.cod(g)).mul(k.matmul(r, a.on(g).matrix.T), s),)
     return _grothendieck(c, a, (), law, "Gr(A)")
 
 
@@ -195,19 +209,13 @@ def gr_bimodule(c: FinCategory, a: AlgebraPrecosheaf,
     M = 0 this agrees with `gr_algebra` only when the fiber algebras are
     commutative."""
     k = a.field
-    add = _sum_mod(k.p)
 
-    def law(g):
-        ag, mg = a.on(g).matrix, m.on(g)
-        alg_z, mod_z = a.at(c.cod(g)), m.at(c.cod(g))
-        agr = cache(lambda r: k.matmul(ag, k.array(r)))
-        t = cache(lambda r, s: _ints(alg_z.mul(k.array(s), agr(r))))
-        right_agr = cache(lambda r: mod_z.right_of(agr(r)))
-        left_s = cache(lambda s: mod_z.left_of(k.array(s)))
-        mgm = cache(lambda mm: k.matmul(mg, k.array(mm)))
-        s_mgm = cache(lambda mm, s: _ints(k.matmul(left_s(s), mgm(mm))))  # s.M(g)(m)
-        n_agr = cache(lambda r, n: _ints(k.matmul(right_agr(r), k.array(n))))  # n.A(g)(r)
-        return lambda r, mm, s, n: (t(r, s), add(s_mgm(mm, s), n_agr(r, n)))
+    def law(g, r, mm, s, n):
+        mod_z = m.at(c.cod(g))
+        agr = k.matmul(r, a.on(g).matrix.T)
+        w = _act(k, mod_z.left_action, s, k.matmul(mm, m.on(g).T)) \
+            + _act(k, mod_z.right_action, agr, n)  # s.M(g)(m) + n.A(g)(r)
+        return a.at(c.cod(g)).mul(s, agr), k.reduce(w)
     return _grothendieck(c, a, (m,), law, "Gr(A,M)")
 
 
@@ -220,17 +228,12 @@ def gr_right_module(c: FinCategory, a: AlgebraPrecosheaf,
     coefficient s only from the right; associativity then forces the algebra
     term A(g)(r)s of `gr_algebra`, not the s A(g)(r) of `gr_bimodule`."""
     k = a.field
-    add = _sum_mod(k.p)
 
-    def law(g):
-        ag, ng = a.on(g).matrix, n.on(g)
-        alg_z, mod_z = a.at(c.cod(g)), n.at(c.cod(g))
-        agr = cache(lambda r: k.matmul(ag, k.array(r)))
-        t = cache(lambda r, s: _ints(alg_z.mul(agr(r), k.array(s))))
-        right_s = cache(lambda s: mod_z.right_of(k.array(s)))
-        ngm = cache(lambda mm: k.matmul(ng, k.array(mm)))
-        ngm_s = cache(lambda mm, s: _ints(k.matmul(right_s(s), ngm(mm))))  # N(g)(m).s
-        return lambda r, mm, s, nn: (t(r, s), add(nn, ngm_s(mm, s)))
+    def law(g, r, mm, s, nn):
+        mod_z = n.at(c.cod(g))
+        t = a.at(c.cod(g)).mul(k.matmul(r, a.on(g).matrix.T), s)
+        # n + N(g)(m).s
+        return t, k.reduce(nn + _act(k, mod_z.right_action, s, k.matmul(mm, n.on(g).T)))
     return _grothendieck(c, a, (n,), law, "Gr(A,N)")
 
 

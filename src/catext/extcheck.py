@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule, disjoint_fiber_category
-from .constructions import gr_algebra, gr_right_module
+from .constructions import gr_right_module
 from .fincat import CatFunctor, FinCategory, validate_category, validate_functor
 from .validation import Report
 
@@ -105,18 +105,18 @@ def check_extension(e: CatExtension) -> Report:
     return rep
 
 
-def fiber_extension(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
-                    _total: FinCategory | None = None,
-                    _base: FinCategory | None = None) -> CatExtension:
-    """The extension  N_fibers -> Gr(A, N) -> Gr(A).
+def fiber_extension(c: FinCategory, a: AlgebraPrecosheaf,
+                    n: PrecosheafModule) -> CatExtension:
+    """The extension  N_fibers -> Gr(A, N) -> Gr(A), with base `a.gr`.
 
     iota sends the fiber element m at x to (1_{A(x)}, m, 1_x); pi forgets the
-    module component.  `_total` and `_base` pass in Gr(A, N) and Gr(A) when
-    the caller has built them already.
+    module component.  Gr(A, N) is built first: its table guard also bounds
+    Gr(A) and the kernel, whose table of sum |N(x)|^2 entries has no guard
+    of its own.  `PrecosheafModule.extension` keeps the one built per system.
     """
+    total = gr_right_module(c, a, n)
+    base = a.gr
     kernel = disjoint_fiber_category(n)
-    total = _total if _total is not None else gr_right_module(c, a, n)
-    base = _base if _base is not None else gr_algebra(c, a)
     unit_of = {x: tuple(int(v) for v in a.at(x).unit) for x in c.objects}
     iota = CatFunctor(kernel, total,
                       obj_map={x: x for x in kernel.objects},

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 
@@ -59,12 +60,14 @@ class FDAlgebra:
         return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of two coefficient vectors, or row by row of two stacks of
-        them: one sparse product summing c[i, j, l] a_i b_j into l."""
+        """Product of two coefficient vectors, or element by element of two
+        stacks of them that broadcast against each other: one sparse product
+        summing c[i, j, l] a_i b_j into l."""
         k = self.field
         i, j, l, c = self.constants
         terms = k.reduce(a[..., i] * b[..., j])
-        out = k.sparse_matmul(l, np.arange(len(l)), c, self.dim, np.atleast_2d(terms).T)
+        out = k.sparse_matmul(l, np.arange(len(l)), c, self.dim,
+                              terms.reshape(prod(terms.shape[:-1]), len(l)).T)
         return out.T.reshape(*terms.shape[:-1], self.dim)
 
     def right_mult_matrix(self, a: np.ndarray) -> np.ndarray:

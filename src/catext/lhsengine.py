@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
-from .extcheck import CatExtension, fiber_extension
 from .fincat import FinCategory, linearize
 from .homengine import (CatModule, FiniteAbelianGroup, GroupModule, Subquotient,
                         bar_cochain_complex, bar_index, cat_ext_dims, ext_dims_from_resolution,
@@ -63,23 +62,22 @@ class SpectralReport:
 
 
 class _LhsContext:
-    """Caches the extension, the fiber groups and the per-object subquotients
-    of their bar complexes."""
+    """The fiber groups and the per-object subquotients of their bar
+    complexes, over the extension `n.extension` kept on the system."""
 
     def __init__(self, c: FinCategory, a: AlgebraPrecosheaf,
-                 n: PrecosheafModule, f: CatModule, qmax: int,
-                 _ext: CatExtension | None = None):
+                 n: PrecosheafModule, f: CatModule, qmax: int):
         self.c, self.a, self.n = c, a, n
         self.f = f
         self.qmax = qmax
-        self.ext: CatExtension = _ext if _ext is not None else fiber_extension(c, a, n)
+        self.ext = n.extension
         if set(f.cat.mor) != set(self.ext.total.mor):
             raise ValueError("coefficient module is not over Gr(A, N)")
         self.k = f.field
         self.groups = {}
         self.subqs = {}
         for x in c.objects:
-            grp, gmod = fiber_restriction(c, a, n, f, x, _ext=self.ext)
+            grp, gmod = fiber_restriction(c, a, n, f, x)
             bar = bar_cochain_complex(grp, gmod, qmax)
             self.groups[x] = grp
             self.subqs[x] = [
@@ -144,15 +142,14 @@ class _LhsContext:
 
 
 def fiber_restriction(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
-                      f: CatModule, x, _ext: CatExtension | None = None):
+                      f: CatModule, x):
     """Additive group of N(x) together with F(x) acted on through iota."""
-    ext = _ext if _ext is not None else fiber_extension(c, a, n)
     kc = a.field
     dim_fiber = n.at(x).dim
     grp = FiniteAbelianGroup((kc.characteristic,) * dim_fiber)
     action = {}
     for m in grp.elements:
-        lift = ext.iota.on_mor((x, m))
+        lift = n.extension.iota.on_mor((x, m))
         action[m] = np.array(f.on(lift), copy=True)
     return grp, GroupModule(f.field, f.dims[x], action)
 
@@ -164,10 +161,9 @@ def h_local_system(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
 
 
 def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
-            g: CatModule, f: CatModule, cap_p: int, cap_q: int,
-            _ext: CatExtension | None = None) -> dict:
+            g: CatModule, f: CatModule, cap_p: int, cap_q: int) -> dict:
     """E2[(p, q)] = dim Ext^p over Gr(A) of g against the fiber H^q system."""
-    ctx = _LhsContext(c, a, n, f, qmax=cap_q, _ext=_ext)
+    ctx = _LhsContext(c, a, n, f, qmax=cap_q)
     gr_a = ctx.ext.base
     if set(g.cat.mor) != set(gr_a.mor):
         raise ValueError("weight module is not over Gr(A)")
@@ -183,17 +179,14 @@ def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
 
 
 def abutment(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
-             g: CatModule, f: CatModule, cap_n: int,
-             _ext: CatExtension | None = None) -> list:
+             g: CatModule, f: CatModule, cap_n: int) -> list:
     """dim Ext^m over Gr(A, N) of the pullback of g against f, m <= cap_n."""
-    ext = _ext if _ext is not None else fiber_extension(c, a, n)
-    res_g = restrict(g, ext.pi)
-    return [int(v) for v in cat_ext_dims(ext.total, res_g, f, cap_n)]
+    res_g = restrict(g, n.extension.pi)
+    return [int(v) for v in cat_ext_dims(n.extension.total, res_g, f, cap_n)]
 
 
 def lhs_report(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
-               g: CatModule, f: CatModule, caps: tuple = (2, 2, 2),
-               _ext: CatExtension | None = None) -> SpectralReport:
+               g: CatModule, f: CatModule, caps: tuple = (2, 2, 2)) -> SpectralReport:
     """Compare E2 diagonals against the abutment, degree by degree.
 
     Verdicts: "equal" when the sums match, "bounded" when the E2 sum strictly
@@ -204,9 +197,8 @@ def lhs_report(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
     cap_p, cap_q, cap_n = caps
     cap_p = max(cap_p, cap_n)
     cap_q = max(cap_q, cap_n)
-    ext = _ext if _ext is not None else fiber_extension(c, a, n)
-    table = e2_page(c, a, n, g, f, cap_p, cap_q, _ext=ext)
-    abut = abutment(c, a, n, g, f, cap_n, _ext=ext)
+    table = e2_page(c, a, n, g, f, cap_p, cap_q)
+    abut = abutment(c, a, n, g, f, cap_n)
     rows = {q for (p, q), d in table.items() if d}
     cols = {p for (p, q), d in table.items() if d}
     if not rows:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from catext import cli, cliio, coeffsys, constructions, fdalgebra, homengine
+from catext import cli, cliio, coeffsys, constructions, extcheck, fdalgebra, homengine
 from catext.cliio import InputError, emit, parse, render, run
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -313,11 +313,12 @@ def test_missing_blocks_are_named(text, command, message):
 
 @pytest.fixture
 def gr_builds(monkeypatch):
-    """Counts Grothendieck builds, wrapping each construction under every
-    catext module global that holds it."""
+    """Counts Grothendieck and fiber extension builds, wrapping each
+    construction under every catext module global that holds it."""
     counts = Counter()
-    for name in ("gr_algebra", "gr_right_module", "gr_bimodule"):
-        orig = getattr(constructions, name)
+    for module, name in ((constructions, "gr_algebra"), (constructions, "gr_right_module"),
+                         (constructions, "gr_bimodule"), (extcheck, "fiber_extension")):
+        orig = getattr(module, name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
             counts[_name] += 1
@@ -335,11 +336,24 @@ def gr_builds(monkeypatch):
     ("lemma_fiber_extension", "lhs-report"),  # default constant modules
     ("one_object_lhs", "check-extension"),    # modules validated, then the extension
     ("lemma_fiber_extension", "check-extension"),
+    ("one_object_lhs", "validate"),           # modules over gr-a and gr-an
 ])
 def test_each_job_builds_gr_once(gr_builds, problem, command):
     doc, code = run(parse((PROBLEMS / f"{problem}.yaml").read_text()), command=command)
     assert code == 0, doc
-    assert gr_builds == {"gr_algebra": 1, "gr_right_module": 1}
+    assert gr_builds == {"gr_algebra": 1, "gr_right_module": 1, "fiber_extension": 1}
+
+
+def test_gr_an_modules_live_over_the_extension_total(gr_builds):
+    """A validate job reads the named modules over the categories kept on
+    the systems: Gr(A) on the precosheaf, Gr(A, N) as the extension's total."""
+    built = cliio.build(parse((PROBLEMS / "one_object_lhs.yaml").read_text()))
+    assert {b["over"] for b in built.modules.values()} == {"gr-a", "gr-an"}
+    assert cliio._validate_all(built).ok
+    assert built.module("G").cat is built.precosheaf.gr
+    assert built.module("F").cat is built.right_module.extension.total
+    assert built.right_module.extension.base is built.precosheaf.gr
+    assert gr_builds == {"gr_algebra": 1, "gr_right_module": 1, "fiber_extension": 1}
 
 
 EXPLICIT_RIGHT_LHS = """

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ from catext import constructions
 from catext.constructions import (check_composition_antihom, check_degeneration,
                                   extension_algebra, gr_algebra, gr_bimodule,
                                   gr_right_module, skew_algebra)
-from catext.coeffsys import forget_left_action
-from catext.fdalgebra import (AlgHom, FDAlgebra, dual_numbers, field_algebra, group_algebra,
-                              opposite_algebra, regular_bimodule, trivial_extension,
-                              upper_triangular_algebra, validate_algebra)
+from catext.coeffsys import (PrecosheafModule, forget_left_action, validate_bimodule,
+                             validate_right_module)
+from catext.exactlin import FieldSpec
+from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_algebra,
+                              group_algebra, opposite_algebra, regular_bimodule,
+                              trivial_extension, upper_triangular_algebra, validate_algebra)
 from catext.fincat import CatFunctor, FinCategory, is_isomorphism, linearize, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
                             cyclic_monoid, discrete_category, field_product, one_object_group,
@@ -523,13 +527,16 @@ def reference_gr_right_module(c, a, n):
     return mor, identity, compose
 
 
+F5, F7 = FieldSpec.prime(5), FieldSpec.prime(7)
+
+
 def fixtures_enumerator():
-    """(id, category, precosheaf): field, dual-number, k[Z/2] and UT(2) fibers
-    over the preset categories, plus the non-constant A2 fixtures."""
+    """(id, category, precosheaf): field (F3, F5, F7), dual-number, k[Z/2] and
+    UT(2) fibers over the preset categories, plus the non-constant A2 fixtures."""
     cats = {"pt": trivial_category(), "a2": poset_a2(), "disc2": discrete_category(2),
             "cyc31": cyclic_monoid(3, 1), "bz2": one_object_group(2)}
-    algs = {"f3": field_algebra(F3), "dual": dual_numbers(F2),
-            "kz2": group_algebra([2], F2), "ut2": UT2}
+    algs = {"f3": field_algebra(F3), "f5": field_algebra(F5), "f7": field_algebra(F7),
+            "dual": dual_numbers(F2), "kz2": group_algebra([2], F2), "ut2": UT2}
     out = [(f"{cn}-{an}", c, constant_precosheaf(c, alg))
            for cn, c in cats.items() for an, alg in algs.items()]
     out.append(("a2-aug", poset_a2(), a2_augmentation_precosheaf(F2)))
@@ -555,6 +562,55 @@ def test_shared_enumerator_matches_reference(name, c, a, system):
     _same_tables(gr_algebra(c, a), reference_gr_algebra(c, a))
     _same_tables(gr_bimodule(c, a, m), reference_gr_bimodule(c, a, m))
     _same_tables(gr_right_module(c, a, n), reference_gr_right_module(c, a, n))
+
+
+def explicit_a2_systems(k):
+    """k[Z/2] on both objects of A2, and a right-module and a bimodule system
+    whose carriers have different dimensions at 0 and 1: the right module
+    sends the trivial module k at 0 into k[Z/2] at 1 by 1 -> 1 + g, the
+    bimodule sends k[Z/2] at 0 onto the trivial bimodule k at 1 by the
+    augmentation."""
+    c = poset_a2()
+    a = constant_precosheaf(c, group_algebra([2], k))
+    alg = a.at("0")
+    one = [k.eye(1)] * 2  # 1 and g both act as the identity on k
+    regular = regular_bimodule(alg)
+    n = PrecosheafModule(a, {"0": AlgModule(alg, 1, "right", right_action=one),
+                             "1": AlgModule(alg, 2, "right",
+                                            right_action=regular.right_action)},
+                         {"i0": k.eye(1), "i1": k.eye(2), "a": k.array([[1], [1]])})
+    m = PrecosheafModule(a, {"0": regular,
+                             "1": AlgModule(alg, 1, "bi", right_action=one, left_action=one)},
+                         {"i0": k.eye(2), "i1": k.eye(1), "a": k.array([[1, 1]])})
+    return c, a, n, m
+
+
+@pytest.mark.parametrize("k", [F2, F3], ids=["F2", "F3"])
+def test_shared_enumerator_matches_reference_on_explicit_a2_systems(k):
+    c, a, n, m = explicit_a2_systems(k)
+    assert validate_right_module(n).ok and validate_bimodule(m).ok
+    _same_tables(gr_right_module(c, a, n), reference_gr_right_module(c, a, n))
+    _same_tables(gr_bimodule(c, a, m), reference_gr_bimodule(c, a, m))
+
+
+def _peak_bytes(build, *args):
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gr_bimodule_peak_memory_is_half_the_reference():
+    """k^4 over F2 with the regular bimodule on the point: 65,536 entries.
+    The composites are computed per pair of fibers and `compose` reuses the
+    morphism labels, so the build peaks at most at half the per-element
+    reference (measured: 9.6 MB against 23.9 MB)."""
+    c = trivial_category()
+    a = constant_precosheaf(c, field_product(F2, 4))
+    m = regular_bimodule_system(a)
+    assert 2 * _peak_bytes(gr_bimodule, c, a, m) <= _peak_bytes(reference_gr_bimodule, c, a, m)
 
 
 def test_shared_enumerator_matches_reference_on_projection_bimodule():

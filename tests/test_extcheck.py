@@ -1,10 +1,14 @@
+import time
+
 import pytest
 
-from catext.coeffsys import disjoint_fiber_category, forget_left_action
+from catext import extcheck
+from catext.coeffsys import (PrecosheafModule, disjoint_fiber_category,
+                             forget_left_action)
 from catext.constructions import gr_algebra, gr_bimodule
 from catext.extcheck import (CatExtension, check_extension, connecting_morphisms,
                              fiber_extension)
-from catext.fdalgebra import field_algebra, group_algebra
+from catext.fdalgebra import AlgModule, field_algebra, group_algebra
 from catext.fincat import CatFunctor, FinCategory
 from catext.presets import (F2, F3, constant_precosheaf, one_object_group, poset_a2,
                             regular_bimodule_system, regular_right_module_system,
@@ -183,3 +187,24 @@ def test_torsor_check_matches_all_pairs_reference(n, k, m, a):
     rep = check_extension(e)
     assert [(v.code, v.witness) for v in rep.violations] == reference_torsor_violations(e)
     assert rep.ok == (k * m == n)
+
+
+def test_fiber_extension_guards_before_building_the_kernel(monkeypatch):
+    """An 11-dimensional right module over k on the point: Gr(A, N) has
+    (2 * 2^11)^2 = 16,777,216 entries and is rejected by the table guard.
+    The kernel, whose 4,194,304 entries have no guard of their own, is never
+    built."""
+    def kernel(n):
+        raise AssertionError("the kernel was built before Gr(A, N)")
+    monkeypatch.setattr(extcheck, "disjoint_fiber_category", kernel)
+    c = trivial_category()
+    a = constant_precosheaf(c, field_algebra(F2))
+    x, = c.objects
+    n = PrecosheafModule(a, {x: AlgModule(a.at(x), 11, "right", right_action=[F2.eye(11)])},
+                         {c.identity[x]: F2.eye(11)})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="composition table with 16777216 entries exceeds"):
+        fiber_extension(c, a, n)
+    with pytest.raises(ValueError, match="composition table with 16777216 entries exceeds"):
+        n.extension
+    assert time.perf_counter() - start < 1

@@ -209,8 +209,8 @@ ALPHA_FIXTURES = _alpha_fixtures()
 def test_alpha_read_from_table_matches_module_formula(a, n):
     """For every lift of every Gr(A) morphism."""
     c = a.base
-    ext = fiber_extension(c, a, n)
-    ctx = _LhsContext(c, a, n, constant_module(ext.total, a.field), qmax=0, _ext=ext)
+    ext = n.extension
+    ctx = _LhsContext(c, a, n, constant_module(ext.total, a.field), qmax=0)
     lifts = 0
     for u in ext.base.mor:
         for lift in (v for v in ext.total.mor if ext.pi.on_mor(v) == u):
