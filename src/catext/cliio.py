@@ -473,8 +473,9 @@ def emit(spec: ProblemSpec) -> str:
 @dataclass(eq=False)
 class Built:
     """One problem's context: the named modules, built on first use and kept.
-    Gr(A) and the fiber extension are kept on the systems they come from, so
-    every command reads the same `precosheaf.gr` and `right_module.extension`."""
+    Gr(A), Gr(A, N) and the fiber extension are kept on the systems they come
+    from, so every command reads the same `precosheaf.gr`, `right_module.gr`
+    and `right_module.extension`."""
     field: FieldSpec
     coeff_field: FieldSpec
     category: FinCategory
@@ -495,7 +496,7 @@ class Built:
             return self.precosheaf.gr
         if self.right_module is None:
             raise InputError(["task: category 'gr-an' needs a right_module block"])
-        return self.right_module.extension.total
+        return self.right_module.gr
 
     def module(self, name: str) -> CatModule:
         """The named coefficient module, over the category it names."""

@@ -9,13 +9,15 @@ validators check the functor laws of the algebra and module maps through
 triples, and report witnesses.
 
 What is derived from a system is kept on it, built on first use and shared:
-the verdict and Gr(A) on a precosheaf, the fiber extension fibers -> Gr(A, N)
--> Gr(A) on a right-module system.
+the verdict and Gr(A) on a precosheaf, Gr(A, N), the fibers N(x) and the
+extension fibers -> Gr(A, N) -> Gr(A) on a right-module system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 
@@ -70,9 +72,20 @@ class PrecosheafModule:
         return self.precosheaf.base
 
     @cached_property
+    def gr(self) -> FinCategory:
+        """Gr(A, N) of a right-module system, built on first use and kept."""
+        from .constructions import gr_right_module  # constructions imports this module
+        return gr_right_module(self.base, self.precosheaf, self)
+
+    @cached_property
+    def fibers(self) -> dict:
+        """x -> N(x) as a one-object group category; built on first use and kept."""
+        return {x: underlying_group_category(self, x) for x in self.base.objects}
+
+    @cached_property
     def extension(self):
-        """fibers -> Gr(A, N) -> Gr(A) of a right-module system, with base
-        `precosheaf.gr`; built on first use and kept, so N must not change."""
+        """fibers -> Gr(A, N) -> Gr(A) with total `gr` and base `precosheaf.gr`;
+        built on first use and kept, so N must not change."""
         from .extcheck import fiber_extension  # extcheck imports this module
         return fiber_extension(self.base, self.precosheaf, self)
 
@@ -206,21 +219,30 @@ def forget_left_action(m: PrecosheafModule) -> PrecosheafModule:
                             name=f"{m.name}-as-right" if m.name else "")
 
 
+def abelian_group_category(orders, x) -> FinCategory:
+    """Z/n1 x ... x Z/nr as a one-object category on x: a morphism (x, e) for
+    every element e, in `iproduct` order (the order of `FieldSpec.vectors`
+    when every n_i is p), composed by addition; the identity is (x, 0...0)."""
+    from .constructions import _TABLE_LIMIT  # constructions imports this module
+    if any(n < 1 for n in orders):
+        raise ValueError("cyclic orders must be >= 1")
+    entries = prod(orders) ** 2
+    if entries > _TABLE_LIMIT:
+        raise ValueError(f"composition table with {entries} entries exceeds desk scale")
+    elems = list(iproduct(*(range(n) for n in orders)))
+    compose = {((x, e), (x, g)): (x, tuple((a + b) % n for a, b, n in zip(e, g, orders)))
+               for e in elems for g in elems}
+    return FinCategory((x,), {(x, e): (x, x) for e in elems}, {x: (x, (0,) * len(orders))},
+                       compose, name="x".join(f"Z/{n}" for n in orders))
+
+
 def underlying_group_category(n: PrecosheafModule, x) -> FinCategory:
     """One-object groupoid of the additive group of N(x); prime field only."""
     k = n.precosheaf.field
     if not k.is_prime_field:
         raise ValueError("underlying group category needs a finite carrier (prime field)")
-    elems = k.vectors(n.at(x).dim)
-    zero = tuple(0 for _ in range(n.at(x).dim))
-    mor = {(x, e): (x, x) for e in elems}
-    compose = {}
-    p = k.characteristic
-    for e in elems:
-        for g in elems:
-            s = tuple((a + b) % p for a, b in zip(e, g))
-            compose[((x, e), (x, g))] = (x, s)
-    return FinCategory((x,), mor, {x: (x, zero)}, compose, name=f"N({x})")
+    return replace(abelian_group_category((k.characteristic,) * n.at(x).dim, x),
+                   name=f"N({x})")
 
 
 def disjoint_fiber_category(n: PrecosheafModule) -> FinCategory:
@@ -229,11 +251,8 @@ def disjoint_fiber_category(n: PrecosheafModule) -> FinCategory:
     Objects are those of the base category; hom(x, x) = elements of N(x),
     no morphisms between distinct objects.
     """
-    if not n.precosheaf.field.is_prime_field:
-        raise ValueError("fiber category needs a finite carrier (prime field)")
     mor, identity, compose = {}, {}, {}
-    for x in n.base.objects:
-        fiber = underlying_group_category(n, x)
+    for fiber in n.fibers.values():
         mor.update(fiber.mor)
         identity.update(fiber.identity)
         compose.update(fiber.compose)

@@ -24,8 +24,8 @@ Gr(A, M) follows the algebra's fiber order, so that transporting it into the
 extension algebra reverses composition.  `gr_algebra` and Gr(A, N) put the
 first argument's coefficient on the left: for a right A-module N the module
 term is associative only with that algebra term, and the fiber extensions
-(`extcheck`, `lhsengine`) are built on these two, and kept on the systems as
-`AlgebraPrecosheaf.gr` and `PrecosheafModule.extension`.
+(`extcheck`, `lhsengine`) are built on these two, kept on the systems as
+`AlgebraPrecosheaf.gr` and `PrecosheafModule.gr`.
 """
 from __future__ import annotations
 

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule, disjoint_fiber_category
-from .constructions import gr_right_module
 from .fincat import CatFunctor, FinCategory, validate_category, validate_functor
 from .validation import Report
 
@@ -107,14 +106,15 @@ def check_extension(e: CatExtension) -> Report:
 
 def fiber_extension(c: FinCategory, a: AlgebraPrecosheaf,
                     n: PrecosheafModule) -> CatExtension:
-    """The extension  N_fibers -> Gr(A, N) -> Gr(A), with base `a.gr`.
+    """The extension  N_fibers -> Gr(A, N) -> Gr(A), with total `n.gr` and
+    base `a.gr`.
 
     iota sends the fiber element m at x to (1_{A(x)}, m, 1_x); pi forgets the
     module component.  Gr(A, N) is built first: its table guard also bounds
     Gr(A) and the kernel, whose table of sum |N(x)|^2 entries has no guard
     of its own.  `PrecosheafModule.extension` keeps the one built per system.
     """
-    total = gr_right_module(c, a, n)
+    total = n.gr
     base = a.gr
     kernel = disjoint_fiber_category(n)
     unit_of = {x: tuple(int(v) for v in a.at(x).unit) for x in c.objects}

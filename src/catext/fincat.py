@@ -194,8 +194,8 @@ def nerve_chains(c: FinCategory, n: int, normalized: bool = False,
 
     Degree 0 chains are the objects, returned as 1-tuples (x,).  The
     unnormalized nerve (identities included) is the default; normalized=True
-    drops every chain containing an identity.  Enumeration beyond `limit`
-    chains aborts: the nerve route is a desk-scale oracle.
+    drops every chain containing an identity.  A degree of more than `limit`
+    chains is refused before it is built: the nerve route is a desk oracle.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -203,12 +203,16 @@ def nerve_chains(c: FinCategory, n: int, normalized: bool = False,
         return [(x,) for x in c.objects]
     idents = set(c.identity.values())
     mors = [f for f in c.mor if not (normalized and f in idents)]
+    starting: dict = {}  # object -> the morphisms from it, in `mor` order
+    for f in mors:
+        starting.setdefault(c.dom(f), []).append(f)
     chains = [(f,) for f in mors]
     for _ in range(n - 1):
-        chains = [ch + (g,) for ch in chains for g in mors
-                  if c.cod(ch[-1]) == c.dom(g)]
-        if len(chains) > limit:
-            raise ValueError(f"nerve enumeration exceeds desk-scale limit {limit}")
+        count = sum(len(starting.get(c.cod(ch[-1]), ())) for ch in chains)
+        if count > limit:
+            raise ValueError(f"nerve enumeration of {count} chains exceeds "
+                             f"desk-scale limit {limit}")
+        chains = [ch + (g,) for ch in chains for g in starting.get(c.cod(ch[-1]), ())]
     return chains
 
 

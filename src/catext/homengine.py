@@ -7,7 +7,9 @@ in the test suite:
     the category algebra, resolve by free covers on generators, take Ext as
     cohomology of the Hom complex;
   * nerve route: the simplicial cochain complex on composable chains;
-  * bar route: normalized group cochains, for one-object groupoids.
+  * bar route: normalized bar cochains of a one-object category whose
+    morphisms form an abelian group, on tuples of positions in its index; it
+    keeps its own tuple complex, so it stays independent of the nerve route.
 
 Degree caps are explicit everywhere; nothing is computed to unbounded degree.
 """
@@ -351,6 +353,17 @@ class CochainComplex:
         return out
 
 
+CELL_LIMIT = 1 << 26  # entries of one dense cochain differential
+
+
+def _check_cells(dims: list) -> None:
+    """Refuse cochain dimensions with a differential past CELL_LIMIT entries."""
+    for rows, cols in zip(dims[1:], dims):
+        if rows * cols > CELL_LIMIT:
+            raise ValueError(f"cochain differential of {rows} x {cols} = {rows * cols} "
+                             f"entries exceeds desk-scale limit {CELL_LIMIT}")
+
+
 def _add_diagonal(mat: np.ndarray, r0: int, c0: int, n: int, sign: int) -> None:
     """Add sign * identity onto the n x n block of the C-contiguous mat at
     (r0, c0), unreduced: a cochain differential is reduced once, after all
@@ -380,6 +393,7 @@ def nerve_cochain_complex(c: FinCategory, f: CatModule, max_n: int,
             total += f.dims[start_of(q, ch)]
         offsets.append(offs)
         dims.append(total)
+    _check_cells(dims)
 
     diffs = []
     for q in range(max_n + 1):
@@ -427,95 +441,56 @@ def cohomology_dims(c: FinCategory, f: CatModule, max_n: int) -> list:
 
 # -- group cohomology --------------------------------------------------------------
 
-@dataclass(eq=False)
-class FiniteAbelianGroup:
-    orders: tuple
-
-    def __post_init__(self):
-        if any(n < 1 for n in self.orders):
-            raise ValueError("cyclic orders must be >= 1")
-        self.elements = [t for t in iproduct(*(range(n) for n in self.orders))]
-
-    @property
-    def zero(self) -> tuple:
-        return tuple(0 for _ in self.orders)
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for n in self.orders:
-            out *= n
-        return out
+def _abelian_group(c: FinCategory) -> tuple:
+    """The composition table of c and the position of its identity, when c has
+    one object and its morphisms form an abelian group: every table row is a
+    permutation and the table is symmetric."""
+    if len(c.objects) != 1:
+        raise ValueError("bar route needs a one-object category")
+    table = c.index.table
+    every = set(range(len(table)))
+    if any(set(row) != every for row in table):
+        raise ValueError("bar route needs a group: a table row is not a permutation")
+    if any(table[i][j] != table[j][i] for i in range(len(table)) for j in range(i)):
+        raise ValueError("bar route needs an abelian group: the table is not symmetric")
+    return table, c.index.pos[c.identity[c.objects[0]]]
 
 
-@dataclass(eq=False)
-class GroupModule:
-    field: FieldSpec
-    dim: int
-    action: dict  # group element tuple -> ndarray
-
-    def on(self, g: tuple) -> np.ndarray:
-        return self.action[g]
-
-
-def validate_group_module(group: FiniteAbelianGroup, module: GroupModule) -> Report:
-    rep = Report()
-    k = module.field
-    for g in group.elements:
-        mat = module.action.get(g)
-        if mat is None or mat.shape != (module.dim, module.dim):
-            rep.add("shape", "action matrix missing or mis-shaped", g=g)
-    if not rep.ok:
-        return rep
-    if not k.equal(module.on(group.zero), k.eye(module.dim)):
-        rep.add("unit", "action of 0 is not the identity")
-    for g in group.elements:
-        for h in group.elements:
-            if not k.equal(module.on(group.add(g, h)),
-                           k.matmul(module.on(g), module.on(h))):
-                rep.add("action", "action is not a homomorphism", g=g, h=h)
-    return rep
-
-
-def trivial_group_module(group: FiniteAbelianGroup, k: FieldSpec, dim: int = 1) -> GroupModule:
-    return GroupModule(k, dim, {g: k.eye(dim) for g in group.elements})
-
-
-def bar_index(group: FiniteAbelianGroup, q: int) -> tuple:
-    """The q-tuples of non-zero elements that index normalized bar q-cochains,
-    and the position of each tuple in that list."""
-    nonzero = [g for g in group.elements if g != group.zero]
-    tuples = list(iproduct(nonzero, repeat=q))
+def bar_index(c: FinCategory, q: int) -> tuple:
+    """The q-tuples of non-identity positions of the group c that index
+    normalized bar q-cochains, and the position of each tuple in that list."""
+    table, e = _abelian_group(c)
+    tuples = list(iproduct([g for g in range(len(table)) if g != e], repeat=q))
     return tuples, {t: i for i, t in enumerate(tuples)}
 
 
-def bar_cochain_complex(group: FiniteAbelianGroup, module: GroupModule,
-                        max_q: int) -> CochainComplex:
-    """Normalized bar cochains: C^q = maps((G - 0)^q, V), i.e. the cochains
-    on G^q that vanish on every tuple with a zero entry.  They form a
+def bar_cochain_complex(c: FinCategory, module: CatModule, max_q: int) -> CochainComplex:
+    """Normalized bar cochains of the abelian group c (`_abelian_group`) with
+    coefficients in the module V: C^q = maps((G - 1)^q, V), i.e. the cochains
+    on G^q that vanish on every tuple with an identity entry.  They form a
     subcomplex with the same cohomology as all of maps(G^q, V), on
     (|G| - 1)^q dim V coordinates in degree q instead of |G|^q dim V."""
+    table, e = _abelian_group(c)
     k = module.field
-    nv = module.dim
-    indices = [bar_index(group, q) for q in range(max_q + 2)]
-    dims = [len(ts) * nv for ts, _ in indices]
+    nv = module.dims[c.objects[0]]
+    dims = [(len(table) - 1) ** q * nv for q in range(max_q + 2)]
+    _check_cells(dims)
+    acts = [module.on(f) for f in c.index.labels]
+    indices = [bar_index(c, q) for q in range(max_q + 2)] if nv else []
     diffs = []
     for q in range(max_q + 1):
         mat = k.zeros(dims[q + 1], dims[q])
-        index = indices[q][1]
         if nv:
+            index = indices[q][1]
             for r, t_new in enumerate(indices[q + 1][0]):
                 r0 = r * nv
                 c0 = index[t_new[1:]] * nv
-                mat[r0:r0 + nv, c0:c0 + nv] += module.on(t_new[0])
+                mat[r0:r0 + nv, c0:c0 + nv] += acts[t_new[0]]
                 sign = 1
                 for i in range(1, q + 1):
                     sign = -sign
-                    g = group.add(t_new[i - 1], t_new[i])
-                    if g != group.zero:  # a normalized cochain vanishes there
+                    g = table[t_new[i - 1]][t_new[i]]
+                    if g != e:  # a normalized cochain vanishes there
                         t_old = t_new[:i - 1] + (g,) + t_new[i + 1:]
                         _add_diagonal(mat, r0, index[t_old] * nv, nv, sign)
                 _add_diagonal(mat, r0, index[t_new[:q]] * nv, nv, -sign)
@@ -523,9 +498,8 @@ def bar_cochain_complex(group: FiniteAbelianGroup, module: GroupModule,
     return CochainComplex(k, dims, diffs)
 
 
-def group_cohomology_dims(group: FiniteAbelianGroup, module: GroupModule,
-                          max_q: int) -> list:
-    return bar_cochain_complex(group, module, max_q).cohomology_dims()
+def group_cohomology_dims(c: FinCategory, module: CatModule, max_q: int) -> list:
+    return bar_cochain_complex(c, module, max_q).cohomology_dims()
 
 
 # -- subquotients (cohomology classes with chosen representatives) ------------------

@@ -12,6 +12,10 @@ sum(E2 diagonal) >= abutment in every degree, with equality whenever the
 computed page is supported on a single row or column (nothing for the
 differentials to do).  Differentials of the pages r >= 2 are never computed.
 
+The fiber at x is N(x) = `n.fibers[x]`, a component of the kernel of
+`n.extension`, with F restricted along iota; its bar cochains live on fiber
+positions, on which a lift u acts through F(u) and conjugation by u.
+
 Coefficient modules carry their own field, which may differ from the prime
 field the coefficient systems A and N live over: the constructions only use
 the finite category structure.
@@ -23,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
-from .fincat import FinCategory, linearize
-from .homengine import (CatModule, FiniteAbelianGroup, GroupModule, Subquotient,
-                        bar_cochain_complex, bar_index, cat_ext_dims, ext_dims_from_resolution,
-                        free_resolution, restrict, subquotient, to_algebra_module)
+from .fincat import CatFunctor, FinCategory, linearize
+from .homengine import (CatModule, Subquotient, bar_cochain_complex, bar_index, cat_ext_dims,
+                        ext_dims_from_resolution, free_resolution, restrict, subquotient,
+                        to_algebra_module)
 
 
 @dataclass(eq=False)
@@ -62,8 +66,8 @@ class SpectralReport:
 
 
 class _LhsContext:
-    """The fiber groups and the per-object subquotients of their bar
-    complexes, over the extension `n.extension` kept on the system."""
+    """The bar indices and subquotients of the fibers N(x), per degree, over
+    the extension `n.extension` kept on the system."""
 
     def __init__(self, c: FinCategory, a: AlgebraPrecosheaf,
                  n: PrecosheafModule, f: CatModule, qmax: int):
@@ -74,26 +78,27 @@ class _LhsContext:
         if set(f.cat.mor) != set(self.ext.total.mor):
             raise ValueError("coefficient module is not over Gr(A, N)")
         self.k = f.field
-        self.groups = {}
-        self.subqs = {}
+        self.fibers = n.fibers
+        self.indices, self.subqs = {}, {}
         for x in c.objects:
-            grp, gmod = fiber_restriction(c, a, n, f, x)
-            bar = bar_cochain_complex(grp, gmod, qmax)
-            self.groups[x] = grp
+            fx = fiber_restriction(n, f, x)
+            bar = bar_cochain_complex(fx.cat, fx, qmax)
+            self.indices[x] = [bar_index(fx.cat, q) for q in range(qmax + 1)]
             self.subqs[x] = [
                 subquotient(self.k, bar.d[q], bar.d[q - 1] if q else None)
                 for q in range(qmax + 1)
             ]
 
     # -- induced maps -----------------------------------------------------
-    def alpha(self, lift) -> dict:
-        """Group homomorphism N(x) -> N(y) of a lift u: x -> y, conjugation
-        by u read from the table of Gr(A, N): m -> the h with
+    def alpha(self, lift) -> list:
+        """Group homomorphism N(x) -> N(y) of a lift u: x -> y on positions,
+        conjugation by u read from the table of Gr(A, N): m -> the h with
         iota(m) then u = u then iota(h), which is N(f)(m) . r for u = (r, _, f)."""
         total, iota = self.ext.total, self.ext.iota
         x, y = total.mor[lift]
-        h_of = {total.then(lift, iota.on_mor((y, h))): h for h in self.groups[y].elements}
-        return {m: h_of[total.then(iota.on_mor((x, m)), lift)] for m in self.groups[x].elements}
+        h_of = {total.then(lift, iota.on_mor(h)): j
+                for j, h in enumerate(self.fibers[y].index.labels)}
+        return [h_of[total.then(iota.on_mor(m), lift)] for m in self.fibers[x].index.labels]
 
     def pullback_matrix(self, lift, q: int) -> np.ndarray:
         """Cochain-level map C^q(N(y); F(y)) -> C^q(N(x); F(x)) on normalized
@@ -105,8 +110,8 @@ class _LhsContext:
         phi = self.f.on(lift)
         al = self.alpha(lift)
         nvx, nvy = self.f.dims[x], self.f.dims[y]
-        tx, _ = bar_index(self.groups[x], q)
-        ty, iy = bar_index(self.groups[y], q)
+        tx, _ = self.indices[x][q]
+        ty, iy = self.indices[y][q]
         mat = k.zeros(len(tx) * nvx, len(ty) * nvy)
         if nvx and nvy:
             for i, t in enumerate(tx):
@@ -141,17 +146,12 @@ class _LhsContext:
         return HLocalSystem(q, CatModule(gr_a, self.k, dims, mats, name=f"H^{q}(fibers)"))
 
 
-def fiber_restriction(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
-                      f: CatModule, x):
-    """Additive group of N(x) together with F(x) acted on through iota."""
-    kc = a.field
-    dim_fiber = n.at(x).dim
-    grp = FiniteAbelianGroup((kc.characteristic,) * dim_fiber)
-    action = {}
-    for m in grp.elements:
-        lift = n.extension.iota.on_mor((x, m))
-        action[m] = np.array(f.on(lift), copy=True)
-    return grp, GroupModule(f.field, f.dims[x], action)
+def fiber_restriction(n: PrecosheafModule, f: CatModule, x) -> CatModule:
+    """F restricted along iota to the fiber N(x) = `n.fibers[x]`."""
+    fiber = n.fibers[x]
+    iota = n.extension.iota
+    return restrict(f, CatFunctor(fiber, iota.target, {x: x},
+                                  {m: iota.on_mor(m) for m in fiber.mor}))
 
 
 def h_local_system(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,

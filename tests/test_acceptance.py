@@ -14,13 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from catext.coeffsys import abelian_group_category
 from catext.constructions import (check_composition_antihom, check_degeneration,
                                   extension_algebra, skew_algebra)
 from catext.extcheck import check_extension, fiber_extension
 from catext.fdalgebra import (field_algebra, group_algebra, validate_algebra)
-from catext.homengine import (FiniteAbelianGroup, cohomology_dims, constant_module,
-                              group_cohomology_dims, nerve_cohomology_dims,
-                              trivial_group_module)
+from catext.homengine import (cohomology_dims, constant_module, group_cohomology_dims,
+                              nerve_cohomology_dims)
 from catext.lhsengine import _LhsContext, e2_page, lhs_report
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
                             cyclic_monoid, discrete_category, one_object_group, poset_a2,
@@ -137,10 +137,10 @@ def test_criterion_06_cohomology_oracle_equivalence(acceptance_log):
 def test_criterion_07_group_cohomology_closed_form(acceptance_log):
     with criterion(acceptance_log, 7, "cyclic group cohomology matches the closed form", 30.0):
         for p, field in ((2, F2), (3, F3)):
-            g = FiniteAbelianGroup((p,))
-            assert group_cohomology_dims(g, trivial_group_module(g, field), 4) == [1] * 5
-        g2 = FiniteAbelianGroup((2,))
-        assert group_cohomology_dims(g2, trivial_group_module(g2, F3), 4) == [1, 0, 0, 0, 0]
+            g = abelian_group_category((p,), "*")
+            assert group_cohomology_dims(g, constant_module(g, field), 4) == [1] * 5
+        g2 = abelian_group_category((2,), "*")
+        assert group_cohomology_dims(g2, constant_module(g2, F3), 4) == [1, 0, 0, 0, 0]
 
 
 def test_criterion_08_lhs_zero_fiber_collapse(acceptance_log):

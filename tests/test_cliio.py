@@ -331,26 +331,51 @@ def gr_builds(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("problem,command", [
-    ("one_object_lhs", "lhs-report"),        # named weight and coefficient modules
-    ("lemma_fiber_extension", "lhs-report"),  # default constant modules
-    ("one_object_lhs", "check-extension"),    # modules validated, then the extension
-    ("lemma_fiber_extension", "check-extension"),
-    ("one_object_lhs", "validate"),           # modules over gr-a and gr-an
-])
-def test_each_job_builds_gr_once(gr_builds, problem, command):
-    doc, code = run(parse((PROBLEMS / f"{problem}.yaml").read_text()), command=command)
+EXT_OVER_GR_AN = """
+field: {kind: prime, characteristic: 2}
+category: {preset: trivial}
+algebra:
+  constant: {preset: field}
+right_module: {preset: regular}
+modules:
+  F: {over: gr-an, preset: constant}
+task:
+  command: ext
+  caps: {n: 2}
+  modules: [F, F]
+"""
+ALL_THREE = {"gr_algebra": 1, "gr_right_module": 1, "fiber_extension": 1}
+
+
+_JOBS = [
+    ("one_object_lhs", "lhs-report", ALL_THREE),  # named weight and coefficient modules
+    ("lemma_fiber_extension", "lhs-report", ALL_THREE),  # default constant modules
+    ("one_object_lhs", "check-extension", ALL_THREE),  # modules validated, then the extension
+    ("lemma_fiber_extension", "check-extension", ALL_THREE),
+    # modules over gr-a and gr-an: Gr(A) and Gr(A, N), but no extension
+    ("one_object_lhs", "validate", {"gr_algebra": 1, "gr_right_module": 1}),
+    (None, "ext", {"gr_right_module": 1}),  # modules over gr-an only: Gr(A, N) alone
+]
+
+
+@pytest.mark.parametrize("problem,command,builds", _JOBS,
+                         ids=[f"{p or 'ext_over_gr_an'}-{c}" for p, c, _ in _JOBS])
+def test_each_job_builds_gr_once(gr_builds, problem, command, builds):
+    text = (PROBLEMS / f"{problem}.yaml").read_text() if problem else EXT_OVER_GR_AN
+    doc, code = run(parse(text), command=command)
     assert code == 0, doc
-    assert gr_builds == {"gr_algebra": 1, "gr_right_module": 1, "fiber_extension": 1}
+    assert gr_builds == builds
 
 
 def test_gr_an_modules_live_over_the_extension_total(gr_builds):
     """A validate job reads the named modules over the categories kept on
-    the systems: Gr(A) on the precosheaf, Gr(A, N) as the extension's total."""
+    the systems: Gr(A) on the precosheaf, Gr(A, N) on the right-module
+    system, which the extension takes as its total."""
     built = cliio.build(parse((PROBLEMS / "one_object_lhs.yaml").read_text()))
     assert {b["over"] for b in built.modules.values()} == {"gr-a", "gr-an"}
     assert cliio._validate_all(built).ok
     assert built.module("G").cat is built.precosheaf.gr
+    assert built.module("F").cat is built.right_module.gr
     assert built.module("F").cat is built.right_module.extension.total
     assert built.right_module.extension.base is built.precosheaf.gr
     assert gr_builds == {"gr_algebra": 1, "gr_right_module": 1, "fiber_extension": 1}
@@ -590,6 +615,35 @@ def _run_main(tmp_path, capsys, text, command):
     out = capsys.readouterr()
     assert "Traceback" not in out.err
     return code, json.loads(out.out)
+
+
+KLEIN_FIBER_LHS = """
+field: {kind: prime, characteristic: 2}
+category: {preset: trivial}
+algebra:
+  constant: {preset: field-product, count: 2}
+right_module: {preset: regular}
+task:
+  command: lhs-report
+  caps: {p: 2, q: 2, n: 2}
+"""
+
+
+@pytest.mark.parametrize("text,command,rows,cols", [
+    # the nerve of B(Z/2) up to degree 4: d[3] is 16 x 8
+    ((PROBLEMS / "z2_cohomology.yaml").read_text(), "cohomology", 16, 8),
+    # bar cochains of the (Z/2)^2 fiber up to degree 3: d[2] is 27 x 9
+    (KLEIN_FIBER_LHS, "lhs-report", 27, 9),
+], ids=["nerve", "bar"])
+def test_cochain_differential_past_the_limit_exits_two(tmp_path, capsys, monkeypatch,
+                                                       text, command, rows, cols):
+    """With the limit lowered to 100 entries, a differential past it is
+    reported with its size and the limit."""
+    monkeypatch.setattr(homengine, "CELL_LIMIT", 100)
+    code, doc = _run_main(tmp_path, capsys, text, command)
+    assert code == 2
+    assert doc["input_errors"] == [f"cochain differential of {rows} x {cols} = "
+                                   f"{rows * cols} entries exceeds desk-scale limit 100"]
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology", "ext", "lhs-report"])

@@ -3,12 +3,13 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from catext.coeffsys import (AlgebraPrecosheaf, PrecosheafModule, disjoint_fiber_category,
-                             forget_left_action, underlying_group_category, validate_bimodule,
-                             validate_precosheaf, validate_right_module)
+from catext.coeffsys import (AlgebraPrecosheaf, PrecosheafModule, abelian_group_category,
+                             disjoint_fiber_category, forget_left_action,
+                             underlying_group_category, validate_bimodule, validate_precosheaf,
+                             validate_right_module)
 from catext.exactlin import FieldSpec
 from catext.fdalgebra import AlgHom, AlgModule, field_algebra, group_algebra
-from catext.fincat import FinCategory, validate_category
+from catext.fincat import FinCategory, linearize, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
                             corrupt_bimodule, cyclic_monoid, field_product, one_object_group,
                             poset_a2, precosheaf_from, projection_bimodule_system,
@@ -153,6 +154,46 @@ def test_underlying_group_needs_prime_field():
     n = regular_right_module_system(pre)
     with pytest.raises(ValueError):
         underlying_group_category(n, "*")
+
+
+def test_abelian_group_category_labels_and_identity():
+    cat = abelian_group_category((2, 3), "x")
+    assert validate_category(cat).ok
+    assert cat.objects == ("x",) and cat.name == "Z/2xZ/3"
+    assert list(cat.mor) == [("x", e) for e in iproduct(range(2), range(3))]
+    assert cat.identity == {"x": ("x", (0, 0))}
+    assert cat.then(("x", (1, 2)), ("x", (1, 2))) == ("x", (0, 1))
+
+
+def test_abelian_group_category_is_bounded():
+    with pytest.raises(ValueError, match="^composition table with 2002225 entries "
+                                         "exceeds desk scale$"):
+        abelian_group_category((1415,), "*")
+    with pytest.raises(ValueError, match="cyclic orders must be >= 1"):
+        abelian_group_category((2, 0), "*")
+
+
+@pytest.mark.parametrize("k", [F2, F3], ids=["F2", "F3"])
+def test_underlying_group_is_an_abelian_group_category(k):
+    n = regular_right_module_system(constant_precosheaf(trivial_category(), field_product(k, 2)))
+    got = underlying_group_category(n, "*")
+    want = abelian_group_category((k.characteristic,) * 2, "*")
+    assert got.name == "N(*)"
+    assert list(got.mor.items()) == list(want.mor.items())
+    assert got.identity == want.identity
+    assert list(got.compose.items()) == list(want.compose.items())
+    assert [e for _, e in got.mor] == k.vectors(2)
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (3,), (4,), (2, 2), (2, 3)], ids=str)
+@pytest.mark.parametrize("k", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_group_algebra_is_the_linearized_group_category(orders, k):
+    lin = linearize(abelian_group_category(orders, "*"), k)
+    alg = group_algebra(list(orders), k)
+    assert [e for _, e in lin.basis_labels] == list(alg.basis_labels)
+    assert len(lin.constants) == len(alg.constants) == 4
+    assert all(np.array_equal(u, v) for u, v in zip(lin.constants, alg.constants))
+    assert k.equal(lin.unit, alg.unit)
 
 
 @pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)

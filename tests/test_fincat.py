@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -172,6 +174,22 @@ def test_nerve_recurrence(cat, n):
         return ch[0] if n == 0 else cat.cod(ch[-1])
     outdeg = {x: sum(1 for f in cat.mor if cat.dom(f) == x) for x in cat.objects}
     assert len(chains_n1) == sum(outdeg[end(ch)] for ch in chains_n)
+
+
+def test_nerve_chains_refuses_a_degree_before_building_it():
+    # B(Z/30) has 900 chains of degree 2 and 27,000 of degree 3, which would
+    # take about 2 MB as tuples
+    c = one_object_group(30)
+    assert len(nerve_chains(c, 2, limit=1000)) == 900
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^nerve enumeration of 27000 chains exceeds "
+                                             "desk-scale limit 1000$"):
+            nerve_chains(c, 3, limit=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_normalized_nerve_drops_identities():

@@ -1,26 +1,26 @@
 import dataclasses
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catext.coeffsys import abelian_group_category
 from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rref, solve_matrix
 from catext.extcheck import fiber_extension
 from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               free_module, group_algebra, validate_module)
-from catext.fincat import CatFunctor, linearize
-from catext.homengine import (CatModule, CochainComplex, FiniteAbelianGroup, GroupModule,
-                              Subquotient, _cover, _FreeModule, bar_cochain_complex,
-                              cat_ext_dims,
+from catext.fincat import CatFunctor, FinCategory, linearize, validate_category
+from catext import homengine
+from catext.homengine import (CatModule, CochainComplex, Subquotient, _cover, _FreeModule,
+                              bar_cochain_complex, bar_index, cat_ext_dims,
                               cohomology_dims, constant_module, ext_dims, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
                               nerve_cochain_complex, nerve_cohomology_dims,
                               representable_module, restrict, subquotient,
-                              to_algebra_module, trivial_group_module,
-                              validate_cat_module, validate_group_module,
+                              to_algebra_module, validate_cat_module,
                               validate_resolution, zero_cat_module)
 from catext.presets import (F2, F3, QQ, constant_precosheaf, cyclic_monoid,
                             discrete_category, one_object_group, poset_a2,
@@ -509,66 +509,147 @@ def test_two_point_category_counts_components():
 
 # -- group cohomology ----------------------------------------------------------------------
 
+def group(*orders):
+    return abelian_group_category(orders, "*")
+
+
+def trivial(c, k, dim=1):
+    """k^dim with every morphism of c acting as the identity."""
+    return CatModule(c, k, {x: dim for x in c.objects}, {f: k.eye(dim) for f in c.mor})
+
+
 def test_trivial_group():
-    g = FiniteAbelianGroup((1,))
-    assert group_cohomology_dims(g, trivial_group_module(g, F2, 3), 3) == [3, 0, 0, 0]
+    g = group(1)
+    assert group_cohomology_dims(g, trivial(g, F2, 3), 3) == [3, 0, 0, 0]
 
 
 def test_z2_mod2():
-    g = FiniteAbelianGroup((2,))
-    assert group_cohomology_dims(g, trivial_group_module(g, F2), 4) == [1, 1, 1, 1, 1]
+    g = group(2)
+    assert group_cohomology_dims(g, trivial(g, F2), 4) == [1, 1, 1, 1, 1]
 
 
 def test_z2_mod3():
-    g = FiniteAbelianGroup((2,))
-    assert group_cohomology_dims(g, trivial_group_module(g, F3), 4) == [1, 0, 0, 0, 0]
+    g = group(2)
+    assert group_cohomology_dims(g, trivial(g, F3), 4) == [1, 0, 0, 0, 0]
 
 
 def test_z3_mod3():
-    g = FiniteAbelianGroup((3,))
-    assert group_cohomology_dims(g, trivial_group_module(g, F3), 4) == [1, 1, 1, 1, 1]
+    g = group(3)
+    assert group_cohomology_dims(g, trivial(g, F3), 4) == [1, 1, 1, 1, 1]
 
 
 def test_klein_group_mod2_degree_counts():
     # H^*(Z/2 x Z/2; F2) is polynomial on two degree-1 classes
-    g = FiniteAbelianGroup((2, 2))
-    assert group_cohomology_dims(g, trivial_group_module(g, F2), 2) == [1, 2, 3]
+    g = group(2, 2)
+    assert group_cohomology_dims(g, trivial(g, F2), 2) == [1, 2, 3]
 
 
 def test_nontrivial_group_module():
-    g = FiniteAbelianGroup((2,))
-    sign = GroupModule(F3, 1, {(0,): F3.eye(1), (1,): F3.array([[2]])})
-    assert validate_group_module(g, sign).ok
+    g = group(2)
+    sign = CatModule(g, F3, {"*": 1}, {("*", (0,)): F3.eye(1), ("*", (1,)): F3.array([[2]])})
+    assert validate_cat_module(sign).ok
     assert group_cohomology_dims(g, sign, 3) == [0, 0, 0, 0]
 
 
 def test_bar_complex_is_complex():
-    g = FiniteAbelianGroup((2, 2))
-    cc = bar_cochain_complex(g, trivial_group_module(g, F2), 2)
+    g = group(2, 2)
+    cc = bar_cochain_complex(g, trivial(g, F2), 2)
     assert cc.validate().ok
 
 
 def test_bar_complex_is_normalized():
     # C^q = maps((G - 0)^q, V): (|G| - 1)^q dim V coordinates, not |G|^q dim V
-    z5 = FiniteAbelianGroup((5,))
-    assert bar_cochain_complex(z5, trivial_group_module(z5, F5), 4).dims == \
+    z5 = group(5)
+    assert bar_cochain_complex(z5, trivial(z5, F5), 4).dims == \
         [1, 4, 16, 64, 256, 1024]
-    klein3 = FiniteAbelianGroup((2, 2, 2))
-    assert bar_cochain_complex(klein3, trivial_group_module(klein3, F2), 3).dims[:4] == \
+    klein3 = group(2, 2, 2)
+    assert bar_cochain_complex(klein3, trivial(klein3, F2), 3).dims[:4] == \
         [1, 7, 49, 343]
-    one = FiniteAbelianGroup((1,))
+    one = group(1)
     for nv in (0, 1, 3):
-        assert bar_cochain_complex(one, trivial_group_module(one, F3, nv), 3).dims == \
+        assert bar_cochain_complex(one, trivial(one, F3, nv), 3).dims == \
             [nv, 0, 0, 0, 0]
 
 
-def reference_bar_cochain_complex(group: FiniteAbelianGroup, module: GroupModule,
+def s3() -> FinCategory:
+    """The symmetric group on three letters as a one-object category."""
+    perms = list(permutations(range(3)))
+    compose = {(("*", f), ("*", g)): ("*", tuple(g[f[i]] for i in range(3)))
+               for f in perms for g in perms}
+    return FinCategory(("*",), {("*", f): ("*", "*") for f in perms},
+                       {"*": ("*", (0, 1, 2))}, compose, name="S3")
+
+
+@pytest.mark.parametrize("cat,message", [
+    (poset_a2(), "one-object category"),
+    (cyclic_monoid(3, 1), "a table row is not a permutation"),
+    (s3(), "the table is not symmetric"),
+], ids=["a2", "cyclic31", "s3"])
+def test_bar_route_needs_an_abelian_group(cat, message):
+    assert validate_category(cat).ok
+    f = constant_module(cat, F2)
+    for call in (lambda: bar_cochain_complex(cat, f, 1),
+                 lambda: group_cohomology_dims(cat, f, 1), lambda: bar_index(cat, 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_bar_route_reads_preset_groups():
+    # B(Z/3) from the presets is abelian_group_category((3,)) under other labels
+    for cat in (one_object_group(3), group(3)):
+        assert group_cohomology_dims(cat, constant_module(cat, F3), 3) == [1, 1, 1, 1]
+
+
+@pytest.fixture
+def small_cells(monkeypatch):
+    """CELL_LIMIT lowered to 10,000 entries; records the shape of every
+    matrix the field allocates."""
+    monkeypatch.setattr(homengine, "CELL_LIMIT", 10_000)
+    shapes = []
+
+    def zeros(self, *shape, _orig=FieldSpec.zeros):
+        shapes.append(shape)
+        return _orig(self, *shape)
+    monkeypatch.setattr(FieldSpec, "zeros", zeros)
+    return shapes
+
+
+def _largest(shapes) -> int:
+    return max((int(np.prod(s)) for s in shapes), default=0)
+
+
+def test_nerve_differentials_are_checked_before_allocation(small_cells):
+    # unnormalized B(Z/12): chains 1, 12, 144, 1728, so d[2] is 1728 x 144
+    c = one_object_group(12)
+    f = constant_module(c, F2)
+    assert nerve_cohomology_dims(c, f, 1) == [1, 1]
+    small_cells.clear()
+    with pytest.raises(ValueError, match="^cochain differential of 1728 x 144 = 248832 "
+                                         "entries exceeds desk-scale limit 10000$"):
+        nerve_cohomology_dims(c, f, 2)
+    assert _largest(small_cells) <= 10_000
+
+
+def test_bar_differentials_are_checked_before_allocation(small_cells):
+    # (Z/2)^3: normalized cochains 1, 7, 49, 343, so d[2] is 343 x 49
+    g = group(2, 2, 2)
+    f = trivial(g, F2)
+    assert group_cohomology_dims(g, f, 1) == [1, 3]
+    small_cells.clear()
+    with pytest.raises(ValueError, match="^cochain differential of 343 x 49 = 16807 "
+                                         "entries exceeds desk-scale limit 10000$"):
+        bar_cochain_complex(g, f, 3)
+    assert _largest(small_cells) <= 10_000
+
+
+def reference_bar_cochain_complex(c: FinCategory, module: CatModule,
                                   max_q: int) -> CochainComplex:
-    """Unnormalized bar cochains C^q = maps(G^q, V): the oracle the normalized
-    complex is compared against."""
+    """Unnormalized bar cochains C^q = maps(G^q, V) of the group c, on tuples
+    of morphisms multiplied with `then`: the oracle the normalized complex is
+    compared against."""
     k = module.field
-    nv = module.dim
-    tuples = [list(iproduct(group.elements, repeat=q)) for q in range(max_q + 2)]
+    nv = module.dims["*"]
+    tuples = [list(iproduct(c.mor, repeat=q)) for q in range(max_q + 2)]
     index = [{t: i for i, t in enumerate(ts)} for ts in tuples]
     dims = [len(ts) * nv for ts in tuples]
     diffs = []
@@ -588,7 +669,7 @@ def reference_bar_cochain_complex(group: FiniteAbelianGroup, module: GroupModule
                 sign = k.one
                 for i in range(1, q + 1):
                     sign = k.coerce(sign * minus)
-                    merged = t_new[:i - 1] + (group.add(t_new[i - 1], t_new[i]),) + t_new[i + 1:]
+                    merged = t_new[:i - 1] + (c.then(t_new[i - 1], t_new[i]),) + t_new[i + 1:]
                     accumulate(merged, sign * k.eye(nv))
                 sign = k.coerce(sign * minus)
                 accumulate(t_new[:q], sign * k.eye(nv))
@@ -602,47 +683,46 @@ def groups_with_modules(draw):
     trivial module of dimension 0-2 or the sign module of an even factor."""
     orders = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
     field = draw(st.sampled_from([F2, F3, F5]))
-    group = FiniteAbelianGroup(orders)
+    g = group(*orders)
     even = [i for i, n in enumerate(orders) if n % 2 == 0]
     if even and draw(st.booleans()):
         i = draw(st.sampled_from(even))
         p = field.characteristic
-        return group, GroupModule(field, 1, {g: field.array([[(-1) ** g[i] % p]])
-                                             for g in group.elements})
-    return group, trivial_group_module(group, field, draw(st.integers(0, 2)))
+        return g, CatModule(g, field, {"*": 1}, {(x, e): field.array([[(-1) ** e[i] % p]])
+                                                 for x, e in g.mor})
+    return g, trivial(g, field, draw(st.integers(0, 2)))
 
 
 @settings(deadline=None)
 @given(groups_with_modules())
 def test_normalized_bar_complex_matches_unnormalized(case):
-    group, module = case
-    assert validate_group_module(group, module).ok
+    g, module = case
+    assert validate_cat_module(module).ok
     # up to degree 3, lowered for the larger groups so that the reference's
     # top cochain space keeps at most 2000 coordinates (|G| = 16 would need
     # a dense 65536 x 4096 differential at degree 3)
     max_q = max([1] + [q for q in (2, 3)
-                       if group.order ** (q + 1) * max(module.dim, 1) <= 2000])
-    normalized = bar_cochain_complex(group, module, max_q)
+                       if len(g.mor) ** (q + 1) * max(module.dims["*"], 1) <= 2000])
+    normalized = bar_cochain_complex(g, module, max_q)
     assert normalized.validate().ok
-    reference = reference_bar_cochain_complex(group, module, max_q)
+    reference = reference_bar_cochain_complex(g, module, max_q)
     assert normalized.cohomology_dims() == reference.cohomology_dims()
 
 
 @given(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=2),
        st.integers(0, 2), st.sampled_from([F2, F3]))
 def test_h0_of_trivial_module_is_the_module(orders, dim, field):
-    g = FiniteAbelianGroup(tuple(orders))
-    dims = group_cohomology_dims(g, trivial_group_module(g, field, dim), 1)
+    g = group(*orders)
+    dims = group_cohomology_dims(g, trivial(g, field, dim), 1)
     assert dims[0] == dim
 
 
 def test_three_engines_agree_on_one_object_groupoid():
     cat = one_object_group(2)
     k = constant_module(cat, F2)
-    group = FiniteAbelianGroup((2,))
     a = cohomology_dims(cat, k, 3)
     b = nerve_cohomology_dims(cat, k, 3)
-    c = group_cohomology_dims(group, trivial_group_module(group, F2), 3)
+    c = group_cohomology_dims(cat, k, 3)
     assert a == b == c
 
 
@@ -741,8 +821,8 @@ def test_word_size_ext0_equals_hom_on_cyclic_monoid(field, seed, diag):
 # -- subquotients ---------------------------------------------------------------------
 
 def test_subquotient_projection_roundtrip():
-    g = FiniteAbelianGroup((3,))
-    cc = bar_cochain_complex(g, trivial_group_module(g, F3), 2)
+    g = group(3)
+    cc = bar_cochain_complex(g, trivial(g, F3), 2)
     sq = subquotient(F3, cc.d[1], cc.d[0])
     assert sq.dim == 1
     coords = sq.project(sq.reps)
@@ -762,8 +842,8 @@ def test_subquotient_projection_roundtrip():
 def test_subquotient_projection_matches_solve(orders, field, q):
     """The factored projection gives the coordinates the parent's solve
     against [image basis | reps] gave, and raises on every non-cocycle."""
-    g = FiniteAbelianGroup(orders)
-    cc = bar_cochain_complex(g, trivial_group_module(g, field, 2), q + 1)
+    g = group(*orders)
+    cc = bar_cochain_complex(g, trivial(g, field, 2), q + 1)
     sq = subquotient(field, cc.d[q], cc.d[q - 1] if q else None)
     assert sq.dim > 0
     rnd = Random(q)

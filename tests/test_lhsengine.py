@@ -6,8 +6,8 @@ import pytest
 from catext.extcheck import check_extension, fiber_extension
 from catext.fdalgebra import field_algebra, group_algebra
 from catext.homengine import (CatModule, cat_ext_dims, constant_module,
-                              nerve_cohomology_dims, representable_module, restrict,
-                              validate_cat_module, validate_group_module)
+                              group_cohomology_dims, nerve_cohomology_dims,
+                              representable_module, restrict, validate_cat_module)
 from catext.lhsengine import (_LhsContext, abutment, e2_page, fiber_restriction,
                               h_local_system, lhs_report)
 from catext.presets import (F2, F3, constant_precosheaf, one_object_group, poset_a2,
@@ -36,29 +36,29 @@ def a2_fixture(coeff=F2, module="regular"):
 
 def test_fiber_restriction_constant_coefficients():
     c, a, n, ext, g, f = point_fixture()
-    grp, gmod = fiber_restriction(c, a, n, f, "*")
-    assert grp.orders == (2,)
-    assert gmod.dim == 1
-    assert validate_group_module(grp, gmod).ok
-    assert all(F2.equal(m, F2.eye(1)) for m in gmod.action.values())
+    fx = fiber_restriction(n, f, "*")
+    assert list(fx.cat.mor) == [("*", (0,)), ("*", (1,))]  # Z/2
+    assert fx.dims == {"*": 1}
+    assert validate_cat_module(fx).ok
+    assert all(F2.equal(m, F2.eye(1)) for m in fx.mats.values())
 
 
 def test_fiber_restriction_zero_fiber():
     c, a, n, ext, g, f = a2_fixture(module="zero")
-    grp, gmod = fiber_restriction(c, a, n, f, "0")
-    assert grp.order == 1
-    assert gmod.dim == f.dims["0"]
+    fx = fiber_restriction(n, f, "0")
+    assert len(fx.cat.mor) == 1
+    assert fx.dims["0"] == f.dims["0"]
 
 
 def test_fiber_restriction_reads_action_from_composition():
     c, a, n, ext, g, f = point_fixture()
     # restricted representable module: action matrices read off the table
     rep = representable_module(ext.total, F2, "*")
-    grp, gmod = fiber_restriction(c, a, n, rep, "*")
-    assert validate_group_module(grp, gmod).ok
+    fx = fiber_restriction(n, rep, "*")
+    assert validate_cat_module(fx).ok
     lift = ext.iota.on_mor(("*", (1,)))
-    assert F2.equal(gmod.on((1,)), rep.on(lift))
-    assert not F2.equal(gmod.on((1,)), F2.eye(gmod.dim))  # genuinely nontrivial
+    assert F2.equal(fx.on(("*", (1,))), rep.on(lift))
+    assert not F2.equal(fx.on(("*", (1,))), F2.eye(fx.dims["*"]))  # genuinely nontrivial
 
 
 # -- local systems -------------------------------------------------------------------
@@ -89,9 +89,9 @@ def test_local_system_degree_zero_invariants_of_twisted_module():
     from catext.exactlin import Matrix, kernel_basis
     c, a, n, ext, g, f = point_fixture()
     rep = representable_module(ext.total, F2, "*")
-    grp, gmod = fiber_restriction(c, a, n, rep, "*")
+    fx = fiber_restriction(n, rep, "*")
     stacked = np.concatenate(
-        [F2.reduce(gmod.on(m) - F2.eye(gmod.dim)) for m in grp.elements], axis=0)
+        [F2.reduce(fx.on(m) - F2.eye(fx.dims["*"])) for m in fx.cat.mor], axis=0)
     inv_dim = kernel_basis(Matrix(F2, stacked)).rows
     h0 = h_local_system(c, a, n, rep, 0)
     assert h0.module.dims["*"] == inv_dim
@@ -164,9 +164,10 @@ def test_e2_zero_fibers_concentrated_in_row_zero():
             assert table[(p, q)] == 0
 
 
-def reference_alpha(ctx, lift) -> dict:
+def reference_alpha(ctx, lift) -> list:
     """The fiber map of a lift (r, m, f) as computed before it was read from
-    the table of Gr(A, N): m -> N(f)(m) . r through the module's matrices."""
+    the table of Gr(A, N): m -> N(f)(m) . r through the module's matrices, on
+    fiber positions."""
     r, _, fbase = lift
     x, y = ctx.c.mor[fbase]
     kc = ctx.a.field
@@ -178,7 +179,8 @@ def reference_alpha(ctx, lift) -> dict:
             return ()
         img = kc.matmul(right_r, kc.matmul(nf, kc.array(m)))
         return tuple(int(v) for v in img)
-    return {m: apply(m) for m in ctx.groups[x].elements}
+    pos_y = ctx.fibers[y].index.pos
+    return [pos_y[(y, apply(m))] for _, m in ctx.fibers[x].index.labels]
 
 
 def _alpha_fixtures() -> list:
@@ -217,6 +219,20 @@ def test_alpha_read_from_table_matches_module_formula(a, n):
             assert ctx.alpha(lift) == reference_alpha(ctx, lift)
             lifts += 1
     assert lifts == len(ext.total.mor)
+
+
+@pytest.mark.parametrize("a,n", [t[1:] for t in ALPHA_FIXTURES],
+                         ids=[t[0] for t in ALPHA_FIXTURES])
+def test_fiber_bar_route_equals_both_nerve_routes(a, n):
+    """On every fiber N(x), with constant coefficients and with Hom(-, x) of
+    Gr(A, N) restricted (on which the fiber acts non-trivially)."""
+    ext = n.extension
+    for x in a.base.objects:
+        for f in (constant_module(ext.total, a.field), representable_module(ext.total, a.field, x)):
+            fx = fiber_restriction(n, f, x)
+            bar = group_cohomology_dims(fx.cat, fx, 2)
+            assert bar == nerve_cohomology_dims(fx.cat, fx, 2, normalized=True)
+            assert bar == nerve_cohomology_dims(fx.cat, fx, 2)
 
 
 def restrict_along_iso(ext, f):
