@@ -306,7 +306,7 @@ def _command(errors, path, value, out):
 class _Preset(NamedTuple):
     build: Callable  # called with the normal form of the block (and the field)
     keys: dict = {}  # its parameters
-    size: Callable | None = None  # entries of the table its parameters ask for
+    size: Callable | None = None  # entries of its table (n x n for a category)
 
 
 def _presets(noun, table, tag="preset", alias=None, entries=None, **block):
@@ -342,7 +342,7 @@ _CATEGORY_PRESETS = {
     "trivial": _Preset(lambda b: presets.trivial_category()),
     "poset-a2": _Preset(lambda b: presets.poset_a2()),
     "discrete": _Preset(lambda b: presets.discrete_category(b["count"]),
-                        {"count": _Key(_int_of(1), 2)}, lambda b: b["count"]),
+                        {"count": _Key(_int_of(1), 2)}, lambda b: b["count"] ** 2),
     "cyclic-monoid": _Preset(lambda b: presets.cyclic_monoid(b["size"], b["loop"]),
                              {"size": _Key(_int_of(1), 3), "loop": _Key(_loop, 1)},
                              lambda b: b["size"] ** 2),
@@ -709,8 +709,9 @@ def _cmd_cohomology(built: Built, caps: dict) -> tuple[dict, bool]:
     if not name:
         raise InputError(["task.module: cohomology needs a module name"])
     mod = built.module(name)
-    res_route = cohomology_dims(mod.cat, mod, caps["n"])
+    # the nerve route first: its desk-scale limits refuse a job before any resolution
     nerve_route = nerve_cohomology_dims(mod.cat, mod, caps["n"])
+    res_route = cohomology_dims(mod.cat, mod, caps["n"])
     return {"dims": [int(v) for v in res_route],
             "nerve_dims": [int(v) for v in nerve_route],
             "routes_agree": res_route == nerve_route}, res_route == nerve_route

@@ -77,8 +77,7 @@ def check_extension(e: CatExtension) -> Report:
     # f then iota(h) is parallel to f, so only g parallel to f can connect to
     # it, and only g with pi(g) = pi(f) must; other pairs satisfy neither side
     failures = []
-    for i, ends in enumerate(ends_of):
-        row = ix.table[i]
+    for i, (ends, row) in enumerate(zip(ends_of, ix.table.tolist())):
         hits = Counter(row[h] for h in kernel_at[ends[1]])
         for j in sorted(set(ix.hom[ends]).union(fiber[pi_of[i]])):
             if ends_of[j] != ends:

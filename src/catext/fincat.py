@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Hashable
 
 import numpy as np
@@ -19,25 +20,38 @@ ObjId = Hashable
 MorId = Hashable
 
 
+CELL_LIMIT = 2 ** 24  # cells of the dense composition table (a 64 MB int32 array)
+CHUNK = 2 ** 15  # table cells per gather of the associativity check
+
+
 @dataclass(frozen=True, eq=False)
 class CatIndex:
     """Integer view of a category's tables, built once per category.
 
-    Morphisms are numbered in the order of `mor`.  `table[i][j]` is the
-    position of "i then j", or None where no entry names three morphisms;
-    `follow[i]` lists, in position order, the morphisms that can follow i
-    (those whose domain is cod i); `hom[(x, y)]` lists the morphisms x -> y.
-    Entries of a damaged table that name unknown morphisms are left out:
-    `validate_category` reports them.
+    Morphisms are numbered in the order of `mor`.  `entries` is a read-only
+    3 x E int32 array: column e holds the positions of f, g and h of the e-th
+    entry (f, g) -> h of `compose`, in table order, with -1 for an id that
+    names no morphism.  `table` is the read-only n x n int32 array with
+    `table[i, j]` the position of "i then j", or -1 where no entry names three
+    morphisms; a damaged table keeps its holes, and `validate_category` reports
+    the entries left out.  `follow[i]` lists, in position order, the morphisms
+    that can follow i (those whose domain is cod i); `hom[(x, y)]` lists the
+    morphisms x -> y.  A category of more than CELL_LIMIT cells (n^2) is
+    refused before anything is allocated.
     """
     labels: tuple
     pos: dict
     follow: tuple
     hom: dict
-    table: list
+    entries: np.ndarray
+    table: np.ndarray
 
     @classmethod
     def of(cls, c: "FinCategory") -> "CatIndex":
+        n = len(c.mor)
+        if n * n > CELL_LIMIT:
+            raise ValueError(f"composition table of {n} x {n} = {n * n} cells exceeds "
+                             f"desk-scale limit {CELL_LIMIT}")
         labels = tuple(c.mor)
         pos = {f: i for i, f in enumerate(labels)}
         out: dict = {}
@@ -46,12 +60,15 @@ class CatIndex:
             out.setdefault(ends[0], []).append(i)
             hom.setdefault(ends, []).append(i)
         follow = tuple(tuple(out.get(cod_, ())) for _, cod_ in c.mor.values())
-        table = [[None] * len(labels) for _ in labels]
-        for (f, g), h in c.compose.items():
-            i, j, k = pos.get(f), pos.get(g), pos.get(h)
-            if i is not None and j is not None and k is not None:
-                table[i][j] = k
-        return cls(labels, pos, follow, {e: tuple(v) for e, v in hom.items()}, table)
+        count = len(c.compose)
+        names = chain(*zip(*c.compose), c.compose.values())  # every f, every g, every h
+        entries = np.fromiter(map(pos.get, names, repeat(-1)), np.int32, 3 * count)
+        entries = entries.reshape(3, count)
+        table = np.full((n, n), -1, dtype=np.int32)
+        f, g, h = entries[:, entries.min(axis=0) >= 0]
+        table[f, g] = h
+        entries.flags.writeable = table.flags.writeable = False
+        return cls(labels, pos, follow, {e: tuple(v) for e, v in hom.items()}, entries, table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,45 +136,76 @@ def _check_category(c: FinCategory) -> Report:
             continue
         if c.mor[i] != (x, x):
             rep.add("identity", "identity is not an endomorphism", object=x, id=i)
-    # the composition table must be total on composable pairs and empty elsewhere
     ix = c.index
-    labels, pos, follow = ix.labels, ix.pos, ix.follow
-    misplaced = []  # (pos f, pos g, message)
-    for i, f in enumerate(labels):
-        for j in follow[i]:
-            if (f, labels[j]) not in c.compose:
-                misplaced.append((i, j, "missing composite"))
-    entries = []  # (code, message, f, g, h), in table order
-    for (f, g), h in c.compose.items():
-        known = f in pos and g in pos
-        if known and not c.composable(f, g):
-            misplaced.append((pos[f], pos[g], "composite defined for non-composable pair"))
-        if h not in pos:
-            entries.append(("composition", "composite not a morphism", f, g, h))
-        elif not known:
-            entries.append(("composition", "composite of unknown morphisms", f, g, h))
-        elif c.composable(f, g) and c.mor[h] != (c.dom(f), c.cod(g)):
-            entries.append(("dom-cod", "composite has wrong endpoints", f, g, h))
-    for i, j, message in sorted(misplaced):
+    labels, n = ix.labels, len(ix.labels)
+    f, g, h = entries = ix.entries
+    # endpoint ids (dom, cod) per position, the objects first; position -1 (no
+    # morphism) reads the sentinels (-1, -2), which match no endpoint id
+    ids = {x: i for i, x in enumerate(c.objects)}
+    dom, cod = np.array([[ids.setdefault(x, len(ids)), ids.setdefault(y, len(ids))]
+                         for x, y in c.mor.values()] + [[-1, -2]], np.int32).T
+    # the composition table must be total on composable pairs and empty elsewhere
+    composable = cod[f] == dom[g]
+    bad = (entries.min(axis=0) < 0) | composable & ((dom[h] != dom[f]) | (cod[h] != cod[g]))
+    pairs = []
+    defined = np.count_nonzero(composable)  # entries of composable pairs
+    if defined < len(f):  # entries of known, non-composable pairs
+        e = ((f >= 0) & (g >= 0) & ~composable).nonzero()[0]
+        pairs = [(i, j, "composite defined for non-composable pair")
+                 for i, j in zip(f[e].tolist(), g[e].tolist())]
+    if defined < np.bincount(dom[:n], minlength=len(ids))[cod[:n]].sum():
+        keyed = set(zip(f[composable].tolist(), g[composable].tolist()))
+        pairs += [(i, j, "missing composite") for i in range(n) for j in ix.follow[i]
+                  if (i, j) not in keyed]
+    for i, j, message in sorted(pairs):
         rep.add("composition", message, f=labels[i], g=labels[j])
-    for code, message, f, g, h in entries:
-        rep.add(code, message, f=f, g=g, h=h)
+    if np.count_nonzero(bad):
+        items = list(c.compose.items())
+        for e in bad.nonzero()[0].tolist():
+            (fe, ge), he = items[e]
+            if h[e] < 0:
+                rep.add("composition", "composite not a morphism", f=fe, g=ge, h=he)
+            elif f[e] < 0 or g[e] < 0:
+                rep.add("composition", "composite of unknown morphisms", f=fe, g=ge, h=he)
+            else:
+                rep.add("dom-cod", "composite has wrong endpoints", f=fe, g=ge, h=he)
     if not rep.ok:
         return rep  # structural damage; law checks below assume a total table
-    table = ix.table
-    for i, (f, (d, cod_)) in enumerate(c.mor.items()):
-        if table[pos[c.identity[d]]][i] != i:
-            rep.add("identity-law", "left identity fails", f=f)
-        if table[i][pos[c.identity[cod_]]] != i:
-            rep.add("identity-law", "right identity fails", f=f)
-    # exactly the composable triples f -> g -> h, in position order
-    for i, row_f in enumerate(table):
-        for j in follow[i]:
-            row_fg, row_g = table[row_f[j]], table[j]
-            for k in [k for k in follow[j] if row_fg[k] != row_f[row_g[k]]]:
-                rep.add("associativity", "(fg)h != f(gh)",
-                        f=labels[i], g=labels[j], h=labels[k])
+    table, at = ix.table, np.arange(n)
+    ident = np.array([ix.pos[c.identity[x]] for x in c.objects], np.int32)
+    left = table[ident[dom[:n]], at] != at
+    right = table[at, ident[cod[:n]]] != at
+    for i in (left | right).nonzero()[0].tolist():
+        if left[i]:
+            rep.add("identity-law", "left identity fails", f=labels[i])
+        if right[i]:
+            rep.add("identity-law", "right identity fails", f=labels[i])
+    for i, j, k in _associativity_failures(table, entries):
+        rep.add("associativity", "(fg)h != f(gh)", f=labels[i], g=labels[j], h=labels[k])
     return rep
+
+
+def _associativity_failures(table: np.ndarray, entries: np.ndarray) -> list:
+    """The composable triples (i, j, k) with (ij)k != i(jk), in position order,
+    of a table defined exactly on the composable pairs.  For each entry
+    (i, j) -> ij, the rows of ij and j in the table hold (ij)k and jk for every
+    k that can follow j, and -1 elsewhere; i(jk) is one gather.  The entries
+    are taken CHUNK table cells at a time."""
+    n = len(table)
+    flat = table.ravel()
+    step = max(1, CHUNK // max(1, n))
+    failures = []
+    for a in range(0, entries.shape[1], step):
+        f, g, h = entries[:, a:a + step]
+        jk = table[g]
+        wrong = (table[h] != flat[(f * n)[:, None] + jk]) & (jk >= 0)
+        if np.count_nonzero(wrong):
+            e, k = wrong.nonzero()
+            failures.append(np.stack([f[e], g[e], k]))
+    if not failures:
+        return []
+    i, j, k = np.concatenate(failures, axis=1)
+    return sorted(zip(i.tolist(), j.tolist(), k.tolist()))
 
 
 def functor_failures(c: FinCategory, k: FieldSpec, mats: dict, contravariant: bool):
@@ -233,13 +281,12 @@ def linearize(c: FinCategory, k: FieldSpec):
         raise ValueError(f"cannot linearize invalid category: {rep.summary()}")
     labels, index = c.index.labels, c.index.pos
     d = len(labels)
-    products = [(index[f], index[g], index[h])  # table entry: g then f
-                for (g, f), h in c.compose.items()]
+    g, f, h = c.index.entries  # table entry g then f: e_f e_g = e_h
     unit = k.zeros(d)
     for x in c.objects:
         unit[index[c.identity[x]]] = k.one
-    return FDAlgebra(field=k, dim=d, constants=basis_products(k, products), unit=unit,
-                     basis_labels=tuple(labels),
+    return FDAlgebra(field=k, dim=d, constants=basis_products(k, np.stack([f, g, h], 1)),
+                     unit=unit, basis_labels=tuple(labels),
                      name=f"k[{c.name}]" if c.name else "k[C]")
 
 
@@ -275,9 +322,17 @@ def validate_functor(fun: CatFunctor) -> Report:
     for x in s.objects:
         if fun.on_mor(s.identity[x]) != t.identity[fun.on_obj(x)]:
             rep.add("functor", "identity not preserved", object=x)
-    for (f, g), h in s.compose.items():
-        if t.then(fun.on_mor(f), fun.on_mor(g)) != fun.on_mor(h):
-            rep.add("functor", "composition not preserved", f=f, g=g)
+    # an entry naming no morphism of s has no image; every other entry is
+    # checked as one gather from the table of t
+    img = np.array([t.index.pos[fun.mor_map[f]] for f in s.mor], np.int64)
+    f, g, h = s.index.entries
+    wrong = (f < 0) | (g < 0) | (h < 0)
+    known = ~wrong
+    wrong[known] = t.index.table[img[f[known]], img[g[known]]] != img[h[known]]
+    if wrong.any():
+        keys = list(s.compose)
+        for e in np.flatnonzero(wrong).tolist():
+            rep.add("functor", "composition not preserved", f=keys[e][0], g=keys[e][1])
     return rep
 
 

@@ -442,18 +442,17 @@ def cohomology_dims(c: FinCategory, f: CatModule, max_n: int) -> list:
 # -- group cohomology --------------------------------------------------------------
 
 def _abelian_group(c: FinCategory) -> tuple:
-    """The composition table of c and the position of its identity, when c has
-    one object and its morphisms form an abelian group: every table row is a
-    permutation and the table is symmetric."""
+    """The composition table of c, as lists of positions, and the position of
+    its identity, when c has one object and its morphisms form an abelian
+    group: every table row is a permutation and the table is symmetric."""
     if len(c.objects) != 1:
         raise ValueError("bar route needs a one-object category")
     table = c.index.table
-    every = set(range(len(table)))
-    if any(set(row) != every for row in table):
+    if (np.sort(table, axis=1) != np.arange(len(table))).any():
         raise ValueError("bar route needs a group: a table row is not a permutation")
-    if any(table[i][j] != table[j][i] for i in range(len(table)) for j in range(i)):
+    if (table != table.T).any():
         raise ValueError("bar route needs an abelian group: the table is not symmetric")
-    return table, c.index.pos[c.identity[c.objects[0]]]
+    return table.tolist(), c.index.pos[c.identity[c.objects[0]]]
 
 
 def bar_index(c: FinCategory, q: int) -> tuple:

@@ -646,6 +646,24 @@ def test_cochain_differential_past_the_limit_exits_two(tmp_path, capsys, monkeyp
                                    f"{rows * cols} entries exceeds desk-scale limit 100"]
 
 
+def test_cohomology_past_the_nerve_limit_builds_no_resolution(tmp_path, capsys, monkeypatch):
+    """The nerve route runs first, so a job its limits refuse exits 2 before
+    the resolution route starts."""
+    calls = []
+    resolve = homengine.free_resolution
+    monkeypatch.setattr(homengine, "free_resolution",
+                        lambda *args: calls.append(args) or resolve(*args))
+    text = (PROBLEMS / "z2_cohomology.yaml").read_text().replace("order: 2", "order: 40")
+    code, doc = _run_main(tmp_path, capsys, text, "cohomology")
+    assert code == 2
+    assert doc["input_errors"] == [
+        "nerve enumeration of 2560000 chains exceeds desk-scale limit 500000"]
+    assert calls == []
+    code, doc = _run_main(tmp_path, capsys, (PROBLEMS / "z2_cohomology.yaml").read_text(),
+                          "cohomology")
+    assert code == 0 and len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["validate", "cohomology", "ext", "lhs-report"])
 def test_named_point_runs_clean(tmp_path, capsys, command):
     code, doc = _run_main(tmp_path, capsys, NAMED_POINT, command)
@@ -754,7 +772,7 @@ _ALGEBRA_TENSOR = "a left regular representation (dim^3)"
 # (path, table, preset block with %s for the parameter, its first value past
 # the limit, the number of entries a value asks for)
 PRESET_BOUNDS = [
-    ("category", _CATEGORY_TABLE, "{preset: discrete, count: %s}", _LIMIT + 1, lambda n: n),
+    ("category", _CATEGORY_TABLE, "{preset: discrete, count: %s}", 1415, lambda n: n * n),
     ("category", _CATEGORY_TABLE, "{preset: cyclic-monoid, size: %s}", 1415, lambda n: n * n),
     ("category", _CATEGORY_TABLE, "{preset: one-object-group, order: %s}", 1415,
      lambda n: n * n),

@@ -3,17 +3,24 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catext import fincat
 from catext.exactlin import FieldSpec
-from catext.fdalgebra import AlgHom, upper_triangular_algebra, validate_algebra, validate_hom
+from catext.fdalgebra import (AlgHom, group_algebra, upper_triangular_algebra,
+                              validate_algebra, validate_hom)
 from catext.fincat import (CatFunctor, FinCategory, functor_failures, is_isomorphism,
                            linearize, nerve_chains, opposite, validate_category,
                            validate_functor)
-from catext.presets import (broken_category, cyclic_monoid, discrete_category, F2, F3,
-                            one_object_group, poset_a2, trivial_category)
+from catext.presets import (broken_category, constant_precosheaf, cyclic_monoid,
+                            discrete_category, F2, F3, one_object_group, poset_a2,
+                            regular_right_module_system, trivial_category)
 from catext.validation import Report
 
 FIXTURES = [trivial_category(), poset_a2(), cyclic_monoid(3, 1),
             one_object_group(2), discrete_category(2), cyclic_monoid(2, 1)]
+# Gr(A, N) for A = k[Z/2] over F2, constant on A2, and N the regular right
+# module: 48 morphisms on two objects, so the laws are checked over hom blocks
+# of different sizes
+A2_Z2 = regular_right_module_system(constant_precosheaf(poset_a2(), group_algebra([2], F2)))
 
 
 @pytest.mark.parametrize("cat", FIXTURES, ids=lambda c: c.name)
@@ -94,7 +101,7 @@ def mutated_categories(draw):
     """A fixture with compose entries reassigned (half the time to a parallel
     morphism, which breaks only the laws), deleted or added and codomains
     moved; compose keys always name morphisms."""
-    c = draw(st.sampled_from(FIXTURES + [broken_category()]))
+    c = draw(st.sampled_from(FIXTURES + [broken_category(), A2_Z2.gr]))
     mor, compose = dict(c.mor), dict(c.compose)
     labels = list(c.mor)
     targets = labels + ["zz"]
@@ -128,6 +135,67 @@ def test_validate_category_matches_reference(cat):
     rep.add("extra", "added by the caller")
     rep.extend(reference_validate(broken_category()))
     assert validate_category(cat).as_dict() == expected
+
+
+def test_a2_z2_fixture_has_48_morphisms():
+    assert len(A2_Z2.gr.mor) == 48 and validate_category(A2_Z2.gr).ok
+
+
+@settings(max_examples=100)
+@given(mutated_categories())
+def test_validate_category_in_small_chunks_matches_reference(cat):
+    """With the associativity check taking 100 table cells at a time, the
+    entries of the 48-morphism fixture are split two per gather."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fincat, "CHUNK", 100)
+        assert validate_category(cat).as_dict() == reference_validate(cat).as_dict()
+
+
+def test_associativity_witnesses_across_chunks_keep_position_order(monkeypatch):
+    # reassign composites of non-identity entries to parallel morphisms, so
+    # only the laws break, then check one entry per gather
+    c = A2_Z2.gr
+    compose = dict(c.compose)
+    idents = set(c.identity.values())
+    keys = [key for key in compose if not idents & set(key)]
+    for key in keys[::7]:
+        ends = c.mor[compose[key]]
+        compose[key] = [f for f in c.mor if c.mor[f] == ends and f != compose[key]][0]
+    broken = FinCategory(c.objects, dict(c.mor), dict(c.identity), compose)
+    monkeypatch.setattr(fincat, "CHUNK", 1)
+    rep = validate_category(broken)
+    codes = [v.code for v in rep.violations]
+    assert codes.count("associativity") > 10
+    assert rep.as_dict() == reference_validate(broken).as_dict()
+
+
+def test_validate_category_memory_is_bounded_by_chunks():
+    # B(Z/128) has 2,097,152 composable triples: one gather over all of them
+    # would hold 8 MB per int32 array and 16 MB per index array
+    c = one_object_group(128)
+    tracemalloc.start()
+    try:
+        assert validate_category(c).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_index_past_the_cell_limit_is_refused_before_allocation():
+    # the 1,875-morphism Gr(A, N) fits; 4,097 morphisms are the first count past
+    assert 1875 ** 2 < fincat.CELL_LIMIT == 4096 ** 2 < 4097 ** 2
+    c = discrete_category(4097)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            validate_category(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("composition table of 4097 x 4097 = 16785409 cells exceeds "
+                              "desk-scale limit 16777216")
+    assert peak < 2**20
 
 
 def test_opposite_commutative_monoid_unchanged():
@@ -244,6 +312,85 @@ def test_functor_validation():
     bad = CatFunctor(c, c, {x: x for x in c.objects},
                      {"i0": "i0", "i1": "i1", "a": "i1"})
     assert not validate_functor(bad).ok
+
+
+def reference_validate_functor(fun: CatFunctor) -> Report:
+    """Entry-by-entry check of the functor laws: the oracle for
+    `validate_functor`.  A source entry that names a morphism the source does
+    not have has no image, so it is not preserved."""
+    rep = Report()
+    s, t = fun.source, fun.target
+    for x in s.objects:
+        if fun.obj_map.get(x) not in t.objects:
+            rep.add("functor", "object image missing", object=x)
+    for f in s.mor:
+        img = fun.mor_map.get(f)
+        if img not in t.mor:
+            rep.add("functor", "morphism image missing", f=f)
+        elif t.mor[img] != (fun.obj_map.get(s.dom(f)), fun.obj_map.get(s.cod(f))):
+            rep.add("functor", "image endpoints wrong", f=f, image=img)
+    if not rep.ok:
+        return rep
+    for x in s.objects:
+        if fun.mor_map[s.identity[x]] != t.identity[fun.obj_map[x]]:
+            rep.add("functor", "identity not preserved", object=x)
+    for (f, g), h in s.compose.items():
+        if any(m not in s.mor for m in (f, g, h)) \
+                or t.compose.get((fun.mor_map[f], fun.mor_map[g])) != fun.mor_map[h]:
+            rep.add("functor", "composition not preserved", f=f, g=g)
+    return rep
+
+
+FUNCTORS = [CatFunctor(c, c, {x: x for x in c.objects}, {f: f for f in c.mor})
+            for c in FIXTURES + [A2_Z2.gr]] + [A2_Z2.extension.pi, A2_Z2.extension.iota]
+
+
+@st.composite
+def mutated_functors(draw):
+    """A functor with images reassigned (mostly to a parallel morphism, which
+    breaks only the composition law), removed or moved to another object, and
+    source entries added that name a morphism the source does not have."""
+    fun = draw(st.sampled_from(FUNCTORS))
+    s, t = fun.source, fun.target
+    obj_map, mor_map, compose = dict(fun.obj_map), dict(fun.mor_map), dict(s.compose)
+    labels = list(s.mor)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["parallel", "parallel", "parallel", "reassign", "drop",
+                                   "object", "unknown entry"]))
+        f = draw(st.sampled_from(labels))
+        if op == "parallel" and mor_map.get(f) in t.mor:
+            ends = t.mor[mor_map[f]]
+            mor_map[f] = draw(st.sampled_from([g for g in t.mor if t.mor[g] == ends]))
+        elif op in ("parallel", "reassign"):
+            mor_map[f] = draw(st.sampled_from(list(t.mor)))
+        elif op == "drop":
+            mor_map.pop(f, None)
+        elif op == "object":
+            obj_map[draw(st.sampled_from(s.objects))] = draw(
+                st.sampled_from(list(t.objects) + ["nowhere"]))
+        else:
+            key = draw(st.sampled_from([(f, "zz"), ("zz", f), (f, f)]))
+            compose[key] = draw(st.sampled_from([f, "zz"]))
+            if draw(st.booleans()):
+                mor_map["zz"] = mor_map.get(f, f)
+    source = FinCategory(s.objects, s.mor, s.identity, compose, name=s.name)
+    return CatFunctor(source, t, obj_map, mor_map)
+
+
+@settings(max_examples=200)
+@given(mutated_functors())
+def test_validate_functor_matches_reference(fun):
+    assert validate_functor(fun).as_dict() == reference_validate_functor(fun).as_dict()
+
+
+def test_validate_functor_reports_an_entry_of_an_unknown_morphism():
+    c = poset_a2()
+    compose = dict(c.compose)
+    compose[("a", "zz")] = "a"
+    source = FinCategory(c.objects, c.mor, c.identity, compose)
+    fun = CatFunctor(source, c, {x: x for x in c.objects}, {f: f for f in c.mor})
+    assert [(v.message, v.witness) for v in validate_functor(fun).violations] == [
+        ("composition not preserved", {"f": "a", "g": "zz"})]
 
 
 def test_linearize_rejects_broken_category():
