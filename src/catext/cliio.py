@@ -30,7 +30,7 @@ from .coeffsys import (PrecosheafModule, validate_bimodule, validate_precosheaf,
 from .exactlin import FieldSpec
 from .fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_algebra,
                         group_algebra, upper_triangular_algebra, validate_algebra)
-from .fincat import FinCategory, validate_category
+from .fincat import TABLE_LIMIT, FinCategory, validate_category
 from .homengine import (CatModule, cat_ext_dims, cohomology_dims, constant_module,
                         nerve_cohomology_dims, representable_module, validate_cat_module)
 from .validation import Report
@@ -320,9 +320,9 @@ def _presets(noun, table, tag="preset", alias=None, entries=None, **block):
         before = len(errors)
         b = read(errors, path, value)
         size = len(errors) == before and table[b[tag]].size
-        if size and size(b) > constructions._TABLE_LIMIT:
+        if size and size(b) > TABLE_LIMIT:
             _err(errors, path, f"{entries} of {size(b)} entries exceeds the limit "
-                               f"of {constructions._TABLE_LIMIT}")
+                               f"of {TABLE_LIMIT}")
         return b
     return bounded
 

@@ -6,7 +6,7 @@ algebra homomorphism to every morphism, covariantly.  A precosheaf of modules
 per-morphism linear maps that are compatible with the algebra maps.  The
 validators check the functor laws of the algebra and module maps through
 `fincat.functor_failures`, then every compatibility equation on all basis
-triples, and report witnesses.
+pairs, one stacked comparison per morphism and law, and report witnesses.
 
 What is derived from a system is kept on it, built on first use and shared:
 the verdict and Gr(A) on a precosheaf, Gr(A, N), the fibers N(x) and the
@@ -23,7 +23,7 @@ import numpy as np
 
 from .exactlin import FieldSpec
 from .fdalgebra import FDAlgebra, AlgHom, AlgModule, validate_algebra, validate_hom, validate_module
-from .fincat import FinCategory, functor_failures, validate_category
+from .fincat import TABLE_LIMIT, FinCategory, functor_failures, validate_category
 from .validation import Report
 
 
@@ -154,6 +154,8 @@ def _validate_system(m: PrecosheafModule, side: str) -> Report:
     compatibility law of each action the side carries, left before right:
         M(f)(r . m) = A(f)(r) . M(f)(m)     (left)
         M(f)(m . s) = M(f)(m) . A(f)(s)     (right)
+    Each law at f is one stacked comparison over the basis of A(x); each
+    failing basis index is reported with its first failing m.
     """
     code, sym, wrong, invalid = _SIDES[side]
     rep = validate_precosheaf(m.precosheaf)
@@ -188,18 +190,18 @@ def _validate_system(m: PrecosheafModule, side: str) -> Report:
     left_law = f"{sym}(f)(r.m) != A(f)(r).{sym}(f)(m)"
     right_law = f"{sym}(f)(m.s) != {sym}(f)(m).A(f)(s)"
     for f, (x, y) in cat.mor.items():
-        af = m.precosheaf.on(f).matrix
-        mf = m.on(f)
-        mx, my = m.at(x), m.at(y)
-        laws = [(mx.left_action, my.left_of, "r", left_law)] if side == "bi" else []
-        laws.append((mx.right_action, my.right_of, "s", right_law))
-        for i in range(m.precosheaf.at(x).dim):
-            for action, image_of, key, msg in laws:
-                lhs = k.matmul(mf, action[i])
-                rhs = k.matmul(image_of(af[:, i]), mf)
-                if not k.equal(lhs, rhs):
-                    bad = next(j for j in range(mx.dim) if not k.equal(lhs[:, j], rhs[:, j]))
-                    rep.add("compatibility", msg, f=f, **{key: i}, m=bad)
+        images = m.precosheaf.on(f).matrix.T  # row i is A(f)(e_i)
+        basis = k.eye(len(images))
+        mf, mx, my = m.on(f), m.at(x), m.at(y)
+        laws = [("r", left_law, mx.left_of, my.left_of)] if side == "bi" else []
+        laws.append(("s", right_law, mx.right_of, my.right_of))
+        # [law][i, j]: the law at e_i fails in column j
+        bad = [(k.matmul(mf, at_x(basis)) != k.matmul(at_y(images), mf)).any(axis=1)
+               for _, _, at_x, at_y in laws]
+        for i in np.flatnonzero(np.any(bad, axis=(0, 2))).tolist():
+            for (key, msg, _, _), b in zip(laws, bad):
+                if b[i].any():
+                    rep.add("compatibility", msg, f=f, **{key: i}, m=int(b[i].argmax()))
     return rep
 
 
@@ -223,11 +225,10 @@ def abelian_group_category(orders, x) -> FinCategory:
     """Z/n1 x ... x Z/nr as a one-object category on x: a morphism (x, e) for
     every element e, in `iproduct` order (the order of `FieldSpec.vectors`
     when every n_i is p), composed by addition; the identity is (x, 0...0)."""
-    from .constructions import _TABLE_LIMIT  # constructions imports this module
     if any(n < 1 for n in orders):
         raise ValueError("cyclic orders must be >= 1")
     entries = prod(orders) ** 2
-    if entries > _TABLE_LIMIT:
+    if entries > TABLE_LIMIT:
         raise ValueError(f"composition table with {entries} entries exceeds desk scale")
     elems = list(iproduct(*(range(n) for n in orders)))
     compose = {((x, e), (x, g)): (x, tuple((a + b) % n for a, b, n in zip(e, g, orders)))

@@ -30,16 +30,14 @@ term is associative only with that algebra term, and the fiber extensions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from math import prod
 
 import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
-from .fdalgebra import BLOCK_TERMS, FDAlgebra, join_constants
-from .fincat import FinCategory
-
-_TABLE_LIMIT = 2_000_000
+from .fdalgebra import BLOCK_TERMS, FDAlgebra, join_constants, opposite_algebra, trivial_extension
+from .fincat import TABLE_LIMIT, FinCategory
 
 
 def _entries(mat: np.ndarray, row: int, col: int, out: int) -> tuple:
@@ -96,13 +94,13 @@ def extension_algebra(c: FinCategory, a: AlgebraPrecosheaf,
     for (f, g), h in c.compose.items():
         ag = a.on(g).matrix
         alg_z, mod_z = a.at(c.cod(g)), m.at(c.cod(g))
+        rights = mod_z.right_of(ag.T)  # [i]: the right action of A(g)(e_i)
         for i in range(da[f]):
-            agi = ag[:, i]
             # (e_j at g) * (e_i at f) = e_j A(g)(e_i) and (m_j at g) * (e_i at f)
             # = m_j.A(g)(e_i): column j of the right multiplications by A(g)(e_i)
-            blocks.append(_entries(alg_z.right_mult_matrix(agi),
+            blocks.append(_entries(alg_z.right_mult_matrix(ag[:, i]),
                                    start[g], start[f] + i, start[h]))
-            blocks.append(_entries(mod_z.right_of(agi), mstart[g], start[f] + i, mstart[h]))
+            blocks.append(_entries(rights[i], mstart[g], start[f] + i, mstart[h]))
         if mod_z.dim and alg_z.dim:
             # (e_j at g) * (m_i at f) = e_j.M(g)(m_i): entry [j, l, i]
             w = k.matmul(np.stack(mod_z.left_action), m.on(g))
@@ -128,19 +126,8 @@ def _require_finite(k) -> None:
 
 def _guard_table(c: FinCategory, fiber_sizes: dict) -> None:
     total = sum(fiber_sizes[f] * fiber_sizes[g] for (f, g) in c.compose)
-    if total > _TABLE_LIMIT:
+    if total > TABLE_LIMIT:
         raise ValueError(f"composition table with {total} entries exceeds desk scale")
-
-
-def _act(k, mats: list, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_i a_i mats[i] v for stacks of algebra elements a and of vectors v
-    that broadcast against each other: one product of the outer products
-    a_i v_j with the table whose row (i, j) is column j of mats[i]."""
-    n = v.shape[-1]
-    outer = k.reduce(a[..., :, None] * v[..., None, :])
-    table = np.array(mats, dtype=np.int64).reshape(len(mats), n, n).transpose(0, 2, 1)
-    return k.matmul(outer.reshape(*outer.shape[:-2], len(mats) * n),
-                    table.reshape(len(mats) * n, n))
 
 
 def _grothendieck(c: FinCategory, a: AlgebraPrecosheaf, systems: tuple, law,
@@ -213,9 +200,9 @@ def gr_bimodule(c: FinCategory, a: AlgebraPrecosheaf,
     def law(g, r, mm, s, n):
         mod_z = m.at(c.cod(g))
         agr = k.matmul(r, a.on(g).matrix.T)
-        w = _act(k, mod_z.left_action, s, k.matmul(mm, m.on(g).T)) \
-            + _act(k, mod_z.right_action, agr, n)  # s.M(g)(m) + n.A(g)(r)
-        return a.at(c.cod(g)).mul(s, agr), k.reduce(w)
+        mg = k.matmul(mm, m.on(g).T)[..., None]  # M(g)(m) as columns
+        w = k.matmul(mod_z.left_of(s), mg) + k.matmul(mod_z.right_of(agr), n[..., None])
+        return a.at(c.cod(g)).mul(s, agr), k.reduce(w[..., 0])  # s.M(g)(m) + n.A(g)(r)
     return _grothendieck(c, a, (m,), law, "Gr(A,M)")
 
 
@@ -232,8 +219,8 @@ def gr_right_module(c: FinCategory, a: AlgebraPrecosheaf,
     def law(g, r, mm, s, nn):
         mod_z = n.at(c.cod(g))
         t = a.at(c.cod(g)).mul(k.matmul(r, a.on(g).matrix.T), s)
-        # n + N(g)(m).s
-        return t, k.reduce(nn + _act(k, mod_z.right_action, s, k.matmul(mm, n.on(g).T)))
+        ng = k.matmul(mm, n.on(g).T)[..., None]  # N(g)(m) as columns
+        return t, k.reduce(nn + k.matmul(mod_z.right_of(s), ng)[..., 0])  # n + N(g)(m).s
     return _grothendieck(c, a, (n,), law, "Gr(A,N)")
 
 
@@ -264,33 +251,34 @@ def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
         embed(u o v) = embed(v) * embed(u)
 
     in the extension category algebra, i.e. the transport reverses
-    composition into multiplication.  Each morphism is embedded once and the
-    pairs are multiplied block by block in one stacked product.  Exhaustive;
-    returns the first failing pair as a witness.
+    composition into multiplication.  Each morphism is embedded once, as the
+    row at its position in `gr.index`, and the pairs are read as slices of
+    `gr.index.entries`, in table order, each slice multiplied in one stacked
+    product of at most BLOCK_TERMS terms.  Exhaustive; returns the first
+    failing pair in table order as a witness.
     """
     gr = gr if gr is not None else gr_bimodule(c, a, m)
     ext = ext if ext is not None else extension_algebra(c, a, m)
     k = ext.field
     index = {b: t for t, b in enumerate(ext.basis_labels)}
-    row = {u: t for t, u in enumerate(gr.mor)}
-    embed = k.zeros(len(gr.mor), ext.dim)
+    embed = k.zeros(len(gr.mor), ext.dim)  # row t embeds the morphism at position t
     for t, (r, mm, f) in enumerate(gr.mor):
         cols = [index[(f, "a", i)] for i in range(len(r))] \
             + [index[(f, "m", j)] for j in range(len(mm))]
         embed[t, cols] = k.array([*r, *mm])
     # pairs per block: the stacked product holds pairs x constants terms
     size = max(1, BLOCK_TERMS // max(1, len(ext.constants[0])))
-    pairs = iter(gr.compose.items())
-    checked = 0
-    while block := list(islice(pairs, size)):
-        u, v, w = np.array([(row[u], row[v], row[w]) for (u, v), w in block]).T
-        bad = np.nonzero(np.any(embed[w] != ext.mul(embed[v], embed[u]), axis=1))[0]
+    count = len(gr.compose)
+    if count and gr.index.entries.min() < 0:
+        raise ValueError("Gr(A, M) table has an entry that names no morphism")
+    for s in range(0, count, size):
+        u, v, w = gr.index.entries[:, s:s + size]
+        bad = np.flatnonzero(np.any(embed[w] != ext.mul(embed[v], embed[u]), axis=1))
         if len(bad):
-            (u, v), _ = block[bad[0]]
+            e, labels = int(bad[0]), gr.index.labels
             return CheckVerdict(False, "composition transport mismatch",
-                                {"u": u, "v": v}, checked + int(bad[0]) + 1)
-        checked += len(block)
-    return CheckVerdict(True, f"all {checked} composable pairs agree", None, checked)
+                                {"u": labels[u[e]], "v": labels[v[e]]}, s + e + 1)
+    return CheckVerdict(True, f"all {count} composable pairs agree", None, count)
 
 
 def _products(alg: FDAlgebra) -> tuple:
@@ -308,8 +296,6 @@ def check_degeneration(kind: str, c: FinCategory, a: AlgebraPrecosheaf,
     kind="skew": M must be the zero system; the extension algebra must equal
     the skew algebra on the same basis.
     """
-    from .fdalgebra import opposite_algebra, trivial_extension
-
     ext = extension_algebra(c, a, m)
     if kind == "trivial-ext":
         if len(c.objects) != 1 or len(c.mor) != 1:

@@ -206,21 +206,21 @@ class AlgModule:
     left_action: list = dfield(default_factory=list)
 
     def right_of(self, a_vec: np.ndarray) -> np.ndarray:
-        """Matrix of v -> v . a for an algebra element a."""
+        """Matrix of v -> v . a for an algebra element a; for a stack of them
+        (..., dim), the stack (..., n, n) of their matrices."""
         return _combine(self.algebra.field, a_vec, self.right_action, self.dim)
 
     def left_of(self, a_vec: np.ndarray) -> np.ndarray:
+        """Matrix of v -> a . v for an algebra element a; for a stack of them
+        (..., dim), the stack (..., n, n) of their matrices."""
         return _combine(self.algebra.field, a_vec, self.left_action, self.dim)
 
 
 def _combine(k: FieldSpec, coeffs: np.ndarray, mats: list, n: int) -> np.ndarray:
-    """sum_i coeffs[i] mats[i] for n x n matrices, as one kernel product over
-    the non-zero coefficients."""
-    nz = np.nonzero(coeffs)[0]
-    if not len(nz):
-        return k.zeros(n, n)
-    stacked = np.stack([mats[i] for i in nz]).reshape(len(nz), n * n)
-    return k.matmul(coeffs[nz], stacked).reshape(n, n)
+    """sum_i coeffs[..., i] mats[i] for n x n matrices: one product of the
+    coefficient stack with the stack of the flattened matrices."""
+    stack = np.array(mats, dtype=k.dtype).reshape(len(mats), n * n)
+    return k.matmul(coeffs, stack).reshape(*coeffs.shape[:-1], n, n)
 
 
 def validate_module(m: AlgModule) -> Report:

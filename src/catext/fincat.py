@@ -21,7 +21,8 @@ MorId = Hashable
 
 
 CELL_LIMIT = 2 ** 24  # cells of the dense composition table (a 64 MB int32 array)
-CHUNK = 2 ** 15  # table cells per gather of the associativity check
+TABLE_LIMIT = 2_000_000  # entries of a table built by enumerating elements
+CHUNK = 2 ** 15  # table cells per gather of the associativity and functor checks
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,18 +212,25 @@ def _associativity_failures(table: np.ndarray, entries: np.ndarray) -> list:
 def functor_failures(c: FinCategory, k: FieldSpec, mats: dict, contravariant: bool):
     """The objects x with mats[1_x] != id, and the table entries (f, g), in
     table order, with mats[fg] != mats[g] mats[f], or mats[f] mats[g] when
-    contravariant; entries with equal factor shapes share one stacked product."""
+    contravariant, of a valid category and matrices of its endpoints' shapes.
+    The matrices are stacked by position, zero-padded to one square size
+    (which changes no product or comparison), and the entries are gathered
+    from the stack in slices of at most CHUNK matrix cells."""
     objects = [x for x in c.objects if not k.equal(e := mats[c.identity[x]], k.eye(len(e)))]
-    groups: dict = {}  # factor shapes -> [(f, g, left factor, right factor, fg)]
-    for (f, g), h in c.compose.items():
+    ix = c.index
+    size = max((max(mats[f].shape) for f in ix.labels), default=0)
+    stack = k.zeros(len(ix.labels), size, size)
+    for t, f in enumerate(ix.labels):
+        stack[t, :len(mats[f]), :mats[f].shape[1]] = mats[f]
+    step = max(1, CHUNK // max(1, size * size))
+    bad = []
+    for a in range(0, ix.entries.shape[1], step):
+        f, g, h = ix.entries[:, a:a + step]
         left, right = (f, g) if contravariant else (g, f)
-        groups.setdefault((mats[left].shape, mats[right].shape), []).append((f, g, left, right, h))
-    bad = set()
-    for entries in groups.values():
-        left, right, h = (np.stack([mats[e[i]] for e in entries]) for i in (2, 3, 4))
-        wrong = (k.matmul(left, right) != h).any(axis=(1, 2))
-        bad.update(e[:2] for e, w in zip(entries, wrong) if w)
-    return objects, [fg for fg in c.compose if fg in bad]
+        wrong = (k.matmul(stack[left], stack[right]) != stack[h]).any(axis=(1, 2))
+        bad += (a + np.flatnonzero(wrong)).tolist()
+    keys = list(c.compose) if bad else []
+    return objects, [keys[e] for e in bad]
 
 
 def opposite(c: FinCategory) -> FinCategory:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rank, rref
 from .fdalgebra import AlgModule, FDAlgebra
-from .fincat import CatFunctor, FinCategory, functor_failures, linearize, nerve_chains
+from .fincat import (CatFunctor, FinCategory, functor_failures, linearize, nerve_chains,
+                     validate_category)
 from .validation import Report
 
 
@@ -45,7 +46,10 @@ class CatModule:
 
 
 def validate_cat_module(m: CatModule) -> Report:
-    rep = Report()
+    """A damaged category's own violations; else the shapes, then the functor laws."""
+    rep = validate_category(m.cat)
+    if not rep.ok:
+        return rep
     for f, (x, y) in m.cat.mor.items():
         mat = m.mats.get(f)
         if mat is None or mat.shape != (m.dims[x], m.dims[y]):
@@ -304,14 +308,12 @@ def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
     k = res.algebra.field
     d = res.algebra.dim
     nf = f.dim
-    action = np.array(f.right_action, dtype=k.dtype).reshape(d, nf * nf)
     diffs = []
     for i in range(max_n + 1):
         r_src, r_tgt = res.ranks[i], res.ranks[i + 1]
         # block (t, s) acts by block s of generator t's image: sum_j x_j rho_j
-        prod = k.matmul(res.gens[i].T.reshape(r_tgt * r_src, d), action)
-        diffs.append(prod.reshape(r_tgt, r_src, nf, nf).transpose(0, 2, 1, 3)
-                     .reshape(r_tgt * nf, r_src * nf))
+        blocks = f.right_of(res.gens[i].T.reshape(r_tgt, r_src, d))
+        diffs.append(blocks.transpose(0, 2, 1, 3).reshape(r_tgt * nf, r_src * nf))
     dims = [res.ranks[i] * nf for i in range(max_n + 2)]
     return CochainComplex(k, dims, diffs).cohomology_dims()
 

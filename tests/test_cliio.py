@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from catext import cli, cliio, coeffsys, constructions, extcheck, fdalgebra, homengine
+from catext import cli, cliio, coeffsys, constructions, extcheck, fdalgebra, fincat, homengine
 from catext.cliio import InputError, emit, parse, render, run
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -766,7 +766,7 @@ def test_unknown_key_exits_two(tmp_path, capsys, text, line):
 
 # -- preset sizes -----------------------------------------------------------------
 
-_LIMIT = constructions._TABLE_LIMIT
+_LIMIT = fincat.TABLE_LIMIT
 _CATEGORY_TABLE = "a composition table"
 _ALGEBRA_TENSOR = "a left regular representation (dim^3)"
 # (path, table, preset block with %s for the parameter, its first value past

@@ -302,6 +302,18 @@ def test_transport_blocks_keep_the_per_pair_verdict(monkeypatch, terms):
             for t in cases] == [True, False, False, False]
 
 
+def test_transport_refuses_an_entry_that_names_no_morphism():
+    c = poset_a2()
+    a = constant_precosheaf(c, group_algebra([2], F2))
+    m = regular_bimodule_system(a)
+    gr = gr_bimodule(c, a, m)
+    bad = dict(gr.compose)
+    bad[next(iter(bad))] = "zz"
+    table = FinCategory(gr.objects, dict(gr.mor), dict(gr.identity), bad)
+    with pytest.raises(ValueError, match="names no morphism"):
+        check_composition_antihom(c, a, m, gr=table)
+
+
 # -- degenerations ---------------------------------------------------------------------
 
 def test_degeneration_rationals_dual_numbers():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catext import fdalgebra
-from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_algebra,
-                              free_module, group_algebra, identity_hom, opposite_algebra,
-                              regular_bimodule, trivial_extension, upper_triangular_algebra,
-                              validate_algebra, validate_hom, validate_module, zero_module)
+from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, basis_products, dual_numbers,
+                              field_algebra, free_module, group_algebra, identity_hom,
+                              opposite_algebra, regular_bimodule, trivial_extension,
+                              upper_triangular_algebra, validate_algebra, validate_hom,
+                              validate_module, zero_module)
 from catext.exactlin import FieldSpec
 from catext.fincat import linearize
 from catext.presets import F2, F3, QQ, cyclic_monoid, field_product, poset_a2
@@ -282,6 +283,35 @@ def _ref_combine(k, coeffs, mats, n):
         if x:
             out = k.reduce(out + k.reduce(x * mat))
     return out
+
+
+COMBINE_FIELDS = [F2, F3, FieldSpec.prime(65521), FieldSpec.prime(2**31 - 1), QQ]
+
+
+@pytest.mark.parametrize("k", COMBINE_FIELDS, ids=lambda k: f"F{k.p}" if k.p else "Q")
+@pytest.mark.parametrize("d, n", [(0, 0), (0, 2), (3, 0), (1, 1), (3, 2), (4, 3)])
+@pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
+def test_actions_of_a_stack_are_the_per_element_sums(k, d, n, stack):
+    """right_of and left_of of a (..., d) stack of algebra elements give the
+    (..., n, n) stack of sum_i a_i rho_i and sum_i a_i lam_i, element by
+    element, whatever the action matrices are."""
+    rng = Random(f"{k.p}-{d}-{n}-{stack}")
+
+    def draw(*shape):
+        if k.is_prime_field:
+            return k.array(np.array([rng.randrange(k.p) for _ in range(int(np.prod(shape)))],
+                                    dtype=np.int64).reshape(shape))
+        return k.array([Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+                        for _ in range(int(np.prod(shape)))]).reshape(shape)
+    alg = FDAlgebra(k, d, basis_products(k, []), k.zeros(d))
+    rights, lefts = [draw(n, n) for _ in range(d)], [draw(n, n) for _ in range(d)]
+    mod = AlgModule(alg, n, "bi", right_action=rights, left_action=lefts)
+    elements = draw(*stack, d)
+    for action_of, mats in ((mod.right_of, rights), (mod.left_of, lefts)):
+        got = action_of(elements)
+        assert got.shape == (*stack, n, n) and got.dtype == k.dtype
+        for idx in np.ndindex(*stack):
+            assert got[idx].tolist() == _ref_combine(k, elements[idx], mats, n).tolist()
 
 
 def _ref_mul(a, x, y):

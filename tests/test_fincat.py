@@ -1,5 +1,7 @@
 import tracemalloc
+from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +12,11 @@ from catext.fdalgebra import (AlgHom, group_algebra, upper_triangular_algebra,
 from catext.fincat import (CatFunctor, FinCategory, functor_failures, is_isomorphism,
                            linearize, nerve_chains, opposite, validate_category,
                            validate_functor)
-from catext.presets import (broken_category, constant_precosheaf, cyclic_monoid,
-                            discrete_category, F2, F3, one_object_group, poset_a2,
-                            regular_right_module_system, trivial_category)
+from catext.homengine import representable_module
+from catext.presets import (a2_augmentation_precosheaf, broken_category, constant_precosheaf,
+                            cyclic_monoid, discrete_category, F2, F3, one_object_group, poset_a2,
+                            regular_right_module_system, trivial_category,
+                            zero_right_module_system)
 from catext.validation import Report
 
 FIXTURES = [trivial_category(), poset_a2(), cyclic_monoid(3, 1),
@@ -341,6 +345,19 @@ def reference_validate_functor(fun: CatFunctor) -> Report:
     return rep
 
 
+def reference_functor_failures(c: FinCategory, k: FieldSpec, mats: dict, contravariant: bool):
+    """Entry-by-entry check of the functor laws of a matrix family: the
+    oracle for `functor_failures`."""
+    objects = [x for x in c.objects
+               if not k.equal(mats[c.identity[x]], k.eye(len(mats[c.identity[x]])))]
+    pairs = []
+    for (f, g), h in c.compose.items():
+        composite = k.matmul(mats[f], mats[g]) if contravariant else k.matmul(mats[g], mats[f])
+        if not k.equal(mats[h], composite):
+            pairs.append((f, g))
+    return objects, pairs
+
+
 FUNCTORS = [CatFunctor(c, c, {x: x for x in c.objects}, {f: f for f in c.mor})
             for c in FIXTURES + [A2_Z2.gr]] + [A2_Z2.extension.pi, A2_Z2.extension.iota]
 
@@ -437,3 +454,68 @@ def test_functor_failures_stacks_mixed_shapes_in_table_order():
     mats["i0"] = k.array([[2]])  # into k^0 every map agrees, so ab passes
     assert functor_failures(c, k, mats, contravariant=False) == (
         ["0"], [("i0", "i0"), ("i0", "a")])
+
+
+FAMILY_FIELDS = [F2, F3, FieldSpec.prime(65521), FieldSpec.prime(2**31 - 1),
+                 FieldSpec.rationals()]
+
+
+@cache
+def _families(k: FieldSpec) -> list:
+    """(category, matrices, contravariant) for families that satisfy the
+    functor laws on carriers of different dimensions: the representable
+    modules Hom(-, y), 0 at an object with no morphism to y, and their
+    transposes, which are covariant; the algebra maps k[Z/2] -> k of the
+    augmentation precosheaf on A2 and its regular and zero module systems.
+    Over Q the 48-morphism fixture, with its 16 x 16 blocks, is left out to
+    keep the `Fraction` products few."""
+    out = []
+    cats = [_chain3(), poset_a2(), cyclic_monoid(3, 1)] + [A2_Z2.gr] * bool(k.p)
+    for c in cats:
+        for y in c.objects:
+            mats = representable_module(c, k, y).mats
+            out.append((c, mats, True))
+            out.append((c, {f: np.array(m.T, copy=True) for f, m in mats.items()}, False))
+    aug = a2_augmentation_precosheaf(k)
+    out.append((aug.base, {f: h.matrix for f, h in aug.maps.items()}, False))
+    out.append((aug.base, regular_right_module_system(aug).maps, False))
+    out.append((aug.base, zero_right_module_system(aug).maps, False))
+    return out
+
+
+def test_family_fixtures_have_carriers_of_different_dimensions():
+    for k in FAMILY_FIELDS:
+        for c, mats, contravariant in _families(k):
+            assert functor_failures(c, k, mats, contravariant) == ([], [])
+        sizes = {frozenset(len(mats[c.identity[x]]) for x in c.objects)
+                 for c, mats, _ in _families(k)}
+        assert any(len(s) > 1 and 0 in s for s in sizes)
+
+
+@st.composite
+def matrix_families(draw):
+    """A family of `_families` with up to three matrix entries raised by one,
+    so that its identities and table entries fail in varied places."""
+    k = draw(st.sampled_from(FAMILY_FIELDS))
+    c, mats, contravariant = draw(st.sampled_from(_families(k)))
+    mats = dict(mats)
+    for _ in range(draw(st.integers(0, 3))):
+        f = draw(st.sampled_from(list(c.mor)))
+        bad = np.array(mats[f], copy=True)
+        if bad.size:
+            i, j = draw(st.integers(0, bad.shape[0] - 1)), draw(st.integers(0, bad.shape[1] - 1))
+            bad[i, j] = k.coerce(bad[i, j] + 1)
+            mats[f] = bad
+    return c, k, mats, contravariant
+
+
+@settings(max_examples=150)
+@given(matrix_families(), st.sampled_from([1, 37, fincat.CHUNK]))
+def test_functor_failures_matches_reference(family, chunk):
+    """With CHUNK at 1 or 37 cells the entries are checked over many
+    slices of the table."""
+    c, k, mats, contravariant = family
+    want = reference_functor_failures(c, k, mats, contravariant)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fincat, "CHUNK", chunk)
+        assert functor_failures(c, k, mats, contravariant) == want

@@ -68,6 +68,18 @@ def test_broken_cat_module_detected():
     assert not validate_cat_module(m).ok
 
 
+def test_cat_module_on_a_damaged_table_reports_the_category():
+    """A table entry (t, t) -> zz naming no morphism: the category's
+    violations are the module's verdict, and no functor law is checked."""
+    c = FinCategory(("*",), {"id": ("*", "*"), "t": ("*", "*")}, {"*": "id"},
+                    {("id", "id"): "id", ("id", "t"): "t", ("t", "id"): "t", ("t", "t"): "zz"})
+    m = CatModule(c, F2, {"*": 1}, {"id": F2.eye(1), "t": F2.eye(1)})
+    rep = validate_cat_module(m)
+    assert rep.as_dict() == validate_category(c).as_dict()
+    assert [(v.message, v.witness) for v in rep.violations] == [
+        ("composite not a morphism", {"f": "t", "g": "t", "h": "zz"})]
+
+
 def reference_validate_cat_module(m) -> Report:
     """The module validator as written before the functor laws moved to
     `fincat.functor_failures`: the oracle for `validate_cat_module`."""

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,13 +28,17 @@ def test_lhs_survey_runs_from_checkout(tmp_path):
     assert res.stdout.rstrip().endswith("0 violation(s)")
 
 
-def test_paper_rung_runs_from_checkout(tmp_path):
-    """The 243-morphism rung keeps the output recorded in BENCH_7.json."""
-    res = _script(tmp_path, "paper_rung.py", "--caps", "1,1,1")
+@pytest.mark.parametrize("caps, md5", [((1, 1, 1), "84ca7df58f0019a6bb68d3573b605daf"),
+                                       ((2, 2, 2), "6ef33f5f1fd4418eb0a41aa91c620f41")],
+                         ids=["1-1-1", "2-2-2"])
+def test_paper_rung_runs_from_checkout(tmp_path, caps, md5):
+    """The 243-morphism rung keeps the output recorded in BENCH_7.json at
+    caps (1,1,1) and the one recorded at caps (2,2,2)."""
+    res = _script(tmp_path, "paper_rung.py", "--caps", ",".join(map(str, caps)))
     assert res.returncode == 0, res.stderr
     line = json.loads(res.stdout)
-    assert line["caps"] == [1, 1, 1] and line["exit"] == 0
-    assert line["md5"] == "84ca7df58f0019a6bb68d3573b605daf"
+    assert line["caps"] == list(caps) and line["exit"] == 0
+    assert line["md5"] == md5
     assert line["wall_s"] > 0 and line["peak_rss_mb"] > 0
     # 172 MB while the algebra of Gr(A, N) was held as a dense 243^3 tensor
     assert line["peak_rss_mb"] < 120
