@@ -46,6 +46,7 @@ _LIMB = 16  # bits of the low limb and log2 of the inner chunk of the split prod
 _BLAS_ROWS = 16
 _BLAS_WORK = 1 << 16
 _BLOCK = 64  # rows per block of the row-blocked elimination
+VECTOR_LIMIT = 1 << 20  # vectors of one `FieldSpec.vectors` enumeration
 
 
 def _is_prime(n: int) -> bool:
@@ -191,13 +192,14 @@ class FieldSpec:
     def is_zero(self, a: np.ndarray) -> bool:
         return not np.any(a)
 
-    def vectors(self, dim: int, limit: int = 1 << 20):
+    def vectors(self, dim: int):
         """All vectors of F_p**dim as int tuples, in lexicographic order."""
         if not self.is_prime_field:
             raise ValueError("element enumeration needs a finite field")
         count = self.characteristic**dim
-        if count > limit:
-            raise ValueError(f"enumeration of {count} vectors exceeds desk-scale limit {limit}")
+        if count > VECTOR_LIMIT:
+            raise ValueError(f"enumeration of {count} vectors exceeds desk-scale limit "
+                             f"{VECTOR_LIMIT}")
         return [t for t in iproduct(range(self.characteristic), repeat=dim)]
 
 

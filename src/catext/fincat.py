@@ -23,6 +23,7 @@ MorId = Hashable
 CELL_LIMIT = 2 ** 24  # cells of the dense composition table (a 64 MB int32 array)
 TABLE_LIMIT = 2_000_000  # entries of a table built by enumerating elements
 CHUNK = 2 ** 15  # table cells per gather of the associativity and functor checks
+NERVE_LIMIT = 500_000  # chains of one degree of the nerve
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,14 +245,14 @@ def opposite(c: FinCategory) -> FinCategory:
                        name=f"{c.name}^op" if c.name else "op")
 
 
-def nerve_chains(c: FinCategory, n: int, normalized: bool = False,
-                 limit: int = 500_000) -> list[tuple]:
+def nerve_chains(c: FinCategory, n: int, normalized: bool = False) -> list[tuple]:
     """All length-n composable morphism sequences (x0 -> x1 -> ... -> xn).
 
     Degree 0 chains are the objects, returned as 1-tuples (x,).  The
     unnormalized nerve (identities included) is the default; normalized=True
-    drops every chain containing an identity.  A degree of more than `limit`
-    chains is refused before it is built: the nerve route is a desk oracle.
+    drops every chain containing an identity.  A degree of more than
+    NERVE_LIMIT chains is refused before it is built: the nerve route is a
+    desk oracle.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -265,9 +266,9 @@ def nerve_chains(c: FinCategory, n: int, normalized: bool = False,
     chains = [(f,) for f in mors]
     for _ in range(n - 1):
         count = sum(len(starting.get(c.cod(ch[-1]), ())) for ch in chains)
-        if count > limit:
+        if count > NERVE_LIMIT:
             raise ValueError(f"nerve enumeration of {count} chains exceeds "
-                             f"desk-scale limit {limit}")
+                             f"desk-scale limit {NERVE_LIMIT}")
         chains = [ch + (g,) for ch in chains for g in starting.get(c.cod(ch[-1]), ())]
     return chains
 

@@ -8,15 +8,15 @@ in the test suite:
     cohomology of the Hom complex;
   * nerve route: the simplicial cochain complex on composable chains;
   * bar route: normalized bar cochains of a one-object category whose
-    morphisms form an abelian group, on tuples of positions in its index; it
-    keeps its own tuple complex, so it stays independent of the nerve route.
+    morphisms form an abelian group, indexed by arithmetic on the positions
+    of its morphisms; this module is the only one that knows that layout, and
+    the route stays independent of the nerve route.
 
 Degree caps are explicit everywhere; nothing is computed to unbounded degree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import NamedTuple
 
 import numpy as np
@@ -379,6 +379,8 @@ def nerve_cochain_complex(c: FinCategory, f: CatModule, max_n: int,
                           normalized: bool = False) -> CochainComplex:
     """C^q = sum over q-chains x0 -> ... -> xq of F(x0), with the simplicial
     differential (F acts on the x0-face, adjacent arrows compose, ends drop)."""
+    if not (rep := validate_category(c)).ok:
+        raise ValueError(f"cannot take nerve cochains of invalid category: {rep.summary()}")
     k = f.field
     chains = [nerve_chains(c, q, normalized=normalized) for q in range(max_n + 2)]
 
@@ -443,10 +445,21 @@ def cohomology_dims(c: FinCategory, f: CatModule, max_n: int) -> list:
 
 # -- group cohomology --------------------------------------------------------------
 
+def _ranks(c: FinCategory) -> np.ndarray:
+    """The rank of each position of the one-object c among the non-identity
+    ones, -1 at the identity.  Normalized bar q-cochains sit on q-tuples of
+    those in `iproduct` order: a tuple's index is its ranks in base |G| - 1."""
+    at = np.arange(len(c.mor))
+    e = c.index.pos[c.identity[c.objects[0]]]
+    return np.where(at == e, -1, at - (at > e))
+
+
 def _abelian_group(c: FinCategory) -> tuple:
-    """The composition table of c, as lists of positions, and the position of
-    its identity, when c has one object and its morphisms form an abelian
-    group: every table row is a permutation and the table is symmetric."""
+    """The composition table of c and its ranks, when c is a valid category
+    with one object whose morphisms form an abelian group: every table row is
+    a permutation and the table is symmetric."""
+    if not (rep := validate_category(c)).ok:
+        raise ValueError(f"cannot take bar cochains of invalid category: {rep.summary()}")
     if len(c.objects) != 1:
         raise ValueError("bar route needs a one-object category")
     table = c.index.table
@@ -454,15 +467,7 @@ def _abelian_group(c: FinCategory) -> tuple:
         raise ValueError("bar route needs a group: a table row is not a permutation")
     if (table != table.T).any():
         raise ValueError("bar route needs an abelian group: the table is not symmetric")
-    return table.tolist(), c.index.pos[c.identity[c.objects[0]]]
-
-
-def bar_index(c: FinCategory, q: int) -> tuple:
-    """The q-tuples of non-identity positions of the group c that index
-    normalized bar q-cochains, and the position of each tuple in that list."""
-    table, e = _abelian_group(c)
-    tuples = list(iproduct([g for g in range(len(table)) if g != e], repeat=q))
-    return tuples, {t: i for i, t in enumerate(tuples)}
+    return table, _ranks(c)
 
 
 def bar_cochain_complex(c: FinCategory, module: CatModule, max_q: int) -> CochainComplex:
@@ -471,32 +476,48 @@ def bar_cochain_complex(c: FinCategory, module: CatModule, max_q: int) -> Cochai
     on G^q that vanish on every tuple with an identity entry.  They form a
     subcomplex with the same cohomology as all of maps(G^q, V), on
     (|G| - 1)^q dim V coordinates in degree q instead of |G|^q dim V."""
-    table, e = _abelian_group(c)
+    table, ranks = _abelian_group(c)
     k = module.field
     nv = module.dims[c.objects[0]]
-    dims = [(len(table) - 1) ** q * nv for q in range(max_q + 2)]
+    m = len(table) - 1
+    dims = [m ** q * nv for q in range(max_q + 2)]
     _check_cells(dims)
-    acts = [module.on(f) for f in c.index.labels]
-    indices = [bar_index(c, q) for q in range(max_q + 2)] if nv else []
+    nonid = np.flatnonzero(ranks >= 0)
+    product = ranks[table[np.ix_(nonid, nonid)]]  # the rank of a product of two ranks
+    acts = np.stack([module.on(f) for f in c.index.labels])[nonid]
+    eye = k.eye(nv)
     diffs = []
     for q in range(max_q + 1):
         mat = k.zeros(dims[q + 1], dims[q])
-        if nv:
-            index = indices[q][1]
-            for r, t_new in enumerate(indices[q + 1][0]):
-                r0 = r * nv
-                c0 = index[t_new[1:]] * nv
-                mat[r0:r0 + nv, c0:c0 + nv] += acts[t_new[0]]
-                sign = 1
-                for i in range(1, q + 1):
-                    sign = -sign
-                    g = table[t_new[i - 1]][t_new[i]]
-                    if g != e:  # a normalized cochain vanishes there
-                        t_old = t_new[:i - 1] + (g,) + t_new[i + 1:]
-                        _add_diagonal(mat, r0, index[t_old] * nv, nv, sign)
-                _add_diagonal(mat, r0, index[t_new[:q]] * nv, nv, -sign)
+        if mat.size:  # each face for all (q + 1)-tuples r at once, unreduced
+            block = mat.reshape(m ** (q + 1), nv, m ** q, nv)  # [row tuple, :, column tuple, :]
+            r = np.arange(m ** (q + 1))
+            digit = [r // m ** (q - i) % m for i in range(q + 1)]
+            block[r, :, r % m ** q, :] += acts[digit[0]]
+            sign = 1
+            for i in range(1, q + 1):
+                sign = -sign
+                g = product[digit[i - 1], digit[i]]
+                keep = g >= 0  # a normalized cochain vanishes where g is the identity
+                cols = (r // m ** (q - i + 2) * m + g) * m ** (q - i) + r % m ** (q - i)
+                block[r[keep], :, cols[keep], :] += sign * eye
+            block[r, :, r // m, :] -= sign * eye
         diffs.append(k.reduce(mat))
     return CochainComplex(k, dims, diffs)
+
+
+def bar_pullback(cx: FinCategory, cy: FinCategory, alpha, phi: np.ndarray, q: int) -> np.ndarray:
+    """The map C^q(cy; V) -> C^q(cx; W) of normalized bar cochains along the
+    homomorphism g -> alpha[g] of abelian groups cx -> cy, on positions, and
+    phi: V -> W: the q-th Kronecker power of alpha's 0/1 matrix on non-identity
+    positions (a zero row where alpha hits the identity), tensored with phi.
+    The groups are not checked again; `bar_cochain_complex` checks them."""
+    image = _ranks(cy)[np.asarray(alpha)[_ranks(cx) >= 0]]
+    m, cols = len(cy.mor) - 1, np.zeros(1, np.int64)  # the image of each q-tuple of cx, or -1
+    for _ in range(q):
+        cols = np.where((cols[:, None] < 0) | (image < 0), -1, cols[:, None] * m + image).ravel()
+    hit = cols[:, None, None, None] == np.arange(m ** q)[:, None]  # the 0/1 power, as blocks
+    return (hit * phi[:, None, :]).reshape(len(cols) * phi.shape[0], m ** q * phi.shape[1])
 
 
 def group_cohomology_dims(c: FinCategory, module: CatModule, max_q: int) -> list:

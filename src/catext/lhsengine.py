@@ -28,7 +28,7 @@ import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .fincat import CatFunctor, FinCategory, linearize
-from .homengine import (CatModule, Subquotient, bar_cochain_complex, bar_index, cat_ext_dims,
+from .homengine import (CatModule, bar_cochain_complex, bar_pullback, cat_ext_dims,
                         ext_dims_from_resolution, free_resolution, restrict, subquotient,
                         to_algebra_module)
 
@@ -66,28 +66,24 @@ class SpectralReport:
 
 
 class _LhsContext:
-    """The bar indices and subquotients of the fibers N(x), per degree, over
-    the extension `n.extension` kept on the system."""
+    """The subquotients of the bar complexes of the fibers N(x), per degree,
+    over the extension `n.extension` kept on the system."""
 
     def __init__(self, c: FinCategory, a: AlgebraPrecosheaf,
                  n: PrecosheafModule, f: CatModule, qmax: int):
         self.c, self.a, self.n = c, a, n
         self.f = f
-        self.qmax = qmax
         self.ext = n.extension
         if set(f.cat.mor) != set(self.ext.total.mor):
             raise ValueError("coefficient module is not over Gr(A, N)")
         self.k = f.field
         self.fibers = n.fibers
-        self.indices, self.subqs = {}, {}
+        self.subqs = {}
         for x in c.objects:
             fx = fiber_restriction(n, f, x)
             bar = bar_cochain_complex(fx.cat, fx, qmax)
-            self.indices[x] = [bar_index(fx.cat, q) for q in range(qmax + 1)]
-            self.subqs[x] = [
-                subquotient(self.k, bar.d[q], bar.d[q - 1] if q else None)
-                for q in range(qmax + 1)
-            ]
+            self.subqs[x] = [subquotient(self.k, bar.d[q], bar.d[q - 1] if q else None)
+                             for q in range(qmax + 1)]
 
     # -- induced maps -----------------------------------------------------
     def alpha(self, lift) -> list:
@@ -102,30 +98,15 @@ class _LhsContext:
 
     def pullback_matrix(self, lift, q: int) -> np.ndarray:
         """Cochain-level map C^q(N(y); F(y)) -> C^q(N(x); F(x)) on normalized
-        bar cochains for a lift (r, m, f) of the Gr(A)-morphism (r, f).  The
-        row of a tuple t stays zero when alpha(t) has a zero entry: a
-        normalized cochain vanishes there."""
+        bar cochains for a lift (r, m, f) of the Gr(A)-morphism (r, f)."""
         x, y = self.c.mor[lift[-1]]
-        k = self.k
-        phi = self.f.on(lift)
-        al = self.alpha(lift)
-        nvx, nvy = self.f.dims[x], self.f.dims[y]
-        tx, _ = self.indices[x][q]
-        ty, iy = self.indices[y][q]
-        mat = k.zeros(len(tx) * nvx, len(ty) * nvy)
-        if nvx and nvy:
-            for i, t in enumerate(tx):
-                j = iy.get(tuple(al[m] for m in t))
-                if j is not None:
-                    mat[i * nvx:(i + 1) * nvx, j * nvy:(j + 1) * nvy] = phi
-        return mat
+        return bar_pullback(self.fibers[x], self.fibers[y], self.alpha(lift), self.f.on(lift), q)
 
     def induced_class_map(self, lift, q: int) -> np.ndarray:
         """Map on H^q classes induced by an arbitrary lift; shape
         (dim H^q at x, dim H^q at y)."""
         x, y = self.c.mor[lift[-1]]
-        sx: Subquotient = self.subqs[x][q]
-        sy: Subquotient = self.subqs[y][q]
+        sx, sy = self.subqs[x][q], self.subqs[y][q]
         if sx.dim == 0 or sy.dim == 0:
             return self.k.zeros(sx.dim, sy.dim)
         pulled = self.k.matmul(self.pullback_matrix(lift, q), sy.reps)
@@ -140,9 +121,7 @@ class _LhsContext:
     def local_system(self, q: int) -> HLocalSystem:
         gr_a = self.ext.base
         dims = {x: self.subqs[x][q].dim for x in self.c.objects}
-        mats = {}
-        for u in gr_a.mor:
-            mats[u] = self.induced_class_map(self.canonical_lift(u), q)
+        mats = {u: self.induced_class_map(self.canonical_lift(u), q) for u in gr_a.mor}
         return HLocalSystem(q, CatModule(gr_a, self.k, dims, mats, name=f"H^{q}(fibers)"))
 
 

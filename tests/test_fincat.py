@@ -248,16 +248,17 @@ def test_nerve_recurrence(cat, n):
     assert len(chains_n1) == sum(outdeg[end(ch)] for ch in chains_n)
 
 
-def test_nerve_chains_refuses_a_degree_before_building_it():
+def test_nerve_chains_refuses_a_degree_before_building_it(monkeypatch):
     # B(Z/30) has 900 chains of degree 2 and 27,000 of degree 3, which would
     # take about 2 MB as tuples
+    monkeypatch.setattr(fincat, "NERVE_LIMIT", 1000)
     c = one_object_group(30)
-    assert len(nerve_chains(c, 2, limit=1000)) == 900
+    assert len(nerve_chains(c, 2)) == 900
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^nerve enumeration of 27000 chains exceeds "
                                              "desk-scale limit 1000$"):
-            nerve_chains(c, 3, limit=1000)
+            nerve_chains(c, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,7 +15,7 @@ from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
 from catext.fincat import CatFunctor, FinCategory, linearize, validate_category
 from catext import homengine
 from catext.homengine import (CatModule, CochainComplex, Subquotient, _cover, _FreeModule,
-                              bar_cochain_complex, bar_index, cat_ext_dims,
+                              bar_cochain_complex, cat_ext_dims,
                               cohomology_dims, constant_module, ext_dims, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
                               nerve_cochain_complex, nerve_cohomology_dims,
@@ -601,9 +601,32 @@ def test_bar_route_needs_an_abelian_group(cat, message):
     assert validate_category(cat).ok
     f = constant_module(cat, F2)
     for call in (lambda: bar_cochain_complex(cat, f, 1),
-                 lambda: group_cohomology_dims(cat, f, 1), lambda: bar_index(cat, 1)):
+                 lambda: group_cohomology_dims(cat, f, 1)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def latin_square() -> FinCategory:
+    """One object, morphisms t0, t1, t2 with t0 named the identity, composed
+    by (ti, tj) -> t((-i - j) mod 3): a symmetric Latin square with no
+    identity element, so every row is a permutation but it is no group."""
+    t = [f"t{i}" for i in range(3)]
+    return FinCategory(("*",), {f: ("*", "*") for f in t}, {"*": "t0"},
+                       {(t[i], t[j]): t[(-i - j) % 3] for i in range(3) for j in range(3)},
+                       name="latin3")
+
+
+@pytest.mark.parametrize("call,verb", [(group_cohomology_dims, "take bar cochains of"),
+                                       (nerve_cohomology_dims, "take nerve cochains of"),
+                                       (cohomology_dims, "linearize")],
+                         ids=["bar", "nerve", "resolution"])
+def test_cohomology_routes_refuse_a_table_that_is_no_category(call, verb):
+    c = latin_square()
+    rep = validate_category(c)
+    assert {v.code for v in rep.violations} == {"identity-law", "associativity"}
+    with pytest.raises(ValueError, match=f"^cannot {verb} invalid category: "
+                                         r"\[identity-law\] left identity fails \(f='t1'\)\n"):
+        call(c, constant_module(c, F3), 3)
 
 
 def test_bar_route_reads_preset_groups():
@@ -721,6 +744,86 @@ def test_normalized_bar_complex_matches_unnormalized(case):
     assert normalized.cohomology_dims() == reference.cohomology_dims()
 
 
+def loop_bar_cochain_complex(c: FinCategory, module: CatModule,
+                             max_q: int) -> CochainComplex:
+    """The normalized bar complex built one (q + 1)-tuple at a time, on lists
+    of tuples of non-identity positions and dicts of their indices: the oracle
+    the arithmetic layout of `bar_cochain_complex` is compared against."""
+    k = module.field
+    nv = module.dims["*"]
+    table = c.index.table.tolist()
+    e = c.index.pos[c.identity["*"]]
+    tuples = [list(iproduct([g for g in range(len(table)) if g != e], repeat=q))
+              for q in range(max_q + 2)]
+    index = [{t: i for i, t in enumerate(ts)} for ts in tuples]
+    dims = [len(ts) * nv for ts in tuples]
+    acts = [module.on(f) for f in c.index.labels]
+    diag = np.arange(nv)
+    diffs = []
+    for q in range(max_q + 1):
+        mat = k.zeros(dims[q + 1], dims[q])
+        if nv:
+            for r, t_new in enumerate(tuples[q + 1]):
+                r0 = r * nv
+                c0 = index[q][t_new[1:]] * nv
+                mat[r0:r0 + nv, c0:c0 + nv] += acts[t_new[0]]
+                sign = 1
+                for i in range(1, q + 1):
+                    sign = -sign
+                    g = table[t_new[i - 1]][t_new[i]]
+                    if g != e:
+                        c0 = index[q][t_new[:i - 1] + (g,) + t_new[i + 1:]] * nv
+                        mat[r0 + diag, c0 + diag] += sign
+                c0 = index[q][t_new[:q]] * nv
+                mat[r0 + diag, c0 + diag] -= sign
+        diffs.append(k.reduce(mat))
+    return CochainComplex(k, dims, diffs)
+
+
+def _assert_bar_matches_loop(g, module, max_q):
+    """Equal dims, and differentials of equal dtype, shape and entries."""
+    got = bar_cochain_complex(g, module, max_q)
+    want = loop_bar_cochain_complex(g, module, max_q)
+    assert got.dims == want.dims
+    assert len(got.d) == len(want.d) == max_q + 1
+    for q, (mat, ref) in enumerate(zip(got.d, want.d)):
+        assert mat.dtype == ref.dtype and mat.shape == ref.shape, q
+        assert np.array_equal(mat, ref), q
+
+
+@settings(deadline=None)
+@given(groups_with_modules())
+def test_bar_differentials_match_loop_oracle(case):
+    g, module = case
+    # up to degree 3, lowered so that the loop oracle fills at most 20,000 cells
+    m, nv = len(g.mor) - 1, module.dims["*"]
+    _assert_bar_matches_loop(g, module, max([1] + [q for q in (2, 3)
+                                                   if m ** (2 * q + 1) * nv * nv <= 20_000]))
+
+
+def _rotation(g: FinCategory, k: FieldSpec) -> CatModule:
+    """Z/4 acting on k^2 by powers of the quarter turn."""
+    turn = np.array([[0, -1], [1, 0]])
+    return CatModule(g, k, {"*": 2}, {(x, e): k.array(np.linalg.matrix_power(turn, e[0]))
+                                      for x, e in g.mor})
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2**31 - 1), QQ], ids=["F2^31-1", "Q"])
+@pytest.mark.parametrize("orders,module", [
+    ((4,), "rotation"), ((2, 3), "sign"), ((2, 2), "trivial"), ((1,), "trivial")])
+def test_bar_differentials_match_loop_oracle_over_large_fields(field, orders, module):
+    g = group(*orders)
+    if module == "rotation":
+        f = _rotation(g, field)
+    elif module == "sign":
+        f = CatModule(g, field, {"*": 1}, {(x, e): field.array([[(-1) ** e[0]]])
+                                           for x, e in g.mor})
+    else:
+        f = trivial(g, field, 2)
+    assert validate_cat_module(f).ok
+    _assert_bar_matches_loop(g, f, 3)
+
+
 @given(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=2),
        st.integers(0, 2), st.sampled_from([F2, F3]))
 def test_h0_of_trivial_module_is_the_module(orders, dim, field):
@@ -748,6 +851,21 @@ def test_ext0_equals_nat_transform_dimension(cat):
     for g in mods:
         for f in mods:
             assert ext_dims(alg, g, f, 0)[0] == hom_space_dim(g, f)
+
+
+def test_ext_of_a_simple_module_tells_hom_blocks_from_their_transposes():
+    # S_1 on A2 is k at "1" and 0 at "0".  Its resolution has ranks 1, 2, 2.
+    # With rank-1 stages a Hom differential built from the transposed action
+    # matrices is the transpose of the right one and has its rank, but here
+    # it gives Ext^0 = Ext^1 = 1 instead of 0
+    c = poset_a2()
+    s1 = CatModule(c, F2, {"0": 0, "1": 1},
+                   {"i0": F2.zeros(0, 0), "i1": F2.eye(1), "a": F2.zeros(0, 1)}, name="S1")
+    assert validate_cat_module(s1).ok
+    k = constant_module(c, F2)
+    assert cat_ext_dims(c, s1, k, 2) == [0, 0, 0]
+    alg = linearize(c, F2)
+    assert hom_space_dim(to_algebra_module(s1, alg), to_algebra_module(k, alg)) == 0
 
 
 # -- word-size primes: the resolution route against the nerve route and Hom ------------

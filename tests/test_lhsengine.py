@@ -1,3 +1,4 @@
+from itertools import product as iproduct
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from catext.homengine import (CatModule, cat_ext_dims, constant_module,
                               representable_module, restrict, validate_cat_module)
 from catext.lhsengine import (_LhsContext, abutment, e2_page, fiber_restriction,
                               h_local_system, lhs_report)
-from catext.presets import (F2, F3, constant_precosheaf, one_object_group, poset_a2,
+from catext.presets import (F2, F3, QQ, constant_precosheaf, one_object_group, poset_a2,
                             regular_right_module_system, trivial_category,
                             zero_right_module_system)
 
@@ -233,6 +234,49 @@ def test_fiber_bar_route_equals_both_nerve_routes(a, n):
             bar = group_cohomology_dims(fx.cat, fx, 2)
             assert bar == nerve_cohomology_dims(fx.cat, fx, 2, normalized=True)
             assert bar == nerve_cohomology_dims(fx.cat, fx, 2)
+
+
+def loop_pullback_matrix(ctx, lift, q: int) -> np.ndarray:
+    """The pullback of a lift built one q-tuple at a time, on lists of tuples
+    of non-identity fiber positions and a dict of their indices: the oracle
+    `bar_pullback` is compared against."""
+    x, y = ctx.c.mor[lift[-1]]
+    phi, al = ctx.f.on(lift), ctx.alpha(lift)
+    nvx, nvy = ctx.f.dims[x], ctx.f.dims[y]
+
+    def tuples(fiber) -> list:
+        e = fiber.index.pos[fiber.identity[fiber.objects[0]]]
+        return list(iproduct([g for g in range(len(fiber.mor)) if g != e], repeat=q))
+    tx, ty = tuples(ctx.fibers[x]), tuples(ctx.fibers[y])
+    iy = {t: i for i, t in enumerate(ty)}
+    mat = ctx.k.zeros(len(tx) * nvx, len(ty) * nvy)
+    if nvx and nvy:
+        for i, t in enumerate(tx):
+            j = iy.get(tuple(al[m] for m in t))
+            if j is not None:
+                mat[i * nvx:(i + 1) * nvx, j * nvy:(j + 1) * nvy] = phi
+    return mat
+
+
+@pytest.mark.parametrize("a,n", [t[1:] for t in ALPHA_FIXTURES],
+                         ids=[t[0] for t in ALPHA_FIXTURES])
+def test_pullback_matches_loop_oracle(a, n):
+    """For every lift at q <= 2, with constant coefficients over the prime
+    field and over Q and with each Hom(-, x) of Gr(A, N); at q = 0 the
+    pullback is a copy of F(lift)."""
+    ext = n.extension
+    for f in (constant_module(ext.total, a.field), constant_module(ext.total, QQ),
+              *(representable_module(ext.total, a.field, x) for x in a.base.objects)):
+        ctx = _LhsContext(a.base, a, n, f, qmax=0)
+        for lift in ext.total.mor:
+            for q in range(3):
+                got, want = ctx.pullback_matrix(lift, q), loop_pullback_matrix(ctx, lift, q)
+                assert got.dtype == want.dtype and got.shape == want.shape, (lift, q)
+                assert np.array_equal(got, want), (lift, q)
+                assert list(map(type, got.flat)) == list(map(type, want.flat)), (lift, q)
+            kept = np.array(f.on(lift), copy=True)
+            ctx.pullback_matrix(lift, 0)[...] = 1
+            assert np.array_equal(f.on(lift), kept)
 
 
 def restrict_along_iso(ext, f):

@@ -1,4 +1,5 @@
 """The scripts in scripts/ run from a checkout, with PYTHONPATH unset."""
+import hashlib
 import json
 import os
 import subprocess
@@ -16,10 +17,16 @@ def _script(tmp_path, name, *args):
                           capture_output=True, text=True, env=env, cwd=tmp_path)
 
 
-def test_run_problems_runs_from_checkout(tmp_path):
-    res = _script(tmp_path, "run_problems.py")
+@pytest.mark.parametrize("args, md5", [((), "0b570113003d749a00763ab258d4c5d9"),
+                                       (("--format", "structured"),
+                                        "fe2785936e67994907c28d16a60fc142")],
+                         ids=["table", "structured"])
+def test_run_problems_runs_from_checkout(tmp_path, args, md5):
+    """Every problem file keeps its output, in both formats."""
+    res = _script(tmp_path, "run_problems.py", *args)
     assert res.returncode == 0, res.stderr
     assert "Traceback" not in res.stderr
+    assert hashlib.md5(res.stdout.encode()).hexdigest() == md5
 
 
 def test_lhs_survey_runs_from_checkout(tmp_path):
