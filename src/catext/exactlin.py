@@ -13,10 +13,12 @@ fields", ACM TOMS 2008):
 
 * while n (p - 1)^2 < 2^53, a matrix-matrix product whose left factor has at
   least 16 rows and which makes at least 2^16 multiply-adds is one float64
-  (BLAS) product and one mod.  Every partial sum is an integer below 2^53,
-  so it is exact; the bound decides correctness and the size gate only
-  speed.  p = 2^31 - 1 never takes it (already (p - 1)^2 > 2^53), and
-  vector-matrix products stay on int64, so nothing small is copied to float;
+  (BLAS) product, converted to int64 and reduced there (a mod on int64 is
+  several times cheaper than on float64).  Every partial sum is an integer
+  below 2^53, so the product and its conversion are exact; the bound
+  decides correctness and the size gate only speed.  p = 2^31 - 1 never
+  takes it (already (p - 1)^2 > 2^53), and vector-matrix products stay on
+  int64, so nothing small is copied to float;
 * while n (p - 1)^2 < 2^63, one int64 product and one mod;
 * above that, the left factor is split into 16-bit limbs and the inner
   dimension into chunks of 2^16, so that each limb product stays below 2^63.
@@ -163,7 +165,7 @@ class FieldSpec:
         inner = a.shape[-1]
         if a.ndim >= 2 and b.ndim >= 2 and a.shape[-2] >= _BLAS_ROWS \
                 and a.size * b.shape[-1] >= _BLAS_WORK and inner * (p - 1) ** 2 < 1 << 53:
-            return np.mod(a.astype(np.float64) @ b.astype(np.float64), p).astype(np.int64)
+            return np.mod((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64), p)
         if inner * (p - 1) ** 2 < 1 << 63:
             return np.mod(a @ b, p)
         # |hi| < 2^15 and 0 <= lo < 2^16 against |b| < 2^31, at most 2^16 terms

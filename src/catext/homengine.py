@@ -12,6 +12,18 @@ in the test suite:
     of its morphisms; this module is the only one that knows that layout, and
     the route stays independent of the nerve route.
 
+The fiber subquotients of the LHS engine (`bar_subquotients`) take ker d^q
+on the rows of d^q whose first entry is a generator.  If S generates the
+group G, a normalized q-cochain f is a cocycle iff (df)(s, h) = 0 for every
+s in S and every q-tuple h.  Proof: D = df has dD = 0, and the first two
+faces of (dD)(a, b, h) give D(ab, h) = a.D(b, h) + (faces whose first entry
+is a).  Every element of a finite group is a positive word in S, so
+induction on the length of g = s g' shows D(g, h) = 0 for all g (a tuple
+with an identity entry carries no cochain).  Those rows are |S| / (|G| - 1)
+of d^q; they span its row space, and the rref is unique, so the kernel basis
+is the one all rows give.  `bar_cochain_complex` and its cohomology keep
+every row and stay the independent oracle.
+
 Degree caps are explicit everywhere; nothing is computed to unbounded degree.
 """
 from __future__ import annotations
@@ -504,6 +516,43 @@ def bar_cochain_complex(c: FinCategory, module: CatModule, max_q: int) -> Cochai
             block[r, :, r // m, :] -= sign * eye
         diffs.append(k.reduce(mat))
     return CochainComplex(k, dims, diffs)
+
+
+def _generators(table: np.ndarray, e: int) -> np.ndarray:
+    """Positions generating the group with composition table `table` and
+    identity position e, picked greedily in position order: a position joins
+    when the ones before it do not reach it.  What they reach grows from e by
+    gathers table[reached][:, picked] until nothing new appears; in a finite
+    group that is the subgroup they generate."""
+    reached = np.zeros(len(table), dtype=bool)
+    reached[e] = True
+    picked: list = []
+    for g in range(len(table)):
+        if reached[g]:
+            continue
+        picked.append(g)
+        grown = True
+        while grown:
+            hit = table[reached][:, picked]
+            grown = not reached[hit].all()
+            reached[hit] = True
+    return np.array(picked, dtype=np.int64)
+
+
+def bar_subquotients(c: FinCategory, bar: CochainComplex) -> list:
+    """H^0 .. H^(len(bar.d) - 1) of the normalized bar complex
+    `bar_cochain_complex` built on the abelian group c, as subquotients.
+    ker d^q is taken on the rows whose first entry is a generator (module
+    docstring), the contiguous blocks of dims[q] rows at the generators'
+    ranks; im d^(q-1) keeps all its rows.  c is not checked again."""
+    m = len(c.mor) - 1
+    gens = _ranks(c)[_generators(c.index.table, c.index.pos[c.identity[c.objects[0]]])]
+    out = []
+    for q, d in enumerate(bar.d):
+        n = bar.dims[q]
+        rows = d.reshape(m, n, n)[gens].reshape(len(gens) * n, n)
+        out.append(subquotient(bar.field, rows, bar.d[q - 1] if q else None))
+    return out
 
 
 def bar_pullback(cx: FinCategory, cy: FinCategory, alpha, phi: np.ndarray, q: int) -> np.ndarray:

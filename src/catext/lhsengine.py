@@ -28,8 +28,8 @@ import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .fincat import CatFunctor, FinCategory, linearize
-from .homengine import (CatModule, bar_cochain_complex, bar_pullback, cat_ext_dims,
-                        ext_dims_from_resolution, free_resolution, restrict, subquotient,
+from .homengine import (CatModule, bar_cochain_complex, bar_pullback, bar_subquotients,
+                        cat_ext_dims, ext_dims_from_resolution, free_resolution, restrict,
                         to_algebra_module)
 
 
@@ -81,9 +81,7 @@ class _LhsContext:
         self.subqs = {}
         for x in c.objects:
             fx = fiber_restriction(n, f, x)
-            bar = bar_cochain_complex(fx.cat, fx, qmax)
-            self.subqs[x] = [subquotient(self.k, bar.d[q], bar.d[q - 1] if q else None)
-                             for q in range(qmax + 1)]
+            self.subqs[x] = bar_subquotients(fx.cat, bar_cochain_complex(fx.cat, fx, qmax))
 
     # -- induced maps -----------------------------------------------------
     def alpha(self, lift) -> list:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from catext import exactlin
 from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rank, rref, solve, solve_matrix
 from catext.fdalgebra import AlgModule, FDAlgebra
 
@@ -490,6 +491,25 @@ def test_stacked_matmul_above_the_size_gate_matches_int_oracle(p):
     sa, sb = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     assert k.matmul(sa, sb).tolist() == [_py_matmul(x, y, 50, p) for x, y in zip(a, b)]
     assert k.matmul(sa, sb[0]).tolist() == [_py_matmul(x, b[0], 50, p) for x in a]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 1048573])
+def test_float_branch_reduces_signed_products_to_int64_residues(p):
+    """Past the size gate and below the exactness bound, with left entries
+    anywhere in (-p, p): the product is int64, every entry is a residue in
+    [0, p), and it equals the Python-int product reduced mod p."""
+    n, m, l = 40, 48, 72
+    assert n >= exactlin._BLAS_ROWS and n * m * l >= exactlin._BLAS_WORK
+    assert m * (p - 1) ** 2 < 1 << 53 and exactlin._is_prime(p)
+    k = FieldSpec.prime(p)
+    rnd = Random(p)
+    a = [[rnd.randrange(-p + 1, p) for _ in range(m)] for _ in range(n)]
+    a[0] = [-(p - 1)] * m  # the most negative row sum
+    b = _residues(rnd, p, m, l)
+    got = k.matmul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (n, l)
+    assert ((0 <= got) & (got < p)).all()
+    assert got.tolist() == _py_matmul(a, b, l, p)
 
 
 def test_float_branch_stops_at_the_exactness_bound():

@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 from itertools import permutations, product as iproduct
+from math import gcd
 from random import Random
 
 import numpy as np
@@ -15,7 +16,7 @@ from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
 from catext.fincat import CatFunctor, FinCategory, linearize, validate_category
 from catext import homengine
 from catext.homengine import (CatModule, CochainComplex, Subquotient, _cover, _FreeModule,
-                              bar_cochain_complex, cat_ext_dims,
+                              bar_cochain_complex, bar_subquotients, cat_ext_dims,
                               cohomology_dims, constant_module, ext_dims, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
                               nerve_cochain_complex, nerve_cohomology_dims,
@@ -1059,10 +1060,109 @@ def test_subquotient_matches_one_vector_reference(pair):
     """Every field of the subquotient, dtype, shape and values, is the one the
     two insertion loops gave."""
     field, d_out, d_in = pair
-    got, want = subquotient(field, d_out, d_in), reference_subquotient(field, d_out, d_in)
+    _assert_same_subquotient(subquotient(field, d_out, d_in),
+                             reference_subquotient(field, d_out, d_in))
+
+
+def _assert_same_subquotient(got: Subquotient, want: Subquotient, where=()) -> None:
+    """Every field equal: arrays by dtype, shape and values."""
     for f in dataclasses.fields(Subquotient):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
-            assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist()), f.name
+            assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist()), \
+                (*where, f.name)
         else:
-            assert a == b, f.name
+            assert a == b, (*where, f.name)
+
+
+# -- fiber subquotients from the generator rows of the bar differentials -------------
+
+def _generator_positions(c: FinCategory) -> list:
+    return homengine._generators(c.index.table, c.index.pos[c.identity["*"]]).tolist()
+
+
+@pytest.mark.parametrize("orders,count", [
+    ((1,), 0), ((2,), 1), ((3,), 1), ((5,), 1), ((8,), 1), ((6,), 1),
+    ((2, 2), 2), ((2, 2, 2), 3), ((3, 3), 2), ((5, 5), 2), ((2, 4), 2)])
+def test_generators_generate_the_group(orders, count):
+    """Greedy in position order: none for the trivial group, one for a cyclic
+    group, r for (Z/p)^r; what they reach from the identity by composing on
+    the right is the whole group."""
+    g = group(*orders)
+    gens = _generator_positions(g)
+    assert len(gens) == count and gens == sorted(gens)
+    labels = g.index.labels
+    reached, frontier = {g.identity["*"]}, [g.identity["*"]]
+    while frontier:
+        frontier = [h for f in frontier for h in {g.then(f, labels[s]) for s in gens}
+                    if h not in reached]
+        reached.update(frontier)
+    assert reached == set(g.mor)
+
+
+def _twisted(g: FinCategory, k: FieldSpec, orders: tuple) -> CatModule:
+    """k^2 with commuting actions of the cyclic factors: when p divides some
+    n_i, factor i acts by the unipotent [[1, 1], [0, 1]] if p | n_i and
+    trivially otherwise; else by diag(1, z_i) with z_i a root of unity of
+    order gcd(n_i, p - 1)."""
+    p = k.p
+    if any(n % p == 0 for n in orders):
+        def act(e):
+            return [[1, sum(a for a, n in zip(e, orders) if n % p == 0)], [0, 1]]
+    else:
+        roots = []
+        for n in orders:
+            r, x = 1, 2
+            while gcd(n, p - 1) > 1 and r == 1:
+                r, x = pow(x, (p - 1) // gcd(n, p - 1), p), x + 1
+            roots.append(r)
+
+        def act(e):
+            z = 1
+            for r, a in zip(roots, e):
+                z = z * pow(r, a, p) % p
+            return [[1, 0], [0, z]]
+    return CatModule(g, k, {"*": 2}, {(x, e): k.array(act(e)) for x, e in g.mor})
+
+
+P31 = 2**31 - 1
+
+
+@pytest.mark.parametrize("orders,p,kind", [
+    ((1,), 2, "trivial"), ((1,), 65521, "twisted"), ((2,), 2, "twisted"),
+    ((2,), P31, "twisted"), ((3,), 3, "twisted"), ((3,), P31, "trivial"),
+    ((4,), 2, "twisted"), ((4,), 5, "twisted"), ((5,), 5, "trivial"),
+    ((5,), 65521, "twisted"), ((6,), 3, "twisted"), ((6,), 7, "twisted"),
+    ((7,), 7, "twisted"), ((7,), 2, "trivial"), ((8,), 2, "twisted"), ((8,), 3, "trivial"),
+    ((2, 2), 2, "twisted"), ((2, 2), 3, "twisted"), ((2, 2), P31, "trivial"),
+    ((2, 2, 2), 2, "trivial"), ((2, 2, 2), 2, "twisted"), ((2, 2, 2), 65521, "trivial"),
+    ((2, 4), 2, "twisted"), ((2, 4), 5, "trivial"), ((3, 3), 3, "trivial"),
+    ((3, 3), 3, "twisted"), ((3, 3), 7, "twisted"),
+])
+def test_bar_subquotients_match_subquotients_on_all_rows(orders, p, kind):
+    """ker d^q from the generator rows is the kernel of all of d^q, so every
+    field of each subquotient, dtype, shape and values, is the one all rows
+    give, for q <= 3."""
+    g, k = group(*orders), FieldSpec.prime(p)
+    module = trivial(g, k) if kind == "trivial" else _twisted(g, k, orders)
+    assert validate_cat_module(module).ok
+    bar = bar_cochain_complex(g, module, 3)
+    got = bar_subquotients(g, bar)
+    assert len(got) == 4
+    for q, sq in enumerate(got):
+        _assert_same_subquotient(sq, subquotient(k, bar.d[q], bar.d[q - 1] if q else None), (q,))
+
+
+def test_bar_subquotients_need_every_generator(monkeypatch):
+    """Mutation check: with one generator of (Z/2)^2 dropped, the rows left
+    no longer cut out the cocycles: over F2, ker d^2 grows from 4 to 5."""
+    g = group(2, 2)
+    bar = bar_cochain_complex(g, trivial(g, F2), 2)
+    gens = homengine._ranks(g)[_generator_positions(g)]
+    d2 = bar.d[2].reshape(3, 9, 9)
+    assert kernel_basis(Matrix(F2, d2[gens].reshape(-1, 9))).rows == 4
+    assert kernel_basis(Matrix(F2, d2[gens[:1]].reshape(-1, 9))).rows == 5
+    assert [sq.dim for sq in bar_subquotients(g, bar)] == [1, 2, 3]
+    orig = homengine._generators
+    monkeypatch.setattr(homengine, "_generators", lambda table, e: orig(table, e)[:1])
+    assert [sq.dim for sq in bar_subquotients(g, bar)] == [1, 2, 4]
