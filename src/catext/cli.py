@@ -34,7 +34,7 @@ def main(argv: list | None = None) -> int:
 
     try:
         text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:

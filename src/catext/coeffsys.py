@@ -213,14 +213,6 @@ def validate_right_module(n: PrecosheafModule) -> Report:
     return _validate_system(n, "right")
 
 
-def forget_left_action(m: PrecosheafModule) -> PrecosheafModule:
-    mods = {x: AlgModule(mod.algebra, mod.dim, "right",
-                         right_action=[np.array(r, copy=True) for r in mod.right_action])
-            for x, mod in m.modules.items()}
-    return PrecosheafModule(m.precosheaf, mods, dict(m.maps),
-                            name=f"{m.name}-as-right" if m.name else "")
-
-
 def abelian_group_category(orders, x) -> FinCategory:
     """Z/n1 x ... x Z/nr as a one-object category on x: a morphism (x, e) for
     every element e, in `iproduct` order (the order of `FieldSpec.vectors`

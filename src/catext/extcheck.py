@@ -27,17 +27,6 @@ class CatExtension:
     pi: CatFunctor
 
 
-def connecting_morphisms(e: CatExtension, f, g) -> list:
-    """All h in Mor K with (f then iota(h)) = g in the total category."""
-    total = e.total
-    out = []
-    for h in e.kernel.mor:
-        ih = e.iota.on_mor(h)
-        if total.composable(f, ih) and total.then(f, ih) == g:
-            out.append(h)
-    return out
-
-
 def check_extension(e: CatExtension) -> Report:
     rep = Report()
     if not (set(e.kernel.objects) == set(e.total.objects) == set(e.base.objects)):

@@ -86,11 +86,6 @@ class FDAlgebra:
         x = a.reshape(d, 1) if a.ndim == 1 else a
         return self.field.sparse_matmul(l * d + j, i, c, d * d, x).reshape(d, *a.shape)
 
-    def basis_vector(self, i: int) -> np.ndarray:
-        v = self.field.zeros(self.dim)
-        v[i] = self.field.one
-        return v
-
     def elements(self):
         """All elements as int tuples (prime field only)."""
         return self.field.vectors(self.dim)
@@ -184,10 +179,6 @@ def validate_hom(h: AlgHom) -> Report:
             rep.add("multiplicative", "h(e_i e_j) != h(e_i) h(e_j)",
                     i=labels[t // d], j=labels[t % d])
     return rep
-
-
-def identity_hom(a: FDAlgebra) -> AlgHom:
-    return AlgHom(a, a, a.field.eye(a.dim))
 
 
 @dataclass(eq=False)

@@ -93,10 +93,6 @@ class FinCategory:
     def _verdict(self) -> Report:
         return _check_category(self)
 
-    @property
-    def morphisms(self) -> list:
-        return list(self.mor)
-
     def dom(self, f: MorId) -> ObjId:
         return self.mor[f][0]
 
@@ -106,9 +102,6 @@ class FinCategory:
     def then(self, f: MorId, g: MorId) -> MorId:
         """Composite "f then g"."""
         return self.compose[(f, g)]
-
-    def composable(self, f: MorId, g: MorId) -> bool:
-        return self.cod(f) == self.dom(g)
 
     def hom(self, x: ObjId, y: ObjId) -> list:
         ix = self.index
@@ -234,17 +227,6 @@ def functor_failures(c: FinCategory, k: FieldSpec, mats: dict, contravariant: bo
     return objects, [keys[e] for e in bad]
 
 
-def opposite(c: FinCategory) -> FinCategory:
-    """Reverse all arrows; involutive."""
-    rep = validate_category(c)
-    if not rep.ok:
-        raise ValueError(f"opposite of invalid category: {rep.summary()}")
-    mor = {f: (cod_, d) for f, (d, cod_) in c.mor.items()}
-    compose = {(g, f): h for (f, g), h in c.compose.items()}
-    return FinCategory(c.objects, mor, dict(c.identity), compose,
-                       name=f"{c.name}^op" if c.name else "op")
-
-
 def nerve_chains(c: FinCategory, n: int, normalized: bool = False) -> list[tuple]:
     """All length-n composable morphism sequences (x0 -> x1 -> ... -> xn).
 
@@ -343,14 +325,3 @@ def validate_functor(fun: CatFunctor) -> Report:
         for e in np.flatnonzero(wrong).tolist():
             rep.add("functor", "composition not preserved", f=keys[e][0], g=keys[e][1])
     return rep
-
-
-def is_isomorphism(fun: CatFunctor) -> bool:
-    """True iff fun is bijective on objects and morphisms and a functor."""
-    if not validate_functor(fun).ok:
-        return False
-    s, t = fun.source, fun.target
-    objs = set(fun.obj_map[x] for x in s.objects)
-    mors = set(fun.mor_map[f] for f in s.mor)
-    return len(objs) == len(s.objects) == len(t.objects) \
-        and len(mors) == len(s.mor) == len(t.mor)

@@ -82,11 +82,6 @@ def constant_module(c: FinCategory, k: FieldSpec) -> CatModule:
                      {f: np.array(one, copy=True) for f in c.mor}, name="k")
 
 
-def zero_cat_module(c: FinCategory, k: FieldSpec) -> CatModule:
-    return CatModule(c, k, {x: 0 for x in c.objects},
-                     {f: k.zeros(0, 0) for f in c.mor}, name="0")
-
-
 def representable_module(c: FinCategory, k: FieldSpec, y0) -> CatModule:
     """Linearized Hom(-, y0); the projective right module at y0."""
     hom = {x: c.hom(x, y0) for x in c.objects}
@@ -111,13 +106,13 @@ def restrict(g: CatModule, pi: CatFunctor) -> CatModule:
     return CatModule(c, g.field, dims, mats, name=f"Res({g.name})" if g.name else "Res")
 
 
-def to_algebra_module(f: CatModule, algebra: FDAlgebra | None = None) -> AlgModule:
-    """Right module over linearize(f.cat): the morphism basis element h routes
-    the cod(h)-component through F(h) into the dom(h)-component."""
+def to_algebra_module(f: CatModule, algebra: FDAlgebra) -> AlgModule:
+    """Right module over algebra = linearize(f.cat): the morphism basis
+    element h routes the cod(h)-component through F(h) into the
+    dom(h)-component."""
     c = f.cat
     k = f.field
-    alg = algebra if algebra is not None else linearize(c, k)
-    if tuple(alg.basis_labels) != tuple(c.mor):
+    if tuple(algebra.basis_labels) != tuple(c.mor):
         raise ValueError("algebra basis does not enumerate the category morphisms")
     offs = {}
     total = 0
@@ -131,7 +126,7 @@ def to_algebra_module(f: CatModule, algebra: FDAlgebra | None = None) -> AlgModu
         if f.dims[x] and f.dims[y]:
             mat[offs[x]:offs[x] + f.dims[x], offs[y]:offs[y] + f.dims[y]] = f.on(h)
         action.append(mat)
-    return AlgModule(alg, total, "right", right_action=action)
+    return AlgModule(algebra, total, "right", right_action=action)
 
 
 def hom_space_dim(g: AlgModule, f: AlgModule) -> int:
@@ -211,7 +206,7 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> li
         target = Echelon(k, mod.dim)
         target.extend(span_rows)
         full_rank = target.rank
-        basis_rows = target.basis_matrix().a
+        basis_rows = target.basis_matrix()
     if full_rank == 0:
         return []
 
@@ -283,7 +278,7 @@ def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resol
     for _ in range(length):
         free = _FreeModule(algebra, ranks[-1], ranks[-1] * d)
         ker = kernel_basis(Matrix(k, prev))
-        kgens = module_generators(free, span_rows=ker.a) if free.dim and ker.rows else []
+        kgens = module_generators(free, span_rows=ker) if free.dim and len(ker) else []
         prev = _cover(free, kgens)
         ranks.append(len(kgens))
         gens.append(np.stack(kgens, axis=1) if kgens else k.zeros(free.dim, 0))
@@ -613,7 +608,7 @@ def subquotient(field: FieldSpec, d_out: np.ndarray, d_in: np.ndarray | None) ->
     ambient = d_out.shape[1]
     # the pivots of [d_in | kernel basis] are its first independent columns:
     # an image basis, then class representatives
-    ker = kernel_basis(Matrix(field, d_out)).a.T
+    ker = kernel_basis(Matrix(field, d_out)).T
     cols = ker if d_in is None else np.concatenate([d_in, ker], axis=1)
     picked = rref(Matrix(field, cols))[1]
     n_img = len([c for c in picked if c < cols.shape[1] - ker.shape[1]])
@@ -626,4 +621,4 @@ def subquotient(field: FieldSpec, d_out: np.ndarray, d_in: np.ndarray | None) ->
     # so U = (S[R]^T)^-1 and the inverse of S[R] is U^T
     n = solver.shape[1]
     red, rows = rref(Matrix(field, np.concatenate([solver.T, field.eye(n)], axis=1)))
-    return Subquotient(field, reps, solver, rows, np.array(red.a[:, ambient:].T), n_img)
+    return Subquotient(field, reps, solver, rows, np.array(red[:, ambient:].T), n_img)

@@ -186,13 +186,13 @@ def lhs_report(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
         collapse = "column"
     else:
         collapse = "none"
-    verdicts = []
+    rep = SpectralReport((cap_p, cap_q, cap_n), table, abut, [], collapse)
     for m in range(cap_n + 1):
-        total = sum(d for (p, q), d in table.items() if p + q == m)
+        total = rep.e2_diagonal_sum(m)
         if total < abut[m]:
-            verdicts.append("violation")
+            rep.verdicts.append("violation")
         elif total == abut[m]:
-            verdicts.append("equal")
+            rep.verdicts.append("equal")
         else:
-            verdicts.append("bounded" if collapse == "none" else "violation")
-    return SpectralReport((cap_p, cap_q, cap_n), table, abut, verdicts, collapse)
+            rep.verdicts.append("bounded" if collapse == "none" else "violation")
+    return rep

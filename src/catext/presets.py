@@ -1,8 +1,9 @@
 """Named fixtures: small categories, algebras and coefficient systems.
 
-These are the desk-scale inputs used by the test suite, the CLI presets and
-the demo scripts.  Everything is generated into explicit structure-constant /
-composition-table form.
+These are the desk-scale inputs behind the CLI presets, the scripts and the
+acceptance tests, and are shared by the other tests; a fixture that only a
+unit test uses lives in that test.  Everything is generated into explicit
+structure-constant / composition-table form.
 """
 from __future__ import annotations
 
@@ -57,14 +58,6 @@ def cyclic_monoid(n: int, r: int) -> FinCategory:
 def one_object_group(n: int) -> FinCategory:
     """B(Z/n): the cyclic group of order n as a one-object groupoid."""
     return cyclic_monoid(n, 0)
-
-
-def broken_category() -> FinCategory:
-    """A2 with one composite deliberately wrong (t then identity != t)."""
-    c = poset_a2()
-    compose = dict(c.compose)
-    compose[("a", "i1")] = "i1"  # violates identity law and dom/cod coherence
-    return FinCategory(c.objects, dict(c.mor), dict(c.identity), compose, name="A2-broken")
 
 
 # -- algebras ----------------------------------------------------------------
@@ -149,19 +142,3 @@ def projection_bimodule_system(k: FieldSpec) -> PrecosheafModule:
                     right_action=[k.array([[0]]), k.array([[1]])])
     maps = {f: k.eye(1) for f in cat.mor}
     return PrecosheafModule(pre, {"*": mod}, maps, name="projection")
-
-
-def corrupt_bimodule(m: PrecosheafModule) -> PrecosheafModule:
-    """Flip one left-action entry at the first object; breaks compatibility."""
-    k = m.precosheaf.field
-    x = m.base.objects[0]
-    mods = dict(m.modules)
-    old = mods[x]
-    left = [np.array(a, copy=True) for a in old.left_action]
-    if old.dim == 0 or not left:
-        raise ValueError("cannot corrupt an empty bimodule")
-    left[0][0, 0] = k.coerce(left[0][0, 0] + 1)
-    mods[x] = AlgModule(old.algebra, old.dim, "bi",
-                        right_action=[np.array(a, copy=True) for a in old.right_action],
-                        left_action=left)
-    return PrecosheafModule(m.precosheaf, mods, dict(m.maps), name=f"{m.name}-corrupt")

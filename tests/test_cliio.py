@@ -221,6 +221,16 @@ def test_cli_exit_codes():
     assert missing.returncode == 2
 
 
+def test_cli_non_utf8_file_is_an_input_error(tmp_path):
+    """Undecodable bytes are an input error (exit 2), like a missing file,
+    not a crash: exit 1 means a mathematical violation."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"category: {preset: trivial}\n\xff\n")
+    res = _cli("validate", str(bad), "--format", "structured")
+    assert res.returncode == 2
+    assert res.stderr.startswith("input error: ") and "Traceback" not in res.stderr
+
+
 def test_cli_structured_output_parses():
     res = _cli("check-extension", str(PROBLEMS / "lemma_fiber_extension.yaml"),
                "--format", "structured")

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from catext.coeffsys import (AlgebraPrecosheaf, PrecosheafModule, abelian_group_category,
-                             disjoint_fiber_category, forget_left_action,
-                             underlying_group_category, validate_bimodule, validate_precosheaf,
-                             validate_right_module)
+                             disjoint_fiber_category, underlying_group_category,
+                             validate_bimodule, validate_precosheaf, validate_right_module)
 from catext.exactlin import FieldSpec
 from catext.fdalgebra import AlgHom, AlgModule, field_algebra, group_algebra
 from catext.fincat import FinCategory, linearize, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
-                            corrupt_bimodule, cyclic_monoid, field_product, one_object_group,
+                            cyclic_monoid, field_product, one_object_group,
                             poset_a2, precosheaf_from, projection_bimodule_system,
                             regular_bimodule_system, regular_right_module_system,
                             trivial_category, zero_bimodule_system, zero_right_module_system)
@@ -19,6 +18,30 @@ from catext.validation import Report
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), cyclic_monoid(3, 1)]
 F5 = FieldSpec.prime(5)
+
+
+def forget_left_action(m: PrecosheafModule) -> PrecosheafModule:
+    mods = {x: AlgModule(mod.algebra, mod.dim, "right",
+                         right_action=[np.array(r, copy=True) for r in mod.right_action])
+            for x, mod in m.modules.items()}
+    return PrecosheafModule(m.precosheaf, mods, dict(m.maps),
+                            name=f"{m.name}-as-right" if m.name else "")
+
+
+def corrupt_bimodule(m: PrecosheafModule) -> PrecosheafModule:
+    """Flip one left-action entry at the first object; breaks compatibility."""
+    k = m.precosheaf.field
+    x = m.base.objects[0]
+    mods = dict(m.modules)
+    old = mods[x]
+    left = [np.array(a, copy=True) for a in old.left_action]
+    if old.dim == 0 or not left:
+        raise ValueError("cannot corrupt an empty bimodule")
+    left[0][0, 0] = k.coerce(left[0][0, 0] + 1)
+    mods[x] = AlgModule(old.algebra, old.dim, "bi",
+                        right_action=[np.array(a, copy=True) for a in old.right_action],
+                        left_action=left)
+    return PrecosheafModule(m.precosheaf, mods, dict(m.maps), name=f"{m.name}-corrupt")
 
 
 @pytest.mark.parametrize("cat", CATS, ids=lambda c: c.name)

@@ -7,18 +7,19 @@ from catext import constructions
 from catext.constructions import (check_composition_antihom, check_degeneration,
                                   extension_algebra, gr_algebra, gr_bimodule,
                                   gr_right_module, skew_algebra)
-from catext.coeffsys import (PrecosheafModule, forget_left_action, validate_bimodule,
-                             validate_right_module)
+from catext.coeffsys import PrecosheafModule, validate_bimodule, validate_right_module
 from catext.exactlin import FieldSpec
 from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               group_algebra, opposite_algebra, regular_bimodule,
                               trivial_extension, upper_triangular_algebra, validate_algebra)
-from catext.fincat import CatFunctor, FinCategory, is_isomorphism, linearize, validate_category
+from catext.fincat import CatFunctor, FinCategory, linearize, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
                             cyclic_monoid, discrete_category, field_product, one_object_group,
                             poset_a2, precosheaf_from, projection_bimodule_system,
                             regular_bimodule_system, regular_right_module_system,
                             trivial_category, zero_bimodule_system, zero_right_module_system)
+from test_coeffsys import forget_left_action
+from test_fincat import is_isomorphism
 
 
 def fixtures_bimodule():

@@ -3,16 +3,26 @@ import time
 import pytest
 
 from catext import extcheck
-from catext.coeffsys import (PrecosheafModule, disjoint_fiber_category,
-                             forget_left_action)
+from catext.coeffsys import PrecosheafModule, disjoint_fiber_category
 from catext.constructions import gr_algebra, gr_bimodule
-from catext.extcheck import (CatExtension, check_extension, connecting_morphisms,
-                             fiber_extension)
+from catext.extcheck import CatExtension, check_extension, fiber_extension
 from catext.fdalgebra import AlgModule, field_algebra, group_algebra
 from catext.fincat import CatFunctor, FinCategory
 from catext.presets import (F2, F3, constant_precosheaf, one_object_group, poset_a2,
                             regular_bimodule_system, regular_right_module_system,
                             trivial_category, zero_right_module_system)
+from test_coeffsys import forget_left_action
+
+
+def connecting_morphisms(e: CatExtension, f, g) -> list:
+    """All h in Mor K with (f then iota(h)) = g in the total category."""
+    total = e.total
+    out = []
+    for h in e.kernel.mor:
+        ih = e.iota.on_mor(h)
+        if total.cod(f) == total.dom(ih) and total.then(f, ih) == g:
+            out.append(h)
+    return out
 
 
 def identity_kernel_extension(cat):

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from catext import fdalgebra
 from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, basis_products, dual_numbers,
-                              field_algebra, free_module, group_algebra, identity_hom,
-                              opposite_algebra, regular_bimodule, trivial_extension,
+                              field_algebra, free_module, group_algebra, opposite_algebra, regular_bimodule, trivial_extension,
                               upper_triangular_algebra, validate_algebra, validate_hom,
                               validate_module, zero_module)
 from catext.exactlin import FieldSpec
@@ -34,7 +33,7 @@ SLICE_ALGEBRAS = ALGEBRAS + [upper_triangular_algebra(3, QQ), linearize(poset_a2
 @pytest.mark.parametrize("alg", SLICE_ALGEBRAS, ids=lambda a: a.name)
 def test_basis_mult_matrices_are_structure_slices(alg):
     for j in range(alg.dim):
-        e = alg.basis_vector(j)
+        e = alg.field.eye(alg.dim)[j]
         for got, want in ((alg.right_mult_matrix(e), alg.structure[:, j, :].T),
                           (alg.left_mult_matrix(e), alg.structure[j].T)):
             assert got.dtype == want.dtype
@@ -45,7 +44,7 @@ def test_basis_mult_matrices_are_structure_slices(alg):
 def test_mult_matrices_return_fresh_arrays(alg):
     before = np.array(alg.structure, copy=True)
     for mult in (alg.right_mult_matrix, alg.left_mult_matrix):
-        mult(alg.basis_vector(0))[...] = alg.field.one
+        mult(alg.field.eye(alg.dim)[0])[...] = alg.field.one
     assert alg.field.equal(alg.structure, before)
 
 
@@ -70,7 +69,7 @@ def test_zero_vector_mult_matrices_over_rationals_hold_fractions():
 
 def test_dual_numbers_by_hand():
     dn = dual_numbers(F2)
-    one, eps = dn.basis_vector(0), dn.basis_vector(1)
+    one, eps = F2.eye(2)
     assert F2.equal(dn.mul(one, eps), eps)
     assert F2.equal(dn.mul(eps, one), eps)
     assert F2.is_zero(dn.mul(eps, eps))
@@ -85,7 +84,8 @@ def test_broken_algebra_reports_unit_failure():
 
 
 def test_hom_identity_valid():
-    assert validate_hom(identity_hom(group_algebra([2], F2))).ok
+    g = group_algebra([2], F2)
+    assert validate_hom(AlgHom(g, g, F2.eye(g.dim))).ok
 
 
 def test_hom_augmentation_valid():
@@ -126,7 +126,7 @@ def test_trivial_extension_dual_numbers():
     dn = dual_numbers(QQ)
     assert QQ.equal(te.structure, dn.structure)
     # (0,1)(0,1) = (0, 0)
-    eps = te.basis_vector(1)
+    eps = QQ.eye(te.dim)[1]
     assert QQ.is_zero(te.mul(eps, eps))
 
 
@@ -146,8 +146,8 @@ def test_trivial_extension_projection_actions():
     assert validate_module(mod).ok
     te = trivial_extension(kk, mod)
     assert validate_algebra(te).ok
-    e1 = te.basis_vector(0)   # (e1, 0)
-    m = te.basis_vector(2)    # (0, m)
+    e1 = F2.eye(te.dim)[0]   # (e1, 0)
+    m = F2.eye(te.dim)[2]    # (0, m)
     assert F2.equal(te.mul(e1, m), m)       # (e1,0).(0,m) = (0, e1.m) = (0,m)
     assert F2.is_zero(te.mul(m, e1))        # (0,m).(e1,0) = (0, m.e1) = 0
 
@@ -158,25 +158,26 @@ def test_trivial_extension_regular_always_valid(alg):
     assert validate_algebra(te).ok
     k = alg.field
     d = alg.dim
+    e, ea = k.eye(te.dim), k.eye(d)
     # the algebra part embeds unitally; the module part squares to zero
     for i in range(d, te.dim):
         for j in range(d, te.dim):
-            assert k.is_zero(te.mul(te.basis_vector(i), te.basis_vector(j)))
+            assert k.is_zero(te.mul(e[i], e[j]))
     for i in range(d):
         for j in range(d):
-            prod = te.mul(te.basis_vector(i), te.basis_vector(j))
+            prod = te.mul(e[i], e[j])
             assert k.is_zero(prod[d:])
-            assert k.equal(prod[:d], alg.mul(alg.basis_vector(i), alg.basis_vector(j)))
+            assert k.equal(prod[:d], alg.mul(ea[i], ea[j]))
 
 
 def test_trivial_extension_commutative_case():
     # commutative algebra with its regular (symmetric) bimodule
     g = group_algebra([2], F3)
     te = trivial_extension(g, regular_bimodule(g))
+    e = F3.eye(te.dim)
     for i in range(te.dim):
         for j in range(te.dim):
-            assert F3.equal(te.mul(te.basis_vector(i), te.basis_vector(j)),
-                            te.mul(te.basis_vector(j), te.basis_vector(i)))
+            assert F3.equal(te.mul(e[i], e[j]), te.mul(e[j], e[i]))
 
 
 def test_trivial_extension_requires_bimodule():
@@ -333,7 +334,7 @@ def ref_validate_algebra(a):
                         i=a.basis_labels[i], j=a.basis_labels[j],
                         l=None if bad is None else a.basis_labels[bad])
     for j in range(a.dim):
-        ej = a.basis_vector(j)
+        ej = k.eye(a.dim)[j]
         if not k.equal(_ref_mul(a, a.unit, ej), ej):
             rep.add("unit", "unit * e_j != e_j", j=a.basis_labels[j])
         if not k.equal(_ref_mul(a, ej, a.unit), ej):
@@ -396,10 +397,10 @@ def ref_validate_hom(h):
         return rep
     if not k.equal(h.apply(h.source.unit), h.target.unit):
         rep.add("unit", "h(1) != 1")
+    e = k.eye(h.source.dim)
     for i in range(h.source.dim):
         for j in range(h.source.dim):
-            lhs = h.apply(_ref_mul(h.source, h.source.basis_vector(i),
-                                   h.source.basis_vector(j)))
+            lhs = h.apply(_ref_mul(h.source, e[i], e[j]))
             rhs = _ref_mul(h.target, h.matrix[:, i], h.matrix[:, j])
             if not k.equal(lhs, rhs):
                 rep.add("multiplicative", "h(e_i e_j) != h(e_i) h(e_j)",
@@ -498,7 +499,8 @@ def test_validate_hom_matches_dense_reference(k, seed):
 def test_validate_hom_memory_is_bounded_by_blocks():
     # k[Z/50] has 2,500 constants: all 2,500 basis pairs in one stacked
     # product would hold 6.25 M product terms (50 MB per array)
-    hom = identity_hom(group_algebra([50], F3))
+    g = group_algebra([50], F3)
+    hom = AlgHom(g, g, F3.eye(g.dim))
     tracemalloc.start()
     try:
         assert validate_hom(hom).ok

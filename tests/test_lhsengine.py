@@ -93,7 +93,7 @@ def test_local_system_degree_zero_invariants_of_twisted_module():
     fx = fiber_restriction(n, rep, "*")
     stacked = np.concatenate(
         [F2.reduce(fx.on(m) - F2.eye(fx.dims["*"])) for m in fx.cat.mor], axis=0)
-    inv_dim = kernel_basis(Matrix(F2, stacked)).rows
+    inv_dim = len(kernel_basis(Matrix(F2, stacked)))
     h0 = h_local_system(c, a, n, rep, 0)
     assert h0.module.dims["*"] == inv_dim
     assert validate_cat_module(h0.module).ok

@@ -1,0 +1,69 @@
+"""The package keeps only what the rest of the program names.
+
+A public module-level function or class of ``src/catext`` must be named by
+another part of the package, by the benchmark (``perfbench``), by a script
+or by the acceptance tests.  Names reached only from the unit tests belong
+in those tests, as fixtures or references."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "catext"
+
+# independent oracles and documented entry points that nothing else calls
+ALLOWED = {
+    "hom_space_dim": "independent oracle: dim Hom_A by one linear system, against Ext^0",
+    "validate_resolution": "independent oracle: exactness of a resolution by ranks",
+    "emit": "the canonical writer of a result document that README promises",
+}
+
+
+def _names(tree) -> set:
+    """Every name an ast.Name, an ast.Attribute or an import spells."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def _public_definitions() -> set:
+    """(module, name) of every public module-level function and class of the
+    package."""
+    return {(path.stem, node.name) for path in SRC.glob("*.py")
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _unnamed() -> list:
+    used = set()
+    for path in [*sorted((ROOT / "perfbench").glob("*.py")),
+                 *sorted((ROOT / "scripts").glob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        used |= _names(ast.parse(path.read_text(), str(path)))
+    tracer = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text())
+    used |= {node.value for node in ast.walk(tracer)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    # inside the package a name counts when it is spelled outside its own definition
+    inner: dict = {}  # name -> the definitions it is spelled in (None: module level)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            for name in _names(node):
+                inner.setdefault(name, set()).add((path.stem, owner))
+    return sorted(f"{mod}.{name}" for (mod, name) in _public_definitions()
+                  if name not in used and not inner.get(name, set()) - {(mod, name)})
+
+
+def test_every_public_name_is_used_by_the_program():
+    unnamed = [q for q in _unnamed() if q.split(".", 1)[1] not in ALLOWED]
+    assert not unnamed, "public names only the unit tests reach: " + ", ".join(unnamed)
+
+
+def test_allowlist_names_only_unused_definitions():
+    assert {q.split(".", 1)[1] for q in _unnamed()} == set(ALLOWED)
