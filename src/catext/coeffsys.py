@@ -9,8 +9,9 @@ validators check the functor laws of the algebra and module maps through
 pairs, one stacked comparison per morphism and law, and report witnesses.
 
 What is derived from a system is kept on it, built on first use and shared:
-the verdict and Gr(A) on a precosheaf, Gr(A, N), the fibers N(x) and the
-extension fibers -> Gr(A, N) -> Gr(A) on a right-module system.
+the verdict and Gr(A) on a precosheaf, Gr(A, M) on a bimodule system, and
+Gr(A, N), the fibers N(x) with their generators and the extension
+fibers -> Gr(A, N) -> Gr(A) on a right-module system.
 """
 from __future__ import annotations
 
@@ -73,14 +74,22 @@ class PrecosheafModule:
 
     @cached_property
     def gr(self) -> FinCategory:
-        """Gr(A, N) of a right-module system, built on first use and kept."""
-        from .constructions import gr_right_module  # constructions imports this module
-        return gr_right_module(self.base, self.precosheaf, self)
+        """Gr(A, M) of a bimodule system, Gr(A, N) of a right-module system;
+        built on first use and kept."""
+        from .constructions import gr_bimodule, gr_right_module  # they import this module
+        bi = any(mod.side == "bi" for mod in self.modules.values())
+        return (gr_bimodule if bi else gr_right_module)(self.base, self.precosheaf, self)
 
     @cached_property
     def fibers(self) -> dict:
         """x -> N(x) as a one-object group category; built on first use and kept."""
         return {x: underlying_group_category(self, x) for x in self.base.objects}
+
+    @cached_property
+    def fiber_generators(self) -> dict:
+        """x -> the positions in N(x) of its basis vectors, which generate it."""
+        p = self.precosheaf.field.characteristic
+        return {x: abelian_group_generators((p,) * self.at(x).dim) for x in self.base.objects}
 
     @cached_property
     def extension(self):
@@ -229,8 +238,19 @@ def abelian_group_category(orders, x) -> FinCategory:
                        compose, name="x".join(f"Z/{n}" for n in orders))
 
 
+def abelian_group_generators(orders) -> list:
+    """Positions of the unit vectors of the cyclic factors in
+    `abelian_group_category(orders, x)`, which generate it, in position
+    order: factor i's sits at prod(orders[i + 1:]), and a factor of order 1
+    has none."""
+    return [prod(orders[i + 1:]) for i in reversed(range(len(orders))) if orders[i] > 1]
+
+
 def underlying_group_category(n: PrecosheafModule, x) -> FinCategory:
-    """One-object groupoid of the additive group of N(x); prime field only."""
+    """One-object groupoid of the additive group of N(x) = F_p^d; prime field
+    only.  It is `abelian_group_category((p,) * d, x)`, so its basis vectors,
+    which generate it, sit at the positions `abelian_group_generators` names:
+    1, p, ..., p^(d - 1)."""
     k = n.precosheaf.field
     if not k.is_prime_field:
         raise ValueError("underlying group category needs a finite carrier (prime field)")

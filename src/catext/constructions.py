@@ -240,11 +240,10 @@ class CheckVerdict:
                 "pairs_checked": self.pairs_checked}
 
 
-def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
-                              m: PrecosheafModule,
-                              gr: FinCategory | None = None,
+def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf, m: PrecosheafModule,
                               ext: FDAlgebra | None = None) -> CheckVerdict:
-    """Transport every composable pair of Gr(A, M) into the extension algebra.
+    """Transport every composable pair of Gr(A, M) = `m.gr` into the
+    extension algebra (`extension_algebra(c, a, m)` unless `ext` is given).
 
     For morphisms u = (r,m,f) and v = (s,n,g) with u then v defined, checks
 
@@ -257,7 +256,7 @@ def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
     product of at most BLOCK_TERMS terms.  Exhaustive; returns the first
     failing pair in table order as a witness.
     """
-    gr = gr if gr is not None else gr_bimodule(c, a, m)
+    gr = m.gr
     ext = ext if ext is not None else extension_algebra(c, a, m)
     k = ext.field
     index = {b: t for t, b in enumerate(ext.basis_labels)}

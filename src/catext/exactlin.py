@@ -103,13 +103,6 @@ class FieldSpec:
         return self.characteristic
 
     # -- scalars ---------------------------------------------------------
-    def coerce(self, x):
-        if self.is_prime_field:
-            return int(x) % self.characteristic
-        if isinstance(x, Fraction):
-            return x
-        return Fraction(x)
-
     @property
     def zero(self):
         return 0 if self.is_prime_field else Fraction(0)

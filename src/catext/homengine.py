@@ -13,16 +13,19 @@ in the test suite:
     the route stays independent of the nerve route.
 
 The fiber subquotients of the LHS engine (`bar_subquotients`) take ker d^q
-on the rows of d^q whose first entry is a generator.  If S generates the
-group G, a normalized q-cochain f is a cocycle iff (df)(s, h) = 0 for every
-s in S and every q-tuple h.  Proof: D = df has dD = 0, and the first two
-faces of (dD)(a, b, h) give D(ab, h) = a.D(b, h) + (faces whose first entry
-is a).  Every element of a finite group is a positive word in S, so
-induction on the length of g = s g' shows D(g, h) = 0 for all g (a tuple
-with an identity entry carries no cochain).  Those rows are |S| / (|G| - 1)
-of d^q; they span its row space, and the rref is unique, so the kernel basis
-is the one all rows give.  `bar_cochain_complex` and its cohomology keep
-every row and stay the independent oracle.
+on the rows of d^q whose first entry lies in a generating set S that the
+caller supplies: the builder of a group names one
+(`coeffsys.abelian_group_generators`), so none is searched for.  If S
+generates the group G, a normalized q-cochain f is a cocycle iff
+(df)(s, h) = 0 for every s in S and every q-tuple h.  Proof: D = df has
+dD = 0, and the first two faces of (dD)(a, b, h) give D(ab, h) = a.D(b, h)
++ (faces whose first entry is a).  Every element of a finite group is a
+positive word in S, so induction on the length of g = s g' shows
+D(g, h) = 0 for all g (a tuple with an identity entry carries no cochain).
+Those rows are |S| / (|G| - 1) of d^q; they span its row space, and the
+rref is unique, so the kernel basis is the one all rows give.
+`bar_cochain_complex` and its cohomology keep every row and stay the
+independent oracle.
 
 Degree caps are explicit everywhere; nothing is computed to unbounded degree.
 """
@@ -513,55 +516,39 @@ def bar_cochain_complex(c: FinCategory, module: CatModule, max_q: int) -> Cochai
     return CochainComplex(k, dims, diffs)
 
 
-def _generators(table: np.ndarray, e: int) -> np.ndarray:
-    """Positions generating the group with composition table `table` and
-    identity position e, picked greedily in position order: a position joins
-    when the ones before it do not reach it.  What they reach grows from e by
-    gathers table[reached][:, picked] until nothing new appears; in a finite
-    group that is the subgroup they generate."""
-    reached = np.zeros(len(table), dtype=bool)
-    reached[e] = True
-    picked: list = []
-    for g in range(len(table)):
-        if reached[g]:
-            continue
-        picked.append(g)
-        grown = True
-        while grown:
-            hit = table[reached][:, picked]
-            grown = not reached[hit].all()
-            reached[hit] = True
-    return np.array(picked, dtype=np.int64)
-
-
-def bar_subquotients(c: FinCategory, bar: CochainComplex) -> list:
+def bar_subquotients(c: FinCategory, bar: CochainComplex, gens) -> list:
     """H^0 .. H^(len(bar.d) - 1) of the normalized bar complex
     `bar_cochain_complex` built on the abelian group c, as subquotients.
-    ker d^q is taken on the rows whose first entry is a generator (module
-    docstring), the contiguous blocks of dims[q] rows at the generators'
-    ranks; im d^(q-1) keeps all its rows.  c is not checked again."""
+    `gens` are positions generating c; ker d^q is taken on the rows whose
+    first entry is one of them (module docstring), the contiguous blocks of
+    dims[q] rows at their ranks; im d^(q-1) keeps all its rows.  c is not
+    checked again."""
     m = len(c.mor) - 1
-    gens = _ranks(c)[_generators(c.index.table, c.index.pos[c.identity[c.objects[0]]])]
+    ranks = _ranks(c)[gens]
     out = []
     for q, d in enumerate(bar.d):
         n = bar.dims[q]
-        rows = d.reshape(m, n, n)[gens].reshape(len(gens) * n, n)
+        rows = d.reshape(m, n, n)[ranks].reshape(len(ranks) * n, n)
         out.append(subquotient(bar.field, rows, bar.d[q - 1] if q else None))
     return out
 
 
-def bar_pullback(cx: FinCategory, cy: FinCategory, alpha, phi: np.ndarray, q: int) -> np.ndarray:
-    """The map C^q(cy; V) -> C^q(cx; W) of normalized bar cochains along the
-    homomorphism g -> alpha[g] of abelian groups cx -> cy, on positions, and
-    phi: V -> W: the q-th Kronecker power of alpha's 0/1 matrix on non-identity
-    positions (a zero row where alpha hits the identity), tensored with phi.
-    The groups are not checked again; `bar_cochain_complex` checks them."""
+def bar_pullback(k: FieldSpec, cx: FinCategory, cy: FinCategory, alpha, phi: np.ndarray,
+                 cochains: np.ndarray, q: int) -> np.ndarray:
+    """Pull the columns of `cochains`, normalized bar q-cochains of cy with
+    values in V, back to cx along the homomorphism g -> alpha[g] of abelian
+    groups cx -> cy, on positions, and phi: V -> W: the cochain at a q-tuple
+    of cx is phi of the one at its image, and 0 where alpha sends an entry to
+    the identity.  The groups are not checked again; `bar_cochain_complex`
+    checks them."""
     image = _ranks(cy)[np.asarray(alpha)[_ranks(cx) >= 0]]
-    m, cols = len(cy.mor) - 1, np.zeros(1, np.int64)  # the image of each q-tuple of cx, or -1
+    m, at = len(cy.mor) - 1, np.zeros(1, np.int64)  # the image of each q-tuple of cx, or -1
     for _ in range(q):
-        cols = np.where((cols[:, None] < 0) | (image < 0), -1, cols[:, None] * m + image).ravel()
-    hit = cols[:, None, None, None] == np.arange(m ** q)[:, None]  # the 0/1 power, as blocks
-    return (hit * phi[:, None, :]).reshape(len(cols) * phi.shape[0], m ** q * phi.shape[1])
+        at = np.where((at[:, None] < 0) | (image < 0), -1, at[:, None] * m + image).ravel()
+    (nw, nv), cols = phi.shape, cochains.shape[1]
+    images = k.matmul(phi, cochains.reshape(m ** q, nv, cols))
+    images = np.concatenate([images, k.zeros(1, nw, cols)])  # at -1: the zero cochain
+    return images[at].reshape(len(at) * nw, cols)
 
 
 def group_cohomology_dims(c: FinCategory, module: CatModule, max_q: int) -> list:

@@ -71,17 +71,18 @@ class _LhsContext:
 
     def __init__(self, c: FinCategory, a: AlgebraPrecosheaf,
                  n: PrecosheafModule, f: CatModule, qmax: int):
-        self.c, self.a, self.n = c, a, n
-        self.f = f
+        self.c, self.n, self.f = c, n, f
         self.ext = n.extension
-        if set(f.cat.mor) != set(self.ext.total.mor):
+        total = self.ext.total
+        if f.cat is not total and set(f.cat.mor) != set(total.mor):
             raise ValueError("coefficient module is not over Gr(A, N)")
         self.k = f.field
         self.fibers = n.fibers
         self.subqs = {}
-        for x in c.objects:
+        for x in c.objects:  # each bar complex is dropped before the next is built
             fx = fiber_restriction(n, f, x)
-            self.subqs[x] = bar_subquotients(fx.cat, bar_cochain_complex(fx.cat, fx, qmax))
+            self.subqs[x] = bar_subquotients(fx.cat, bar_cochain_complex(fx.cat, fx, qmax),
+                                             n.fiber_generators[x])
 
     # -- induced maps -----------------------------------------------------
     def alpha(self, lift) -> list:
@@ -94,21 +95,16 @@ class _LhsContext:
                 for j, h in enumerate(self.fibers[y].index.labels)}
         return [h_of[total.then(iota.on_mor(m), lift)] for m in self.fibers[x].index.labels]
 
-    def pullback_matrix(self, lift, q: int) -> np.ndarray:
-        """Cochain-level map C^q(N(y); F(y)) -> C^q(N(x); F(x)) on normalized
-        bar cochains for a lift (r, m, f) of the Gr(A)-morphism (r, f)."""
-        x, y = self.c.mor[lift[-1]]
-        return bar_pullback(self.fibers[x], self.fibers[y], self.alpha(lift), self.f.on(lift), q)
-
     def induced_class_map(self, lift, q: int) -> np.ndarray:
-        """Map on H^q classes induced by an arbitrary lift; shape
-        (dim H^q at x, dim H^q at y)."""
+        """Map on H^q classes induced by an arbitrary lift (r, m, f) of the
+        Gr(A)-morphism (r, f): the class coordinates of the representatives
+        at y pulled back to x; shape (dim H^q at x, dim H^q at y)."""
         x, y = self.c.mor[lift[-1]]
         sx, sy = self.subqs[x][q], self.subqs[y][q]
         if sx.dim == 0 or sy.dim == 0:
             return self.k.zeros(sx.dim, sy.dim)
-        pulled = self.k.matmul(self.pullback_matrix(lift, q), sy.reps)
-        return sx.project(pulled)
+        return sx.project(bar_pullback(self.k, self.fibers[x], self.fibers[y], self.alpha(lift),
+                                       self.f.on(lift), sy.reps, q))
 
     def canonical_lift(self, base_mor):
         r, fbase = base_mor
@@ -142,7 +138,7 @@ def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
     """E2[(p, q)] = dim Ext^p over Gr(A) of g against the fiber H^q system."""
     ctx = _LhsContext(c, a, n, f, qmax=cap_q)
     gr_a = ctx.ext.base
-    if set(g.cat.mor) != set(gr_a.mor):
+    if g.cat is not gr_a and set(g.cat.mor) != set(gr_a.mor):
         raise ValueError("weight module is not over Gr(A)")
     alg = linearize(gr_a, g.field)
     res = free_resolution(alg, to_algebra_module(g, alg), cap_p + 1)

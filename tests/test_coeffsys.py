@@ -15,6 +15,7 @@ from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_pre
                             regular_bimodule_system, regular_right_module_system,
                             trivial_category, zero_bimodule_system, zero_right_module_system)
 from catext.validation import Report
+from test_exactlin import coerce
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), cyclic_monoid(3, 1)]
 F5 = FieldSpec.prime(5)
@@ -37,7 +38,7 @@ def corrupt_bimodule(m: PrecosheafModule) -> PrecosheafModule:
     left = [np.array(a, copy=True) for a in old.left_action]
     if old.dim == 0 or not left:
         raise ValueError("cannot corrupt an empty bimodule")
-    left[0][0, 0] = k.coerce(left[0][0, 0] + 1)
+    left[0][0, 0] = coerce(k, left[0][0, 0] + 1)
     mods[x] = AlgModule(old.algebra, old.dim, "bi",
                         right_action=[np.array(a, copy=True) for a in old.right_action],
                         left_action=left)
@@ -481,7 +482,7 @@ def _raised_entries(maps: dict, k):
     for f, mat in maps.items():
         for i, j in iproduct(range(mat.shape[0]), range(mat.shape[1])):
             bad = np.array(mat, copy=True)
-            bad[i, j] = k.coerce(bad[i, j] + 1)
+            bad[i, j] = coerce(k, bad[i, j] + 1)
             yield f, bad
 
 

@@ -19,6 +19,7 @@ from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_pre
                             regular_bimodule_system, regular_right_module_system,
                             trivial_category, zero_bimodule_system, zero_right_module_system)
 from test_coeffsys import forget_left_action
+from test_exactlin import coerce
 from test_fincat import is_isomorphism
 
 
@@ -253,8 +254,8 @@ def test_transport_catches_corrupted_table():
     key = (((1,), (0,), "id"), ((1,), (1,), "id"))
     bad = dict(gm.compose)
     bad[key] = ((0,), (0,), "id")
-    broken = FinCategory(gm.objects, dict(gm.mor), dict(gm.identity), bad)
-    v = check_composition_antihom(ct, at, mt, gr=broken)
+    mt.gr = FinCategory(gm.objects, dict(gm.mor), dict(gm.identity), bad)
+    v = check_composition_antihom(ct, at, mt)
     assert not v.passed
     assert v.witness is not None
 
@@ -268,9 +269,9 @@ def _reference_transport(gr, ext):
     def embed(r, mm, f):
         v = k.zeros(ext.dim)
         for i, ri in enumerate(r):
-            v[index[(f, "a", i)]] = k.coerce(ri)
+            v[index[(f, "a", i)]] = coerce(k, ri)
         for j, mj in enumerate(mm):
-            v[index[(f, "m", j)]] = k.coerce(mj)
+            v[index[(f, "m", j)]] = coerce(k, mj)
         return v
     checked = 0
     for (u, v), w in gr.compose.items():
@@ -296,11 +297,14 @@ def test_transport_blocks_keep_the_per_pair_verdict(monkeypatch, terms):
         r, mm, f = bad[key]
         bad[key] = (r, tuple((x + 1) % 2 for x in mm), f)
         cases.append(FinCategory(gr.objects, dict(gr.mor), dict(gr.identity), bad))
+
+    def check(table):
+        m.gr = table
+        return check_composition_antihom(c, a, m, ext=ext)
     for table in cases:
-        v = check_composition_antihom(c, a, m, gr=table, ext=ext)
+        v = check(table)
         assert (v.passed, v.witness, v.pairs_checked) == _reference_transport(table, ext)
-    assert [check_composition_antihom(c, a, m, gr=t, ext=ext).passed
-            for t in cases] == [True, False, False, False]
+    assert [check(t).passed for t in cases] == [True, False, False, False]
 
 
 def test_transport_refuses_an_entry_that_names_no_morphism():
@@ -310,9 +314,9 @@ def test_transport_refuses_an_entry_that_names_no_morphism():
     gr = gr_bimodule(c, a, m)
     bad = dict(gr.compose)
     bad[next(iter(bad))] = "zz"
-    table = FinCategory(gr.objects, dict(gr.mor), dict(gr.identity), bad)
+    m.gr = FinCategory(gr.objects, dict(gr.mor), dict(gr.identity), bad)
     with pytest.raises(ValueError, match="names no morphism"):
-        check_composition_antihom(c, a, m, gr=table)
+        check_composition_antihom(c, a, m)
 
 
 # -- degenerations ---------------------------------------------------------------------
@@ -426,6 +430,20 @@ def test_extension_trivial_category_is_noncommutative_trivial_extension():
     assert check_degeneration("trivial-ext", ct, a, m).passed
 
 
+def test_bimodule_system_keeps_gr_of_the_bimodule():
+    """`PrecosheafModule.gr` is Gr(A, M) on a bimodule system and Gr(A, N) on
+    a right-module system.  With a UT(2) fiber the two laws differ in the
+    order of the algebra term, so the tables tell them apart."""
+    ct = trivial_category()
+    a = constant_precosheaf(ct, UT2)
+    m, n = regular_bimodule_system(a), regular_right_module_system(a)
+    for system, build, name in ((m, gr_bimodule, "Gr(A,M)"), (n, gr_right_module, "Gr(A,N)")):
+        want = build(ct, a, system)
+        assert (system.gr.name, system.gr.mor, system.gr.compose) == \
+            (name, want.mor, want.compose)
+    assert m.gr.compose != n.gr.compose
+
+
 @pytest.mark.parametrize("a", fixtures_noncommutative(),
                          ids=["a2-ut2-reg", "bz2-ut2-reg", "a2-ut2-diag-reg"])
 def test_noncommutative_fibers(a):
@@ -434,7 +452,7 @@ def test_noncommutative_fibers(a):
     ext = extension_algebra(c, a, m)
     gr = gr_bimodule(c, a, m)
     assert validate_algebra(ext).ok
-    v = check_composition_antihom(c, a, m, gr=gr, ext=ext)
+    v = check_composition_antihom(c, a, m, ext=ext)
     assert v.passed, f"{v.detail} {v.witness}"
     assert validate_category(gr).ok
     assert check_degeneration("skew", c, a, zero_bimodule_system(a)).passed

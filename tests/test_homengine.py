@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catext.coeffsys import abelian_group_category
+from catext.coeffsys import abelian_group_category, abelian_group_generators
 from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rref, solve_matrix
 from catext.extcheck import fiber_extension
 from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
@@ -27,7 +27,7 @@ from catext.presets import (F2, F3, QQ, constant_precosheaf, cyclic_monoid,
                             discrete_category, one_object_group, poset_a2,
                             regular_right_module_system, trivial_category)
 from catext.validation import Report
-from test_exactlin import ReferenceEchelon
+from test_exactlin import ReferenceEchelon, coerce
 
 CATS = [trivial_category(), poset_a2(), one_object_group(2), discrete_category(2)]
 F5 = FieldSpec.prime(5)
@@ -122,7 +122,7 @@ def _single_entry_corruptions(m):
     for f, mat in m.mats.items():
         for i, j in iproduct(range(mat.shape[0]), range(mat.shape[1])):
             bad = np.array(mat, copy=True)
-            bad[i, j] = k.coerce(bad[i, j] + 1)
+            bad[i, j] = coerce(k, bad[i, j] + 1)
             yield CatModule(m.cat, k, m.dims, {**m.mats, f: bad}, name=f"{m.name}-{f}")
 
 
@@ -370,7 +370,7 @@ def _resolution_cases(k):
                                          right_action=[k.eye(2), k.zeros(2, 2)]))]
     c = k.zeros(3, 3, 3)
     for a, b in iproduct(range(3), repeat=2):
-        c[a, b, a + b if a + b < 3 else a + b - 2] = k.coerce(1 if a + b < 3 else 2)
+        c[a, b, a + b if a + b < 3 else a + b - 2] = coerce(k, 1 if a + b < 3 else 2)
     cubic = FDAlgebra(k, 3, (*np.nonzero(c), c[np.nonzero(c)]), k.array([1, 0, 0]))
     cases.append((cubic, AlgModule(cubic, 2, "right",
                                    right_action=[k.eye(2), k.zeros(2, 2), k.zeros(2, 2)])))
@@ -694,7 +694,7 @@ def reference_bar_cochain_complex(c: FinCategory, module: CatModule,
     index = [{t: i for i, t in enumerate(ts)} for ts in tuples]
     dims = [len(ts) * nv for ts in tuples]
     diffs = []
-    minus = k.coerce(-1)
+    minus = coerce(k, -1)
     for q in range(max_q + 1):
         mat = k.zeros(dims[q + 1], dims[q])
         if nv:
@@ -709,10 +709,10 @@ def reference_bar_cochain_complex(c: FinCategory, module: CatModule,
                 accumulate(t_new[1:], module.on(t_new[0]))
                 sign = k.one
                 for i in range(1, q + 1):
-                    sign = k.coerce(sign * minus)
+                    sign = coerce(k, sign * minus)
                     merged = t_new[:i - 1] + (c.then(t_new[i - 1], t_new[i]),) + t_new[i + 1:]
                     accumulate(merged, sign * k.eye(nv))
-                sign = k.coerce(sign * minus)
+                sign = coerce(k, sign * minus)
                 accumulate(t_new[:q], sign * k.eye(nv))
         diffs.append(mat)
     return CochainComplex(k, dims, diffs)
@@ -1082,19 +1082,58 @@ def _assert_same_subquotient(got: Subquotient, want: Subquotient, where=()) -> N
 
 # -- fiber subquotients from the generator rows of the bar differentials -------------
 
+def greedy_generators(table: np.ndarray, e: int) -> np.ndarray:
+    """Positions generating the group with composition table `table` and
+    identity position e, picked greedily in position order: a position joins
+    when the ones before it do not reach it.  What they reach grows from e by
+    gathers table[reached][:, picked] until nothing new appears; in a finite
+    group that is the subgroup they generate.  The oracle of the generators
+    `abelian_group_generators` names."""
+    reached = np.zeros(len(table), dtype=bool)
+    reached[e] = True
+    picked: list = []
+    for g in range(len(table)):
+        if reached[g]:
+            continue
+        picked.append(g)
+        grown = True
+        while grown:
+            hit = table[reached][:, picked]
+            grown = not reached[hit].all()
+            reached[hit] = True
+    return np.array(picked, dtype=np.int64)
+
+
 def _generator_positions(c: FinCategory) -> list:
-    return homengine._generators(c.index.table, c.index.pos[c.identity["*"]]).tolist()
+    return greedy_generators(c.index.table, c.index.pos[c.identity[c.objects[0]]]).tolist()
+
+
+# every shape the bar tests build (`groups_with_modules` draws one or two
+# factors of order 1-4), and F_p^3 for the fiber primes
+GENERATOR_SHAPES = [*((n,) for n in range(1, 9)),
+                    *((a, b) for a in range(1, 5) for b in range(1, 5)),
+                    (2, 2, 2), (3, 3), (5, 5), (2, 1, 3), (3, 3, 3), (5, 5, 5), (7, 7, 7)]
+
+
+@pytest.mark.parametrize("orders", GENERATOR_SHAPES)
+def test_named_generators_are_the_greedy_ones(orders):
+    """The unit vectors of the cyclic factors, at the positions
+    `abelian_group_generators` names, are the greedy search's picks, in the
+    same order; over F_p^d that is 1, p, ..., p^(d - 1)."""
+    assert abelian_group_generators(orders) == _generator_positions(group(*orders))
+    if len(set(orders)) == 1 and orders[0] > 1:
+        assert abelian_group_generators(orders) == [orders[0] ** i for i in range(len(orders))]
 
 
 @pytest.mark.parametrize("orders,count", [
     ((1,), 0), ((2,), 1), ((3,), 1), ((5,), 1), ((8,), 1), ((6,), 1),
     ((2, 2), 2), ((2, 2, 2), 3), ((3, 3), 2), ((5, 5), 2), ((2, 4), 2)])
 def test_generators_generate_the_group(orders, count):
-    """Greedy in position order: none for the trivial group, one for a cyclic
-    group, r for (Z/p)^r; what they reach from the identity by composing on
-    the right is the whole group."""
+    """Named from the cyclic factors: none for the trivial group, one for a
+    cyclic group, r for (Z/p)^r; what they reach from the identity by
+    composing on the right is the whole group."""
     g = group(*orders)
-    gens = _generator_positions(g)
+    gens = abelian_group_generators(orders)
     assert len(gens) == count and gens == sorted(gens)
     labels = g.index.labels
     reached, frontier = {g.identity["*"]}, [g.identity["*"]]
@@ -1152,22 +1191,22 @@ def test_bar_subquotients_match_subquotients_on_all_rows(orders, p, kind):
     module = trivial(g, k) if kind == "trivial" else _twisted(g, k, orders)
     assert validate_cat_module(module).ok
     bar = bar_cochain_complex(g, module, 3)
-    got = bar_subquotients(g, bar)
+    got = bar_subquotients(g, bar, abelian_group_generators(orders))
     assert len(got) == 4
     for q, sq in enumerate(got):
         _assert_same_subquotient(sq, subquotient(k, bar.d[q], bar.d[q - 1] if q else None), (q,))
 
 
-def test_bar_subquotients_need_every_generator(monkeypatch):
-    """Mutation check: with one generator of (Z/2)^2 dropped, the rows left
-    no longer cut out the cocycles: over F2, ker d^2 grows from 4 to 5."""
+def test_bar_subquotients_need_every_generator():
+    """Mutation check: with one named generator of (Z/2)^2 dropped, the rows
+    left no longer cut out the cocycles: over F2, ker d^2 grows from 4 to 5
+    and H^2 reads 4 instead of 3."""
     g = group(2, 2)
     bar = bar_cochain_complex(g, trivial(g, F2), 2)
-    gens = homengine._ranks(g)[_generator_positions(g)]
+    named = abelian_group_generators((2, 2))
+    gens = homengine._ranks(g)[named]
     d2 = bar.d[2].reshape(3, 9, 9)
     assert len(kernel_basis(Matrix(F2, d2[gens].reshape(-1, 9)))) == 4
     assert len(kernel_basis(Matrix(F2, d2[gens[:1]].reshape(-1, 9)))) == 5
-    assert [sq.dim for sq in bar_subquotients(g, bar)] == [1, 2, 3]
-    orig = homengine._generators
-    monkeypatch.setattr(homengine, "_generators", lambda table, e: orig(table, e)[:1])
-    assert [sq.dim for sq in bar_subquotients(g, bar)] == [1, 2, 4]
+    assert [sq.dim for sq in bar_subquotients(g, bar, named)] == [1, 2, 3]
+    assert [sq.dim for sq in bar_subquotients(g, bar, named[:1])] == [1, 2, 4]

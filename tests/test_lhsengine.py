@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 
 from catext.extcheck import check_extension, fiber_extension
 from catext.fdalgebra import field_algebra, group_algebra
-from catext.homengine import (CatModule, cat_ext_dims, constant_module,
+from catext.fincat import FinCategory
+from catext.coeffsys import abelian_group_category
+from catext.homengine import (CatModule, bar_pullback, cat_ext_dims, constant_module,
                               group_cohomology_dims, nerve_cohomology_dims,
                               representable_module, restrict, validate_cat_module)
 from catext.lhsengine import (_LhsContext, abutment, e2_page, fiber_restriction,
@@ -14,6 +17,7 @@ from catext.lhsengine import (_LhsContext, abutment, e2_page, fiber_restriction,
 from catext.presets import (F2, F3, QQ, constant_precosheaf, one_object_group, poset_a2,
                             regular_right_module_system, trivial_category,
                             zero_right_module_system)
+from test_homengine import greedy_generators
 
 
 def point_fixture(coeff=F2):
@@ -109,16 +113,27 @@ def test_local_system_positive_degree_zero_component_acts_by_zero():
         assert F2.equal(hq.module.on(((1,), "id")), F2.eye(1))
 
 
+def pullback(ctx, lift, q: int, cochains=None) -> np.ndarray:
+    """`bar_pullback` of a lift on the given cochains of C^q(N(y); F(y)), by
+    default on its identity matrix: then the result is the matrix of the
+    pullback, which the oracles build."""
+    x, y = ctx.c.mor[lift[-1]]
+    fx, fy = ctx.fibers[x], ctx.fibers[y]
+    if cochains is None:
+        cochains = ctx.k.eye((len(fy.mor) - 1) ** q * ctx.f.dims[y])
+    return bar_pullback(ctx.k, fx, fy, ctx.alpha(lift), ctx.f.on(lift), cochains, q)
+
+
 def test_pullback_along_zero_homomorphism_is_zero():
     # alpha = 0 sends every tuple of non-zero elements to a tuple of zeros,
     # where normalized cochains vanish
     c, a, n, ext, g, f = point_fixture()
     ctx = _LhsContext(c, a, n, f, qmax=2)
     for q in (1, 2):
-        mat = ctx.pullback_matrix(ctx.canonical_lift(((0,), "id")), q)
+        mat = pullback(ctx, ctx.canonical_lift(((0,), "id")), q)
         assert mat.shape == (1, 1)
         assert F2.is_zero(mat)
-        ident = ctx.pullback_matrix(ctx.canonical_lift(((1,), "id")), q)
+        ident = pullback(ctx, ctx.canonical_lift(((1,), "id")), q)
         assert F2.equal(ident, F2.eye(1))
 
 
@@ -171,7 +186,7 @@ def reference_alpha(ctx, lift) -> list:
     fiber positions."""
     r, _, fbase = lift
     x, y = ctx.c.mor[fbase]
-    kc = ctx.a.field
+    kc = ctx.n.precosheaf.field
     nf = ctx.n.on(fbase)
     right_r = ctx.n.at(y).right_of(kc.array(r)) if ctx.n.at(y).dim else None
 
@@ -262,21 +277,51 @@ def loop_pullback_matrix(ctx, lift, q: int) -> np.ndarray:
                          ids=[t[0] for t in ALPHA_FIXTURES])
 def test_pullback_matches_loop_oracle(a, n):
     """For every lift at q <= 2, with constant coefficients over the prime
-    field and over Q and with each Hom(-, x) of Gr(A, N); at q = 0 the
-    pullback is a copy of F(lift)."""
+    field and over Q and with each Hom(-, x) of Gr(A, N): on the identity
+    cochains the pullback is the oracle's matrix (over Q an object array with
+    Fraction(0) where alpha hits the identity), on other cochains it is that
+    matrix times them, and writing into it leaves F(lift) as it was."""
     ext = n.extension
     for f in (constant_module(ext.total, a.field), constant_module(ext.total, QQ),
               *(representable_module(ext.total, a.field, x) for x in a.base.objects)):
         ctx = _LhsContext(a.base, a, n, f, qmax=0)
+        k = f.field
         for lift in ext.total.mor:
+            kept = np.array(f.on(lift), copy=True)
             for q in range(3):
-                got, want = ctx.pullback_matrix(lift, q), loop_pullback_matrix(ctx, lift, q)
+                got, want = pullback(ctx, lift, q), loop_pullback_matrix(ctx, lift, q)
                 assert got.dtype == want.dtype and got.shape == want.shape, (lift, q)
                 assert np.array_equal(got, want), (lift, q)
                 assert list(map(type, got.flat)) == list(map(type, want.flat)), (lift, q)
-            kept = np.array(f.on(lift), copy=True)
-            ctx.pullback_matrix(lift, 0)[...] = 1
-            assert np.array_equal(f.on(lift), kept)
+                cochains = k.array(np.arange(want.shape[1] * 2).reshape(-1, 2) % 3)
+                assert np.array_equal(pullback(ctx, lift, q, cochains), k.matmul(want, cochains))
+                got[...] = 1
+                assert np.array_equal(f.on(lift), kept), (lift, q)
+
+
+def test_pullback_allocates_no_dense_matrix():
+    """(Z/2)^3 over F2 at q = 4 with trivial coefficients: pulling 15
+    cochains back along the identity peaks far below the 2401 x 2401 int64
+    matrix (46 MB) of the pullback."""
+    g = abelian_group_category((2, 2, 2), "*")
+    cochains = F2.array(np.arange(2401 * 15).reshape(2401, 15) % 2)
+    tracemalloc.start()
+    try:
+        got = bar_pullback(F2, g, g, list(range(8)), F2.eye(1), cochains, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, cochains)
+    assert peak < 2401 * 2401 * 8 // 20
+
+
+@pytest.mark.parametrize("a,n", [t[1:] for t in ALPHA_FIXTURES],
+                         ids=[t[0] for t in ALPHA_FIXTURES])
+def test_fiber_generators_are_the_greedy_ones(a, n):
+    """The fiber builder names the generators the greedy search would find."""
+    for x, fiber in n.fibers.items():
+        e = fiber.index.pos[fiber.identity[x]]
+        assert n.fiber_generators[x] == greedy_generators(fiber.index.table, e).tolist()
 
 
 def restrict_along_iso(ext, f):
@@ -286,6 +331,20 @@ def restrict_along_iso(ext, f):
                      {x: x for x in ext.base.objects},
                      {(r, fb): (r, (), fb) for (r, fb) in ext.base.mor})
     return restrict(f, fun)
+
+
+def test_modules_must_live_over_gr_an_and_gr_a():
+    """The categories are compared as objects first and by their morphisms
+    when the objects differ: a module over an equal copy is accepted, one
+    over another category is refused."""
+    c, a, n, ext, g, f = point_fixture()
+    total = ext.total
+    copy = FinCategory(total.objects, dict(total.mor), dict(total.identity), dict(total.compose))
+    assert e2_page(c, a, n, g, constant_module(copy, F2), 1, 1) == e2_page(c, a, n, g, f, 1, 1)
+    with pytest.raises(ValueError, match=r"^coefficient module is not over Gr\(A, N\)$"):
+        e2_page(c, a, n, g, constant_module(ext.base, F2), 1, 1)
+    with pytest.raises(ValueError, match=r"^weight module is not over Gr\(A\)$"):
+        e2_page(c, a, n, f, f, 1, 1)
 
 
 def test_abutment_zero_fibers_matches_base():

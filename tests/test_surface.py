@@ -1,9 +1,10 @@
 """The package keeps only what the rest of the program names.
 
-A public module-level function or class of ``src/catext`` must be named by
-another part of the package, by the benchmark (``perfbench``), by a script
-or by the acceptance tests.  Names reached only from the unit tests belong
-in those tests, as fixtures or references."""
+A public module-level function or class of ``src/catext``, and a public
+method of such a class, must be named by another part of the package, by
+the benchmark (``perfbench``), by a script or by the acceptance tests.
+Names reached only from the unit tests belong in those tests, as fixtures
+or references."""
 import ast
 from pathlib import Path
 
@@ -15,6 +16,7 @@ ALLOWED = {
     "hom_space_dim": "independent oracle: dim Hom_A by one linear system, against Ext^0",
     "validate_resolution": "independent oracle: exactness of a resolution by ranks",
     "emit": "the canonical writer of a result document that README promises",
+    "CochainComplex.validate": "independent oracle: d o d = 0 and the differential shapes",
 }
 
 
@@ -32,12 +34,18 @@ def _names(tree) -> set:
 
 
 def _public_definitions() -> set:
-    """(module, name) of every public module-level function and class of the
-    package."""
-    return {(path.stem, node.name) for path in SRC.glob("*.py")
-            for node in ast.parse(path.read_text(), str(path)).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """(module, qualified name) of every public module-level function and
+    class of the package and of every public method of those classes."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            out.add((path.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                out |= {(path.stem, f"{node.name}.{item.name}") for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name[0] != "_"}
+    return out
 
 
 def _unnamed() -> list:
@@ -49,15 +57,28 @@ def _unnamed() -> list:
     tracer = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text())
     used |= {node.value for node in ast.walk(tracer)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    # inside the package a name counts when it is spelled outside its own definition
-    inner: dict = {}  # name -> the definitions it is spelled in (None: module level)
+    # inside the package a name counts when it is spelled outside its own
+    # definition: the whole of a module-level one, or a method's body
+    inner: dict = {}  # name -> the (module, qualified owner) it is spelled in
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-            for name in _names(node):
-                inner.setdefault(name, set()).add((path.stem, owner))
-    return sorted(f"{mod}.{name}" for (mod, name) in _public_definitions()
-                  if name not in used and not inner.get(name, set()) - {(mod, name)})
+            parts = [(None, node)]
+            if isinstance(node, ast.FunctionDef):
+                parts = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                parts = [(f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                          else node.name, item) for item in node.body]
+                parts += [(node.name, base) for base in node.bases + node.decorator_list]
+            for owner, part in parts:
+                for name in _names(part):
+                    inner.setdefault(name, set()).add((path.stem, owner))
+
+    def spelled_elsewhere(mod: str, qual: str) -> bool:
+        name = qual.rsplit(".", 1)[-1]
+        return any(m != mod or q is None or (q != qual and not q.startswith(qual + "."))
+                   for m, q in inner.get(name, ()))
+    return sorted(f"{mod}.{qual}" for mod, qual in _public_definitions()
+                  if qual.rsplit(".", 1)[-1] not in used and not spelled_elsewhere(mod, qual))
 
 
 def test_every_public_name_is_used_by_the_program():
