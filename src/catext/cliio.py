@@ -181,11 +181,17 @@ def _one(noun, choices, alias=None):
     return read
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_of(least):
-    """An integer >= least, as int() reads it (None after an error)."""
+    """An integer >= least, as int() reads it (None after an error); int()
+    would also read a bool and truncate a fraction, and neither is one."""
     def read(errors, path, value, out=None):
+        fraction = isinstance(value, float) and not value.is_integer()
         try:
-            if int(value) >= least:
+            if not (isinstance(value, bool) or fraction) and int(value) >= least:
                 return int(value)
         except (TypeError, ValueError):
             pass
@@ -215,7 +221,7 @@ def _matrix(errors, path, m, out=None, rows=None, cols=None):
             _err(errors, path, f"expected {rows} rows, got {len(m)}")
         if cols is not None and m and len(m[0]) != cols:
             _err(errors, path, f"expected {cols} columns, got {len(m[0])}")
-        bad = [v for r in m for v in r if not isinstance(v, int)]
+        bad = [v for r in m for v in r if not _is_int(v)]
         if bad:
             _err(errors, path, f"matrix entries must be integers, got {bad[0]!r}")
     return m
@@ -246,13 +252,13 @@ def _loop(errors, path, value, out):
 
 
 def _orders(errors, path, orders, out):
-    if not isinstance(orders, list) or any(not isinstance(n, int) or n < 1 for n in orders):
+    if not isinstance(orders, list) or any(not _is_int(n) or n < 1 for n in orders):
         return _err(errors, path, "need positive integer orders")
     return list(orders)
 
 
 def _dim(errors, path, dim, out):
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         _err(errors, path, "need a nonnegative dimension")
     return dim
 
@@ -266,7 +272,7 @@ def _tensor(errors, path, tensor, out):
 
 def _unit(errors, path, unit, out):
     dim = out["dim"]
-    if isinstance(unit, list) and len(unit) == dim and all(isinstance(v, int) for v in unit):
+    if isinstance(unit, list) and len(unit) == dim and all(_is_int(v) for v in unit):
         return unit
     return _err(errors, path, f"need an integer vector of length {dim}")
 

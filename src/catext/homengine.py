@@ -562,16 +562,17 @@ class Subquotient:
     """ker(d_out) / im(d_in) with a fixed representative basis, supporting
     exact projection of cocycles onto class coordinates.
 
-    The columns of S = [image basis | reps] are independent.  `_rows` are
-    independent rows of S and `_inverse` is the inverse of S[_rows], so v is
-    in the span of S iff S x = v for x = _inverse v[_rows]."""
+    Row i of `_kernel` (`kernel_basis` of d_out) is the unit vector at column
+    `_free[i]` plus entries at earlier columns, so a cocycle v is
+    `_kernel`^T v[_free]: v[_free] are its kernel coordinates.  `_coords`
+    takes kernel coordinates to class coordinates: it sends every boundary
+    to 0 and the representatives to the unit vectors."""
 
     field: FieldSpec
     reps: np.ndarray  # (ambient, h_dim) columns are class representatives
-    _solver: np.ndarray  # S = [image basis | reps]
-    _rows: list
-    _inverse: np.ndarray
-    _n_image: int
+    _kernel: np.ndarray  # (dim ker, ambient)
+    _free: np.ndarray  # the column of each kernel row's unit entry, increasing
+    _coords: np.ndarray  # (h_dim, dim ker)
 
     @property
     def dim(self) -> int:
@@ -582,30 +583,28 @@ class Subquotient:
         k = self.field
         if vecs.ndim == 1:
             vecs = vecs.reshape(-1, 1)
-        if self.dim == 0:
-            return k.zeros(0, vecs.shape[1])
         vecs = k.reduce(vecs)
-        x = k.matmul(self._inverse, vecs[self._rows])
-        if not k.equal(k.matmul(self._solver, x), vecs):
+        w = vecs[self._free]
+        if not k.equal(k.matmul(self._kernel.T, w), vecs):
             raise ValueError("vector is not a cocycle modulo boundaries")
-        return x[self._n_image:, :]
+        return k.matmul(self._coords, w)
 
 
 def subquotient(field: FieldSpec, d_out: np.ndarray, d_in: np.ndarray | None) -> Subquotient:
-    ambient = d_out.shape[1]
-    # the pivots of [d_in | kernel basis] are its first independent columns:
-    # an image basis, then class representatives
-    ker = kernel_basis(Matrix(field, d_out)).T
-    cols = ker if d_in is None else np.concatenate([d_in, ker], axis=1)
-    picked = rref(Matrix(field, cols))[1]
-    n_img = len([c for c in picked if c < cols.shape[1] - ker.shape[1]])
-    solver = cols[:, picked]
-    reps = solver[:, n_img:]
-    if not reps.shape[1]:
-        return Subquotient(field, field.zeros(ambient, 0), field.zeros(ambient, 0),
-                           [], field.zeros(0, 0), n_img)
-    # rref [S^T | I] = [U S^T | U] with U S^T the identity at the pivots R,
-    # so U = (S[R]^T)^-1 and the inverse of S[R] is U^T
-    n = solver.shape[1]
-    red, rows = rref(Matrix(field, np.concatenate([solver.T, field.eye(n)], axis=1)))
-    return Subquotient(field, reps, solver, rows, np.array(red[:, ambient:].T), n_img)
+    """Kernel row j represents a class iff it is not in im d_in plus the rows
+    before it, i.e. iff no boundary has its last non-zero kernel coordinate
+    at j.  Those are the pivots of d_in[free]^T with its columns reversed."""
+    kernel = kernel_basis(Matrix(field, d_out))
+    n = len(kernel)
+    free = ((kernel != 0) * np.arange(1, d_out.shape[1] + 1)).max(axis=1, initial=0) - 1
+    last, red = [], field.zeros(0, n)  # red: a boundary basis, unit at its last coordinate
+    if n and d_in is not None:
+        red, piv = rref(Matrix(field, d_in[free[::-1]].T))
+        last = [n - 1 - c for c in piv]
+        red = red[:len(piv), ::-1]
+    keep = sorted(set(range(n)) - set(last))
+    # w = sum_i w[last_i] red_i + sum_j c_j e_keep_j, so c = w[keep] - red[:, keep]^T w[last]
+    coords = field.zeros(len(keep), n)
+    coords[np.arange(len(keep)), keep] = field.one
+    coords[:, last] = field.reduce(-red[:, keep].T)
+    return Subquotient(field, kernel[keep].T, kernel, free, coords)

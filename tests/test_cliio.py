@@ -514,6 +514,38 @@ def test_malformed_scalars_and_blocks_exit_two(tmp_path, capsys, edit, path):
     assert any(e.startswith(path + ":") for e in doc["input_errors"]), doc
 
 
+A2_MODULE = "modules: {F: {preset: explicit, dims: {'0': 1, '1': 1}, mats: %s}}\ntask:"
+
+
+@pytest.mark.parametrize("text,edit,errors", [
+    (EXPLICIT_A2, ("n: 2}", "n: 1.9}"), ["task.caps.n: need an integer >= 0, got 1.9"]),
+    (EXPLICIT_A2, ("q: 2,", "q: true,"), ["task.caps.q: need an integer >= 0, got True"]),
+    (MINIMAL, ("{preset: trivial}", "{preset: discrete, count: 2.5}"),
+     ["category.count: need an integer >= 1, got 2.5"]),
+    (EXPLICIT_A2, ("task:", A2_MODULE % "{i0: [[true]], i1: [[1]], a: [[false]]}"),
+     ["modules.F.mats.i0: matrix entries must be integers, got True",
+      "modules.F.mats.a: matrix entries must be integers, got False"]),
+    (EXPLICIT_A2, ("{preset: field}", "{preset: group-algebra, orders: [true]}"),
+     ["algebra.constant.orders: need positive integer orders"]),
+    (EXPLICIT_A2, ("{preset: field}", "{preset: explicit, dim: true, tensor: [[[1]]], unit: [1]}"),
+     ["algebra.constant.dim: need a nonnegative dimension"]),
+    (EXPLICIT_A2, ("{preset: field}", "{preset: explicit, dim: 1, tensor: [[[1]]], unit: [true]}"),
+     ["algebra.constant.unit: need an integer vector of length 1"]),
+], ids=["caps-fraction", "caps-bool", "count-fraction", "mats-bool", "orders-bool", "dim-bool",
+        "unit-bool"])
+def test_bool_or_fraction_is_no_integer(text, edit, errors):
+    """int() reads True as 1 and truncates 1.9 to 1; the format reads neither
+    as an integer."""
+    with pytest.raises(InputError) as exc:
+        parse(text.replace(*edit))
+    assert exc.value.errors == errors
+
+
+def test_whole_float_is_an_integer():
+    spec = parse(EXPLICIT_A2.replace("n: 2}", "n: 2.0}"))
+    assert spec.payload["task"]["caps"]["n"] == 2
+
+
 # -- libyaml and the pure-Python loader -------------------------------------------
 
 # libyaml words each of these differently from the pure-Python loader, and

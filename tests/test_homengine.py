@@ -1,4 +1,5 @@
 import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import gcd
@@ -956,6 +957,9 @@ def test_word_size_ext0_equals_hom_on_cyclic_monoid(field, seed, diag):
 
 # -- subquotients ---------------------------------------------------------------------
 
+NOT_A_COCYCLE = "^vector is not a cocycle modulo boundaries$"
+
+
 def test_subquotient_projection_roundtrip():
     g = group(3)
     cc = bar_cochain_complex(g, trivial(g, F3), 2)
@@ -971,33 +975,123 @@ def test_subquotient_projection_roundtrip():
         sq.project(bad)
 
 
+def test_subquotient_with_no_classes_refuses_non_cocycles():
+    """H^1(Z/2; F3) = 0, and c = [1] is no cocycle: (dc)(1, 1) = c(1) + c(1) = 2.
+    A subquotient with no classes still checks its input."""
+    g = group(2)
+    bar = bar_cochain_complex(g, trivial(g, F3), 1)
+    sq = subquotient(F3, bar.d[1], bar.d[0])
+    assert sq.dim == 0 and F3.matmul(bar.d[1], F3.array([1])).tolist() == [2]
+    with pytest.raises(ValueError, match=NOT_A_COCYCLE):
+        sq.project(F3.array([1]))
+    assert sq.project(F3.zeros(1)).shape == (0, 1)
+
+
+@dataclass(eq=False)
+class SolverSubquotient:
+    """The subquotient before it worked in kernel coordinates.  The columns of
+    S = [image basis | reps] are independent.  `_rows` are independent rows
+    of S and `_inverse` is the inverse of S[_rows], so v is in the span of S
+    iff S x = v for x = _inverse v[_rows].  With no classes it projects
+    without that check."""
+
+    field: FieldSpec
+    reps: np.ndarray
+    _solver: np.ndarray
+    _rows: list
+    _inverse: np.ndarray
+    _n_image: int
+
+    @property
+    def dim(self) -> int:
+        return self.reps.shape[1]
+
+    def project(self, vecs: np.ndarray) -> np.ndarray:
+        k = self.field
+        if vecs.ndim == 1:
+            vecs = vecs.reshape(-1, 1)
+        if self.dim == 0:
+            return k.zeros(0, vecs.shape[1])
+        vecs = k.reduce(vecs)
+        x = k.matmul(self._inverse, vecs[self._rows])
+        if not k.equal(k.matmul(self._solver, x), vecs):
+            raise ValueError("vector is not a cocycle modulo boundaries")
+        return x[self._n_image:, :]
+
+
+def solver_subquotient(field, d_out, d_in) -> SolverSubquotient:
+    """Three eliminations: the kernel basis, then the rref of [d_in | kernel]
+    whose pivots are an image basis and then the representatives, then the
+    rref of [S^T | I] to invert S.  The oracle of `subquotient`."""
+    ambient = d_out.shape[1]
+    ker = kernel_basis(Matrix(field, d_out)).T
+    cols = ker if d_in is None else np.concatenate([d_in, ker], axis=1)
+    picked = rref(Matrix(field, cols))[1]
+    n_img = len([c for c in picked if c < cols.shape[1] - ker.shape[1]])
+    solver = cols[:, picked]
+    reps = solver[:, n_img:]
+    if not reps.shape[1]:
+        return SolverSubquotient(field, field.zeros(ambient, 0), field.zeros(ambient, 0),
+                                 [], field.zeros(0, 0), n_img)
+    # rref [S^T | I] = [U S^T | U] with U S^T the identity at the pivots R,
+    # so U = (S[R]^T)^-1 and the inverse of S[R] is U^T
+    n = solver.shape[1]
+    red, rows = rref(Matrix(field, np.concatenate([solver.T, field.eye(n)], axis=1)))
+    return SolverSubquotient(field, reps, solver, rows, np.array(red[:, ambient:].T), n_img)
+
+
+def _assert_same_classes(got: Subquotient, want: SolverSubquotient, d_out, d_in,
+                         rnd: Random) -> None:
+    """The representatives of the oracle, by dtype, shape and values; its
+    coordinates of random cocycles plus boundaries; and at every unit vector
+    its coordinates or its refusal.  Where the oracle has no classes it does
+    not check, so there a refusal is checked against d_out e != 0."""
+    k = got.field
+    assert (got.reps.dtype, got.reps.shape, got.reps.tolist()) == \
+        (want.reps.dtype, want.reps.shape, want.reps.tolist())
+    coords = k.array([[rnd.randrange(5) for _ in range(3)]
+                      for _ in range(want.dim)]).reshape(want.dim, 3)
+    vecs = k.matmul(want.reps, coords)
+    if d_in is not None:
+        y = k.array([[rnd.randrange(5) for _ in range(3)] for _ in range(d_in.shape[1])])
+        vecs = k.reduce(vecs + k.matmul(d_in, y.reshape(d_in.shape[1], 3)))
+    assert got.project(vecs).tolist() == want.project(vecs).tolist() == coords.tolist()
+    for j in range(d_out.shape[1]):
+        e = k.zeros(d_out.shape[1])
+        e[j] = k.one
+        if k.is_zero(k.matmul(d_out, e)):
+            x, y = got.project(e), want.project(e)
+            assert (x.dtype, x.shape, x.tolist()) == (y.dtype, y.shape, y.tolist()), j
+            continue
+        with pytest.raises(ValueError, match=NOT_A_COCYCLE):
+            got.project(e)
+        if want.dim:
+            with pytest.raises(ValueError, match=NOT_A_COCYCLE):
+                want.project(e)
+
+
 @pytest.mark.parametrize("orders,field,q", [
     ((3,), F3, 1), ((3,), F3, 2), ((2, 2), F2, 2), ((5,), FieldSpec.prime(5), 1),
     ((2, 2), FieldSpec.prime(65521), 0), ((3,), FieldSpec.prime(2**31 - 1), 0), ((2,), QQ, 0),
 ])
 def test_subquotient_projection_matches_solve(orders, field, q):
-    """The factored projection gives the coordinates the parent's solve
-    against [image basis | reps] gave, and raises on every non-cocycle."""
+    """The kernel-coordinate projection gives the coordinates a solve against
+    the oracle's [image basis | reps] gives, and the oracle's refusals."""
     g = group(*orders)
     cc = bar_cochain_complex(g, trivial(g, field, 2), q + 1)
-    sq = subquotient(field, cc.d[q], cc.d[q - 1] if q else None)
+    d_in = cc.d[q - 1] if q else None
+    sq, want = subquotient(field, cc.d[q], d_in), solver_subquotient(field, cc.d[q], d_in)
     assert sq.dim > 0
     rnd = Random(q)
     coords = field.array([[rnd.randrange(5) for _ in range(3)] for _ in range(sq.dim)])
     vecs = field.matmul(sq.reps, coords)
     if q:
-        y = field.array([[rnd.randrange(5) for _ in range(3)]
-                         for _ in range(cc.d[q - 1].shape[1])])
-        vecs = field.reduce(vecs + field.matmul(cc.d[q - 1], y))
+        y = field.array([[rnd.randrange(5) for _ in range(3)] for _ in range(d_in.shape[1])])
+        vecs = field.reduce(vecs + field.matmul(d_in, y))
     assert sq.project(vecs).tolist() == coords.tolist()
-    ref = solve_matrix(Matrix(field, sq._solver), Matrix(field, vecs))
-    assert ref[sq._n_image:].tolist() == coords.tolist()
-    for j in range(cc.dims[q]):
-        e = field.zeros(cc.dims[q])
-        e[j] = field.one
-        if not field.is_zero(field.matmul(cc.d[q], e)):
-            with pytest.raises(ValueError, match="^vector is not a cocycle modulo boundaries$"):
-                sq.project(e)
+    ref = solve_matrix(Matrix(field, want._solver), Matrix(field, vecs))
+    assert ref[want._n_image:].tolist() == coords.tolist()
+    _assert_same_classes(sq, want, cc.d[q], d_in, rnd)
 
 
 def reference_subquotient(field, d_out, d_in):
@@ -1020,13 +1114,13 @@ def reference_subquotient(field, d_out, d_in):
             reps.append(np.array(row, copy=True))
     n_img = len(image_cols)
     if not reps:
-        return Subquotient(field, field.zeros(ambient, 0), field.zeros(ambient, 0),
-                           [], field.zeros(0, 0), n_img)
+        return SolverSubquotient(field, field.zeros(ambient, 0), field.zeros(ambient, 0),
+                                 [], field.zeros(0, 0), n_img)
     solver = np.stack(image_cols + reps, axis=1)
     n = solver.shape[1]
     red, rows = rref(Matrix(field, np.concatenate([solver.T, field.eye(n)], axis=1)))
-    return Subquotient(field, np.stack(reps, axis=1), solver, rows,
-                       np.array(red[:, ambient:].T), n_img)
+    return SolverSubquotient(field, np.stack(reps, axis=1), solver, rows,
+                             np.array(red[:, ambient:].T), n_img)
 
 
 SUBQUOTIENT_FIELDS = [QQ] + [FieldSpec.prime(p) for p in (2, 3, 65521, 2**31 - 1)]
@@ -1036,7 +1130,8 @@ SUBQUOTIENT_FIELDS = [QQ] + [FieldSpec.prime(p) for p in (2, 3, 65521, 2**31 - 1
 def cochain_pairs(draw):
     """(field, d_out, d_in) with d_out d_in = 0: d_in None, of rank 0 or of
     low rank, d_out sometimes injective (no kernel), and an ambient dimension
-    sometimes above 64 so that the rref of the picked columns is blocked."""
+    sometimes above 64 so that the rrefs of d_out and of the oracle's
+    [d_in | kernel] are blocked."""
     field = draw(st.sampled_from(SUBQUOTIENT_FIELDS))
     kind = draw(st.sampled_from(["low-rank", "none", "zero", "injective"]))
     n = draw(st.sampled_from([6, 70, 3, 10, 1, 0]))
@@ -1062,16 +1157,42 @@ def cochain_pairs(draw):
 
 @given(cochain_pairs())
 def test_subquotient_matches_one_vector_reference(pair):
-    """Every field of the subquotient, dtype, shape and values, is the one the
-    two insertion loops gave."""
+    """The oracle keeps every field, dtype, shape and values, the two
+    insertion loops gave; the subquotient has its representatives,
+    coordinates and refusals."""
     field, d_out, d_in = pair
-    _assert_same_subquotient(subquotient(field, d_out, d_in),
-                             reference_subquotient(field, d_out, d_in))
+    want = solver_subquotient(field, d_out, d_in)
+    _assert_same_subquotient(want, reference_subquotient(field, d_out, d_in))
+    _assert_same_classes(subquotient(field, d_out, d_in), want, d_out, d_in, Random(0))
 
 
-def _assert_same_subquotient(got: Subquotient, want: Subquotient, where=()) -> None:
+@given(cochain_pairs())
+def test_subquotient_runs_at_most_two_eliminations(pair):
+    """The kernel basis of d_out, and with d_in one rref more, of the
+    boundaries in kernel coordinates: dim C^(q-1) rows.  Nothing of
+    dim ker x (ambient + dim ker) is eliminated to invert a basis."""
+    field, d_out, d_in = pair
+    shapes = []
+
+    def counted(fn):
+        def run(m):
+            shapes.append(m.a.shape)
+            return fn(m)
+        return run
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("rref", "kernel_basis"):
+            mp.setattr(homengine, name, counted(getattr(homengine, name)))
+        subquotient(field, d_out, d_in)
+    assert shapes[0] == d_out.shape
+    if d_in is None:
+        assert len(shapes) == 1
+    else:
+        assert len(shapes) <= 2 and all(s[0] == d_in.shape[1] for s in shapes[1:]), shapes
+
+
+def _assert_same_subquotient(got, want, where=()) -> None:
     """Every field equal: arrays by dtype, shape and values."""
-    for f in dataclasses.fields(Subquotient):
+    for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
             assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist()), \
