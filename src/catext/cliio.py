@@ -186,15 +186,12 @@ def _is_int(v) -> bool:
 
 
 def _int_of(least):
-    """An integer >= least, as int() reads it (None after an error); int()
-    would also read a bool and truncate a fraction, and neither is one."""
+    """An integer >= least: an int or a whole float, read as an int (None
+    after an error).  A bool, a fraction and a numeric string are not one."""
     def read(errors, path, value, out=None):
-        fraction = isinstance(value, float) and not value.is_integer()
-        try:
-            if not (isinstance(value, bool) or fraction) and int(value) >= least:
-                return int(value)
-        except (TypeError, ValueError):
-            pass
+        whole = _is_int(value) or isinstance(value, float) and value.is_integer()
+        if whole and int(value) >= least:
+            return int(value)
         return _err(errors, path, f"need an integer >= {least}, got {value!r}")
     return read
 
@@ -479,9 +476,10 @@ def emit(spec: ProblemSpec) -> str:
 @dataclass(eq=False)
 class Built:
     """One problem's context: the named modules, built on first use and kept.
-    Gr(A), Gr(A, N) and the fiber extension are kept on the systems they come
-    from, so every command reads the same `precosheaf.gr`, `right_module.gr`
-    and `right_module.extension`."""
+    Gr(A), A |x M, Gr(A, N) and the fiber extension are kept on the systems
+    they come from, so every command reads the same `precosheaf.gr`,
+    `bimodule.extension_algebra`, `right_module.gr` and
+    `right_module.extension`."""
     field: FieldSpec
     coeff_field: FieldSpec
     category: FinCategory
@@ -673,8 +671,7 @@ def _algebra_payload(alg: FDAlgebra) -> dict:
 
 def _cmd_build_algebra(built: Built, caps: dict) -> tuple[dict, bool]:
     if built.bimodule is not None:
-        alg = constructions.extension_algebra(built.category, built.precosheaf,
-                                              built.bimodule)
+        alg = built.bimodule.extension_algebra
         kind = "extension-category-algebra"
     else:
         alg = constructions.skew_algebra(built.category, built.precosheaf)
@@ -692,11 +689,10 @@ def _cmd_check_theorem_a(built: Built, caps: dict) -> tuple[dict, bool]:
             "trivial-ext", c, pre, m)
     if all(m.at(x).dim == 0 for x in c.objects):
         verdicts["skew-degeneration"] = constructions.check_degeneration("skew", c, pre, m)
-    ext_alg = constructions.extension_algebra(c, pre, m)
-    arep = validate_algebra(ext_alg)
+    arep = validate_algebra(m.extension_algebra)
     if built.field.is_prime_field:
         verdicts["composition-antihomomorphism"] = constructions.check_composition_antihom(
-            c, pre, m, ext=ext_alg)
+            c, pre, m)
     checks = {name: v.as_dict() for name, v in verdicts.items()}
     checks["extension-algebra-axioms"] = arep.as_dict()
     return {"checks": checks}, arep.ok and all(v.passed for v in verdicts.values())

@@ -9,9 +9,10 @@ validators check the functor laws of the algebra and module maps through
 pairs, one stacked comparison per morphism and law, and report witnesses.
 
 What is derived from a system is kept on it, built on first use and shared:
-the verdict and Gr(A) on a precosheaf, Gr(A, M) on a bimodule system, and
-Gr(A, N), the fibers N(x) with their generators and the extension
-fibers -> Gr(A, N) -> Gr(A) on a right-module system.
+the verdict and Gr(A) on a precosheaf, Gr(A, M) and the extension category
+algebra A |x M on a bimodule system, and Gr(A, N), the fibers N(x) with
+their generators and the extension fibers -> Gr(A, N) -> Gr(A) on a
+right-module system.
 """
 from __future__ import annotations
 
@@ -79,6 +80,12 @@ class PrecosheafModule:
         from .constructions import gr_bimodule, gr_right_module  # they import this module
         bi = any(mod.side == "bi" for mod in self.modules.values())
         return (gr_bimodule if bi else gr_right_module)(self.base, self.precosheaf, self)
+
+    @cached_property
+    def extension_algebra(self) -> FDAlgebra:
+        """A |x M of a bimodule system, built on first use and kept."""
+        from .constructions import extension_algebra  # constructions imports this module
+        return extension_algebra(self.base, self.precosheaf, self)
 
     @cached_property
     def fibers(self) -> dict:

@@ -40,12 +40,6 @@ from .fdalgebra import BLOCK_TERMS, FDAlgebra, join_constants, opposite_algebra,
 from .fincat import TABLE_LIMIT, FinCategory
 
 
-def _entries(mat: np.ndarray, row: int, col: int, out: int) -> tuple:
-    """Constants (row + j, col, out + l, mat[l, j]) for the non-zero mat[l, j]."""
-    l, j = np.nonzero(mat)
-    return row + j, np.full(len(j), col), out + l, mat[l, j]
-
-
 def skew_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FDAlgebra:
     """Skew category algebra: basis (f, i) with i a basis index of A(cod f).
 
@@ -58,12 +52,10 @@ def skew_algebra(c: FinCategory, a: AlgebraPrecosheaf) -> FDAlgebra:
     start = dict(zip(c.mor, np.cumsum([0, *dims.values()]).tolist()))  # first basis index
     blocks = []
     for (f, g), h in c.compose.items():  # f then g; product order is (g-part)*(f-part)
-        ag = a.on(g).matrix
-        target = a.at(c.cod(g))
-        for i in range(dims[f]):
-            # column j of the right multiplication by A(g)(e_i) is e_j A(g)(e_i)
-            blocks.append(_entries(target.right_mult_matrix(ag[:, i]),
-                                   start[g], start[f] + i, start[h]))
+        # [l, j, i]: coefficient of e_l in e_j A(g)(e_i)
+        prods = a.at(c.cod(g)).right_mult_matrix(a.on(g).matrix)
+        l, j, i = np.nonzero(prods)
+        blocks.append((start[g] + j, start[f] + i, start[h] + l, prods[l, j, i]))
     unit = k.zeros(sum(dims.values()))
     for x in c.objects:
         f = c.identity[x]
@@ -83,7 +75,8 @@ def extension_algebra(c: FinCategory, a: AlgebraPrecosheaf,
 
     bilinearly, and vanishes unless dom(g) == cod(f).  On the one-morphism
     category this is the square-zero extension A(*) |x M(*) with
-    (s,n)(r,m) = (sr, s.m + n.r).
+    (s,n)(r,m) = (sr, s.m + n.r).  A bimodule system keeps the one built
+    for it as `PrecosheafModule.extension_algebra`.
     """
     k = a.field
     da = {f: a.at(c.cod(f)).dim for f in c.mor}
@@ -94,13 +87,14 @@ def extension_algebra(c: FinCategory, a: AlgebraPrecosheaf,
     for (f, g), h in c.compose.items():
         ag = a.on(g).matrix
         alg_z, mod_z = a.at(c.cod(g)), m.at(c.cod(g))
-        rights = mod_z.right_of(ag.T)  # [i]: the right action of A(g)(e_i)
-        for i in range(da[f]):
-            # (e_j at g) * (e_i at f) = e_j A(g)(e_i) and (m_j at g) * (e_i at f)
-            # = m_j.A(g)(e_i): column j of the right multiplications by A(g)(e_i)
-            blocks.append(_entries(alg_z.right_mult_matrix(ag[:, i]),
-                                   start[g], start[f] + i, start[h]))
-            blocks.append(_entries(rights[i], mstart[g], start[f] + i, mstart[h]))
+        # (e_j at g) * (e_i at f) = e_j A(g)(e_i): entry [l, j, i]
+        prods = alg_z.right_mult_matrix(ag)
+        l, j, i = np.nonzero(prods)
+        blocks.append((start[g] + j, start[f] + i, start[h] + l, prods[l, j, i]))
+        # (m_j at g) * (e_i at f) = m_j.A(g)(e_i): entry [i, l, j]
+        rights = mod_z.right_of(ag.T)
+        i, l, j = np.nonzero(rights)
+        blocks.append((mstart[g] + j, start[f] + i, mstart[h] + l, rights[i, l, j]))
         if mod_z.dim and alg_z.dim:
             # (e_j at g) * (m_i at f) = e_j.M(g)(m_i): entry [j, l, i]
             w = k.matmul(np.stack(mod_z.left_action), m.on(g))
@@ -240,10 +234,10 @@ class CheckVerdict:
                 "pairs_checked": self.pairs_checked}
 
 
-def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf, m: PrecosheafModule,
-                              ext: FDAlgebra | None = None) -> CheckVerdict:
+def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
+                              m: PrecosheafModule) -> CheckVerdict:
     """Transport every composable pair of Gr(A, M) = `m.gr` into the
-    extension algebra (`extension_algebra(c, a, m)` unless `ext` is given).
+    extension algebra `m.extension_algebra`.
 
     For morphisms u = (r,m,f) and v = (s,n,g) with u then v defined, checks
 
@@ -256,8 +250,7 @@ def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf, m: Precoshea
     product of at most BLOCK_TERMS terms.  Exhaustive; returns the first
     failing pair in table order as a witness.
     """
-    gr = m.gr
-    ext = ext if ext is not None else extension_algebra(c, a, m)
+    gr, ext = m.gr, m.extension_algebra
     k = ext.field
     index = {b: t for t, b in enumerate(ext.basis_labels)}
     embed = k.zeros(len(gr.mor), ext.dim)  # row t embeds the morphism at position t
@@ -293,9 +286,10 @@ def check_degeneration(kind: str, c: FinCategory, a: AlgebraPrecosheaf,
     kind="trivial-ext": C must be the one-object, one-morphism category; the
     extension algebra must equal the square-zero extension of A(*) by M(*).
     kind="skew": M must be the zero system; the extension algebra must equal
-    the skew algebra on the same basis.
+    the skew algebra on the same basis.  The extension algebra is the one
+    kept on M (`m.extension_algebra`).
     """
-    ext = extension_algebra(c, a, m)
+    ext = m.extension_algebra
     if kind == "trivial-ext":
         if len(c.objects) != 1 or len(c.mor) != 1:
             raise ValueError("trivial-ext degeneration needs the one-morphism category")

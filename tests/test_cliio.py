@@ -323,11 +323,12 @@ def test_missing_blocks_are_named(text, command, message):
 
 @pytest.fixture
 def gr_builds(monkeypatch):
-    """Counts Grothendieck and fiber extension builds, wrapping each
-    construction under every catext module global that holds it."""
+    """Counts Grothendieck, category algebra and fiber extension builds,
+    wrapping each construction under every catext module global that holds it."""
     counts = Counter()
     for module, name in ((constructions, "gr_algebra"), (constructions, "gr_right_module"),
-                         (constructions, "gr_bimodule"), (extcheck, "fiber_extension")):
+                         (constructions, "gr_bimodule"), (constructions, "skew_algebra"),
+                         (constructions, "extension_algebra"), (extcheck, "fiber_extension")):
         orig = getattr(module, name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
@@ -355,6 +356,14 @@ task:
   modules: [F, F]
 """
 ALL_THREE = {"gr_algebra": 1, "gr_right_module": 1, "fiber_extension": 1}
+ZERO_THEOREM_A = """
+field: {kind: prime, characteristic: 2}
+category: {preset: trivial}
+algebra:
+  constant: {preset: field}
+bimodule: {preset: zero}
+task: {command: check-theorem-a}
+"""
 
 
 _JOBS = [
@@ -364,14 +373,20 @@ _JOBS = [
     ("lemma_fiber_extension", "check-extension", ALL_THREE),
     # modules over gr-a and gr-an: Gr(A) and Gr(A, N), but no extension
     ("one_object_lhs", "validate", {"gr_algebra": 1, "gr_right_module": 1}),
-    (None, "ext", {"gr_right_module": 1}),  # modules over gr-an only: Gr(A, N) alone
+    ("ext_over_gr_an", "ext", {"gr_right_module": 1}),  # modules over gr-an only: Gr(A, N) alone
+    # the three checks of theorem A share the A |x M kept on the bimodule system
+    ("dual_numbers_degeneration", "check-theorem-a", {"extension_algebra": 1, "gr_bimodule": 1}),
+    ("dual_numbers_degeneration", "build-algebra", {"extension_algebra": 1}),
+    ("a2_skew", "build-algebra", {"skew_algebra": 1}),
+    ("zero_theorem_a", "check-theorem-a",
+     {"extension_algebra": 1, "skew_algebra": 1, "gr_bimodule": 1}),
 ]
+_INLINE = {"ext_over_gr_an": EXT_OVER_GR_AN, "zero_theorem_a": ZERO_THEOREM_A}
 
 
-@pytest.mark.parametrize("problem,command,builds", _JOBS,
-                         ids=[f"{p or 'ext_over_gr_an'}-{c}" for p, c, _ in _JOBS])
+@pytest.mark.parametrize("problem,command,builds", _JOBS, ids=[f"{p}-{c}" for p, c, _ in _JOBS])
 def test_each_job_builds_gr_once(gr_builds, problem, command, builds):
-    text = (PROBLEMS / f"{problem}.yaml").read_text() if problem else EXT_OVER_GR_AN
+    text = _INLINE.get(problem) or (PROBLEMS / f"{problem}.yaml").read_text()
     doc, code = run(parse(text), command=command)
     assert code == 0, doc
     assert gr_builds == builds
@@ -531,11 +546,15 @@ A2_MODULE = "modules: {F: {preset: explicit, dims: {'0': 1, '1': 1}, mats: %s}}\
      ["algebra.constant.dim: need a nonnegative dimension"]),
     (EXPLICIT_A2, ("{preset: field}", "{preset: explicit, dim: 1, tensor: [[[1]]], unit: [true]}"),
      ["algebra.constant.unit: need an integer vector of length 1"]),
+    (EXPLICIT_A2, ("n: 2}", "n: '3'}"), ["task.caps.n: need an integer >= 0, got '3'"]),
+    (EXPLICIT_A2, ("q: 2,", "q: \"2.0\","), ["task.caps.q: need an integer >= 0, got '2.0'"]),
+    (MINIMAL, ("{preset: trivial}", "{preset: discrete, count: '2'}"),
+     ["category.count: need an integer >= 1, got '2'"]),
 ], ids=["caps-fraction", "caps-bool", "count-fraction", "mats-bool", "orders-bool", "dim-bool",
-        "unit-bool"])
+        "unit-bool", "caps-string", "caps-float-string", "count-string"])
 def test_bool_or_fraction_is_no_integer(text, edit, errors):
-    """int() reads True as 1 and truncates 1.9 to 1; the format reads neither
-    as an integer."""
+    """int() reads True as 1, truncates 1.9 to 1 and reads the string '3' as
+    3; the format reads none of them as an integer."""
     with pytest.raises(InputError) as exc:
         parse(text.replace(*edit))
     assert exc.value.errors == errors

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from catext.constructions import (check_composition_antihom, check_degeneration,
 from catext.coeffsys import PrecosheafModule, validate_bimodule, validate_right_module
 from catext.exactlin import FieldSpec
 from catext.fdalgebra import (AlgHom, AlgModule, FDAlgebra, dual_numbers, field_algebra,
-                              group_algebra, opposite_algebra, regular_bimodule,
-                              trivial_extension, upper_triangular_algebra, validate_algebra)
+                              group_algebra, join_constants, opposite_algebra,
+                              regular_bimodule, trivial_extension, upper_triangular_algebra,
+                              validate_algebra)
 from catext.fincat import CatFunctor, FinCategory, linearize, validate_category
 from catext.presets import (F2, F3, QQ, a2_augmentation_precosheaf, constant_precosheaf,
                             cyclic_monoid, discrete_category, field_product, one_object_group,
@@ -300,7 +302,7 @@ def test_transport_blocks_keep_the_per_pair_verdict(monkeypatch, terms):
 
     def check(table):
         m.gr = table
-        return check_composition_antihom(c, a, m, ext=ext)
+        return check_composition_antihom(c, a, m)
     for table in cases:
         v = check(table)
         assert (v.passed, v.witness, v.pairs_checked) == _reference_transport(table, ext)
@@ -329,7 +331,7 @@ def test_degeneration_rationals_dual_numbers():
 
 
 @pytest.mark.parametrize("k", [F3, QQ], ids=["F3", "Q"])
-def test_failed_degeneration_names_the_first_differing_entries(monkeypatch, k):
+def test_failed_degeneration_names_the_first_differing_entries(k):
     """With the fiber products in the wrong order (the opposite algebra) or one
     constant changed, the witness is the first four differing (i, j, l) of
     the dense tensors in C order."""
@@ -343,7 +345,7 @@ def test_failed_degeneration_names_the_first_differing_entries(monkeypatch, k):
     te = trivial_extension(at.at("*"), mt.at("*"))
     for wrong, detail in ((opposite_algebra(real), "the opposite square-zero extension"),
                           (changed, None)):
-        monkeypatch.setattr(constructions, "extension_algebra", lambda *args: wrong)
+        mt.extension_algebra = wrong
         v = check_degeneration("trivial-ext", ct, at, mt)
         want = [tuple(w) for w in np.argwhere(wrong.structure != te.structure)[:4].tolist()]
         assert not v.passed and v.witness == {"entries": want} and len(want) >= 1
@@ -452,7 +454,7 @@ def test_noncommutative_fibers(a):
     ext = extension_algebra(c, a, m)
     gr = gr_bimodule(c, a, m)
     assert validate_algebra(ext).ok
-    v = check_composition_antihom(c, a, m, ext=ext)
+    v = check_composition_antihom(c, a, m)
     assert v.passed, f"{v.detail} {v.witness}"
     assert validate_category(gr).ok
     assert check_degeneration("skew", c, a, zero_bimodule_system(a)).passed
@@ -650,3 +652,121 @@ def test_shared_enumerator_matches_reference_on_projection_bimodule():
     _same_tables(gr_bimodule(c, a, pb), reference_gr_bimodule(c, a, pb))
     n = forget_left_action(pb)
     _same_tables(gr_right_module(c, a, n), reference_gr_right_module(c, a, n))
+
+
+# -- per-basis builders -----------------------------------------------------------
+# skew_algebra and extension_algebra as they were written with one right
+# multiplication per basis index of A(cod f), kept as oracles for the builders
+# that read each composable pair from one array expression.
+
+def _entries(mat, row, col, out):
+    """Constants (row + j, col, out + l, mat[l, j]) for the non-zero mat[l, j]."""
+    l, j = np.nonzero(mat)
+    return row + j, np.full(len(j), col), out + l, mat[l, j]
+
+
+def reference_skew_algebra(c, a):
+    k = a.field
+    dims = {f: a.at(c.cod(f)).dim for f in c.mor}
+    start = dict(zip(c.mor, np.cumsum([0, *dims.values()]).tolist()))
+    blocks = []
+    for (f, g), h in c.compose.items():
+        ag = a.on(g).matrix
+        target = a.at(c.cod(g))
+        for i in range(dims[f]):
+            blocks.append(_entries(target.right_mult_matrix(ag[:, i]),
+                                   start[g], start[f] + i, start[h]))
+    unit = k.zeros(sum(dims.values()))
+    for x in c.objects:
+        f = c.identity[x]
+        unit[start[f]:start[f] + dims[f]] = a.at(x).unit
+    return FDAlgebra(field=k, dim=len(unit), constants=join_constants(blocks), unit=unit,
+                     basis_labels=tuple((f, i) for f in c.mor for i in range(dims[f])),
+                     name="A[C]")
+
+
+def reference_extension_algebra(c, a, m):
+    k = a.field
+    da = {f: a.at(c.cod(f)).dim for f in c.mor}
+    dm = {f: m.at(c.cod(f)).dim for f in c.mor}
+    start = dict(zip(c.mor, np.cumsum([0] + [da[f] + dm[f] for f in c.mor]).tolist()))
+    mstart = {f: start[f] + da[f] for f in c.mor}
+    blocks = []
+    for (f, g), h in c.compose.items():
+        ag = a.on(g).matrix
+        alg_z, mod_z = a.at(c.cod(g)), m.at(c.cod(g))
+        rights = mod_z.right_of(ag.T)
+        for i in range(da[f]):
+            blocks.append(_entries(alg_z.right_mult_matrix(ag[:, i]),
+                                   start[g], start[f] + i, start[h]))
+            blocks.append(_entries(rights[i], mstart[g], start[f] + i, mstart[h]))
+        if mod_z.dim and alg_z.dim:
+            w = k.matmul(np.stack(mod_z.left_action), m.on(g))
+            j, l, i = np.nonzero(w)
+            blocks.append((start[g] + j, mstart[f] + i, mstart[h] + l, w[j, l, i]))
+    unit = k.zeros(sum(da.values()) + sum(dm.values()))
+    for x in c.objects:
+        f = c.identity[x]
+        unit[start[f]:start[f] + da[f]] = a.at(x).unit
+    basis = tuple(b for f in c.mor for b in [(f, "a", i) for i in range(da[f])]
+                  + [(f, "m", j) for j in range(dm[f])])
+    return FDAlgebra(field=k, dim=len(unit), constants=join_constants(blocks), unit=unit,
+                     basis_labels=basis, name="A|xM")
+
+
+def _assert_same_algebra(ours, ref):
+    """Dimension, labels, name, and the constants and unit bit for bit:
+    dtype, shape, values and the type of every element."""
+    assert (ours.dim, ours.basis_labels, ours.name) == (ref.dim, ref.basis_labels, ref.name)
+    for x, y in zip((*ours.constants, ours.unit), (*ref.constants, ref.unit)):
+        assert (x.dtype, x.shape) == (y.dtype, y.shape)
+        assert x.tolist() == y.tolist()
+        assert list(map(type, x.tolist())) == list(map(type, y.tolist()))
+    if ours.field is QQ:
+        assert {type(v) for v in (*ours.constants[3], *ours.unit)} <= {Fraction}
+
+
+def fixtures_builders():
+    """(id, precosheaf, bimodule systems) over Q, F2 and F3: constant UT(2) on
+    the point, A2 and B(Z/2), UT(2) -> k x k along the arrow of A2, the
+    augmentation precosheaf on A2, k[Z/2] on the cyclic monoid, and the
+    explicit A2 bimodule whose carriers differ at 0 and 1; each with its
+    regular and zero bimodule systems, plus the projection bimodule."""
+    out = []
+    for name, k in (("Q", QQ), ("F2", F2), ("F3", F3)):
+        ut2 = upper_triangular_algebra(2, k)
+        diag = AlgHom(ut2, field_product(k, 2), k.array([[1, 0, 0], [0, 0, 1]]))
+        pres = {"pt-ut2": constant_precosheaf(trivial_category(), ut2),
+                "a2-ut2": constant_precosheaf(poset_a2(), ut2),
+                "bz2-ut2": constant_precosheaf(one_object_group(2), ut2),
+                "a2-ut2-diag": precosheaf_from(poset_a2(), {"0": ut2, "1": diag.target},
+                                               {"a": diag}),
+                "a2-aug": a2_augmentation_precosheaf(k),
+                "cyc31-kz2": constant_precosheaf(cyclic_monoid(3, 1), group_algebra([2], k))}
+        for pn, a in pres.items():
+            out.append((f"{name}-{pn}", a, [regular_bimodule_system(a), zero_bimodule_system(a)]))
+        _, a, _, m = explicit_a2_systems(k)
+        out.append((f"{name}-a2-explicit", a, [m]))
+        pb = projection_bimodule_system(k)
+        out.append((f"{name}-pt-proj", pb.precosheaf, [pb]))
+    return out
+
+
+@pytest.mark.parametrize("name,a,systems", fixtures_builders(),
+                         ids=[e[0] for e in fixtures_builders()])
+def test_builders_match_per_basis_reference(name, a, systems):
+    c = a.base
+    _assert_same_algebra(skew_algebra(c, a), reference_skew_algebra(c, a))
+    for m in systems:
+        assert validate_bimodule(m).ok
+        _assert_same_algebra(extension_algebra(c, a, m), reference_extension_algebra(c, a, m))
+
+
+def test_bimodule_system_keeps_its_extension_algebra():
+    """`PrecosheafModule.extension_algebra` is built once, on first use, and
+    equals `extension_algebra` of the system."""
+    a = a2_augmentation_precosheaf(F3)
+    m = regular_bimodule_system(a)
+    kept = m.extension_algebra
+    assert m.extension_algebra is kept
+    _assert_same_algebra(kept, extension_algebra(a.base, a, m))
