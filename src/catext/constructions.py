@@ -234,6 +234,25 @@ class CheckVerdict:
                 "pairs_checked": self.pairs_checked}
 
 
+def _tables(c: FinCategory) -> tuple:
+    return c.objects, c.mor, c.identity, c.compose
+
+
+def _check_system(c: FinCategory, a: AlgebraPrecosheaf, m: PrecosheafModule) -> None:
+    """The checks read the algebra kept on m, so c and a must be m's
+    category and precosheaf, or copies with the same tables, algebras and
+    maps."""
+    pre = m.precosheaf
+    same = _tables(c) == _tables(m.base) and (a is pre or (
+        _tables(a.base) == _tables(pre.base)
+        and a.algebras.keys() == pre.algebras.keys() and a.maps.keys() == pre.maps.keys()
+        and all(a.at(x).field == pre.at(x).field and _products(a.at(x)) == _products(pre.at(x))
+                for x in pre.algebras)
+        and all(np.array_equal(a.on(f).matrix, pre.on(f).matrix) for f in pre.maps)))
+    if not same:
+        raise ValueError("the category and precosheaf must be those of the system")
+
+
 def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
                               m: PrecosheafModule) -> CheckVerdict:
     """Transport every composable pair of Gr(A, M) = `m.gr` into the
@@ -250,6 +269,7 @@ def check_composition_antihom(c: FinCategory, a: AlgebraPrecosheaf,
     product of at most BLOCK_TERMS terms.  Exhaustive; returns the first
     failing pair in table order as a witness.
     """
+    _check_system(c, a, m)
     gr, ext = m.gr, m.extension_algebra
     k = ext.field
     index = {b: t for t, b in enumerate(ext.basis_labels)}
@@ -289,6 +309,7 @@ def check_degeneration(kind: str, c: FinCategory, a: AlgebraPrecosheaf,
     the skew algebra on the same basis.  The extension algebra is the one
     kept on M (`m.extension_algebra`).
     """
+    _check_system(c, a, m)
     ext = m.extension_algebra
     if kind == "trivial-ext":
         if len(c.objects) != 1 or len(c.mor) != 1:

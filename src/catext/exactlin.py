@@ -34,9 +34,11 @@ Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 2013).  The rref is
 unique, so both give the same matrix.  `Echelon.extend` is the only way a
 basis grows, and `contains` reduces through the same product.  `add`
 inserts one vector through it: the package extends by blocks, and `add` is
-the one-vector entry whose acceptances the benchmark's tracer counts.  The
-pivot loop's row update has terms that are single products below
-p^2 < 2^62.
+the one-vector entry whose acceptances the benchmark's tracer counts.  Over
+F_p the pivot loop delays its reductions as `matmul` does: a row update's
+term is at most (p - 1)^2 and an entry takes one per pivot, so the matrix
+is reduced after every room = floor((2^63 - p) / (p - 1)^2) pivots (at
+least 2^31 for p <= 65521, 2 at p = 2^31 - 1) and once at the end.
 """
 from __future__ import annotations
 
@@ -225,27 +227,64 @@ class Matrix:
 
 def _pivot_loop(field: FieldSpec, m: np.ndarray):
     """In-place row reduction to rref, one pivot at a time; returns pivot
-    column list."""
+    column list.
+
+    Over F_p the entries must lie in (-p, p).  A hit row takes its update
+    col[hit] * pivot_row unreduced: each term lies in [0, (p - 1)^2], and
+    an entry takes at most one per pivot, so it can take the updates of
+    `room` pivots and stay in int64.  The searched column is reduced when it
+    is read, the pivot row before it is scaled, the whole matrix after every
+    `room` pivots (every second one at p = 2^31 - 1) and once at the end."""
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
+    if not field.is_prime_field:
+        for c in range(cols):
+            if r == rows:
+                break
+            nz = np.nonzero(m[r:, c])[0]
+            if len(nz) == 0:
+                continue
+            pr = r + int(nz[0])
+            if pr != r:
+                m[[r, pr]] = m[[pr, r]]
+            m[r] = m[r] * field.inv(m[r, c])
+            col = np.array(m[:, c], copy=True)
+            col[r] = field.zero
+            hit = np.nonzero(col)[0]
+            if len(hit):
+                m[hit] = m[hit] - np.outer(col[hit], m[r])
+            pivots.append(c)
+            r += 1
+        return pivots
+    p = field.characteristic
+    room = ((1 << 63) - p) // (p - 1) ** 2
+    since = 0  # pivots since the matrix was last reduced
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        col = m[:, c] % p
+        nz = col[r:].nonzero()[0]
         if len(nz) == 0:
             continue
         pr = r + int(nz[0])
+        row = m[pr] % p
+        piv = int(col[pr])
+        if piv != 1:
+            row = row * pow(piv, -1, p) % p
         if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = field.reduce(m[r] * field.inv(m[r, c]))
-        col = np.array(m[:, c], copy=True)
-        col[r] = field.zero
-        hit = np.nonzero(col)[0]
+            m[pr], col[pr] = m[r], col[r]
+        m[r], col[r] = row, 0
+        hit = col.nonzero()[0]
         if len(hit):
-            m[hit] = field.reduce(m[hit] - np.outer(col[hit], m[r]))
+            m[hit] -= col[hit][:, None] * row
+        since += 1
+        if since == room:
+            m %= p
+            since = 0
         pivots.append(c)
         r += 1
+    m %= p
     return pivots
 
 
@@ -285,7 +324,8 @@ def kernel_basis(m: Matrix) -> np.ndarray:
     """
     field = m.field
     r, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    taken = set(pivots)
+    free = [c for c in range(m.cols) if c not in taken]
     out = field.zeros(len(free), m.cols)
     out[np.arange(len(free)), free] = field.one
     out[:, pivots] = field.reduce(-r[:len(pivots), free].T)

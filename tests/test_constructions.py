@@ -364,6 +364,29 @@ def test_degeneration_requires_degenerate_input():
         check_degeneration("nonsense", c, a, zero_bimodule_system(a))
 
 
+@pytest.mark.parametrize("check", [
+    lambda c, a, m: check_composition_antihom(c, a, m),
+    lambda c, a, m: check_degeneration("trivial-ext", c, a, m),
+    lambda c, a, m: check_degeneration("skew", c, a, m)], ids=["antihom", "trivial-ext", "skew"])
+def test_checks_refuse_a_category_or_precosheaf_of_another_system(check):
+    """Both checks read the algebra kept on m, so a category or precosheaf
+    other than m's is refused, also one that differs only in a map; equal
+    copies of them are accepted."""
+    ct = trivial_category()
+    at = constant_precosheaf(ct, field_algebra(F2))
+    cz, kk = one_object_group(2), field_product(F2, 2)
+    az = constant_precosheaf(cz, kk)
+    g = next(f for f in cz.mor if f not in cz.identity.values())
+    swapped = precosheaf_from(cz, dict(az.algebras), {g: AlgHom(kk, kk, F2.array([[0, 1], [1, 0]]))})
+    for c, a, m in [(poset_a2(), at, regular_bimodule_system(at)),
+                    (ct, constant_precosheaf(ct, group_algebra([2], F2)), zero_bimodule_system(at)),
+                    (cz, swapped, zero_bimodule_system(az))]:
+        with pytest.raises(ValueError, match="those of the system"):
+            check(c, a, m)
+    copy = trivial_category()
+    assert check(copy, constant_precosheaf(copy, field_algebra(F2)), zero_bimodule_system(at)).passed
+
+
 def test_degeneration_skew_on_cyclic_monoid():
     c = cyclic_monoid(3, 1)
     a = constant_precosheaf(c, field_algebra(F2))

@@ -607,6 +607,85 @@ class ReferenceEchelon:
 BLOCK_FIELDS = [FieldSpec.prime(p) for p in BLAS_PRIMES] + [QQ]
 
 
+# -- the pivot loop against the eager reference ----------------------------------
+#
+# Over F_p `_pivot_loop` sums row updates unreduced while int64 has room for
+# them.  NumPy int64 arithmetic on arrays wraps silently, also under -W error,
+# so only a comparison with the loop that reduces every update catches an
+# overflow.
+
+
+@st.composite
+def one_block_matrices(draw):
+    """At most one block of rows, of bounded rank, dense or sparse; over F_p
+    with entries from the whole range [0, p), half from its top quarter."""
+    field = draw(st.sampled_from(BLOCK_FIELDS))
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    big = field.is_prime_field
+    rows, cols = rnd.randrange(0, 65 if big else 13), rnd.randrange(0, 49 if big else 13)
+    r = rnd.randrange(0, min(rows, cols) + 2)
+    if not r:
+        return Matrix(field, field.zeros(rows, cols))
+    if big:
+        left, right = _residues(rnd, field.p, rows, r), _residues(rnd, field.p, r, cols)
+    else:
+        left = [[rnd.randrange(-6, 7) for _ in range(r)] for _ in range(rows)]
+        right = [[rnd.randrange(-6, 7) for _ in range(cols)] for _ in range(r)]
+    right = field.array(right)
+    sparse = [[rnd.random() < 0.5 for _ in range(cols)] for _ in range(r)]
+    right[np.array(sparse, dtype=bool).reshape(r, cols)] = field.zero
+    return Matrix(field, field.matmul(field.array(left).reshape(rows, r), right))
+
+
+def _check_pivot_loop(field, a):
+    want = np.array(a, copy=True)
+    pivots = _reference_eliminate(field, want)
+    got = np.array(a, copy=True)
+    assert exactlin._pivot_loop(field, got) == pivots
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    return pivots
+
+
+@given(one_block_matrices())
+def test_pivot_loop_matches_eager_reference(m):
+    _check_pivot_loop(m.field, m.a)
+
+
+_PIVOT_LOOP_CASES = {
+    "0x4": ([], (0, 4), 0),
+    "4x0": ([], (4, 0), 0),
+    "one-row": ([0, 2, 1, 4], (1, 4), 1),
+    "all-zero": ([0] * 20, (4, 5), 0),
+    "full-rank": ([0, 0, 1, 1, 2, 3, 0, 1, 4], (3, 3), 3),
+    "tall": ([1, 2, 3, 4, 0, 1, 2, 0, 5, 6, 1, 1], (6, 2), 2),
+    "wide": ([1, 0, 2, 3, 4, 5, 0, 1, 6, 2, 2, 1], (2, 6), 2),
+    "repeated-rows": ([1, 2, 3, 4, 1, 2, 3, 4, 0, 1, 1, 0, 1, 2, 3, 4], (4, 4), 2),
+}
+
+
+@pytest.mark.parametrize("case", _PIVOT_LOOP_CASES)
+@pytest.mark.parametrize("field", BLOCK_FIELDS, ids=lambda k: f"F{k.p}" if k.p else "Q")
+def test_pivot_loop_fixed_shapes(field, case):
+    entries, shape, rank_ = _PIVOT_LOOP_CASES[case]
+    a = field.array(np.array(entries, dtype=np.int64).reshape(shape))
+    assert len(_check_pivot_loop(field, a)) == rank_
+
+
+def test_pivot_loop_reduces_rows_that_run_out_of_room():
+    """At p = 2^31 - 1 an entry has room for two unreduced updates.  Row 3
+    takes three updates of (p - 1)^2 in columns 3 and 4, more than int64
+    holds, so it is reduced on the way.  It is then the pivot row of column
+    3 with one update pending and pivot -3, so it is reduced before it is
+    scaled."""
+    p = 2**31 - 1
+    k = FieldSpec.prime(p)
+    assert ((1 << 63) - p) // (p - 1) ** 2 == 2 and 3 * (p - 1) ** 2 >= 1 << 63
+    t = p - 1
+    a = np.array([[1, 0, 0, t, t], [0, 1, 0, t, t], [0, 0, 1, t, t], [t, t, t, 0, 5]],
+                 dtype=np.int64)
+    assert _check_pivot_loop(k, a) == [0, 1, 2, 3]
+
+
 @st.composite
 def tall_matrices(draw):
     """More than one 64-row block, of bounded rank, often sparse, with a
