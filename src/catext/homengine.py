@@ -195,41 +195,24 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> li
     """A small generating set of a right module (or of the submodule spanned
     by span_rows), found greedily and then pruned.
 
-    Candidates are scanned in a fixed order: block unit vectors first (these
-    recover the generators of modules laid out as free blocks), then the
-    span basis.  A redundant-generator drop pass and a one-element sum
-    compression keep the result close to minimal without any radical
-    machinery.
+    span_rows must be the reduced row-echelon basis of that submodule (every
+    row starts with a 1 that is the only non-zero entry of its column); the
+    whole module's is the identity.  Its rows are scanned in order.  A
+    redundant-generator drop pass and a one-element sum compression keep the
+    result close to minimal without any radical machinery.
     """
     k = mod.algebra.field
-    if span_rows is None:
-        full_rank = mod.dim
-        basis_rows = k.eye(mod.dim)
-    else:
-        target = Echelon(k, mod.dim)
-        target.extend(span_rows)
-        full_rank = target.rank
-        basis_rows = target.basis_matrix()
-    if full_rank == 0:
-        return []
-
-    candidates = []
-    d = mod.algebra.dim
-    if span_rows is None and d > 0 and mod.dim % d == 0:
-        for off in range(0, mod.dim, d):
-            v = k.zeros(mod.dim)
-            v[off:off + d] = mod.algebra.unit
-            candidates.append(v)
-    candidates.extend(np.array(row, copy=True) for row in basis_rows)
+    basis_rows = k.eye(mod.dim) if span_rows is None else span_rows
+    full_rank = len(basis_rows)
 
     gens: list = []
     ech = Echelon(k, mod.dim)
-    for v in candidates:
+    for row in basis_rows:
         if ech.rank == full_rank:
             break
-        if not ech.contains(v):
-            gens.append(v)
-            ech.extend(_act(mod, [v]))
+        if not ech.contains(row):
+            gens.append(row)
+            ech.extend(_act(mod, [row]))
     if ech.rank != full_rank:
         raise AssertionError("generator search failed to span the module")
 
@@ -280,8 +263,9 @@ def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resol
     prev = aug = _cover(module, g0)
     for _ in range(length):
         free = _FreeModule(algebra, ranks[-1], ranks[-1] * d)
-        ker = kernel_basis(Matrix(k, prev))
-        kgens = module_generators(free, span_rows=ker) if free.dim and len(ker) else []
+        # rows end at their own free columns, so reversed they are the reduced basis
+        ker = kernel_basis(Matrix(k, prev[:, ::-1]))[::-1, ::-1]
+        kgens = module_generators(free, span_rows=ker)
         prev = _cover(free, kgens)
         ranks.append(len(kgens))
         gens.append(np.stack(kgens, axis=1) if kgens else k.zeros(free.dim, 0))

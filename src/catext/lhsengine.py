@@ -30,7 +30,7 @@ from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .fincat import CatFunctor, FinCategory, linearize
 from .homengine import (CatModule, bar_cochain_complex, bar_pullback, bar_subquotients,
                         cat_ext_dims, ext_dims_from_resolution, free_resolution, restrict,
-                        to_algebra_module)
+                        to_algebra_module, validate_cat_module)
 
 
 @dataclass(eq=False)
@@ -140,6 +140,8 @@ def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
     gr_a = ctx.ext.base
     if g.cat is not gr_a and set(g.cat.mor) != set(gr_a.mor):
         raise ValueError("weight module is not over Gr(A)")
+    if not (rep := validate_cat_module(g)).ok:
+        raise ValueError(f"weight module is not a module over Gr(A): {rep.violations[0]}")
     alg = linearize(gr_a, g.field)
     res = free_resolution(alg, to_algebra_module(g, alg), cap_p + 1)
     table = {}

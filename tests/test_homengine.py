@@ -404,6 +404,70 @@ def test_free_resolution_matches_free_module_reference(field):
     assert top >= 2
 
 
+def test_resolution_eliminates_each_stage_once(monkeypatch):
+    """Each stage's kernel comes out of one elimination in reduced form, so no
+    Echelon reads a basis back (boundaries of at most 64 rows are not
+    eliminated through an Echelon either)."""
+    calls = {"kernel_basis": 0, "basis_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(homengine, "kernel_basis", counted("kernel_basis", kernel_basis))
+    monkeypatch.setattr(Echelon, "basis_matrix", counted("basis_matrix", Echelon.basis_matrix))
+    kernel_gens = 0
+    for alg, mod in _resolution_cases(F3):
+        res = free_resolution(alg, mod, 3)
+        assert max(b.shape[0] for b in res.boundaries) <= 64
+        kernel_gens += sum(res.ranks[1:])
+    assert calls == {"kernel_basis": 3 * len(_resolution_cases(F3)), "basis_matrix": 0}
+    assert kernel_gens > 0
+
+
+KERNEL_FIELDS = [QQ, F2, F3] + WORD_FIELDS
+
+
+@st.composite
+def kernel_shapes(draw, k, shape):
+    """A matrix of exactly rank r: a left factor with the identity in r of its
+    rows times a right factor with the identity in r of its columns, the
+    other entries random and about a third of the right ones zero."""
+    rnd = Random(draw(st.integers(0, 2**32 - 1)))
+    rows = {"no-rows": 0, "tall": rnd.randrange(65, 100)}.get(shape, rnd.randrange(1, 13))
+    cols = 0 if shape == "no-cols" else rnd.randrange(1, 13)
+    r = min(rows, cols) if shape == "full-rank" else rnd.randrange(0, min(rows, cols) + 1)
+
+    def scalar():
+        return _residue(rnd, k.p) if k.is_prime_field else rnd.randint(-6, 6)
+
+    left = k.array([[scalar() for _ in range(r)] for _ in range(rows)]).reshape(rows, r)
+    right = k.array([[scalar() if rnd.random() < 2 / 3 else 0 for _ in range(cols)]
+                     for _ in range(r)]).reshape(r, cols)
+    left[rnd.sample(range(rows), r)] = k.eye(r)
+    right[:, rnd.sample(range(cols), r)] = k.eye(r)
+    return k.matmul(left, right)
+
+
+@pytest.mark.parametrize("shape", ["no-rows", "no-cols", "full-rank", "tall", "small"])
+@pytest.mark.parametrize("field", KERNEL_FIELDS,
+                         ids=lambda k: f"F{k.p}" if k.is_prime_field else "Q")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_reversed_kernel_is_the_reduced_basis(field, shape, data):
+    a = data.draw(kernel_shapes(field, shape))
+    got = kernel_basis(Matrix(field, a[:, ::-1]))[::-1, ::-1]
+    ker = kernel_basis(Matrix(field, a))
+    ech = Echelon(field, a.shape[1])
+    if len(ker):
+        ech.extend(ker)
+    want = ech.basis_matrix()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
 # -- free boundaries straight from the structure constants ------------------------------
 
 def reference_free_action_matrix(algebra: FDAlgebra, imgs: np.ndarray) -> np.ndarray:

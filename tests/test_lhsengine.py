@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catext.extcheck import check_extension, fiber_extension
-from catext.fdalgebra import field_algebra, group_algebra
+from catext.fdalgebra import dual_numbers, field_algebra, group_algebra
 from catext.fincat import FinCategory
 from catext.coeffsys import abelian_group_category
 from catext.homengine import (CatModule, bar_pullback, cat_ext_dims, constant_module,
@@ -345,6 +345,22 @@ def test_modules_must_live_over_gr_an_and_gr_a():
         e2_page(c, a, n, g, constant_module(ext.base, F2), 1, 1)
     with pytest.raises(ValueError, match=r"^weight module is not over Gr\(A\)$"):
         e2_page(c, a, n, f, f, 1, 1)
+
+
+def test_weight_that_is_not_a_module_is_an_input_error():
+    """A weight whose matrices break the functor law is refused with its
+    first violation before any resolution: the sum of r's coordinates on
+    Gr(A) of the dual numbers is not multiplicative."""
+    c = trivial_category()
+    a = constant_precosheaf(c, dual_numbers(F2))
+    n = regular_right_module_system(a)
+    ext = fiber_extension(c, a, n)
+    w = CatModule(ext.base, F2, {"*": 1},
+                  {u: F2.array([[sum(u[0]) % 2]]) for u in ext.base.mor}, name="w")
+    first = validate_cat_module(w).violations[0]
+    with pytest.raises(ValueError, match=r"^weight module is not a module over Gr\(A\): ") as err:
+        e2_page(c, a, n, w, constant_module(ext.total, F2), 1, 1)
+    assert str(err.value).endswith(str(first))
 
 
 def test_abutment_zero_fibers_matches_base():

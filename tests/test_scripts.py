@@ -36,11 +36,14 @@ def test_lhs_survey_runs_from_checkout(tmp_path):
 
 
 @pytest.mark.parametrize("caps, md5", [((1, 1, 1), "84ca7df58f0019a6bb68d3573b605daf"),
-                                       ((2, 2, 2), "6ef33f5f1fd4418eb0a41aa91c620f41")],
-                         ids=["1-1-1", "2-2-2"])
+                                       ((2, 2, 2), "6ef33f5f1fd4418eb0a41aa91c620f41"),
+                                       ((3, 3, 3), "f39aa0e390f17b080e541b7c4d9f36ee")],
+                         ids=["1-1-1", "2-2-2", "3-3-3"])
 def test_paper_rung_runs_from_checkout(tmp_path, caps, md5):
     """The 243-morphism rung keeps the output recorded in BENCH_7.json at
-    caps (1,1,1) and the one recorded at caps (2,2,2)."""
+    caps (1,1,1), the one recorded at caps (2,2,2) and the one recorded in
+    BENCH_31.json at caps (3,3,3), where the abutment runs three resolution
+    stages."""
     res = _script(tmp_path, "paper_rung.py", "--caps", ",".join(map(str, caps)))
     assert res.returncode == 0, res.stderr
     line = json.loads(res.stdout)
