@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 
@@ -371,7 +372,7 @@ class Echelon:
         field = self.field
         if not (isinstance(block, np.ndarray) and block.dtype == self._mat.dtype):
             block = field.array(block)
-        block = block.reshape(-1, self.dim)
+        block = block.reshape(prod(block.shape[:-1]), self.dim)  # also when dim is 0
         if not self._pivots:
             return block
         return field.reduce(block - field.matmul(block[:, self._pivots], self._mat))

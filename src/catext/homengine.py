@@ -159,76 +159,71 @@ class _FreeModule(NamedTuple):
     dim: int  # rank * algebra.dim
 
 
-def _act(mod, vecs: list) -> np.ndarray:
-    """(d, len(vecs), dim mod) array whose [j, t] is vecs[t] . e_j: for a
-    free module one sparse product with the structure constants c[i, j, l]
-    (block by block, x e_i . e_j = c x e_l), else one product with the stack
-    of the action matrices.  The images of vectors under the basis span the
-    submodule they generate."""
+def _act(mod, vec: np.ndarray) -> np.ndarray:
+    """(d, dim mod) array whose row j is vec . e_j: for a free module one
+    sparse product with the structure constants c[i, j, l] (block by block,
+    x e_i . e_j = c x e_l), else one product with the stack of the action
+    matrices.  These images span the submodule that vec generates."""
     alg = mod.algebra
-    k, d, m = alg.field, alg.dim, len(vecs)
-    if not m or not d:
-        return k.zeros(d, m, mod.dim)
-    block = np.stack(vecs, axis=1)
+    k, d = alg.field, alg.dim
     if isinstance(mod, _FreeModule):
         i, j, l, c = alg.constants
-        r = mod.rank
-        x = block.reshape(r, d, m).transpose(1, 0, 2).reshape(d, r * m)
-        prod = k.sparse_matmul(j * d + l, i, c, d * d, x)  # [j d + l, s m + t]
-        return prod.reshape(d, d, r, m).transpose(0, 3, 2, 1).reshape(d, m, r * d)
-    return k.matmul(np.stack(mod.right_action), block).transpose(0, 2, 1)
+        x = vec.reshape(mod.rank, d).T  # [i, s]
+        prod = k.sparse_matmul(j * d + l, i, c, d * d, x)  # [j d + l, s]
+        return prod.reshape(d, d, mod.rank).transpose(0, 2, 1).reshape(d, mod.dim)
+    return k.matmul(np.stack(mod.right_action), vec)
 
 
-def _cover(mod, vecs: list) -> np.ndarray:
-    """k-matrix of the module map from the free module of rank len(vecs) to
-    mod that sends generator t to vecs[t]: column t d + j is vecs[t] . e_j."""
-    return _act(mod, vecs).transpose(2, 1, 0).reshape(mod.dim, len(vecs) * mod.algebra.dim)
-
-
-def _generated_rank(mod: AlgModule, vectors: list) -> int:
-    ech = Echelon(mod.algebra.field, mod.dim)
-    ech.extend(_act(mod, vectors))
-    return ech.rank
-
-
-def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> list:
+def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> tuple:
     """A small generating set of a right module (or of the submodule spanned
-    by span_rows), found greedily and then pruned.
+    by span_rows), found greedily and then pruned, with its cover.
 
     span_rows must be the reduced row-echelon basis of that submodule (every
     row starts with a 1 that is the only non-zero entry of its column); the
-    whole module's is the identity.  Its rows are scanned in order.  A
-    redundant-generator drop pass and a one-element sum compression keep the
-    result close to minimal without any radical machinery.
+    whole module's is the identity.  Its rows are scanned in order, and the
+    images of each pick are computed once and kept.  A redundant-generator
+    drop pass and a one-element sum compression (the images of a sum are the
+    sum of the images) read them and keep the result close to minimal without
+    any radical machinery.  Returns (gens, cover): column t d + j of cover is
+    gens[t] . e_j, so cover is the k-matrix of the free module map onto them.
     """
     k = mod.algebra.field
     basis_rows = k.eye(mod.dim) if span_rows is None else span_rows
     full_rank = len(basis_rows)
 
-    gens: list = []
+    def spans(blocks: list) -> bool:
+        ech = Echelon(k, mod.dim)
+        for block in blocks:  # a full rank stays full, so stop there
+            ech.extend(block)
+            if ech.rank == full_rank:
+                return True
+        return False
+
+    gens, images = [], []
     ech = Echelon(k, mod.dim)
     for row in basis_rows:
         if ech.rank == full_rank:
             break
         if not ech.contains(row):
             gens.append(row)
-            ech.extend(_act(mod, [row]))
+            images.append(_act(mod, row))
+            ech.extend(images[-1])
     if ech.rank != full_rank:
         raise AssertionError("generator search failed to span the module")
 
     # drop generators made redundant by later picks
     i = 0
     while i < len(gens) and len(gens) > 1:
-        rest = gens[:i] + gens[i + 1:]
-        if _generated_rank(mod, rest) == full_rank:
-            gens = rest
+        if spans(images[:i] + images[i + 1:]):
+            del gens[i], images[i]
         else:
             i += 1
     if len(gens) > 1:
-        summed = k.reduce(sum(gens[1:], start=np.array(gens[0], copy=True)))
-        if _generated_rank(mod, [summed]) == full_rank:
-            gens = [summed]
-    return gens
+        summed = k.reduce(sum(images))
+        if spans([summed]):
+            gens, images = [k.reduce(sum(gens))], [summed]
+    cover = np.concatenate([k.zeros(0, mod.dim), *images]).T
+    return gens, np.ascontiguousarray(cover)
 
 
 @dataclass(eq=False)
@@ -258,15 +253,14 @@ def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resol
         raise ValueError("resolutions implemented for right modules")
     k = algebra.field
     d = algebra.dim
-    g0 = module_generators(module)
+    g0, aug = module_generators(module)
     ranks, gens, boundaries = [len(g0)], [], []
-    prev = aug = _cover(module, g0)
+    prev = aug
     for _ in range(length):
         free = _FreeModule(algebra, ranks[-1], ranks[-1] * d)
         # rows end at their own free columns, so reversed they are the reduced basis
         ker = kernel_basis(Matrix(k, prev[:, ::-1]))[::-1, ::-1]
-        kgens = module_generators(free, span_rows=ker)
-        prev = _cover(free, kgens)
+        kgens, prev = module_generators(free, span_rows=ker)
         ranks.append(len(kgens))
         gens.append(np.stack(kgens, axis=1) if kgens else k.zeros(free.dim, 0))
         boundaries.append(prev)

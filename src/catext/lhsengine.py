@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
+from .constructions import _check_system
 from .fincat import CatFunctor, FinCategory, linearize
 from .homengine import (CatModule, bar_cochain_complex, bar_pullback, bar_subquotients,
                         cat_ext_dims, ext_dims_from_resolution, free_resolution, restrict,
@@ -67,10 +68,12 @@ class SpectralReport:
 
 class _LhsContext:
     """The subquotients of the bar complexes of the fibers N(x), per degree,
-    over the extension `n.extension` kept on the system."""
+    over the extension `n.extension` kept on the system, whose category and
+    precosheaf c and a must be (or copies with the same tables and maps)."""
 
     def __init__(self, c: FinCategory, a: AlgebraPrecosheaf,
                  n: PrecosheafModule, f: CatModule, qmax: int):
+        _check_system(c, a, n)
         self.c, self.n, self.f = c, n, f
         self.ext = n.extension
         total = self.ext.total
@@ -156,6 +159,7 @@ def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
 def abutment(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
              g: CatModule, f: CatModule, cap_n: int) -> list:
     """dim Ext^m over Gr(A, N) of the pullback of g against f, m <= cap_n."""
+    _check_system(c, a, n)
     res_g = restrict(g, n.extension.pi)
     return [int(v) for v in cat_ext_dims(n.extension.total, res_g, f, cap_n)]
 

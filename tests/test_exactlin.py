@@ -788,6 +788,18 @@ def test_echelon_extend_takes_lists_and_empty_blocks():
     assert e.basis_matrix().tolist() == F3.eye(3).tolist()
 
 
+
+@pytest.mark.parametrize("field", [QQ, F2, FieldSpec.prime(2**31 - 1)],
+                         ids=["Q", "F2", "F2147483647"])
+def test_echelon_of_the_zero_space(field):
+    """Blocks and vectors of a zero-dimensional space: each is zero, so it
+    lies in the span and enlarges nothing."""
+    e = Echelon(field, 0)
+    assert e.extend(field.zeros(0, 0)) == 0 and e.extend(field.zeros(3, 0)) == 0
+    assert e.contains(field.zeros(0)) and e.contains(field.zeros(2, 0))
+    assert not e.add(field.zeros(0))
+    assert e.rank == 0 and e.basis_matrix().shape == (0, 0)
+
 # -- every field product goes through FieldSpec.matmul ------------------------------
 
 _PRODUCT_CALLS = {"tensordot", "dot", "matmul", "einsum"}

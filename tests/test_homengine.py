@@ -16,7 +16,7 @@ from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               free_module, group_algebra, validate_module)
 from catext.fincat import CatFunctor, FinCategory, linearize, validate_category
 from catext import homengine
-from catext.homengine import (CatModule, CochainComplex, Subquotient, _cover, _FreeModule,
+from catext.homengine import (CatModule, CochainComplex, Subquotient, _act, _FreeModule,
                               bar_cochain_complex, bar_subquotients, cat_ext_dims,
                               cohomology_dims, constant_module, ext_dims, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
@@ -222,12 +222,12 @@ def test_representable_converts_to_projective():
 
 def test_generators_of_free_module_are_block_units():
     dn = dual_numbers(F2)
-    gens = module_generators(free_module(dn, 2))
+    gens, _ = module_generators(free_module(dn, 2))
     assert len(gens) == 2
 
 
 def test_generators_of_zero_module():
-    assert module_generators(free_module(dual_numbers(F2), 0)) == []
+    assert module_generators(free_module(dual_numbers(F2), 0))[0] == []
 
 
 def test_free_module_resolves_trivially():
@@ -427,6 +427,48 @@ def test_resolution_eliminates_each_stage_once(monkeypatch):
     assert kernel_gens > 0
 
 
+
+def scan_picks(mod, span_rows) -> int:
+    """The number of rows the greedy scan of module_generators picks before
+    any pruning, replayed with free_module's action matrices."""
+    k = mod.algebra.field
+    if isinstance(mod, _FreeModule):
+        mod = free_module(mod.algebra, mod.rank)
+    rows = k.eye(mod.dim) if span_rows is None else span_rows
+    ech, picks = Echelon(k, mod.dim), 0
+    for row in rows:
+        if ech.rank == len(rows):
+            break
+        if not ech.contains(row):
+            picks += 1
+            for rho in mod.right_action:
+                ech.add(k.matmul(rho, row))
+    return picks
+
+
+def test_each_pick_is_acted_on_once(monkeypatch):
+    """The images of each picked row are computed once and kept: the drop
+    pass, the sum test and the cover read them, so _act runs once per pick."""
+    searched, acts = [], [0]
+    real_act, real_search = homengine._act, homengine.module_generators
+
+    def act(*args):
+        acts[0] += 1
+        return real_act(*args)
+
+    def search(mod, span_rows=None):
+        searched.append((mod, span_rows))
+        return real_search(mod, span_rows)
+
+    monkeypatch.setattr(homengine, "_act", act)
+    monkeypatch.setattr(homengine, "module_generators", search)
+    for alg, mod in _resolution_cases(F3):
+        free_resolution(alg, mod, 3)
+    monkeypatch.undo()
+    picks = [scan_picks(mod, rows) for mod, rows in searched]
+    assert acts[0] == sum(picks)
+    assert max(picks) >= 2  # so a drop test ran
+
 KERNEL_FIELDS = [QQ, F2, F3] + WORD_FIELDS
 
 
@@ -513,7 +555,8 @@ def free_maps(draw, k):
 @given(data=st.data())
 def test_free_action_matrix_matches_per_basis_loop(field, data):
     alg, imgs = data.draw(free_maps(field))
-    got = _cover(_FreeModule(alg, imgs.shape[0] // alg.dim, imgs.shape[0]), list(imgs.T))
+    free = _FreeModule(alg, imgs.shape[0] // alg.dim, imgs.shape[0])
+    got = np.concatenate([field.zeros(0, free.dim), *(_act(free, v) for v in imgs.T)]).T
     want = reference_free_action_matrix(alg, imgs)
     assert got.shape == want.shape == (imgs.shape[0], imgs.shape[1] * alg.dim)
     assert got.tolist() == want.tolist()

@@ -14,9 +14,9 @@ from catext.homengine import (CatModule, bar_pullback, cat_ext_dims, constant_mo
                               representable_module, restrict, validate_cat_module)
 from catext.lhsengine import (_LhsContext, abutment, e2_page, fiber_restriction,
                               h_local_system, lhs_report)
-from catext.presets import (F2, F3, QQ, constant_precosheaf, one_object_group, poset_a2,
-                            regular_right_module_system, trivial_category,
-                            zero_right_module_system)
+from catext.presets import (F2, F3, QQ, constant_precosheaf, discrete_category,
+                            one_object_group, poset_a2, regular_right_module_system,
+                            trivial_category, zero_right_module_system)
 from test_homengine import greedy_generators
 
 
@@ -346,6 +346,26 @@ def test_modules_must_live_over_gr_an_and_gr_a():
     with pytest.raises(ValueError, match=r"^weight module is not over Gr\(A\)$"):
         e2_page(c, a, n, f, f, 1, 1)
 
+
+
+@pytest.mark.parametrize("entry", [
+    lambda c, a, n, g, f: h_local_system(c, a, n, f, 0),
+    lambda c, a, n, g, f: e2_page(c, a, n, g, f, 1, 1),
+    lambda c, a, n, g, f: abutment(c, a, n, g, f, 1),
+    lambda c, a, n, g, f: lhs_report(c, a, n, g, f, (1, 1, 1))],
+    ids=["h-local-system", "e2-page", "abutment", "lhs-report"])
+def test_entry_points_refuse_a_category_or_precosheaf_of_another_system(entry):
+    """Every entry point reads the extension kept on n, so c and a must be
+    n's category and precosheaf: a precosheaf over discrete(2) and F3, or
+    another category, is refused as the constructions checks refuse it;
+    equal copies are accepted."""
+    c, a, n, ext, g, f = a2_fixture()
+    other = constant_precosheaf(discrete_category(2), field_algebra(F3))
+    for bad_c, bad_a in [(c, other), (trivial_category(), a)]:
+        with pytest.raises(ValueError, match="^the category and precosheaf must be those of"):
+            entry(bad_c, bad_a, n, g, f)
+    copy = poset_a2()
+    entry(copy, constant_precosheaf(copy, field_algebra(F2)), n, g, f)
 
 def test_weight_that_is_not_a_module_is_an_input_error():
     """A weight whose matrices break the functor law is refused with its
