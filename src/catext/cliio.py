@@ -18,6 +18,7 @@ import json
 import random
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field as dfield
+from functools import cache
 from math import prod
 from typing import NamedTuple
 
@@ -458,17 +459,47 @@ _DOCUMENT = _block({
 })
 
 
+@cache
+def _unique_keys(loader: type) -> type:
+    """The safe `loader` refusing a key repeated in one mapping.  A mapping's
+    own keys are checked the first time it is flattened, before the keys its
+    `<<` merges supply join them, so it may override a merged key."""
+
+    class Unique(loader):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self.checked = set()
+
+        def flatten_mapping(self, node):
+            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            super().flatten_mapping(node)
+            if node in self.checked:
+                return
+            self.checked.add(node)
+            seen = set()
+            for key_node in own:
+                key = self.construct_object(key_node)
+                if not isinstance(key, Hashable):  # construct_mapping refuses it
+                    continue
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+    return Unique
+
+
 def _load_yaml(text: str):
-    """yaml.safe_load through libyaml when it is built in.  A document the C
-    loader rejects is parsed again by the pure-Python SafeLoader, whose error
-    messages are the ones reported; the C loader words many of them
-    differently and fails on lone surrogates with a UnicodeEncodeError."""
+    """yaml.safe_load through libyaml when it is built in, refusing repeated
+    keys.  A document the C loader rejects is parsed again by the pure-Python
+    SafeLoader, whose error messages are the ones reported; the C loader
+    words many of them differently and fails on lone surrogates with a
+    UnicodeEncodeError."""
     if yaml.__with_libyaml__:
         try:
-            return yaml.load(text, Loader=yaml.CSafeLoader)
+            return yaml.load(text, Loader=_unique_keys(yaml.CSafeLoader))
         except (yaml.YAMLError, UnicodeError):
             pass
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=_unique_keys(yaml.SafeLoader))
 
 
 def parse(text: str) -> ProblemSpec:

@@ -160,23 +160,21 @@ class _FreeModule(NamedTuple):
 
 
 def _act(mod, vec: np.ndarray) -> np.ndarray:
-    """(d, dim mod) array whose row j is vec . e_j: for a free module one
-    sparse product with the structure constants c[i, j, l] (block by block,
-    x e_i . e_j = c x e_l), else one product with the stack of the action
+    """(d, dim mod) array whose row j is vec . e_j: for a free module, block s
+    of that row is x_s e_j, so one `left_mult_matrix` call on the blocks x_s
+    of vec gives them all; else one product with the stack of the action
     matrices.  These images span the submodule that vec generates."""
     alg = mod.algebra
-    k, d = alg.field, alg.dim
     if isinstance(mod, _FreeModule):
-        i, j, l, c = alg.constants
-        x = vec.reshape(mod.rank, d).T  # [i, s]
-        prod = k.sparse_matmul(j * d + l, i, c, d * d, x)  # [j d + l, s]
-        return prod.reshape(d, d, mod.rank).transpose(0, 2, 1).reshape(d, mod.dim)
-    return k.matmul(np.stack(mod.right_action), vec)
+        prod = alg.left_mult_matrix(vec.reshape(mod.rank, alg.dim).T)  # [l, j, s]
+        return prod.transpose(1, 2, 0).reshape(alg.dim, mod.dim)
+    return alg.field.matmul(np.stack(mod.right_action), vec)
 
 
-def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> tuple:
-    """A small generating set of a right module (or of the submodule spanned
-    by span_rows), found greedily and then pruned, with its cover.
+def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> np.ndarray:
+    """The cover of a small generating set g_0, g_1, ... of a right module (or
+    of the submodule spanned by span_rows), found greedily and then pruned:
+    column t d + j is g_t . e_j, the k-matrix of the free module map onto them.
 
     span_rows must be the reduced row-echelon basis of that submodule (every
     row starts with a 1 that is the only non-zero entry of its column); the
@@ -184,8 +182,7 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> tu
     images of each pick are computed once and kept.  A redundant-generator
     drop pass and a one-element sum compression (the images of a sum are the
     sum of the images) read them and keep the result close to minimal without
-    any radical machinery.  Returns (gens, cover): column t d + j of cover is
-    gens[t] . e_j, so cover is the k-matrix of the free module map onto them.
+    any radical machinery.
     """
     k = mod.algebra.field
     basis_rows = k.eye(mod.dim) if span_rows is None else span_rows
@@ -199,13 +196,12 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> tu
                 return True
         return False
 
-    gens, images = [], []
+    images = []
     ech = Echelon(k, mod.dim)
     for row in basis_rows:
         if ech.rank == full_rank:
             break
         if not ech.contains(row):
-            gens.append(row)
             images.append(_act(mod, row))
             ech.extend(images[-1])
     if ech.rank != full_rank:
@@ -213,33 +209,30 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> tu
 
     # drop generators made redundant by later picks
     i = 0
-    while i < len(gens) and len(gens) > 1:
+    while i < len(images) and len(images) > 1:
         if spans(images[:i] + images[i + 1:]):
-            del gens[i], images[i]
+            del images[i]
         else:
             i += 1
-    if len(gens) > 1:
+    if len(images) > 1:
         summed = k.reduce(sum(images))
         if spans([summed]):
-            gens, images = [k.reduce(sum(gens))], [summed]
+            images = [summed]
     cover = np.concatenate([k.zeros(0, mod.dim), *images]).T
-    return gens, np.ascontiguousarray(cover)
+    return np.ascontiguousarray(cover)
 
 
 @dataclass(eq=False)
 class Resolution:
     """Free right modules F_0 <- F_1 <- ... <- F_L over `algebra`,
-    augmented onto `module`.
-
-    gens[i] holds the generator images of F_{i+1} inside F_i as columns;
-    boundaries[i] is the full k-linear matrix of F_{i+1} -> F_i.
-    """
+    augmented onto `module`; each map is the cover (`module_generators`) of
+    the generators of its image, so boundaries[i] is the full k-linear matrix
+    of F_{i+1} -> F_i."""
 
     algebra: FDAlgebra
     module: AlgModule
     ranks: list
     aug: np.ndarray  # (dim module, ranks[0] * dim algebra)
-    gens: list  # gens[i]: (ranks[i] * d, ranks[i+1])
     boundaries: list  # boundaries[i]: (ranks[i] * d, ranks[i+1] * d)
 
     @property
@@ -251,20 +244,18 @@ def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resol
     """Resolve by free covers on generators; exact at every computed stage."""
     if module.side != "right":
         raise ValueError("resolutions implemented for right modules")
-    k = algebra.field
     d = algebra.dim
-    g0, aug = module_generators(module)
-    ranks, gens, boundaries = [len(g0)], [], []
-    prev = aug
+
+    def rank_of(cover):  # over the zero algebra every module is 0
+        return cover.shape[1] // d if d else 0
+
+    covers = [module_generators(module)]
     for _ in range(length):
-        free = _FreeModule(algebra, ranks[-1], ranks[-1] * d)
+        free = _FreeModule(algebra, rank_of(covers[-1]), covers[-1].shape[1])
         # rows end at their own free columns, so reversed they are the reduced basis
-        ker = kernel_basis(Matrix(k, prev[:, ::-1]))[::-1, ::-1]
-        kgens, prev = module_generators(free, span_rows=ker)
-        ranks.append(len(kgens))
-        gens.append(np.stack(kgens, axis=1) if kgens else k.zeros(free.dim, 0))
-        boundaries.append(prev)
-    return Resolution(algebra, module, ranks, aug, gens, boundaries)
+        ker = kernel_basis(Matrix(algebra.field, covers[-1][:, ::-1]))[::-1, ::-1]
+        covers.append(module_generators(free, span_rows=ker))
+    return Resolution(algebra, module, list(map(rank_of, covers)), covers[0], covers[1:])
 
 
 def validate_resolution(res: Resolution) -> Report:
@@ -290,7 +281,8 @@ def validate_resolution(res: Resolution) -> Report:
 
 
 def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
-    """dim Ext^i for i <= max_n as cohomology of Hom(F_., f)."""
+    """dim Ext^i for i <= max_n as cohomology of Hom(F_., f).  The generators
+    of each stage are read back from its cover as g_t = g_t . 1."""
     if res.length < max_n + 1:
         raise ValueError("resolution too short for the requested degree")
     k = res.algebra.field
@@ -299,8 +291,9 @@ def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
     diffs = []
     for i in range(max_n + 1):
         r_src, r_tgt = res.ranks[i], res.ranks[i + 1]
+        gens = k.matmul(res.boundaries[i].reshape(r_src * d, r_tgt, d), res.algebra.unit)
         # block (t, s) acts by block s of generator t's image: sum_j x_j rho_j
-        blocks = f.right_of(res.gens[i].T.reshape(r_tgt, r_src, d))
+        blocks = f.right_of(gens.T.reshape(r_tgt, r_src, d))
         diffs.append(blocks.transpose(0, 2, 1, 3).reshape(r_tgt * nf, r_src * nf))
     dims = [res.ranks[i] * nf for i in range(max_n + 2)]
     return CochainComplex(k, dims, diffs).cohomology_dims()

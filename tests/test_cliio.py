@@ -864,6 +864,63 @@ def test_unknown_key_exits_two(tmp_path, capsys, text, line):
     assert doc["input_errors"] == [line]
 
 
+Z2_COHOMOLOGY = (PROBLEMS / "z2_cohomology.yaml").read_text()
+REPEATED_KEYS = [
+    (Z2_COHOMOLOGY + "task: {command: validate}\n", "cohomology",
+     "line 10, column 1: YAML syntax error: duplicate key 'task'"),
+    (EXPLICIT_Z2.replace("caps: {n: 2}", "caps: {n: 3, n: 1}"), "cohomology",
+     "line 14, column 42: YAML syntax error: duplicate key 'n'"),
+    (EXPLICIT_Z2.replace("  F: {over: base, preset: constant}\n",
+                         "  F: {over: base, preset: constant}\n" * 2),
+     "validate", "line 14, column 3: YAML syntax error: duplicate key 'F'"),
+]
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "python"])
+@pytest.mark.parametrize("text,command,line", REPEATED_KEYS, ids=["task", "caps-n", "module"])
+def test_repeated_key_exits_two(tmp_path, capsys, monkeypatch, libyaml, text, command, line):
+    """A key given twice in one mapping is an input error at the repeat, not
+    a last value that silently wins."""
+    monkeypatch.setattr(yaml, "__with_libyaml__", libyaml and yaml.__with_libyaml__)
+    code, doc = _run_main(tmp_path, capsys, text, command)
+    assert code == 2
+    assert doc["input_errors"] == [line]
+
+
+MERGED_Z2 = """
+field: &f {kind: prime, characteristic: 2}
+coefficient_field: {<<: *f}
+category: {preset: one-object-group, order: 2}
+modules:
+  F: &constant {over: base, preset: constant}
+  G: {<<: *constant, preset: constant}
+  H: {<<: [{preset: representable, at: "*"}, *constant], over: base}
+task: {command: cohomology, caps: {n: 3}, module: F}
+"""
+PLAIN_Z2 = """
+field: {kind: prime, characteristic: 2}
+coefficient_field: {kind: prime, characteristic: 2}
+category: {preset: one-object-group, order: 2}
+modules:
+  F: {over: base, preset: constant}
+  G: {over: base, preset: constant}
+  H: {over: base, preset: representable, at: "*"}
+task: {command: cohomology, caps: {n: 3}, module: F}
+"""
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "python"])
+def test_merge_keys_parse_as_written_out(monkeypatch, libyaml):
+    """`<<` merges are no repeats: a key a merge supplies may be overridden,
+    and a merged document parses as the one with the keys written out."""
+    monkeypatch.setattr(yaml, "__with_libyaml__", libyaml and yaml.__with_libyaml__)
+    assert parse(MERGED_Z2).payload == parse(PLAIN_Z2).payload
+    with pytest.raises(InputError) as exc:
+        parse("base: &b {kind: prime, characteristic: 2}\nfield: {<<: *b}\n"
+              "category: {preset: trivial}\n")
+    assert exc.value.errors == ["base: unknown key"]
+
+
 # -- preset sizes -----------------------------------------------------------------
 
 _LIMIT = fincat.TABLE_LIMIT

@@ -13,12 +13,13 @@ from catext.coeffsys import abelian_group_category, abelian_group_generators
 from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rref, solve_matrix
 from catext.extcheck import fiber_extension
 from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
-                              free_module, group_algebra, validate_module)
+                              free_module, group_algebra, validate_module, zero_module)
 from catext.fincat import CatFunctor, FinCategory, linearize, validate_category
 from catext import homengine
 from catext.homengine import (CatModule, CochainComplex, Subquotient, _act, _FreeModule,
                               bar_cochain_complex, bar_subquotients, cat_ext_dims,
-                              cohomology_dims, constant_module, ext_dims, free_resolution,
+                              cohomology_dims, constant_module, ext_dims,
+                              ext_dims_from_resolution, free_resolution,
                               group_cohomology_dims, hom_space_dim, module_generators,
                               nerve_cochain_complex, nerve_cohomology_dims,
                               representable_module, restrict, subquotient,
@@ -222,12 +223,12 @@ def test_representable_converts_to_projective():
 
 def test_generators_of_free_module_are_block_units():
     dn = dual_numbers(F2)
-    gens, _ = module_generators(free_module(dn, 2))
-    assert len(gens) == 2
+    cover = module_generators(free_module(dn, 2))
+    assert cover.shape == (2 * dn.dim, 2 * dn.dim)  # two generators
 
 
 def test_generators_of_zero_module():
-    assert module_generators(free_module(dual_numbers(F2), 0))[0] == []
+    assert module_generators(free_module(dual_numbers(F2), 0)).shape == (0, 0)
 
 
 def test_free_module_resolves_trivially():
@@ -278,6 +279,18 @@ def test_resolution_over_rationals():
     dn = dual_numbers(QQ)
     triv = AlgModule(dn, 1, "right", right_action=[QQ.eye(1), QQ.zeros(1, 1)])
     assert ext_dims(dn, triv, triv, 2) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["F2", "Q"])
+def test_zero_dimensional_algebra_resolves(field):
+    """Over the zero algebra every free module is 0: a stage's rank is not
+    its cover's width over dim A = 0, and Ext vanishes."""
+    zero = FDAlgebra(field, 0, ([], [], [], []), field.zeros(0))
+    mod = zero_module(zero)
+    res = free_resolution(zero, mod, 3)
+    assert res.ranks == [0, 0, 0, 0]
+    assert validate_resolution(res).ok
+    assert ext_dims_from_resolution(res, mod, 2) == [0, 0, 0]
 
 
 # -- the resolution against one built from free_module action matrices ------------------
@@ -397,7 +410,9 @@ def test_free_resolution_matches_free_module_reference(field):
         ranks, aug, gens, boundaries = reference_free_resolution(alg, mod, 3)
         assert res.ranks == ranks
         assert same(res.aug, aug)
-        assert len(res.gens) == len(gens) and all(map(same, res.gens, gens))
+        read_back = [field.matmul(b.reshape(len(b), b.shape[1] // alg.dim, alg.dim), alg.unit)
+                     for b in res.boundaries]
+        assert len(read_back) == len(gens) and all(map(same, read_back, gens))
         assert len(res.boundaries) == len(boundaries) \
             and all(map(same, res.boundaries, boundaries))
         top = max(top, *ranks)
@@ -1060,6 +1075,52 @@ def test_word_size_ext0_equals_hom_on_cyclic_monoid(field, seed, diag):
     for g in mods:
         for f in mods:
             assert ext_dims(alg, g, f, 0)[0] == hom_space_dim(g, f)
+
+
+# -- random small categories: the resolution route against the nerve route and Hom -----
+
+def random_poset(rnd: Random) -> FinCategory:
+    """The transitive closure of a random DAG on 1-4 objects as a category: one
+    arrow x -> y for each x <= y."""
+    objs = tuple(str(x) for x in range(rnd.randint(1, 4)))
+    below = {(x, x) for x in objs}
+    below |= {(x, y) for x in objs for y in objs if x < y and rnd.random() < 0.5}
+    for z in objs:  # Warshall: close under paths through z
+        below |= {(x, y) for x, w in below if w == z for v, y in below if v == z}
+    return FinCategory(objs, {f"{x}<{y}": (x, y) for x, y in below},
+                       {x: f"{x}<{x}" for x in objs},
+                       {(f"{x}<{y}", f"{y}<{z}"): f"{x}<{z}"
+                        for x, y in below for v, z in below if v == y}, name="poset")
+
+
+def random_small_category(rnd: Random) -> FinCategory:
+    kind = rnd.randrange(3)
+    if kind == 0:
+        return random_poset(rnd)
+    if kind == 1:
+        return abelian_group_category((rnd.randint(1, 3), rnd.randint(1, 3)), "*")
+    n = rnd.randint(1, 4)
+    return cyclic_monoid(n, rnd.randrange(n))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_small_categories(seed):
+    """On a random poset, abelian group or cyclic monoid over F2, F3, F5 or
+    F7 with constant or representable coefficients: the resolution route
+    agrees with the nerve route, the constant module's resolution is exact,
+    and Ext^0 is the dimension of the Hom space."""
+    rnd = Random(seed)
+    c = random_small_category(rnd)
+    assert validate_category(c).ok
+    field = FieldSpec.prime(rnd.choice([2, 3, 5, 7]))
+    k = constant_module(c, field)
+    f = k if rnd.random() < 0.5 else representable_module(c, field, rnd.choice(c.objects))
+    dims = cohomology_dims(c, f, 2)
+    assert dims == nerve_cohomology_dims(c, f, 2)
+    alg = linearize(c, field)
+    g = to_algebra_module(k, alg)
+    assert validate_resolution(free_resolution(alg, g, 3)).ok
+    assert dims[0] == hom_space_dim(g, to_algebra_module(f, alg))
 
 
 # -- subquotients ---------------------------------------------------------------------
