@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from itertools import product as iproduct
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,16 @@ from .exactlin import FieldSpec
 from .validation import Report
 
 BLOCK_TERMS = 1 << 18  # product terms per block of a stacked product with constants
+
+
+class Projectives(NamedTuple):
+    """The projectives P_e = eA of `FDAlgebra.projectives`.  Position s < len(heads)
+    is the idempotent basis element heads[s], and position len(heads) is the
+    unit, for A = P_1 itself."""
+    heads: np.ndarray
+    spans: tuple  # spans[s]: the increasing basis elements J_e that span eA
+    idempotents: np.ndarray  # row s: the coefficients of the idempotent at s
+    objects: list | None  # the heads 1_x when the unit is their sum, if two or more
 
 
 @dataclass(eq=False)
@@ -58,6 +69,56 @@ class FDAlgebra:
         out[self.constants[:3]] = self.constants[3]
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def projectives(self) -> Projectives:
+        """The right ideals P_e = eA read off the constants (`Projectives`).
+        The heads are the basis elements e with e in J_e and e e_l = e_l for
+        every l in J_e = {l : c[e, j, l] != 0 for some j} (so e e = e), by
+        |J_e| and then by e.  eA is a summand of A = eA + (1 - e)A, so it is
+        projective, and Hom_A(eA, M) = M e.  In a category algebra the heads
+        are the idempotent morphisms, J_e the morphisms e o g, and the 1_x
+        the identities."""
+        k, d = self.field, self.dim
+        i, j, l, c = self.constants
+        pair = i * d + j  # sorted: the constants are in C order
+        step = np.ones(len(pair) + 1, bool)  # a pair starts or ends at step[t]
+        step[1:-1] = pair[1:] != pair[:-1]
+        keeps = pair[step[:-1] & step[1:] & (l == j) & (c == k.one)]  # e_i e_j = e_j
+        keep, found = set(keeps.tolist()), []
+        rows, ls = np.searchsorted(i, np.arange(d + 1)).tolist(), l.tolist()  # row e from rows[e]
+        for e in (keeps[keeps % (d + 1) == 0] // (d + 1)).tolist():  # e e = e
+            span = sorted(set(ls[rows[e]:rows[e + 1]]))
+            if all(e * d + x in keep for x in span):
+                found.append((len(span), e, span))
+        found.sort()
+        heads = np.array([e for _, e, _ in found], np.int64)
+        objects = np.flatnonzero(self.unit).tolist()
+        if len(objects) < 2 or not set(objects) <= set(heads.tolist()) \
+                or any(self.unit[x] != k.one for x in objects):
+            objects = None
+        idempotents = k.zeros(len(heads) + 1, d)
+        idempotents[np.arange(len(heads)), heads] = k.one
+        idempotents[-1] = self.unit
+        return Projectives(heads, (*(np.array(s, np.int64) for _, _, s in found), np.arange(d)),
+                           idempotents, objects)
+
+    @cached_property
+    def projective_actions(self) -> tuple:
+        """For each position s of `projectives`, with J = spans[s], the
+        constants c[i, j, l] with i and l in J, as (rows, cols, vals) for
+        `FieldSpec.sparse_matmul` into d |J| rows: row j |J| + (position of l
+        in J) and column (position of i in J).  Applied to elements x of P_e
+        written on J, they give the x e_j written on J, and nothing of size
+        d^2 is built.  Built on first use, once per algebra."""
+        i, j, l, c = self.constants
+        out = []
+        for span in self.projectives.spans:
+            at = np.full(self.dim, -1)  # the position of each basis element in J
+            at[span] = np.arange(len(span))
+            keep = (at[i] >= 0) & (at[l] >= 0)
+            out.append((j[keep] * len(span) + at[l[keep]], at[i[keep]], c[keep]))
+        return tuple(out)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of two coefficient vectors, or element by element of two

@@ -1,11 +1,16 @@
-"""Modules over finite categories, free resolutions, Ext and cohomology.
+"""Modules over finite categories, projective resolutions, Ext and cohomology.
 
 Three independent routes to the same numbers are implemented and cross-checked
 in the test suite:
 
   * resolution route: convert a contravariant functor to a right module over
-    the category algebra, resolve by free covers on generators, take Ext as
-    cohomology of the Hom complex;
+    the category algebra A, resolve it by sums of projectives P_e = eA, one
+    for each generator g with e the idempotent basis element of smallest
+    P_e that fixes g (A = P_1 when none does), and take Ext as cohomology of
+    the Hom complex, where Hom(P_e, M) = M e (Mitchell, "Rings with several
+    objects", 1972; Webb, "An introduction to the representations and
+    cohomology of categories", 2007).  A module pulled back from a base
+    category is resolved at the base's size this way;
   * nerve route: the simplicial cochain complex on composable chains;
   * bar route: normalized bar cochains of a one-object category whose
     morphisms form an abelian group, indexed by arithmetic on the positions
@@ -32,6 +37,7 @@ Degree caps are explicit everywhere; nothing is computed to unbounded degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -150,45 +156,84 @@ def hom_space_dim(g: AlgModule, f: AlgModule) -> int:
     return nf * ng - rank(system)
 
 
-# -- generators and free resolutions --------------------------------------------
+# -- generators and resolutions by idempotent projectives -----------------------
 
-class _FreeModule(NamedTuple):
-    """A free right module; it holds no action matrices."""
+class _Stage(NamedTuple):
+    """The right module sum_t P_{e_t} of a resolution stage, for P_e = eA of
+    `FDAlgebra.projectives`: summand t sits on the coordinates t d + J_{e_t}
+    of A^r, from offsets[t] on.  It holds no action matrices."""
     algebra: FDAlgebra
-    rank: int
-    dim: int  # rank * algebra.dim
+    summands: np.ndarray  # the position of each e_t in algebra.projectives
+    offsets: tuple  # r + 1 ints
+    coords: np.ndarray
+    groups: tuple  # (s, the coordinates of the summands at s), for each s used
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+
+def _stage(algebra: FDAlgebra, summands: np.ndarray) -> _Stage:
+    """The stage sum_t P_{e_t} for the positions summands of the e_t."""
+    spans = algebra.projectives.spans
+    tops = summands.tolist()
+    sizes = [len(spans[s]) for s in tops]
+    parts = [t * algebra.dim + spans[s] for t, s in enumerate(tops)]
+    owner = np.repeat(summands, sizes)  # the position s of each coordinate's summand
+    groups = tuple((s, np.flatnonzero(owner == s)) for s in sorted(set(tops)))
+    return _Stage(algebra, summands, tuple(accumulate(sizes, initial=0)),
+                  np.concatenate([np.zeros(0, np.int64), *parts]), groups)
 
 
 def _act(mod, vec: np.ndarray) -> np.ndarray:
-    """(d, dim mod) array whose row j is vec . e_j: for a free module, block s
-    of that row is x_s e_j, so one `left_mult_matrix` call on the blocks x_s
-    of vec gives them all; else one product with the stack of the action
-    matrices.  These images span the submodule that vec generates."""
+    """(d, dim mod) array whose row j is vec . e_j.  For a stage, the part
+    of row j in summand t is x_t e_j, written on J_{e_t}: one sparse product
+    with `FDAlgebra.projective_actions` for the summands of each P_e.  It has
+    a term for each of those constants and summands, so in a category
+    algebra, where e_i e_j is at most one basis element, nothing larger than
+    the (d, dim mod) result is built.  Else one product with the stack of the
+    action matrices.  These images span the submodule vec generates."""
     alg = mod.algebra
-    if isinstance(mod, _FreeModule):
-        prod = alg.left_mult_matrix(vec.reshape(mod.rank, alg.dim).T)  # [l, j, s]
-        return prod.transpose(1, 2, 0).reshape(alg.dim, mod.dim)
-    return alg.field.matmul(np.stack(mod.right_action), vec)
+    k, d = alg.field, alg.dim
+    if not isinstance(mod, _Stage):
+        return k.matmul(np.stack(mod.right_action), vec)
+    out = k.zeros(d, mod.dim)
+    for s, at in mod.groups:
+        rows, cols, vals = alg.projective_actions[s]
+        n = len(alg.projectives.spans[s])
+        prod = k.sparse_matmul(rows, cols, vals, d * n, vec[at].reshape(-1, n).T)
+        out[:, at] = prod.reshape(d, n, -1).transpose(0, 2, 1).reshape(d, -1)
+    return out
 
 
-def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> np.ndarray:
-    """The cover of a small generating set g_0, g_1, ... of a right module (or
-    of the submodule spanned by span_rows), found greedily and then pruned:
-    column t d + j is g_t . e_j, the k-matrix of the free module map onto them.
+def module_generators(mod, span_rows: np.ndarray | None = None) -> tuple:
+    """A small generating set g_0, g_1, ... of a right module (or of the
+    submodule spanned by span_rows), found greedily and then pruned, each
+    g_t with the first P_{e_t} = e_t A of `FDAlgebra.projectives` (the
+    smallest) such that g_t . e_t = g_t, and A = P_1 when no basis
+    idempotent fixes g_t.  Returns the cover, the k-matrix of
+    sum_t P_{e_t} -> mod, e_t -> g_t, whose columns are the g_t . e_l for l
+    in J_{e_t}, and the positions of the e_t in `projectives`.
 
     span_rows must be the reduced row-echelon basis of that submodule (every
     row starts with a 1 that is the only non-zero entry of its column); the
-    whole module's is the identity.  Its rows are scanned in order, and the
-    images of each pick are computed once and kept.  A redundant-generator
-    drop pass and a one-element sum compression (the images of a sum are the
-    sum of the images) read them and keep the result close to minimal without
-    any radical machinery.
+    whole module's is the identity.  Its rows are scanned in order.  When the
+    unit is a sum of basis idempotents 1_x, a row outside the span so far is
+    split into its components v . 1_x, and each component outside the span
+    is picked; else the row is.  The images of each pick are computed once
+    and kept, and a redundant-generator drop pass reads them.  Then one
+    summed generator is tried where its projective is smaller than those of
+    the picks together: when every pick has the same P_e, e fixes the sum
+    and its images are the sum of theirs; else A = P_1 covers the sum, as in
+    a free resolution, and the sum is acted on once more.
     """
-    k = mod.algebra.field
+    alg = mod.algebra
+    k = alg.field
+    heads, spans, _, objects = alg.projectives
     basis_rows = k.eye(mod.dim) if span_rows is None else span_rows
     full_rank = len(basis_rows)
 
-    def spans(blocks: list) -> bool:
+    def generate(blocks: list) -> bool:
         ech = Echelon(k, mod.dim)
         for block in blocks:  # a full rank stays full, so stop there
             ech.extend(block)
@@ -196,13 +241,23 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> np
                 return True
         return False
 
-    images = []
+    images, tops, gens = [], [], []
     ech = Echelon(k, mod.dim)
     for row in basis_rows:
         if ech.rank == full_rank:
             break
-        if not ech.contains(row):
-            images.append(_act(mod, row))
+        if ech.contains(row):
+            continue
+        acted = _act(mod, row)
+        parts = [row] if objects is None else acted[objects][acted[objects].any(axis=1)]
+        for part in parts:  # a lone component is the row itself
+            if len(parts) > 1 and ech.contains(part):
+                continue
+            part_acted = acted if len(parts) == 1 else _act(mod, part)
+            fixed = (part_acted[heads] == part).all(axis=1).tolist() + [True]  # part . e = part
+            tops.append(fixed.index(True))  # the unit, last, fixes every part
+            gens.append(part)
+            images.append(part_acted[spans[tops[-1]]])
             ech.extend(images[-1])
     if ech.rank != full_rank:
         raise AssertionError("generator search failed to span the module")
@@ -210,52 +265,75 @@ def module_generators(mod: AlgModule, span_rows: np.ndarray | None = None) -> np
     # drop generators made redundant by later picks
     i = 0
     while i < len(images) and len(images) > 1:
-        if spans(images[:i] + images[i + 1:]):
-            del images[i]
+        if generate(images[:i] + images[i + 1:]):
+            del images[i], tops[i], gens[i]
         else:
             i += 1
     if len(images) > 1:
-        summed = k.reduce(sum(images))
-        if spans([summed]):
-            images = [summed]
+        same = len(set(tops)) == 1
+        top = tops[0] if same else len(heads)
+        if len(spans[top]) < sum(len(spans[t]) for t in tops):
+            summed = k.reduce(sum(images)) if same else _act(mod, k.reduce(sum(gens)))
+            if generate([summed]):
+                images, tops = [summed], [top]
     cover = np.concatenate([k.zeros(0, mod.dim), *images]).T
-    return np.ascontiguousarray(cover)
+    return np.ascontiguousarray(cover), np.array(tops, dtype=np.int64)
 
 
 @dataclass(eq=False)
 class Resolution:
-    """Free right modules F_0 <- F_1 <- ... <- F_L over `algebra`,
-    augmented onto `module`; each map is the cover (`module_generators`) of
-    the generators of its image, so boundaries[i] is the full k-linear matrix
-    of F_{i+1} -> F_i."""
+    """Sums of idempotent projectives P_0 <- P_1 <- ... <- P_L over
+    `algebra`, augmented onto `module`: stages[i] is sum_t P_{e_t} on the
+    generators `module_generators` found, and each map is the cover of the
+    generators of its image, so boundaries[i] is the full k-linear matrix of
+    P_{i+1} -> P_i.  A free resolution is the case where every e_t is 1."""
 
     algebra: FDAlgebra
     module: AlgModule
-    ranks: list
-    aug: np.ndarray  # (dim module, ranks[0] * dim algebra)
-    boundaries: list  # boundaries[i]: (ranks[i] * d, ranks[i+1] * d)
+    stages: list  # of _Stage
+    aug: np.ndarray  # (dim module, dim P_0)
+    boundaries: list  # boundaries[i]: (dim P_i, dim P_{i+1})
+
+    @property
+    def ranks(self) -> list:
+        """The number of summands of each stage."""
+        return [len(s.summands) for s in self.stages]
 
     @property
     def length(self) -> int:
-        return len(self.ranks) - 1
+        return len(self.stages) - 1
+
+
+STAGE_LIMIT = 1 << 24  # entries of a stage's kernel elimination, kernel and images
+
+
+def _check_stage(cover: np.ndarray, d: int) -> None:
+    """Refuse a stage whose kernel or generator search would pass
+    STAGE_LIMIT entries: the cover is eliminated, its kernel has at most as
+    many rows as the cover has columns, and each image block `_act` builds
+    in the search of that kernel has d rows of that width."""
+    rows, cols = max(*cover.shape, d), cover.shape[1]
+    if rows * cols > STAGE_LIMIT:
+        raise ValueError(f"resolution stage of {rows} x {cols} = {rows * cols} "
+                         f"entries exceeds desk-scale limit {STAGE_LIMIT}")
 
 
 def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resolution:
-    """Resolve by free covers on generators; exact at every computed stage."""
+    """Resolve by sums of idempotent projectives on generators
+    (`module_generators`); exact at every computed stage.  Each stage's size
+    is checked against STAGE_LIMIT before its kernel is taken."""
     if module.side != "right":
         raise ValueError("resolutions implemented for right modules")
-    d = algebra.dim
-
-    def rank_of(cover):  # over the zero algebra every module is 0
-        return cover.shape[1] // d if d else 0
-
-    covers = [module_generators(module)]
+    cover, tops = module_generators(module)
+    covers, stages = [cover], [_stage(algebra, tops)]
     for _ in range(length):
-        free = _FreeModule(algebra, rank_of(covers[-1]), covers[-1].shape[1])
-        # rows end at their own free columns, so reversed they are the reduced basis
+        _check_stage(covers[-1], algebra.dim)
+        # rows end at their own columns, so reversed they are the reduced basis
         ker = kernel_basis(Matrix(algebra.field, covers[-1][:, ::-1]))[::-1, ::-1]
-        covers.append(module_generators(free, span_rows=ker))
-    return Resolution(algebra, module, list(map(rank_of, covers)), covers[0], covers[1:])
+        cover, tops = module_generators(stages[-1], span_rows=ker)
+        covers.append(cover)
+        stages.append(_stage(algebra, tops))
+    return Resolution(algebra, module, stages, covers[0], covers[1:])
 
 
 def validate_resolution(res: Resolution) -> Report:
@@ -281,22 +359,45 @@ def validate_resolution(res: Resolution) -> Report:
 
 
 def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
-    """dim Ext^i for i <= max_n as cohomology of Hom(F_., f).  The generators
-    of each stage are read back from its cover as g_t = g_t . 1."""
+    """dim Ext^i for i <= max_n as cohomology of Hom(P_., f).
+
+    Hom(P_e, f) = f . e = im rho(e), so the cochains C^i of stage i are
+    sum_t f . e_t, of dimension sum_t rank rho(e_t), each rank taken once
+    per e.  Generator u of stage i + 1 is read back from its columns of the
+    cover as g_u = g_u . e_u, and D_i sends (phi_t)_t to
+    (sum_t phi_t . (g_u)_t)_u, where (g_u)_t is the component of g_u in
+    P_{e_t}.  Written on all of sum_t f, D_i vanishes off C^i, since
+    (g_u)_t = e_t (g_u)_t gives rho((g_u)_t) = rho((g_u)_t) rho(e_t), and
+    its image lies in C^(i+1).  So dim H^i = dim C^i - rank D_i - rank D_(i-1).
+    The rho(e) and the blocks of every D_i come from one `right_of` call.
+    """
     if res.length < max_n + 1:
         raise ValueError("resolution too short for the requested degree")
-    k = res.algebra.field
-    d = res.algebra.dim
-    nf = f.dim
-    diffs = []
-    for i in range(max_n + 1):
-        r_src, r_tgt = res.ranks[i], res.ranks[i + 1]
-        gens = k.matmul(res.boundaries[i].reshape(r_src * d, r_tgt, d), res.algebra.unit)
-        # block (t, s) acts by block s of generator t's image: sum_j x_j rho_j
-        blocks = f.right_of(gens.T.reshape(r_tgt, r_src, d))
-        diffs.append(blocks.transpose(0, 2, 1, 3).reshape(r_tgt * nf, r_src * nf))
-    dims = [res.ranks[i] * nf for i in range(max_n + 2)]
-    return CochainComplex(k, dims, diffs).cohomology_dims()
+    alg = res.algebra
+    k, d, nf = alg.field, alg.dim, f.dim
+    _, spans, es, _ = alg.projectives
+    stages = res.stages[:max_n + 2]
+    used = sorted(set().union(*(st.summands.tolist() for st in stages)))
+    coeffs = [es[used]]
+    for src, tgt, boundary in zip(stages, stages[1:], res.boundaries):
+        read = k.zeros(tgt.dim, len(tgt.summands))  # column u: e_u on the coordinates of P_{e_u}
+        for u, s in enumerate(tgt.summands.tolist()):
+            read[tgt.offsets[u]:tgt.offsets[u + 1], u] = es[s, spans[s]]
+        r_src, r_tgt = len(src.summands), len(tgt.summands)
+        gens = k.zeros(r_src * d, r_tgt)
+        gens[src.coords] = k.matmul(boundary, read)
+        coeffs.append(gens.T.reshape(r_tgt * r_src, d))  # row (u, t): component t of g_u
+    mats = f.right_of(np.concatenate(coeffs))
+    cochains = {s: rank(Matrix(k, rho)) for s, rho in zip(used, mats)}
+    dims = [sum(cochains[s] for s in st.summands.tolist()) for st in stages]
+    ranks, at = [0], len(used)
+    for src, tgt in zip(stages, stages[1:]):
+        r_src, r_tgt = len(src.summands), len(tgt.summands)
+        blocks = mats[at:at + r_tgt * r_src].reshape(r_tgt, r_src, nf, nf)
+        at += r_tgt * r_src
+        ranks.append(rank(Matrix(k, blocks.transpose(0, 2, 1, 3).reshape(r_tgt * nf,
+                                                                          r_src * nf))))
+    return [dims[i] - ranks[i + 1] - ranks[i] for i in range(max_n + 1)]
 
 
 def ext_dims(algebra: FDAlgebra, g: AlgModule, f: AlgModule, max_n: int) -> list:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from catext import cli, cliio, coeffsys, constructions, extcheck, fdalgebra, fincat, homengine
+from catext import (cli, cliio, coeffsys, constructions, extcheck, fdalgebra, fincat,
+                    homengine, lhsengine)
 from catext.cliio import InputError, emit, parse, render, run
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -408,14 +410,13 @@ def test_gr_an_modules_live_over_the_extension_total(gr_builds):
 
 EXPLICIT_RIGHT_LHS = """
 field: {kind: prime, characteristic: 2}
-category: {preset: poset-a2}
+category: {preset: one-object-group, order: 2}
 algebra:
   constant: {preset: group-algebra, orders: [2]}
 right_module:
   at:
-    "0": {dim: 2, right: [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
-    "1": {dim: 2, right: [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
-  maps: {a: [[1, 0], [0, 1]]}
+    "*": {dim: 2, right: [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
+  maps: {t1: [[1, 0], [0, 1]]}
 modules:
   G: {over: gr-a, preset: constant}
   F: {over: gr-an, preset: constant}
@@ -428,9 +429,11 @@ task:
 
 
 def test_lhs_report_builds_no_free_module(monkeypatch):
-    """Resolutions act on their free modules through the structure constants;
-    with an explicit right module (a regular preset builds its system with
-    free_module) an lhs-report job builds no free module at all."""
+    """Resolutions act on their stages through the structure constants; with
+    an explicit right module (a regular preset builds its system with
+    free_module) an lhs-report job builds no free module at all.  The base
+    is one object with two morphisms, so the constant weight is no
+    projective and its resolutions have kernel stages."""
     calls, ranks = [], []
 
     def counted(*args, _orig=fdalgebra.free_module, **kwargs):
@@ -963,3 +966,39 @@ def test_preset_past_the_table_limit_exits_two(tmp_path, capsys, path, table, bl
     assert code == 2
     assert doc["input_errors"] == [
         f"{path}: {table} of {size(value)} entries exceeds the limit of {_LIMIT}"]
+
+
+def test_resolution_stage_past_the_limit_exits_two(tmp_path, capsys, monkeypatch):
+    """With the limit lowered to 3 entries, the first stage of B(Z/2)'s
+    resolution (a 1 x 2 cover, whose kernel has up to 2 x 2 entries) is
+    reported with its size and the limit."""
+    monkeypatch.setattr(homengine, "STAGE_LIMIT", 3)
+    code, doc = _run_main(tmp_path, capsys, (PROBLEMS / "z2_cohomology.yaml").read_text(),
+                          "cohomology")
+    assert code == 2
+    assert doc["input_errors"] == ["resolution stage of 2 x 2 = 4 entries exceeds "
+                                   "desk-scale limit 3"]
+
+
+def test_lhs_report_on_the_768_morphism_rung(monkeypatch):
+    """BENCH_7's paper rung with the fiber algebra F2[(Z/2)^2]: Gr(A, N) has
+    768 morphisms.  The constant weight is the projective P_{u_t} at A2's
+    terminal object t, so every resolution stops at stage 0, and the
+    structured document is the 243-morphism rung's."""
+    resolved = []
+
+    def resolve(algebra, *args, _orig=homengine.free_resolution):
+        res = _orig(algebra, *args)
+        resolved.append((algebra.dim, res.ranks))
+        return res
+    for mod in (homengine, lhsengine):
+        monkeypatch.setattr(mod, "free_resolution", resolve)
+    problem = json.loads((PROBLEMS.parent / "BENCH_7.json").read_text())["paper_rung"]["problem"]
+    problem["field"]["characteristic"] = 2
+    problem["algebra"]["constant"]["orders"] = [2, 2]
+    doc, code = run(parse(yaml.safe_dump(problem)), command="lhs-report")
+    assert code == 0
+    out = render(doc, "structured").encode()
+    assert hashlib.md5(out).hexdigest() == "84ca7df58f0019a6bb68d3573b605daf"
+    assert 768 in [dim for dim, _ in resolved]
+    assert all(ranks == [1] + [0] * (len(ranks) - 1) for _, ranks in resolved)

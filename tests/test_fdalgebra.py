@@ -60,6 +60,71 @@ def test_mult_matrices_of_columns_stack_along_last_axis(alg):
             assert got[:, :, t].tolist() == mult(cols[:, t]).tolist()
 
 
+def skew_matrix_algebra(k: FieldSpec) -> FDAlgebra:
+    """M_2(k) in the basis f = E11 + E21, E12, E21, E22: f f = f, but
+    f E12 = E12 + E22, so fA is spanned by no set of basis elements."""
+    basis = [np.array(m) for m in ([[1, 0], [1, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+                                    [[0, 0], [0, 1]])]
+
+    def coords(m):  # m = a f + b E12 + (c - a) E21 + d E22
+        (a, b), (c, d) = m.tolist()
+        return [a, b, c - a, d]
+    constants = [(i, j, l, c) for i, x in enumerate(basis) for j, y in enumerate(basis)
+                 for l, c in enumerate(coords(x @ y)) if c]
+    return FDAlgebra(k, 4, tuple(map(list, zip(*constants))),
+                     k.array(coords(np.eye(2, dtype=np.int64))), name="M2-skew")
+
+
+PROJECTIVE_ALGEBRAS = SLICE_ALGEBRAS + [linearize(cyclic_monoid(4, 2), F2),
+                                        FDAlgebra(F2, 0, ([], [], [], []), F2.zeros(0)),
+                                        skew_matrix_algebra(F3)]
+
+
+@pytest.mark.parametrize("alg", PROJECTIVE_ALGEBRAS, ids=lambda a: a.name or "zero")
+def test_projectives_match_the_dense_constants(alg):
+    """Against the dense c[i, j, l]: the heads are the basis elements e with
+    e in J_e = {l : c[e, j, l] != 0 for some j} and e e_l = e_l for every l
+    in J_e, each with the span J_e, smallest first, then the span of A; each
+    idempotent's coefficients, the unit's last; the objects are the support
+    of the unit when it is two or more heads with coefficient 1; and each
+    P_e's action constants give (e_i e_j)_l for i and l in J_e."""
+    k, d = alg.field, alg.dim
+    eye = k.eye(d)
+    want = {}
+    for e in range(d):
+        span = sorted({l for j in range(d) for l in range(d) if alg.structure[e, j, l] != 0})
+        if e in span and all(alg.structure[e, l].tolist() == eye[l].tolist() for l in span):
+            want[e] = span
+    heads, spans, idempotents, objects = alg.projectives
+    assert {int(e): s.tolist() for e, s in zip(heads, spans)} == want
+    assert idempotents.tolist() == [eye[e].tolist() for e in heads] + [alg.unit.tolist()]
+    assert len(spans) == len(heads) + 1 and spans[-1].tolist() == list(range(d))
+    assert [len(s) for s in spans[:-1]] == sorted(len(s) for s in want.values())
+    support = [x for x in range(d) if alg.unit[x] != 0]
+    grid = len(support) > 1 and all(x in want and alg.unit[x] == k.one for x in support)
+    assert objects == (support if grid else None)
+    for (rows, cols, vals), span in zip(alg.projective_actions, spans):
+        n = len(span)
+        got = k.sparse_matmul(rows, cols, vals, d * n, k.eye(n)).reshape(d, n, n)
+        assert got.tolist() == alg.structure[np.ix_(span, range(d), span)].transpose(1, 2, 0).tolist()
+
+
+@pytest.mark.parametrize("c", [poset_a2(), cyclic_monoid(3, 1), cyclic_monoid(4, 2)],
+                         ids=lambda c: c.name)
+def test_projectives_of_a_category_algebra_are_its_idempotent_morphisms(c):
+    """e_f e_g = e_(g then f), so P_e is spanned by the composites g then e,
+    and the objects are the identities when there are two or more."""
+    pos = c.index.pos
+    heads, spans, _, objects = linearize(c, F3).projectives
+    idempotents = [f for f in c.mor if c.compose.get((f, f)) == f]
+    assert sorted(heads.tolist()) == sorted(pos[f] for f in idempotents)
+    for e, span in zip(heads.tolist(), spans):
+        f = next(f for f in idempotents if pos[f] == e)
+        assert span.tolist() == sorted({pos[h] for (_, g), h in c.compose.items() if g == f})
+    ids = sorted(pos[c.identity[x]] for x in c.objects)
+    assert objects == (ids if len(ids) > 1 else None)
+
+
 def test_zero_vector_mult_matrices_over_rationals_hold_fractions():
     alg = upper_triangular_algebra(2, QQ)
     for mat in (alg.right_mult_matrix(QQ.zeros(alg.dim)),

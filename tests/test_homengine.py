@@ -3,20 +3,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from catext.cliio import build, parse
 from catext.coeffsys import abelian_group_category, abelian_group_generators
-from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rref, solve_matrix
+from catext.exactlin import Echelon, FieldSpec, Matrix, kernel_basis, rank, rref, solve_matrix
 from catext.extcheck import fiber_extension
 from catext.fdalgebra import (AlgModule, FDAlgebra, dual_numbers, field_algebra,
                               free_module, group_algebra, validate_module, zero_module)
 from catext.fincat import CatFunctor, FinCategory, linearize, validate_category
 from catext import homengine
-from catext.homengine import (CatModule, CochainComplex, Subquotient, _act, _FreeModule,
+from catext.homengine import (CatModule, CochainComplex, Subquotient, _act, _Stage, _stage,
                               bar_cochain_complex, bar_subquotients, cat_ext_dims,
                               cohomology_dims, constant_module, ext_dims,
                               ext_dims_from_resolution, free_resolution,
@@ -221,20 +224,36 @@ def test_representable_converts_to_projective():
 
 # -- generators and resolutions ---------------------------------------------------------
 
+def stage_module(stage: _Stage) -> AlgModule:
+    """A stage sum_t P_{e_t} as the submodule of free_module(algebra, r) on
+    its coordinates: the free action matrices restricted to them, which is
+    exact only if those coordinates span a submodule."""
+    free = free_module(stage.algebra, len(stage.summands))
+    cut = np.ix_(stage.coords, stage.coords)
+    return AlgModule(stage.algebra, stage.dim, "right",
+                     right_action=[rho[cut] for rho in free.right_action])
+
+
 def test_generators_of_free_module_are_block_units():
+    """The dual numbers have the unit as their only idempotent, so a free
+    module of rank 2 needs two generators, each covered by all of A."""
     dn = dual_numbers(F2)
-    cover = module_generators(free_module(dn, 2))
+    cover, tops = module_generators(free_module(dn, 2))
     assert cover.shape == (2 * dn.dim, 2 * dn.dim)  # two generators
+    assert len(tops) == 2 and rank(Matrix(F2, cover)) == 2 * dn.dim
 
 
 def test_generators_of_zero_module():
-    assert module_generators(free_module(dual_numbers(F2), 0)).shape == (0, 0)
+    cover, tops = module_generators(free_module(dual_numbers(F2), 0))
+    assert cover.shape == (0, 0) and tops.shape == (0,)
 
 
 def test_free_module_resolves_trivially():
-    for alg in (dual_numbers(F2), linearize(poset_a2(), F3)):
+    """A free module is its own cover: over A2 it splits as P_{1_0} + P_{1_1}."""
+    for alg, summands in ((dual_numbers(F2), 1), (linearize(poset_a2(), F3), 2)):
         res = free_resolution(alg, free_module(alg, 1), 3)
-        assert res.ranks == [1, 0, 0, 0]
+        assert res.ranks == [summands, 0, 0, 0]
+        assert res.aug.shape == (alg.dim, alg.dim) and rank(Matrix(alg.field, res.aug)) == alg.dim
         assert validate_resolution(res).ok
 
 
@@ -283,14 +302,57 @@ def test_resolution_over_rationals():
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["F2", "Q"])
 def test_zero_dimensional_algebra_resolves(field):
-    """Over the zero algebra every free module is 0: a stage's rank is not
-    its cover's width over dim A = 0, and Ext vanishes."""
+    """Over the zero algebra every module is 0: no stage has a summand, and
+    Ext vanishes."""
     zero = FDAlgebra(field, 0, ([], [], [], []), field.zeros(0))
     mod = zero_module(zero)
     res = free_resolution(zero, mod, 3)
     assert res.ranks == [0, 0, 0, 0]
     assert validate_resolution(res).ok
     assert ext_dims_from_resolution(res, mod, 2) == [0, 0, 0]
+
+
+def _non_category_cases():
+    """(name, algebra, module, Ext^0..2 of the module against itself):
+    algebras with no idempotent basis element but the unit, or none at all,
+    or one that fixes no vector of the module, so its cover is A itself."""
+    dn = dual_numbers(F2)
+    kz2 = group_algebra([2], F3)
+    # k[Z/2] over F2 in the basis g, 1 + g: g g = g + (1 + g), g (1 + g) = 1 + g,
+    # (1 + g)^2 = 0; the unit g + (1 + g) is no sum of basis idempotents
+    twisted = FDAlgebra(F2, 2, ([0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 1, 1], [1, 1, 1, 1]),
+                        F2.array([1, 1]))
+    # k x k[Z/2] over F2 in the basis (1, 0), (0, g), (0, 1 + g): (1, 0) is an
+    # idempotent basis element, and it kills the trivial k[Z/2]-module
+    product = FDAlgebra(F2, 3, ([0, 1, 1, 1, 2], [0, 1, 1, 2, 1], [0, 1, 2, 2, 2],
+                                [1, 1, 1, 1, 1]), F2.array([1, 1, 1]))
+    return [
+        ("dual-numbers", dn, AlgModule(dn, 1, "right", right_action=[F2.eye(1), F2.zeros(1, 1)]),
+         [1, 1, 1]),
+        ("sign", kz2, AlgModule(kz2, 1, "right", right_action=[F3.eye(1), F3.array([[2]])]),
+         [1, 0, 0]),
+        ("twisted-basis", twisted,
+         AlgModule(twisted, 1, "right", right_action=[F2.eye(1), F2.zeros(1, 1)]), [1, 1, 1]),
+        ("product", product,
+         AlgModule(product, 1, "right", right_action=[F2.zeros(1, 1), F2.eye(1), F2.zeros(1, 1)]),
+         [1, 1, 1]),
+    ]
+
+
+@pytest.mark.parametrize("case", _non_category_cases(), ids=lambda c: c[0])
+def test_algebras_that_are_not_category_algebras_resolve_through_the_unit(case):
+    """Where no idempotent basis element but the unit fixes a generator, its
+    cover is A = P_1, as a free resolution's is; Ext is the free-cover
+    value."""
+    _, alg, mod, ext = case
+    assert validate_module(mod).ok
+    res = free_resolution(alg, mod, 3)
+    assert validate_resolution(res).ok
+    assert ext_dims_from_resolution(res, mod, 2) == ext
+    assert [s.dim for s in res.stages] == [alg.dim * r
+                                           for r in reference_free_resolution(alg, mod, 3)[0]]
+    assert [alg.field.equal(alg.projectives.idempotents[s], alg.unit)
+            for s in res.stages[0].summands] == [True]
 
 
 # -- the resolution against one built from free_module action matrices ------------------
@@ -346,9 +408,9 @@ def reference_module_generators(mod: AlgModule, span_rows=None) -> list:
 
 
 def reference_free_resolution(algebra: FDAlgebra, module: AlgModule, length: int):
-    """(ranks, aug, gens, boundaries) with every kernel stage searched in
-    free_module(algebra, rank) and every column t d + j of a cover computed
-    as rho_j v_t, one column at a time."""
+    """(ranks, aug, gens, boundaries) of a resolution by free covers, with
+    every kernel stage searched in free_module(algebra, rank) and every
+    column t d + j of a cover computed as rho_j v_t, one column at a time."""
     k, d = algebra.field, algebra.dim
 
     def cover(mod, vecs):
@@ -373,6 +435,19 @@ def reference_free_resolution(algebra: FDAlgebra, module: AlgModule, length: int
         gens.append(imgs)
         boundaries.append(prev)
     return ranks, aug, gens, boundaries
+
+
+def reference_ext_dims(algebra: FDAlgebra, ranks: list, gens: list, f: AlgModule,
+                       max_n: int) -> list:
+    """Ext from a free resolution: Hom(A^r, f) = f^r, and block (t, s) of
+    the differential acts by block s of generator t's image gens[i][:, t],
+    sum_j x_j rho_j."""
+    k, d, nf = algebra.field, algebra.dim, f.dim
+    diffs = []
+    for i in range(max_n + 1):
+        blocks = f.right_of(gens[i].T.reshape(ranks[i + 1], ranks[i], d))
+        diffs.append(blocks.transpose(0, 2, 1, 3).reshape(ranks[i + 1] * nf, ranks[i] * nf))
+    return CochainComplex(k, [r * nf for r in ranks[:max_n + 2]], diffs).cohomology_dims()
 
 
 def _resolution_cases(k):
@@ -401,21 +476,36 @@ def _resolution_cases(k):
 @pytest.mark.parametrize("field", [QQ, F2, F3] + WORD_FIELDS,
                          ids=lambda k: f"F{k.p}" if k.is_prime_field else "Q")
 def test_free_resolution_matches_free_module_reference(field):
-    def same(a, b):
-        return a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
-
+    """Against the resolution by free covers: exact, no stage larger than
+    the free one, Ext equal up to degree 2 against every module of the same
+    algebra, each stage a submodule of A^r on its coordinates, and each cover
+    the cover of its read-back generators g_u = g_u . e_u, computed column
+    by column from free_module's action matrices."""
+    cases = _resolution_cases(field)
     top = 0
-    for alg, mod in _resolution_cases(field):
+    for alg, mod in cases:
         res = free_resolution(alg, mod, 3)
         ranks, aug, gens, boundaries = reference_free_resolution(alg, mod, 3)
-        assert res.ranks == ranks
-        assert same(res.aug, aug)
-        read_back = [field.matmul(b.reshape(len(b), b.shape[1] // alg.dim, alg.dim), alg.unit)
-                     for b in res.boundaries]
-        assert len(read_back) == len(gens) and all(map(same, read_back, gens))
-        assert len(res.boundaries) == len(boundaries) \
-            and all(map(same, res.boundaries, boundaries))
-        top = max(top, *ranks)
+        assert validate_resolution(res).ok
+        widths = [res.aug.shape[1]] + [b.shape[1] for b in res.boundaries]
+        assert all(w <= r * alg.dim for w, r in zip(widths, ranks))
+        for _, f in cases:
+            if f.algebra is alg:
+                assert ext_dims_from_resolution(res, f, 2) == \
+                    reference_ext_dims(alg, ranks, gens, f, 2)
+        spans, es = alg.projectives.spans, alg.projectives.idempotents
+        targets = [mod] + [stage_module(s) for s in res.stages]
+        for stage, target, cover in zip(res.stages, targets, [res.aug] + res.boundaries):
+            assert validate_module(stage_module(stage)).ok
+            assert cover.shape == (target.dim, stage.dim)
+            for u, s in enumerate(stage.summands.tolist()):
+                block = cover[:, stage.offsets[u]:stage.offsets[u + 1]]
+                e = es[s]
+                g = field.matmul(block, e[spans[s]])
+                want = [field.matmul(target.right_action[j], g) for j in spans[s]]
+                assert field.equal(field.matmul(target.right_of(e), g), g)
+                assert block.T.tolist() == [w.tolist() for w in want]
+        top = max(top, *res.ranks)
     assert top >= 2
 
 
@@ -442,28 +532,40 @@ def test_resolution_eliminates_each_stage_once(monkeypatch):
     assert kernel_gens > 0
 
 
-
-def scan_picks(mod, span_rows) -> int:
-    """The number of rows the greedy scan of module_generators picks before
-    any pruning, replayed with free_module's action matrices."""
+def scan_acts(mod, span_rows) -> tuple:
+    """(calls of _act, picks) that the greedy scan of module_generators makes
+    before any pruning, replayed with action matrices: one call for each row
+    outside the span so far, and, when it has two or more non-zero object
+    components, one for each of them outside the span."""
     k = mod.algebra.field
-    if isinstance(mod, _FreeModule):
-        mod = free_module(mod.algebra, mod.rank)
+    objects = mod.algebra.projectives.objects
+    if isinstance(mod, _Stage):
+        mod = stage_module(mod)
     rows = k.eye(mod.dim) if span_rows is None else span_rows
-    ech, picks = Echelon(k, mod.dim), 0
+    ech, acts, picks = Echelon(k, mod.dim), 0, 0
     for row in rows:
         if ech.rank == len(rows):
             break
-        if not ech.contains(row):
+        if ech.contains(row):
+            continue
+        acts += 1
+        parts = [row] if objects is None else [k.matmul(mod.right_action[x], row)
+                                                for x in objects]
+        parts = [part for part in parts if part.any()]
+        for part in parts:
+            if ech.contains(part):
+                continue
+            acts += len(parts) > 1
             picks += 1
             for rho in mod.right_action:
-                ech.add(k.matmul(rho, row))
-    return picks
+                ech.add(k.matmul(rho, part))
+    return acts, picks
 
 
 def test_each_pick_is_acted_on_once(monkeypatch):
-    """The images of each picked row are computed once and kept: the drop
-    pass, the sum test and the cover read them, so _act runs once per pick."""
+    """The images of each pick are computed once and kept: the drop pass and
+    the cover read them, so _act runs only in the scan.  (A summed generator
+    covered by A would take one more call; none of these cases has one.)"""
     searched, acts = [], [0]
     real_act, real_search = homengine._act, homengine.module_generators
 
@@ -480,9 +582,121 @@ def test_each_pick_is_acted_on_once(monkeypatch):
     for alg, mod in _resolution_cases(F3):
         free_resolution(alg, mod, 3)
     monkeypatch.undo()
-    picks = [scan_picks(mod, rows) for mod, rows in searched]
-    assert acts[0] == sum(picks)
-    assert max(picks) >= 2  # so a drop test ran
+    replayed = [scan_acts(mod, rows) for mod, rows in searched]
+    assert acts[0] == sum(a for a, _ in replayed)
+    assert max(p for _, p in replayed) >= 2  # so a drop test ran
+
+
+# -- stage sizes are checked before a stage is built ------------------------------------
+
+def test_stage_past_the_limit_is_refused_before_its_elimination(monkeypatch):
+    """k[Z/2 x Z/2] over F2 resolves k with ranks 1, 2, 3, 4, 5 on covers
+    of 1 x 4, 4 x 8, 8 x 12 and 12 x 16 entries: a stage's kernel takes at
+    most max(rows, cols) x cols entries.  At the limit 144 the third kernel
+    (12 x 12 of an 8 x 12 cover) is taken and the fourth (16 x 16) is
+    refused before anything of its size is eliminated."""
+    alg = group_algebra([2, 2], F2)
+    triv = AlgModule(alg, 1, "right", right_action=[F2.eye(1)] * 4)
+    assert free_resolution(alg, triv, 4).ranks == [1, 2, 3, 4, 5]
+    eliminated = []
+
+    def kernel(m):
+        eliminated.append(m.a.shape)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(homengine, "STAGE_LIMIT", 144)
+    monkeypatch.setattr(homengine, "kernel_basis", kernel)
+    assert free_resolution(alg, triv, 3).ranks == [1, 2, 3, 4]
+    assert eliminated == [(1, 4), (4, 8), (8, 12)]
+    eliminated.clear()
+    with pytest.raises(ValueError) as err:
+        free_resolution(alg, triv, 4)
+    assert str(err.value) == ("resolution stage of 16 x 16 = 256 entries exceeds "
+                              "desk-scale limit 144")
+    assert eliminated == [(1, 4), (4, 8), (8, 12)]
+
+
+def test_stage_past_the_limit_is_refused_before_its_images(monkeypatch):
+    """cyclic(8, 6) over F2 resolves k by P_e, e = t^6, with |J_e| = 2 on
+    covers of at most 2 x 2 entries, but the search in each kernel builds
+    images of d x 2 = 16 entries.  At the limit 16 every _act on a stage
+    builds exactly that; at 15 the first stage is refused before its kernel
+    and before any _act on it."""
+    c = cyclic_monoid(8, 6)
+    alg = linearize(c, F2)
+    k = to_algebra_module(constant_module(c, F2), alg)
+    built, eliminated = [], []
+    real_act = homengine._act
+
+    def act(mod, vec):
+        out = real_act(mod, vec)
+        if isinstance(mod, _Stage):
+            built.append(out.shape)
+        return out
+
+    def kernel(m):
+        eliminated.append(m.a.shape)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(homengine, "_act", act)
+    monkeypatch.setattr(homengine, "kernel_basis", kernel)
+    monkeypatch.setattr(homengine, "STAGE_LIMIT", 16)
+    assert free_resolution(alg, k, 3).ranks == [1, 1, 1, 1]
+    assert built and set(built) == {(8, 2)} and eliminated == [(1, 2), (2, 2), (2, 2)]
+    built.clear(), eliminated.clear()
+    monkeypatch.setattr(homengine, "STAGE_LIMIT", 15)
+    with pytest.raises(ValueError) as err:
+        free_resolution(alg, k, 3)
+    assert str(err.value) == ("resolution stage of 8 x 2 = 16 entries exceeds "
+                              "desk-scale limit 15")
+    assert built == [] and eliminated == []
+
+
+# -- G: Ext from covers by idempotent projectives equals Ext from free covers -----------
+
+def _ext_against_free_covers(alg, g, f, max_n=2):
+    res = free_resolution(alg, g, max_n + 1)
+    assert validate_resolution(res).ok
+    ranks, _, gens, _ = reference_free_resolution(alg, g, max_n + 1)
+    assert ext_dims_from_resolution(res, f, max_n) == reference_ext_dims(alg, ranks, gens, f,
+                                                                          max_n)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_idempotent_covers_match_free_covers(seed):
+    """On a random poset, abelian group or cyclic monoid (whose idempotents
+    t^m, m > 0, are not identities) over F2, F3, F5 or F7, with constant or
+    representable modules on both sides: the resolution is exact, and its Ext
+    equals the Ext of the free-cover resolution up to degree 2."""
+    rnd = Random(seed)
+    c = random_small_category(rnd)
+    field = FieldSpec.prime(rnd.choice([2, 3, 5, 7]))
+    alg = linearize(c, field)
+
+    def module():
+        if rnd.random() < 0.5:
+            return to_algebra_module(constant_module(c, field), alg)
+        return to_algebra_module(representable_module(c, field, rnd.choice(c.objects)), alg)
+    _ext_against_free_covers(alg, module(), module())
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+RIGHT_MODULE_PROBLEMS = sorted(p.name for p in PROBLEMS.glob("*.yaml")
+                               if "right_module" in yaml.safe_load(p.read_text()))
+
+
+@pytest.mark.parametrize("name", RIGHT_MODULE_PROBLEMS)
+def test_idempotent_covers_match_free_covers_on_gr(name):
+    """Gr(A) and Gr(A, N) of each problem with a right_module block: the
+    constant module against the constant and the representable modules."""
+    b = build(parse((PROBLEMS / name).read_text()))
+    for gr in (b.precosheaf.gr, b.right_module.gr):
+        alg = linearize(gr, b.field)
+        g = to_algebra_module(constant_module(gr, b.field), alg)
+        for f in [g, *(to_algebra_module(representable_module(gr, b.field, y), alg)
+                       for y in gr.objects)]:
+            _ext_against_free_covers(alg, g, f)
+
 
 KERNEL_FIELDS = [QQ, F2, F3] + WORD_FIELDS
 
@@ -570,7 +784,7 @@ def free_maps(draw, k):
 @given(data=st.data())
 def test_free_action_matrix_matches_per_basis_loop(field, data):
     alg, imgs = data.draw(free_maps(field))
-    free = _FreeModule(alg, imgs.shape[0] // alg.dim, imgs.shape[0])
+    free = _stage(alg, np.full(imgs.shape[0] // alg.dim, len(alg.projectives.heads)))
     got = np.concatenate([field.zeros(0, free.dim), *(_act(free, v) for v in imgs.T)]).T
     want = reference_free_action_matrix(alg, imgs)
     assert got.shape == want.shape == (imgs.shape[0], imgs.shape[1] * alg.dim)
