@@ -33,7 +33,6 @@ class Projectives(NamedTuple):
     heads: np.ndarray
     spans: tuple  # spans[s]: the increasing basis elements J_e that span eA
     idempotents: np.ndarray  # row s: the coefficients of the idempotent at s
-    objects: list | None  # the heads 1_x when the unit is their sum, if two or more
 
 
 @dataclass(eq=False)
@@ -93,15 +92,11 @@ class FDAlgebra:
                 found.append((len(span), e, span))
         found.sort()
         heads = np.array([e for _, e, _ in found], np.int64)
-        objects = np.flatnonzero(self.unit).tolist()
-        if len(objects) < 2 or not set(objects) <= set(heads.tolist()) \
-                or any(self.unit[x] != k.one for x in objects):
-            objects = None
         idempotents = k.zeros(len(heads) + 1, d)
         idempotents[np.arange(len(heads)), heads] = k.one
         idempotents[-1] = self.unit
         return Projectives(heads, (*(np.array(s, np.int64) for _, _, s in found), np.arange(d)),
-                           idempotents, objects)
+                           idempotents)
 
     @cached_property
     def projective_actions(self) -> tuple:

@@ -209,27 +209,30 @@ def _act(mod, vec: np.ndarray) -> np.ndarray:
 def module_generators(mod, span_rows: np.ndarray | None = None) -> tuple:
     """A small generating set g_0, g_1, ... of a right module (or of the
     submodule spanned by span_rows), found greedily and then pruned, each
-    g_t with the first P_{e_t} = e_t A of `FDAlgebra.projectives` (the
-    smallest) such that g_t . e_t = g_t, and A = P_1 when no basis
-    idempotent fixes g_t.  Returns the cover, the k-matrix of
-    sum_t P_{e_t} -> mod, e_t -> g_t, whose columns are the g_t . e_l for l
-    in J_{e_t}, and the positions of the e_t in `projectives`.
+    g_t covered by the first P_{e_t} = e_t A of `FDAlgebra.projectives` (the
+    smallest) with g_t . e_t = g_t, A = P_1 last.  Returns the cover, the
+    k-matrix of sum_t P_{e_t} -> mod, e_t -> g_t, whose columns are the
+    g_t . e_l for l in J_{e_t}, and the positions of the e_t in `projectives`.
 
-    span_rows must be the reduced row-echelon basis of that submodule (every
-    row starts with a 1 that is the only non-zero entry of its column); the
-    whole module's is the identity.  Its rows are scanned in order.  When the
-    unit is a sum of basis idempotents 1_x, a row outside the span so far is
-    split into its components v . 1_x, and each component outside the span
-    is picked; else the row is.  The images of each pick are computed once
-    and kept, and a redundant-generator drop pass reads them.  Then one
-    summed generator is tried where its projective is smaller than those of
-    the picks together: when every pick has the same P_e, e fixes the sum
-    and its images are the sum of theirs; else A = P_1 covers the sum, as in
-    a free resolution, and the sum is acted on once more.
+    The rows of span_rows (the identity for the whole module) are scanned in
+    order and each one outside the span so far is picked; only that order and
+    their number, the rank to reach, are read.  Each pick's images are kept
+    for a drop pass of redundant picks.  If two or more are left, their sum,
+    covered by the same rule, replaces them if it generates on a P_e smaller
+    than theirs together.
+
+    Over a category algebra a scanned row v has v . 1_x in {0, v} for every
+    identity 1_x, so no row is split into object components: the 1_x project
+    a stage's coordinates t d + J_e (e_l 1_x is e_l or 0), so the reduced
+    row-echelon basis of a submodule K, unique and the one `free_resolution`
+    scans, is the union of those of the K . 1_x; and at stage 0 the rows are
+    unit vectors, on which a `to_algebra_module` module's 1_x are diagonal.
+    Where the 1_x are not diagonal, A covers a row in no one component, as
+    in a free resolution, and Ext stays exact.
     """
     alg = mod.algebra
     k = alg.field
-    heads, spans, _, objects = alg.projectives
+    heads, spans, _ = alg.projectives
     basis_rows = k.eye(mod.dim) if span_rows is None else span_rows
     full_rank = len(basis_rows)
 
@@ -241,43 +244,37 @@ def module_generators(mod, span_rows: np.ndarray | None = None) -> tuple:
                 return True
         return False
 
-    images, tops, gens = [], [], []
+    def cover(gen: np.ndarray) -> tuple:
+        """(gen, the position s of the first P_e with gen . e = gen, the gen . e_l for l in J_e)"""
+        acted = _act(mod, gen)
+        s = ((acted[heads] == gen).all(axis=1).tolist() + [True]).index(True)  # A fixes gen
+        return gen, s, acted[spans[s]]
+
+    picks = []
     ech = Echelon(k, mod.dim)
     for row in basis_rows:
         if ech.rank == full_rank:
             break
-        if ech.contains(row):
-            continue
-        acted = _act(mod, row)
-        parts = [row] if objects is None else acted[objects][acted[objects].any(axis=1)]
-        for part in parts:  # a lone component is the row itself
-            if len(parts) > 1 and ech.contains(part):
-                continue
-            part_acted = acted if len(parts) == 1 else _act(mod, part)
-            fixed = (part_acted[heads] == part).all(axis=1).tolist() + [True]  # part . e = part
-            tops.append(fixed.index(True))  # the unit, last, fixes every part
-            gens.append(part)
-            images.append(part_acted[spans[tops[-1]]])
-            ech.extend(images[-1])
+        if not ech.contains(row):
+            picks.append(cover(row))
+            ech.extend(picks[-1][2])
     if ech.rank != full_rank:
         raise AssertionError("generator search failed to span the module")
 
     # drop generators made redundant by later picks
     i = 0
-    while i < len(images) and len(images) > 1:
-        if generate(images[:i] + images[i + 1:]):
-            del images[i], tops[i], gens[i]
+    while i < len(picks) and len(picks) > 1:
+        if generate([images for _, _, images in picks[:i] + picks[i + 1:]]):
+            del picks[i]
         else:
             i += 1
-    if len(images) > 1:
-        same = len(set(tops)) == 1
-        top = tops[0] if same else len(heads)
-        if len(spans[top]) < sum(len(spans[t]) for t in tops):
-            summed = k.reduce(sum(images)) if same else _act(mod, k.reduce(sum(gens)))
-            if generate([summed]):
-                images, tops = [summed], [top]
-    cover = np.concatenate([k.zeros(0, mod.dim), *images]).T
-    return np.ascontiguousarray(cover), np.array(tops, dtype=np.int64)
+    if len(picks) > 1:
+        summed = cover(k.reduce(sum(g for g, _, _ in picks)))
+        _, top, images = summed
+        if len(spans[top]) < sum(len(spans[s]) for _, s, _ in picks) and generate([images]):
+            picks = [summed]
+    cover_matrix = np.concatenate([k.zeros(0, mod.dim), *(images for _, _, images in picks)]).T
+    return np.ascontiguousarray(cover_matrix), np.array([s for _, s, _ in picks], np.int64)
 
 
 @dataclass(eq=False)
@@ -318,12 +315,20 @@ def _check_stage(cover: np.ndarray, d: int) -> None:
                          f"entries exceeds desk-scale limit {STAGE_LIMIT}")
 
 
+def _check_module(algebra: FDAlgebra, mod: AlgModule, name: str) -> None:
+    """Refuse mod unless it is a right module over algebra or an equal algebra
+    (the same field, unit and structure constants, so the same dimension)."""
+    b = mod.algebra
+    if mod.side != "right" or b is not algebra and not (b.field == algebra.field and all(
+            map(np.array_equal, (b.unit, *b.constants), (algebra.unit, *algebra.constants)))):
+        raise ValueError(f"{name} is not a right module over the resolved algebra")
+
+
 def free_resolution(algebra: FDAlgebra, module: AlgModule, length: int) -> Resolution:
     """Resolve by sums of idempotent projectives on generators
     (`module_generators`); exact at every computed stage.  Each stage's size
     is checked against STAGE_LIMIT before its kernel is taken."""
-    if module.side != "right":
-        raise ValueError("resolutions implemented for right modules")
+    _check_module(algebra, module, "module")
     cover, tops = module_generators(module)
     covers, stages = [cover], [_stage(algebra, tops)]
     for _ in range(length):
@@ -373,9 +378,10 @@ def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
     """
     if res.length < max_n + 1:
         raise ValueError("resolution too short for the requested degree")
+    _check_module(res.algebra, f, "coefficient module")
     alg = res.algebra
     k, d, nf = alg.field, alg.dim, f.dim
-    _, spans, es, _ = alg.projectives
+    _, spans, es = alg.projectives
     stages = res.stages[:max_n + 2]
     used = sorted(set().union(*(st.summands.tolist() for st in stages)))
     coeffs = [es[used]]
@@ -401,8 +407,6 @@ def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
 
 
 def ext_dims(algebra: FDAlgebra, g: AlgModule, f: AlgModule, max_n: int) -> list:
-    if g.side != f.side:
-        raise ValueError("modules must live on the same side")
     res = free_resolution(algebra, g, max_n + 1)
     return ext_dims_from_resolution(res, f, max_n)
 

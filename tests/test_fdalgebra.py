@@ -85,9 +85,8 @@ def test_projectives_match_the_dense_constants(alg):
     """Against the dense c[i, j, l]: the heads are the basis elements e with
     e in J_e = {l : c[e, j, l] != 0 for some j} and e e_l = e_l for every l
     in J_e, each with the span J_e, smallest first, then the span of A; each
-    idempotent's coefficients, the unit's last; the objects are the support
-    of the unit when it is two or more heads with coefficient 1; and each
-    P_e's action constants give (e_i e_j)_l for i and l in J_e."""
+    idempotent's coefficients, the unit's last; and each P_e's action
+    constants give (e_i e_j)_l for i and l in J_e."""
     k, d = alg.field, alg.dim
     eye = k.eye(d)
     want = {}
@@ -95,14 +94,11 @@ def test_projectives_match_the_dense_constants(alg):
         span = sorted({l for j in range(d) for l in range(d) if alg.structure[e, j, l] != 0})
         if e in span and all(alg.structure[e, l].tolist() == eye[l].tolist() for l in span):
             want[e] = span
-    heads, spans, idempotents, objects = alg.projectives
+    heads, spans, idempotents = alg.projectives
     assert {int(e): s.tolist() for e, s in zip(heads, spans)} == want
     assert idempotents.tolist() == [eye[e].tolist() for e in heads] + [alg.unit.tolist()]
     assert len(spans) == len(heads) + 1 and spans[-1].tolist() == list(range(d))
     assert [len(s) for s in spans[:-1]] == sorted(len(s) for s in want.values())
-    support = [x for x in range(d) if alg.unit[x] != 0]
-    grid = len(support) > 1 and all(x in want and alg.unit[x] == k.one for x in support)
-    assert objects == (support if grid else None)
     for (rows, cols, vals), span in zip(alg.projective_actions, spans):
         n = len(span)
         got = k.sparse_matmul(rows, cols, vals, d * n, k.eye(n)).reshape(d, n, n)
@@ -112,17 +108,14 @@ def test_projectives_match_the_dense_constants(alg):
 @pytest.mark.parametrize("c", [poset_a2(), cyclic_monoid(3, 1), cyclic_monoid(4, 2)],
                          ids=lambda c: c.name)
 def test_projectives_of_a_category_algebra_are_its_idempotent_morphisms(c):
-    """e_f e_g = e_(g then f), so P_e is spanned by the composites g then e,
-    and the objects are the identities when there are two or more."""
+    """e_f e_g = e_(g then f), so P_e is spanned by the composites g then e."""
     pos = c.index.pos
-    heads, spans, _, objects = linearize(c, F3).projectives
+    heads, spans, _ = linearize(c, F3).projectives
     idempotents = [f for f in c.mor if c.compose.get((f, f)) == f]
     assert sorted(heads.tolist()) == sorted(pos[f] for f in idempotents)
     for e, span in zip(heads.tolist(), spans):
         f = next(f for f in idempotents if pos[f] == e)
         assert span.tolist() == sorted({pos[h] for (_, g), h in c.compose.items() if g == f})
-    ids = sorted(pos[c.identity[x]] for x in c.objects)
-    assert objects == (ids if len(ids) > 1 else None)
 
 
 def test_zero_vector_mult_matrices_over_rationals_hold_fractions():

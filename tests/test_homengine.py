@@ -533,39 +533,42 @@ def test_resolution_eliminates_each_stage_once(monkeypatch):
 
 
 def scan_acts(mod, span_rows) -> tuple:
-    """(calls of _act, picks) that the greedy scan of module_generators makes
-    before any pruning, replayed with action matrices: one call for each row
-    outside the span so far, and, when it has two or more non-zero object
-    components, one for each of them outside the span."""
+    """(calls of _act, picks) that module_generators makes, replayed with
+    action matrices: one call for each row outside the span so far, and one
+    for the summed generator when two or more picks survive the drop pass."""
     k = mod.algebra.field
-    objects = mod.algebra.projectives.objects
     if isinstance(mod, _Stage):
         mod = stage_module(mod)
     rows = k.eye(mod.dim) if span_rows is None else span_rows
-    ech, acts, picks = Echelon(k, mod.dim), 0, 0
+
+    def generated(vecs):
+        ech = Echelon(k, mod.dim)
+        for v in vecs:
+            for rho in mod.right_action:
+                ech.add(k.matmul(rho, v))
+        return ech
+
+    ech, picks = Echelon(k, mod.dim), []
     for row in rows:
         if ech.rank == len(rows):
             break
-        if ech.contains(row):
-            continue
-        acts += 1
-        parts = [row] if objects is None else [k.matmul(mod.right_action[x], row)
-                                                for x in objects]
-        parts = [part for part in parts if part.any()]
-        for part in parts:
-            if ech.contains(part):
-                continue
-            acts += len(parts) > 1
-            picks += 1
+        if not ech.contains(row):
+            picks.append(row)
             for rho in mod.right_action:
-                ech.add(k.matmul(rho, part))
-    return acts, picks
+                ech.add(k.matmul(rho, row))
+    kept, i = list(picks), 0
+    while i < len(kept) and len(kept) > 1:
+        if generated(kept[:i] + kept[i + 1:]).rank == len(rows):
+            del kept[i]
+        else:
+            i += 1
+    return len(picks) + (len(kept) > 1), len(picks)
 
 
 def test_each_pick_is_acted_on_once(monkeypatch):
     """The images of each pick are computed once and kept: the drop pass and
-    the cover read them, so _act runs only in the scan.  (A summed generator
-    covered by A would take one more call; none of these cases has one.)"""
+    the cover read them, so _act runs once per pick in the scan and once for
+    the summed generator where two or more picks are left."""
     searched, acts = [], [0]
     real_act, real_search = homengine._act, homengine.module_generators
 
@@ -585,6 +588,28 @@ def test_each_pick_is_acted_on_once(monkeypatch):
     replayed = [scan_acts(mod, rows) for mod, rows in searched]
     assert acts[0] == sum(a for a, _ in replayed)
     assert max(p for _, p in replayed) >= 2  # so a drop test ran
+
+
+def test_a_module_over_another_algebra_is_refused():
+    """Resolutions and Ext take right modules over the resolved algebra or an
+    equal one, and refuse any other before any work: the trivial k[Z/2]-module
+    and the dual-numbers module k, over F3, on the wrong sides of each other."""
+    kz2, dn = group_algebra([2], F3), dual_numbers(F3)
+    triv = AlgModule(kz2, 1, "right", right_action=[F3.eye(1)] * 2)
+    k_dn = AlgModule(dn, 1, "right", right_action=[F3.eye(1), F3.zeros(1, 1)])
+    res = free_resolution(kz2, triv, 3)
+    refused = "is not a right module over the resolved algebra$"
+    with pytest.raises(ValueError, match=refused):
+        ext_dims(kz2, triv, k_dn, 2)
+    with pytest.raises(ValueError, match=refused):
+        ext_dims_from_resolution(res, free_module(dn, 1), 2)
+    with pytest.raises(ValueError, match=refused):
+        free_resolution(dn, triv, 2)
+    with pytest.raises(ValueError, match=refused):
+        ext_dims_from_resolution(res, free_module(kz2, 1, side="left"), 2)
+    twin = dual_numbers(F3)  # equal to dn, another object
+    k_twin = AlgModule(twin, 1, "right", right_action=[F3.eye(1), F3.zeros(1, 1)])
+    assert ext_dims(dn, k_twin, k_dn, 2) == ext_dims(dn, k_dn, k_twin, 2) == [1, 1, 1]
 
 
 # -- stage sizes are checked before a stage is built ------------------------------------
@@ -662,12 +687,36 @@ def _ext_against_free_covers(alg, g, f, max_n=2):
                                                                           max_n)
 
 
+def _scanned_rows_lie_in_one_component(c: FinCategory, alg: FDAlgebra, modules) -> int:
+    """Resolve each module to length 3 and assert that every row that
+    module_generators scans (the unit vectors at stage 0, then each kernel's
+    reduced basis) has v . 1_x in {0, v} for every identity 1_x of c, so the
+    search covers each row with no split into object components.  Returns
+    the number of rows checked."""
+    ids = [c.index.pos[c.identity[x]] for x in c.objects]
+    k, scanned = alg.field, []
+
+    def search(mod, span_rows=None):
+        scanned.append((mod, span_rows))
+        return module_generators(mod, span_rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homengine, "module_generators", search)
+        for g in modules:
+            assert validate_resolution(free_resolution(alg, g, 3)).ok
+    rows = [(mod, v) for mod, span in scanned for v in (k.eye(mod.dim) if span is None else span)]
+    for mod, v in rows:
+        assert all(not w.any() or k.equal(w, v) for w in _act(mod, v)[ids])
+    return len(rows)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 def test_idempotent_covers_match_free_covers(seed):
     """On a random poset, abelian group or cyclic monoid (whose idempotents
     t^m, m > 0, are not identities) over F2, F3, F5 or F7, with constant or
-    representable modules on both sides: the resolution is exact, and its Ext
-    equals the Ext of the free-cover resolution up to degree 2."""
+    representable modules on both sides: the resolution is exact, its Ext
+    equals the Ext of the free-cover resolution up to degree 2, and every
+    row its generator search scans lies in one object component."""
     rnd = Random(seed)
     c = random_small_category(rnd)
     field = FieldSpec.prime(rnd.choice([2, 3, 5, 7]))
@@ -677,7 +726,9 @@ def test_idempotent_covers_match_free_covers(seed):
         if rnd.random() < 0.5:
             return to_algebra_module(constant_module(c, field), alg)
         return to_algebra_module(representable_module(c, field, rnd.choice(c.objects)), alg)
-    _ext_against_free_covers(alg, module(), module())
+    g, f = module(), module()
+    _ext_against_free_covers(alg, g, f)
+    _scanned_rows_lie_in_one_component(c, alg, [g, f])
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -688,14 +739,55 @@ RIGHT_MODULE_PROBLEMS = sorted(p.name for p in PROBLEMS.glob("*.yaml")
 @pytest.mark.parametrize("name", RIGHT_MODULE_PROBLEMS)
 def test_idempotent_covers_match_free_covers_on_gr(name):
     """Gr(A) and Gr(A, N) of each problem with a right_module block: the
-    constant module against the constant and the representable modules."""
+    constant module against the constant and the representable modules, and
+    every row scanned in resolving each of them in one object component."""
     b = build(parse((PROBLEMS / name).read_text()))
     for gr in (b.precosheaf.gr, b.right_module.gr):
         alg = linearize(gr, b.field)
         g = to_algebra_module(constant_module(gr, b.field), alg)
-        for f in [g, *(to_algebra_module(representable_module(gr, b.field, y), alg)
-                       for y in gr.objects)]:
+        modules = [g, *(to_algebra_module(representable_module(gr, b.field, y), alg)
+                        for y in gr.objects)]
+        for f in modules:
             _ext_against_free_covers(alg, g, f)
+        assert _scanned_rows_lie_in_one_component(gr, alg, modules) > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scanned_rows_lie_in_one_object_component_on_a_bowtie(p):
+    """The poset 0, 1 < 2, 3, rarely drawn at random: the first kernel of its
+    constant module is k at 0 plus k at 1, a basis of two components."""
+    objs, field = ("0", "1", "2", "3"), FieldSpec.prime(p)
+    below = {(x, x) for x in objs} | {(x, y) for x in "01" for y in "23"}
+    c = FinCategory(objs, {f"{x}<{y}": (x, y) for x, y in below},
+                    {x: f"{x}<{x}" for x in objs},
+                    {(f"{x}<{y}", f"{y}<{z}"): f"{x}<{z}"
+                     for x, y in below for v, z in below if v == y}, name="bowtie")
+    alg = linearize(c, field)
+    g = to_algebra_module(constant_module(c, field), alg)
+    assert free_resolution(alg, g, 2).ranks == [2, 2, 0]
+    _scanned_rows_lie_in_one_component(c, alg, [g])
+
+
+def test_module_whose_identities_are_not_diagonal_is_covered_by_the_unit():
+    """The constant A2 module over F3 conjugated by [[1, 1], [0, 1]]: its
+    second unit vector lies in no one object component, A covers it and it
+    generates alone, so stage 0 is A (dimension 3) where the untwisted
+    module's is P_{1_1} (dimension 2); the resolution is still exact, with
+    the same Ext."""
+    c = poset_a2()
+    alg = linearize(c, F3)
+    plain = to_algebra_module(constant_module(c, F3), alg)
+    twist, untwist = F3.array([[1, 1], [0, 1]]), F3.array([[1, 2], [0, 1]])
+    twisted = AlgModule(alg, 2, "right", right_action=[
+        F3.matmul(F3.matmul(untwist, rho), twist) for rho in plain.right_action])
+    assert validate_module(twisted).ok
+    res = free_resolution(alg, twisted, 3)
+    assert validate_resolution(res).ok
+    assert [s.dim for s in res.stages] == [3, 1, 0, 0]
+    assert res.stages[0].summands.tolist() == [len(alg.projectives.heads)]
+    assert [s.dim for s in free_resolution(alg, plain, 3).stages] == [2, 0, 0, 0]
+    assert ext_dims_from_resolution(res, twisted, 2) == ext_dims(alg, plain, plain, 2) \
+        == [1, 0, 0]
 
 
 KERNEL_FIELDS = [QQ, F2, F3] + WORD_FIELDS
