@@ -401,8 +401,8 @@ def ext_dims_from_resolution(res: Resolution, f: AlgModule, max_n: int) -> list:
         r_src, r_tgt = len(src.summands), len(tgt.summands)
         blocks = mats[at:at + r_tgt * r_src].reshape(r_tgt, r_src, nf, nf)
         at += r_tgt * r_src
-        ranks.append(rank(Matrix(k, blocks.transpose(0, 2, 1, 3).reshape(r_tgt * nf,
-                                                                          r_src * nf))))
+        d_i = blocks.transpose(0, 2, 1, 3).reshape(r_tgt * nf, r_src * nf)
+        ranks.append(rank(Matrix(k, d_i)) if d_i.size else 0)  # an empty D_i has rank 0
     return [dims[i] - ranks[i + 1] - ranks[i] for i in range(max_n + 1)]
 
 

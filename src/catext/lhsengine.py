@@ -14,7 +14,11 @@ differentials to do).  Differentials of the pages r >= 2 are never computed.
 
 The fiber at x is N(x) = `n.fibers[x]`, a component of the kernel of
 `n.extension`, with F restricted along iota; its bar cochains live on fiber
-positions, on which a lift u acts through F(u) and conjugation by u.
+positions, on which a lift u acts through F(u) and conjugation by u.  The E2
+page builds them only to the largest degree it reads (`e2_page`): degree 0
+when every summand P_e of the weight's resolution has a canonical lift that
+acts trivially on the fibers, as for every weight pulled back from C.
+`h_local_system` and `_LhsContext` build every degree they are asked for.
 
 Coefficient modules carry their own field, which may differ from the prime
 field the coefficient systems A and N live over: the constructions only use
@@ -28,6 +32,7 @@ import numpy as np
 
 from .coeffsys import AlgebraPrecosheaf, PrecosheafModule
 from .constructions import _check_system
+from .fdalgebra import FDAlgebra
 from .fincat import CatFunctor, FinCategory, linearize
 from .homengine import (CatModule, bar_cochain_complex, bar_pullback, bar_subquotients,
                         cat_ext_dims, ext_dims_from_resolution, free_resolution, restrict,
@@ -89,14 +94,7 @@ class _LhsContext:
 
     # -- induced maps -----------------------------------------------------
     def alpha(self, lift) -> list:
-        """Group homomorphism N(x) -> N(y) of a lift u: x -> y on positions,
-        conjugation by u read from the table of Gr(A, N): m -> the h with
-        iota(m) then u = u then iota(h), which is N(f)(m) . r for u = (r, _, f)."""
-        total, iota = self.ext.total, self.ext.iota
-        x, y = total.mor[lift]
-        h_of = {total.then(lift, iota.on_mor(h)): j
-                for j, h in enumerate(self.fibers[y].index.labels)}
-        return [h_of[total.then(iota.on_mor(m), lift)] for m in self.fibers[x].index.labels]
+        return fiber_map(self.n, lift)
 
     def induced_class_map(self, lift, q: int) -> np.ndarray:
         """Map on H^q classes induced by an arbitrary lift (r, m, f) of the
@@ -110,16 +108,29 @@ class _LhsContext:
                                        self.f.on(lift), sy.reps, q))
 
     def canonical_lift(self, base_mor):
-        r, fbase = base_mor
-        y = self.c.cod(fbase)
-        zero = tuple(0 for _ in range(self.n.at(y).dim))
-        return (r, zero, fbase)
+        return canonical_lift(self.n, base_mor)
 
     def local_system(self, q: int) -> HLocalSystem:
         gr_a = self.ext.base
         dims = {x: self.subqs[x][q].dim for x in self.c.objects}
         mats = {u: self.induced_class_map(self.canonical_lift(u), q) for u in gr_a.mor}
         return HLocalSystem(q, CatModule(gr_a, self.k, dims, mats, name=f"H^{q}(fibers)"))
+
+
+def fiber_map(n: PrecosheafModule, lift) -> list:
+    """Group homomorphism N(x) -> N(y) of a lift u: x -> y on positions,
+    conjugation by u read from the table of Gr(A, N): m -> the h with
+    iota(m) then u = u then iota(h), which is N(f)(m) . r for u = (r, _, f)."""
+    total, iota = n.extension.total, n.extension.iota
+    x, y = total.mor[lift]
+    h_of = {total.then(lift, iota.on_mor(h)): j for j, h in enumerate(n.fibers[y].index.labels)}
+    return [h_of[total.then(iota.on_mor(m), lift)] for m in n.fibers[x].index.labels]
+
+
+def canonical_lift(n: PrecosheafModule, base_mor):
+    """The lift (r, 0, f) of the Gr(A)-morphism (r, f)."""
+    r, fbase = base_mor
+    return (r, (0,) * n.at(n.base.cod(fbase)).dim, fbase)
 
 
 def fiber_restriction(n: PrecosheafModule, f: CatModule, x) -> CatModule:
@@ -136,19 +147,46 @@ def h_local_system(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
     return ctx.local_system(q)
 
 
+def _reads_fiber_classes(n: PrecosheafModule, alg: FDAlgebra, stages: list) -> bool:
+    """Whether a summand P_e of the stages may read H^q, q > 0: e is the
+    unit, or the fiber map of the canonical lift of the Gr(A)-morphism e
+    sends some element of N(x) off the identity of N(y)."""
+    heads = alg.projectives.heads.tolist()
+    for s in set().union(*(st.summands.tolist() for st in stages)):
+        if s == len(heads):
+            return True
+        e = alg.basis_labels[heads[s]]
+        y = n.base.cod(e[1])
+        one = n.fibers[y].index.pos[n.fibers[y].identity[y]]
+        if any(h != one for h in fiber_map(n, canonical_lift(n, e))):
+            return True
+    return False
+
+
 def e2_page(c: FinCategory, a: AlgebraPrecosheaf, n: PrecosheafModule,
             g: CatModule, f: CatModule, cap_p: int, cap_q: int) -> dict:
-    """E2[(p, q)] = dim Ext^p over Gr(A) of g against the fiber H^q system."""
-    ctx = _LhsContext(c, a, n, f, qmax=cap_q)
-    gr_a = ctx.ext.base
+    """E2[(p, q)] = dim Ext^p over Gr(A) of g against the fiber H^q system.
+
+    g is checked and resolved first.  Ext reads H^q only through
+    Hom(P_e, H^q) = H^q e for the summands P_e of the stages it reads, and
+    for q > 0 the class map of e is 0 when the fiber map of its canonical
+    lift sends every element to the identity: the pulled-back cochains
+    vanish, as normalized ones do on a tuple with an identity entry.  When
+    every summand is such a P_e (A = P_1 never is), the rows q > 0 are 0 and
+    the fibers' bar complexes are built to degree 0 only; that is the case
+    for a weight pulled back from C, covered by the P_{u_x}."""
+    _check_system(c, a, n)
+    gr_a = n.extension.base
     if g.cat is not gr_a and set(g.cat.mor) != set(gr_a.mor):
         raise ValueError("weight module is not over Gr(A)")
     if not (rep := validate_cat_module(g)).ok:
         raise ValueError(f"weight module is not a module over Gr(A): {rep.violations[0]}")
     alg = linearize(gr_a, g.field)
     res = free_resolution(alg, to_algebra_module(g, alg), cap_p + 1)
-    table = {}
-    for q in range(cap_q + 1):
+    rows = cap_q + 1 if _reads_fiber_classes(n, alg, res.stages[:cap_p + 2]) else 1
+    ctx = _LhsContext(c, a, n, f, qmax=rows - 1)
+    table = {(p, q): 0 for q in range(cap_q + 1) for p in range(cap_p + 1)}
+    for q in range(rows):
         hq = ctx.local_system(q).module
         dims = ext_dims_from_resolution(res, to_algebra_module(hq, alg), cap_p)
         for p in range(cap_p + 1):

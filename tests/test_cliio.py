@@ -693,21 +693,33 @@ task:
 """
 
 
-@pytest.mark.parametrize("text,command,rows,cols", [
+@pytest.mark.parametrize("text,command,limit,rows,cols", [
     # the nerve of B(Z/2) up to degree 4: d[3] is 16 x 8
-    ((PROBLEMS / "z2_cohomology.yaml").read_text(), "cohomology", 16, 8),
-    # bar cochains of the (Z/2)^2 fiber up to degree 3: d[2] is 27 x 9
-    (KLEIN_FIBER_LHS, "lhs-report", 27, 9),
+    ((PROBLEMS / "z2_cohomology.yaml").read_text(), "cohomology", 100, 16, 8),
+    # bar cochains of the (Z/2)^2 fiber: the constant weight reads H^0 only,
+    # so d[0], 3 x 1, is the one differential built
+    (KLEIN_FIBER_LHS, "lhs-report", 2, 3, 1),
 ], ids=["nerve", "bar"])
 def test_cochain_differential_past_the_limit_exits_two(tmp_path, capsys, monkeypatch,
-                                                       text, command, rows, cols):
-    """With the limit lowered to 100 entries, a differential past it is
-    reported with its size and the limit."""
-    monkeypatch.setattr(homengine, "CELL_LIMIT", 100)
+                                                       text, command, limit, rows, cols):
+    """With the limit lowered below a differential the job builds, that
+    differential is reported with its size and the limit."""
+    monkeypatch.setattr(homengine, "CELL_LIMIT", limit)
     code, doc = _run_main(tmp_path, capsys, text, command)
     assert code == 2
     assert doc["input_errors"] == [f"cochain differential of {rows} x {cols} = "
-                                   f"{rows * cols} entries exceeds desk-scale limit 100"]
+                                   f"{rows * cols} entries exceeds desk-scale limit {limit}"]
+
+
+def test_constant_weight_builds_no_fiber_differential_past_degree_zero(tmp_path, capsys,
+                                                                       monkeypatch):
+    """The (Z/2)^2 fiber's d[2] is 27 x 9, past a limit of 100 entries; the
+    constant weight reads no row q > 0, so the job never builds it and
+    writes the document of an unlimited run."""
+    code, unlimited = _run_main(tmp_path, capsys, KLEIN_FIBER_LHS, "lhs-report")
+    monkeypatch.setattr(homengine, "CELL_LIMIT", 100)
+    assert _run_main(tmp_path, capsys, KLEIN_FIBER_LHS, "lhs-report") == (code, unlimited)
+    assert code == 0 and "input_errors" not in unlimited
 
 
 def test_cohomology_past_the_nerve_limit_builds_no_resolution(tmp_path, capsys, monkeypatch):

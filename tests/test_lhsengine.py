@@ -2,26 +2,31 @@ import json
 import tracemalloc
 from itertools import product as iproduct
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
+from catext import homengine, lhsengine
 from catext.cliio import build, parse
-from catext.exactlin import Matrix, rref, solve_matrix
+from catext.exactlin import FieldSpec, Matrix, rref, solve_matrix
 from catext.extcheck import check_extension, fiber_extension
 from catext.fdalgebra import dual_numbers, field_algebra, group_algebra
-from catext.fincat import FinCategory
+from catext.fincat import FinCategory, linearize
 from catext.coeffsys import abelian_group_category
-from catext.homengine import (CatModule, bar_pullback, cat_ext_dims, cohomology_dims,
-                              constant_module, group_cohomology_dims, nerve_cohomology_dims,
-                              representable_module, restrict, validate_cat_module)
+from catext.homengine import (CatModule, _stage, bar_pullback, cat_ext_dims, cohomology_dims,
+                              constant_module, ext_dims_from_resolution, free_resolution,
+                              group_cohomology_dims, nerve_cohomology_dims,
+                              representable_module, restrict, to_algebra_module,
+                              validate_cat_module)
 from catext.lhsengine import (_LhsContext, abutment, e2_page, fiber_restriction,
                               h_local_system, lhs_report)
 from catext.presets import (F2, F3, QQ, constant_precosheaf, discrete_category,
-                            one_object_group, poset_a2, regular_right_module_system,
+                            field_product, one_object_group, poset_a2, regular_right_module_system,
                             trivial_category, zero_right_module_system)
-from test_homengine import greedy_generators
+from test_homengine import greedy_generators, random_small_category
 
 
 def point_fixture(coeff=F2):
@@ -562,3 +567,188 @@ def test_zero_section_matches_resolution_route_on_the_paper_rung():
     f0 = zero_section_module(gr, b.category, widths, f)
     assert validate_cat_module(f0).ok
     assert cohomology_dims(gr, f, 2) == cohomology_dims(b.category, f0, 2) == [1, 0, 0]
+
+
+# -- the rows the page reads ------------------------------------------------------------
+#
+# Ext reads H^q through Hom(P_e, H^q) = H^q e for the summands P_e of the
+# weight's resolution; for q > 0 the class map of e is 0 when the fiber map of
+# its canonical lift is trivial, and then e2_page builds no bar complex past
+# degree 0.  The eager page below reads every H^q through h_local_system.
+
+def eager_page(c, a, n, g, f, cap_p, cap_q):
+    alg = linearize(n.extension.base, g.field)
+    res = free_resolution(alg, to_algebra_module(g, alg), cap_p + 1)
+    table = {}
+    for q in range(cap_q + 1):
+        hq = h_local_system(c, a, n, f, q).module
+        dims = ext_dims_from_resolution(res, to_algebra_module(hq, alg), cap_p)
+        table.update(((p, q), int(dims[p])) for p in range(cap_p + 1))
+    return table
+
+
+def twisted_weight(gr_a, k):
+    """T(r, f) = the first coordinate of r: a module over Gr(A) when A is a
+    constant product of copies of k, which no base morphism fixes."""
+    t = CatModule(gr_a, k, {x: 1 for x in gr_a.objects},
+                  {u: k.array([[u[0][0]]]) for u in gr_a.mor}, name="T")
+    assert validate_cat_module(t).ok
+    return t
+
+
+def klein_fixture():
+    """The point with A = F2 x F2 and its regular fibers (Z/2)^2."""
+    c = trivial_category()
+    a = constant_precosheaf(c, field_product(F2, 2))
+    n = regular_right_module_system(a)
+    return c, a, n, constant_module(n.extension.total, F2)
+
+
+def count_bar_complexes(monkeypatch) -> list:
+    calls = []
+
+    def counted(c, module, max_q, _orig=lhsengine.bar_cochain_complex):
+        calls.append(max_q)
+        return _orig(c, module, max_q)
+    monkeypatch.setattr(lhsengine, "bar_cochain_complex", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", RIGHT_MODULE_PROBLEMS)
+def test_page_equals_eager_page_on_problems(name):
+    """Every problem with a right_module block: the constant, each
+    representable and, where A is a product of copies of k, the twisted
+    weight, against constant coefficients."""
+    b = build(parse((ROOT / "problems" / name).read_text()))
+    c, a, n, k = b.category, b.precosheaf, b.right_module, b.coeff_field
+    gr_a = n.extension.base
+    f = constant_module(n.extension.total, k)
+    weights = [constant_module(gr_a, k), *(representable_module(gr_a, k, y) for y in c.objects)]
+    if all(a.at(x).dim == 1 for x in c.objects):
+        weights.append(twisted_weight(gr_a, k))
+    for g in weights:
+        assert e2_page(c, a, n, g, f, 2, 2) == eager_page(c, a, n, g, f, 2, 2), g.name
+
+
+def test_page_equals_eager_page_on_the_paper_rung(monkeypatch):
+    """BENCH_7's A2 / k[Z/2] / F3 rung at caps (1, 1): the constant weight
+    reads H^0 only, the representable one at the terminal object every row."""
+    problem = json.loads((ROOT / "BENCH_7.json").read_text())["paper_rung"]["problem"]
+    b = build(parse(yaml.safe_dump(problem)))
+    c, a, n, k = b.category, b.precosheaf, b.right_module, b.coeff_field
+    gr_a = n.extension.base
+    f = constant_module(n.extension.total, k)
+    calls = count_bar_complexes(monkeypatch)
+    for g, qmax in [(constant_module(gr_a, k), 0), (representable_module(gr_a, k, "1"), 1)]:
+        calls.clear()
+        page = e2_page(c, a, n, g, f, 1, 1)
+        assert calls == [qmax] * len(c.objects)
+        assert page == eager_page(c, a, n, g, f, 1, 1), g.name
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_page_equals_eager_page_on_random_bases(seed):
+    """A random poset, abelian group or cyclic monoid as the base C, the
+    constant F2 or F3 or (over F2) k[Z/2] precosheaf, regular or zero fibers,
+    and the constant, a representable or the twisted weight against constant
+    or representable coefficients."""
+    rnd = Random(seed)
+    c = random_small_category(rnd)
+    k = FieldSpec.prime(rnd.choice([2, 3]))
+    small = k.characteristic == 2 and len(c.mor) <= 4
+    alg = group_algebra([2], k) if small and rnd.random() < 0.3 else field_algebra(k)
+    a = constant_precosheaf(c, alg)
+    n = (regular_right_module_system if rnd.random() < 0.8 else zero_right_module_system)(a)
+    gr_a, total = n.extension.base, n.extension.total
+    kind = rnd.randrange(3)
+    g = (constant_module(gr_a, k) if kind == 0
+         else representable_module(gr_a, k, rnd.choice(c.objects)) if kind == 1
+         else twisted_weight(gr_a, k) if alg.dim == 1 else constant_module(gr_a, k))
+    f = (constant_module(total, k) if rnd.random() < 0.7
+         else representable_module(total, k, rnd.choice(c.objects)))
+    assert e2_page(c, a, n, g, f, 2, 2) == eager_page(c, a, n, g, f, 2, 2)
+
+
+def test_page_equals_eager_page_for_twisted_and_representable_weights():
+    """The weights of test_report_twisted_weight_multi_row and
+    test_report_representable_weight_with_group_coefficients, and the
+    twisted weight on the Klein fiber, whose rows q > 0 are not 0."""
+    c = one_object_group(2)
+    a = constant_precosheaf(c, field_algebra(F2))
+    n = regular_right_module_system(a)
+    t = twisted_weight(n.extension.base, F2)
+    cases = [(c, a, n, t, constant_module(n.extension.total, F2))]
+    c = poset_a2()
+    a = constant_precosheaf(c, group_algebra([2], F2))
+    n = regular_right_module_system(a)
+    cases.append((c, a, n, representable_module(n.extension.base, F2, "1"),
+                  constant_module(n.extension.total, F2)))
+    c, a, n, f = klein_fixture()
+    cases.append((c, a, n, twisted_weight(n.extension.base, F2), f))
+    for c, a, n, g, f in cases:
+        page = e2_page(c, a, n, g, f, 3, 3)
+        assert page == eager_page(c, a, n, g, f, 3, 3)
+        assert any(d for (p, q), d in page.items() if q > 0)
+
+
+def test_bar_complexes_are_built_only_to_the_degree_read(monkeypatch):
+    """Once per fiber: to degree 0 for the constant weight, whose cover is
+    P_{u_x}, and to cap_q for the twisted weight, whose cover's fiber map is
+    the projection to the first factor."""
+    c, a, n, f = klein_fixture()
+    gr_a = n.extension.base
+    calls = count_bar_complexes(monkeypatch)
+    page = e2_page(c, a, n, constant_module(gr_a, F2), f, 2, 3)
+    assert calls == [0]
+    assert all(d == 0 for (p, q), d in page.items() if q > 0)
+    calls.clear()
+    e2_page(c, a, n, twisted_weight(gr_a, F2), f, 2, 3)
+    assert calls == [3]
+
+
+def test_a_weight_that_reads_every_row_is_refused_at_degree_cap_q(monkeypatch):
+    """The Klein fiber's d[2] is 27 x 9 and d[1] is 9 x 3: at a limit of 100
+    entries the twisted weight's page is refused at d[cap_q], and the
+    constant weight's page, which builds d[0] only, is not."""
+    c, a, n, f = klein_fixture()
+    gr_a = n.extension.base
+    monkeypatch.setattr(homengine, "CELL_LIMIT", 100)
+    with pytest.raises(ValueError, match=r"^cochain differential of 27 x 9 = 243 entries "
+                                         r"exceeds desk-scale limit 100$"):
+        e2_page(c, a, n, twisted_weight(gr_a, F2), f, 2, 2)
+    e2_page(c, a, n, twisted_weight(gr_a, F2), f, 2, 1)
+    e2_page(c, a, n, constant_module(gr_a, F2), f, 2, 2)
+
+
+def test_the_unit_summand_reads_every_row():
+    """A = P_1 reads all of H^q, so a stage with the unit among its summands
+    reads the rows q > 0 where the same stage on P_{u_x} does not."""
+    c, a, n, f = klein_fixture()
+    alg = linearize(n.extension.base, F2)
+    heads = alg.projectives.heads.tolist()
+    u = heads.index(alg.basis_labels.index(((0, 0), "id")))
+    unit = len(heads)
+    assert not lhsengine._reads_fiber_classes(n, alg, [_stage(alg, np.array([u]))])
+    assert lhsengine._reads_fiber_classes(n, alg, [_stage(alg, np.array([u, unit]))])
+    assert lhsengine._reads_fiber_classes(n, alg, [_stage(alg, np.array([u])),
+                                                   _stage(alg, np.array([unit]))])
+
+
+def test_a_refused_weight_builds_no_bar_complex(monkeypatch):
+    """A weight over another category, or one that is not a module, is
+    refused before any fiber work: even with the fiber's differentials past
+    the limit, the weight's error is the one reported."""
+    c = trivial_category()
+    a = constant_precosheaf(c, dual_numbers(F2))
+    n = regular_right_module_system(a)
+    ext = fiber_extension(c, a, n)
+    f = constant_module(ext.total, F2)
+    w = CatModule(ext.base, F2, {"*": 1},
+                  {u: F2.array([[sum(u[0]) % 2]]) for u in ext.base.mor}, name="w")
+    calls = count_bar_complexes(monkeypatch)
+    monkeypatch.setattr(homengine, "CELL_LIMIT", 0)
+    with pytest.raises(ValueError, match=r"^weight module is not over Gr\(A\)$"):
+        e2_page(c, a, n, f, f, 1, 1)
+    with pytest.raises(ValueError, match=r"^weight module is not a module over Gr\(A\): "):
+        e2_page(c, a, n, w, f, 1, 1)
+    assert calls == []

@@ -30,9 +30,17 @@ def test_run_problems_runs_from_checkout(tmp_path, args, md5):
 
 
 def test_lhs_survey_runs_from_checkout(tmp_path):
-    res = _script(tmp_path, "lhs_survey.py", "--cap", "1")
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.rstrip().endswith("0 violation(s)")
+    """No violation at cap 2 for either weight, and the rows of the k[Z/2]
+    fixture: the constant weight reads H^0 only, the representable weight,
+    a projective, reads every row and gives a column page."""
+    for weight, rows in [("constant", ["q=2: 0 0 0", "q=1: 0 0 0", "q=0: 1 0 0"]),
+                         ("representable", ["q=2: 3 0 0", "q=1: 2 0 0", "q=0: 1 0 0"])]:
+        res = _script(tmp_path, "lhs_survey.py", "--cap", "2", "--weight", weight)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.rstrip().endswith("0 violation(s)")
+        lines = res.stdout.splitlines()
+        at = next(i for i, s in enumerate(lines) if s.startswith("== A2, k[Z/2] coefficients"))
+        assert [s.strip() for s in lines[at + 1:at + 4]] == rows, weight
 
 
 @pytest.mark.parametrize("caps, md5", [((1, 1, 1), "84ca7df58f0019a6bb68d3573b605daf"),
